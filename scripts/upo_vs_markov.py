@@ -13,7 +13,11 @@ import argparse
 from fractions import Fraction
 
 from bakerfr.fluctuation import exact_distribution
-from bakerfr.periodic_orbits import generalized_upo_diagnostic, upo_distribution
+from bakerfr.periodic_orbits import (
+    enumerate_orbits,
+    generalized_upo_diagnostic,
+    upo_distribution,
+)
 
 
 def main() -> None:
@@ -26,7 +30,7 @@ def main() -> None:
     l2, l1 = Fraction(args.l), Fraction(args.l1)
     print(f"{'n':>3} {'two-branch TV':>14} {'four-branch TV':>15} {'cycles':>7}")
     for n in range(1, args.n_max + 1):
-        upo = upo_distribution(l1, n)
+        upo = upo_distribution(l1, enumerate_orbits(l1, n))
         chain = exact_distribution("map1", l1, n)
         support = set(upo.probs) | set(chain.probs)
         tv1 = sum(abs(upo.prob(g) - chain.prob(g)) for g in support) / 2

@@ -24,7 +24,6 @@ from bakerfr.maps import (
     build_perturbation,
     build_simple_baker,
     default_strip,
-    gm_region_conjugacy,
     load_map,
     map_from_dict,
     map_to_dict,
@@ -37,22 +36,20 @@ from bakerfr.transfer import (
     RegionMeasures,
     StepDensity,
     StochasticMatrix,
-    TransferMatrix,
     frobenius_perron_step,
     invariant_density,
     invariant_density_power,
     project_unstable,
     region_measures,
     srb_density,
-    transfer_matrix,
     transition_matrix,
 )
+from bakerfr.families import Family, Symbols, family, symbols
 from bakerfr.observables import (
     ContractionStats,
     SymbolSequence,
     TrajectorySegment,
     average_contraction,
-    contraction_unit_base,
     dissipation_function,
     lambda_at,
     mean_lambda_analytic,
@@ -78,7 +75,6 @@ from bakerfr.periodic_orbits import (
     PeriodicOrbit,
     enumerate_orbits,
     generalized_upo_diagnostic,
-    orbit_weight,
     upo_distribution,
 )
 from bakerfr.multibaker import (

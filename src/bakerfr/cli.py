@@ -28,11 +28,11 @@ from bakerfr.fluctuation import (
     verify_fr_irreversible,
     write_fr_csv,
 )
+from bakerfr.families import family
 from bakerfr.maps import (
+    SCHEMA_VERSION,
     build_composite,
-    build_generalized_baker,
     build_involution,
-    build_simple_baker,
     random_rational_points,
     verify_reversibility,
 )
@@ -50,13 +50,11 @@ from bakerfr.periodic_orbits import (
     write_orbits_csv,
 )
 from bakerfr.transfer import (
+    ConsistencyError,
     invariant_density,
     project_unstable,
-    srb_density,
     write_density_csv,
 )
-
-SCHEMA_VERSION = 1
 
 
 def _frac(text) -> Fraction:
@@ -131,13 +129,9 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _base_map(cfg: ExperimentConfig):
-    if cfg.family == "map1":
-        return build_simple_baker(cfg.l)
-    if cfg.family == "map2":
-        return build_generalized_baker(cfg.l)
     if cfg.family == "composite":
         return build_composite(cfg.l, cfg.x_tilde, cfg.eps)
-    raise ValueError(f"unknown family {cfg.family!r}")
+    return family(cfg.family, cfg.l).build_map()
 
 
 # ---------------------------------------------------------------------------
@@ -146,21 +140,15 @@ def _base_map(cfg: ExperimentConfig):
 
 
 def cmd_density(cfg: ExperimentConfig, out: Path) -> int:
-    family = "map2" if cfg.family == "composite" else cfg.family
-    m = build_generalized_baker(cfg.l) if family == "map2" else build_simple_baker(cfg.l)
-    rho = invariant_density(project_unstable(m))
-    if family == "map2":
-        analytic = srb_density(cfg.l)
-    else:
-        from bakerfr.transfer import uniform_density
-
-        analytic = uniform_density()
+    fam = family("map2" if cfg.family == "composite" else cfg.family, cfg.l)
+    rho = invariant_density(project_unstable(fam.build_map()))
+    analytic = fam.density
     agree = rho == analytic
     write_density_csv(rho, out.with_suffix(".csv"))
     _write_json(out.with_suffix(".json"), {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_text(),
-        "family": family,
+        "family": fam.name,
         "l": _fmt(cfg.l),
         "density": [[_fmt(b), _fmt(v)] for b, v in zip(rho.breakpoints, rho.values)],
         "analytic": [[_fmt(b), _fmt(v)]
@@ -172,8 +160,8 @@ def cmd_density(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_fr(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.mode == "exact":
-        family = "map2" if cfg.family == "composite" else cfg.family
-        dist = exact_distribution(family, cfg.l, cfg.n)
+        family_name = "map2" if cfg.family == "composite" else cfg.family
+        dist = exact_distribution(family_name, cfg.l, cfg.n)
         report = fr_report(dist)
         payload = report.to_dict()
         payload["config"] = cfg.to_text()
@@ -204,38 +192,47 @@ def cmd_fr(cfg: ExperimentConfig, out: Path) -> int:
     raise ValueError(f"unknown mode {cfg.mode!r}")
 
 
+def _upo_orbits(cfg: ExperimentConfig, out: Path) -> int:
+    orbits = enumerate_orbits(cfg.l, cfg.n)
+    dist = upo_distribution(cfg.l, orbits)
+    chain = exact_distribution("map1", cfg.l, cfg.n)
+    agree = dist.probs == chain.probs
+    write_orbits_csv(orbits, out.with_suffix(".csv"))
+    _write_json(out.with_suffix(".json"), {
+        "schema_version": SCHEMA_VERSION,
+        "config": cfg.to_text(),
+        "orbits": len(orbits),
+        "distribution": {str(g): _fmt(p) for g, p in sorted(dist.probs.items())},
+        "chain_distribution": {str(g): _fmt(p)
+                               for g, p in sorted(chain.probs.items())},
+        "agree": agree,
+    })
+    return 0 if agree else 1
+
+
+def _upo_diagnostic(cfg: ExperimentConfig, out: Path) -> int:
+    diag = generalized_upo_diagnostic(cfg.l, cfg.n)
+    payload = diag.to_dict()
+    payload["config"] = cfg.to_text()
+    payload["note"] = ("diagnostic only: orbit weights are not a trusted "
+                       "estimator for this family")
+    _write_json(out.with_suffix(".json"), payload)
+    with open(out.with_suffix(".csv"), "w", encoding="utf-8") as fh:
+        fh.write("g,upo_prob,chain_prob\n")
+        support = sorted(set(diag.upo_probs) | set(diag.chain_probs))
+        for g in support:
+            fh.write(f"{g},{_fmt(diag.upo_probs.get(g, Fraction(0)))},"
+                     f"{_fmt(diag.chain_probs.get(g, Fraction(0)))}\n")
+    return 0
+
+
+_UPO = {"map1": _upo_orbits, "map2": _upo_diagnostic}
+
+
 def cmd_upo(cfg: ExperimentConfig, out: Path) -> int:
-    if cfg.family == "map1":
-        orbits = enumerate_orbits(cfg.l, cfg.n)
-        dist = upo_distribution(cfg.l, cfg.n)
-        chain = exact_distribution("map1", cfg.l, cfg.n)
-        agree = dist.probs == chain.probs
-        write_orbits_csv(orbits, out.with_suffix(".csv"))
-        _write_json(out.with_suffix(".json"), {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg.to_text(),
-            "orbits": len(orbits),
-            "distribution": {str(g): _fmt(p) for g, p in sorted(dist.probs.items())},
-            "chain_distribution": {str(g): _fmt(p)
-                                   for g, p in sorted(chain.probs.items())},
-            "agree": agree,
-        })
-        return 0 if agree else 1
-    if cfg.family == "map2":
-        diag = generalized_upo_diagnostic(cfg.l, cfg.n)
-        payload = diag.to_dict()
-        payload["config"] = cfg.to_text()
-        payload["note"] = ("diagnostic only: orbit weights are not a trusted "
-                           "estimator for this family")
-        _write_json(out.with_suffix(".json"), payload)
-        with open(out.with_suffix(".csv"), "w", encoding="utf-8") as fh:
-            fh.write("g,upo_prob,chain_prob\n")
-            support = sorted(set(diag.upo_probs) | set(diag.chain_probs))
-            for g in support:
-                fh.write(f"{g},{_fmt(diag.upo_probs.get(g, Fraction(0)))},"
-                         f"{_fmt(diag.chain_probs.get(g, Fraction(0)))}\n")
-        return 0
-    raise ValueError("upo supports families map1 and map2")
+    if cfg.family not in _UPO:
+        raise ValueError("upo supports families map1 and map2")
+    return _UPO[cfg.family](cfg, out)
 
 
 def cmd_multibaker(cfg: ExperimentConfig, out: Path) -> int:
@@ -281,7 +278,7 @@ def cmd_multibaker(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_reversibility(cfg: ExperimentConfig, out: Path) -> int:
     m = _base_map(cfg)
-    involution = build_involution("map1" if cfg.family == "map1" else "map2")
+    involution = build_involution(m.family)
     points = random_rational_points(cfg.ensemble, cfg.seed)
     report = verify_reversibility(m, involution, points)
     payload = report.to_dict()
@@ -404,6 +401,10 @@ def main(argv=None) -> int:
         except (UndefinedValueError, ValueError) as exc:
             print(f"{cfg.command} [ERROR] {exc}")
             worst = max(worst, 2)
+            continue
+        except ConsistencyError as exc:
+            print(f"{cfg.command} [INCONSISTENT] {exc}")
+            worst = max(worst, 3)
             continue
         status = "pass" if rc == 0 else "FAIL"
         print(f"{cfg.command} [{status}] -> {prefix}.json")

@@ -1,10 +1,11 @@
 """Vectorized float backend for ensemble simulations.
 
 Ensembles are split into shards, each driven by a child RNG stream spawned
-deterministically from (seed, shard index); results merge by addition or
-concatenation, so the outcome does not depend on shard size or execution
-order.  Branch dispatch mirrors the exact backend's half-open convention
-with the top edges of the square closed.
+deterministically from (seed, shard index); results merge by concatenation
+in shard order, so the outcome is deterministic for a given (seed, shard
+size).  A different shard size spawns different streams, so results are
+not invariant under the shard size.  Branch dispatch mirrors the exact
+backend's half-open convention with the top edges of the square closed.
 
 Both map families act on full-height vertical strips with diagonal linear
 parts, so a step reduces to a searchsorted over the strip edges plus two
@@ -49,8 +50,8 @@ class CompiledMap:
 
 
 def compile_map(m: PiecewiseAffineMap) -> CompiledMap:
+    from bakerfr.families import symbols
     from bakerfr.maps import build_generalized_baker
-    from bakerfr.observables import g_increment
 
     fold_lo = fold_hi = None
     if m.eps is not None and m.eps > 0:
@@ -69,7 +70,8 @@ def compile_map(m: PiecewiseAffineMap) -> CompiledMap:
         raise ValueError(f"{m.name} carries no region partition")
     edges = [float(hi) for _lo, hi, _lab in m.partition[:-1]]
     labels = [lab for _lo, _hi, lab in m.partition]
-    delta = np.array([g_increment(m.family, lab) for lab in labels], dtype=np.int64)
+    increment = symbols(m.family).g
+    delta = np.array([increment[lab] for lab in labels], dtype=np.int64)
     return CompiledMap(
         strip_edges=np.array([float(b.x_hi) for b in branches[:-1]]),
         axx=np.array([float(b.linear[0][0]) for b in branches]),
@@ -111,7 +113,7 @@ def sample_g(m: PiecewiseAffineMap, n: int, ensemble: int, transient: int,
              seed: int, shard: int = DEFAULT_SHARD) -> np.ndarray:
     """Net expanding-visit count over n steps for each of `ensemble`
     particles started uniformly on the unit square and relaxed for
-    `transient` steps.  Deterministic for a given seed."""
+    `transient` steps.  Deterministic for a given (seed, shard)."""
     cm = compile_map(m)
     streams = np.random.SeedSequence(seed).spawn(len(shard_sizes(ensemble, shard)))
     out = []

@@ -15,24 +15,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
+from bakerfr import families
+from bakerfr.families import Family
 from bakerfr.maps import (
+    SCHEMA_VERSION,
     PiecewiseAffineMap,
     RegionLabel,
     as_fraction,
     build_generalized_baker,
     build_perturbation,
-    gm_region_conjugacy,
     random_rational_points,
 )
-from bakerfr.observables import (
-    UndefinedValueError,
-    contraction_unit_base,
-    g_increment,
-    mean_g_per_step,
-)
-from bakerfr.transfer import ConsistencyError, region_measures, transition_matrix
+from bakerfr.observables import UndefinedValueError
+from bakerfr.transfer import ConsistencyError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -48,42 +45,34 @@ MAX_BRUTE_FORCE = 12
 
 @dataclass(frozen=True)
 class ChainSpec:
-    family: str
-    l: Fraction
-    labels: tuple[RegionLabel, ...]
-    initial: dict[RegionLabel, Fraction]
-    trans: dict[tuple[RegionLabel, RegionLabel], Fraction]
+    """The family's symbol process started from one initial law."""
+
+    fam: Family
+    initial: Mapping[RegionLabel, Fraction]
+
+    @property
+    def labels(self) -> tuple[RegionLabel, ...]:
+        return self.fam.labels
+
+    @property
+    def trans(self) -> Mapping[tuple[RegionLabel, RegionLabel], Fraction]:
+        return self.fam.trans
 
     def delta(self, label: RegionLabel) -> int:
-        return g_increment(self.family, label)
+        return self.fam.g[label]
 
-    def successors(self, label: RegionLabel) -> list[RegionLabel]:
-        return [j for j in self.labels if self.trans.get((label, j), _ZERO) > 0]
+    def successors(self, label: RegionLabel) -> tuple[RegionLabel, ...]:
+        return self.fam.successors[label]
 
 
 def chain_spec(family: str, l, start: str = "stationary") -> ChainSpec:
     """Symbol process of the family: region labels with their one-step
     transition probabilities and either the stationary region measures or
     the Lebesgue widths ("uniform") as initial weights."""
-    l = as_fraction(l)
-    if start not in ("stationary", "uniform"):
+    fam = families.family(family, l)
+    if start not in fam.initial:
         raise ValueError(f"unknown start {start!r}")
-    if family == "map1":
-        labels = (RegionLabel.A, RegionLabel.B)
-        mu = {RegionLabel.A: l, RegionLabel.B: 1 - l}
-        trans = {(i, j): mu[j] for i in labels for j in labels}
-        return ChainSpec(family, l, labels, dict(mu), trans)
-    if family == "map2":
-        labels = (RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D)
-        p = transition_matrix(l)
-        trans = {(i, j): p.prob(i, j) for i in labels for j in labels}
-        if start == "stationary":
-            mu = dict(region_measures(l).mu)
-        else:
-            mu = {RegionLabel.A: l, RegionLabel.B: Fraction(1, 2) - l,
-                  RegionLabel.C: Fraction(1, 4), RegionLabel.D: Fraction(1, 4)}
-        return ChainSpec(family, l, labels, mu, trans)
-    raise ValueError(f"unknown family {family!r}")
+    return ChainSpec(fam, fam.initial[start])
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +133,7 @@ def exact_distribution(family: str, l, n: int,
     probs: dict[int, Fraction] = {}
     for (_lab, g), w in state.items():
         probs[g] = probs.get(g, _ZERO) + w
-    return SymbolDistribution(family, spec.l, n, probs)
+    return SymbolDistribution(family, spec.fam.l, n, probs)
 
 
 def sequence_measure(spec: ChainSpec, labels) -> Fraction:
@@ -185,7 +174,7 @@ def brute_force_distribution(family: str, l, n: int,
         w = sequence_measure(spec, seq)
         g = sum(spec.delta(lab) for lab in seq)
         probs[g] = probs.get(g, _ZERO) + w
-    return SymbolDistribution(family, spec.l, n, probs)
+    return SymbolDistribution(family, spec.fam.l, n, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +213,7 @@ class FRReport:
     def to_dict(self) -> dict:
         n_lambda = self.n * self.mean_lambda
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "family": self.family,
             "l": f"{self.l.numerator}/{self.l.denominator}",
             "n": self.n,
@@ -244,30 +233,17 @@ class FRReport:
         }
 
 
-def fr_alpha_bounds(family: str, l) -> tuple[Fraction, Fraction]:
-    l = as_fraction(l)
-    if family == "map1":
-        return _ONE, _ONE
-    if family == "map2":
-        return 4 * l, 1 / (4 * l)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def fr_report(dist: SymbolDistribution) -> FRReport:
     """Check the ratio P(g)/P(-g) against base^g for every attainable
     positive g.  The two-branch family must satisfy the identity exactly;
     the four-branch family must have its multiplicative correction within
     [4l, 1/(4l)].  Exact rational comparisons throughout."""
-    psi = mean_g_per_step(dist.family, dist.l)
+    fam = families.family(dist.family, dist.l)
+    psi, base = fam.psi, fam.unit_base
     if psi == 0:
         raise UndefinedValueError(
             f"mean contraction vanishes at l={dist.l}; the ratio test is undefined")
-    base = contraction_unit_base(dist.family, dist.l)
-    if dist.family == "map2":
-        p = transition_matrix(dist.l)
-        if p.prob(RegionLabel.B, RegionLabel.B) / p.prob(RegionLabel.C, RegionLabel.C) != base:
-            raise ConsistencyError("stay-probability ratio must equal the unit base")
-    a_min, a_max = fr_alpha_bounds(dist.family, dist.l)
+    a_min, a_max = fam.alpha_bounds
     mean_lambda = float(psi) * math.log(base)
     rows = []
     for g in dist.support():
@@ -334,12 +310,12 @@ def binned_fr_report(dist: SymbolDistribution, delta) -> BinnedFRReport:
     delta = as_fraction(delta)
     if delta <= 0:
         raise ValueError("need delta > 0")
-    psi = mean_g_per_step(dist.family, dist.l)
+    fam = families.family(dist.family, dist.l)
+    psi, base = fam.psi, fam.unit_base
     if psi == 0:
         raise UndefinedValueError(
             f"mean contraction vanishes at l={dist.l}; binning is undefined")
-    base = contraction_unit_base(dist.family, dist.l)
-    _a_min, a_max = fr_alpha_bounds(dist.family, dist.l)
+    _a_min, a_max = fam.alpha_bounds
     n_lambda = dist.n * float(psi) * math.log(base)
     lattice = {g: Fraction(g, dist.n) / psi for g in dist.support()}
     rows = []
@@ -387,7 +363,7 @@ def _alpha_direct(spec: ChainSpec, seq) -> Fraction:
     """Per-sequence correction from the boundary terms alone: measure
     ratio of the first symbols times the stay/jump factors created by the
     window ends."""
-    conj = gm_region_conjugacy("map2")
+    conj = spec.fam.conjugacy
     mu = spec.initial
     p = spec.trans
     first, last = seq[0], seq[-1]
@@ -417,9 +393,8 @@ def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
     if not 1 <= n <= MAX_BRUTE_FORCE:
         raise ValueError(f"exhaustive check supports 1 <= n <= {MAX_BRUTE_FORCE}")
     spec = chain_spec("map2", l)
-    base = contraction_unit_base("map2", l)
-    conj = gm_region_conjugacy("map2")
-    bound_min, bound_max = fr_alpha_bounds("map2", l)
+    base, conj = spec.fam.unit_base, spec.fam.conjugacy
+    bound_min, bound_max = spec.fam.alpha_bounds
     attained = []
     violations = []
     count = 0
@@ -528,7 +503,7 @@ class EmpiricalFRReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "family": self.family,
             "l": f"{self.l.numerator}/{self.l.denominator}",
             "n": self.n,
@@ -554,8 +529,9 @@ def empirical_fr_report(emp: EmpiricalDistribution, z: float = 4.0,
     when |ln ratio - g ln(base)| <= ln(alpha_max) + z standard errors of
     the log ratio.  Pairs with fewer than `min_count` counts on either
     side are excluded as too noisy to test."""
-    base = contraction_unit_base(emp.family, emp.l)
-    _a_min, a_max = fr_alpha_bounds(emp.family, emp.l)
+    fam = families.family(emp.family, emp.l)
+    base = fam.unit_base
+    _a_min, a_max = fam.alpha_bounds
     log_base = math.log(base)
     rows = []
     for g in emp.support():

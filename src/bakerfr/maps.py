@@ -28,6 +28,9 @@ _HALF = Fraction(1, 2)
 #: boundaries of the map families.
 SAMPLE_DENOMINATOR = 1_000_003
 
+#: version of the layout of every JSON document bakerfr writes
+SCHEMA_VERSION = 1
+
 
 class MapConstructionError(ValueError):
     """Raised when map parameters or branch data are invalid."""
@@ -225,16 +228,11 @@ class PiecewiseAffineMap:
     @cached_property
     def partition(self) -> Optional[tuple[tuple[Fraction, Fraction, RegionLabel], ...]]:
         """Vertical-strip region partition of the family, if one applies."""
-        if self.family == "map1" and self.l is not None:
-            return ((_ZERO, self.l, RegionLabel.A), (self.l, _ONE, RegionLabel.B))
-        if self.family == "map2" and self.l is not None:
-            return (
-                (_ZERO, self.l, RegionLabel.A),
-                (self.l, _HALF, RegionLabel.B),
-                (_HALF, Fraction(3, 4), RegionLabel.C),
-                (Fraction(3, 4), _ONE, RegionLabel.D),
-            )
-        return None
+        if self.family is None or self.l is None:
+            return None
+        from bakerfr.families import family
+
+        return family(self.family, self.l).partition
 
     # -- operations ----------------------------------------------------------
 
@@ -446,20 +444,6 @@ def build_composite(l, x_tilde=None, eps=None) -> PiecewiseAffineMap:
 # ---------------------------------------------------------------------------
 
 
-def gm_region_conjugacy(family: str) -> dict[RegionLabel, RegionLabel]:
-    """How the composite involution-after-map permutes region labels."""
-    if family == "map1":
-        return {RegionLabel.A: RegionLabel.B, RegionLabel.B: RegionLabel.A}
-    if family == "map2":
-        return {
-            RegionLabel.A: RegionLabel.A,
-            RegionLabel.B: RegionLabel.C,
-            RegionLabel.C: RegionLabel.B,
-            RegionLabel.D: RegionLabel.D,
-        }
-    raise ValueError(f"unknown family {family!r}")
-
-
 @dataclass(frozen=True)
 class IdentityFailure:
     point: PhasePoint
@@ -483,7 +467,7 @@ class ReversibilityReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "map": self.map_name,
             "samples": self.samples,
             "checks": dict(sorted(self.checks.items())),
@@ -512,7 +496,9 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
     slightly into each region, since exact corners sit on branch
     boundaries where the half-open convention is arbitrary.
     """
-    conj = gm_region_conjugacy(m.family) if m.partition is not None else None
+    from bakerfr.families import symbols
+
+    conj = symbols(m.family).conjugacy if m.partition is not None else None
     checks = {"involution_squares_to_identity": 0, "conjugation_inverts_map": 0,
               "jacobian_reciprocity": 0}
     if conj is not None:
@@ -555,7 +541,7 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
     for p in samples:
         run_point(p)
         count += 1
-    if conj is not None and m.partition is not None:
+    if conj is not None:
         for lo, hi, _label in m.partition:
             for cx in _shrunken_corners(lo, hi):
                 for cy in _shrunken_corners(_ZERO, _ONE):
@@ -591,7 +577,7 @@ def _pair_frac(v):
 
 def map_to_dict(m: PiecewiseAffineMap) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "name": m.name,
         "family": m.family,
         "l": _frac_pair(m.l),

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+from bakerfr.families import family, symbols
 from bakerfr.maps import (
     PhasePoint,
     PiecewiseAffineMap,
@@ -21,8 +22,6 @@ from bakerfr.maps import (
     build_generalized_baker,
 )
 from bakerfr.transfer import ConsistencyError, region_measures
-
-_HALF = Fraction(1, 2)
 
 DEFAULT_TRANSIENT = 100
 
@@ -43,12 +42,10 @@ class CurrentEstimate:
 
 def lift_step(m: PiecewiseAffineMap, s: ChainState) -> ChainState:
     """One multibaker step: advance the local coordinates and move the
-    cell index by +1 from strip B, -1 from strip C, 0 otherwise."""
-    if m.family != "map2":
-        raise ValueError("the multibaker lift is defined for the four-branch map")
+    cell index by the g increment of the current region (+1 from strip B,
+    -1 from strip C, 0 otherwise for the four-branch map)."""
     region = m.region_of(s.local)
-    shift = {RegionLabel.B: 1, RegionLabel.C: -1}.get(region, 0)
-    return ChainState(s.cell + shift, m.apply(s.local))
+    return ChainState(s.cell + symbols(m.family).g[region], m.apply(s.local))
 
 
 def bias_of(l) -> Fraction:
@@ -127,7 +124,7 @@ def linear_response_sweep(b_values, particles: int, steps: int, seed: int,
         psi = analytic_current(l)
         if psi / b != 1 / (4 - 3 * b):
             raise ConsistencyError("psi/b must equal 1/(4-3b) exactly")
-        phi = math.log(2 * (1 - 2 * l))
+        phi = math.log(family("map2", l).unit_base)
         lam = float(psi) * phi
         if abs(lam / float(b) ** 2 - 0.125) > 0.3 * float(b):
             raise ConsistencyError(

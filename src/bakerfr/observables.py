@@ -14,16 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from bakerfr.maps import (
-    PhasePoint,
-    PiecewiseAffineMap,
-    RegionLabel,
-    as_fraction,
-    gm_region_conjugacy,
-)
-from bakerfr.transfer import ConsistencyError, StepDensity, region_measures
-
-_ZERO = Fraction(0)
+from bakerfr import families
+from bakerfr.maps import PhasePoint, PiecewiseAffineMap, RegionLabel
+from bakerfr.transfer import ConsistencyError, StepDensity
 
 #: exact-backend iteration guard; rational coordinates grow geometrically
 #: with the step count, so long runs belong to the float backend.
@@ -34,49 +27,9 @@ class UndefinedValueError(ValueError):
     """A requested observable is undefined at this point or parameter."""
 
 
-def allowed_transitions(family: str) -> set[tuple[RegionLabel, RegionLabel]]:
-    if family == "map1":
-        labels = (RegionLabel.A, RegionLabel.B)
-        return {(i, j) for i in labels for j in labels}
-    if family == "map2":
-        away = {RegionLabel.A: (RegionLabel.C, RegionLabel.D),
-                RegionLabel.B: (RegionLabel.A, RegionLabel.B),
-                RegionLabel.C: (RegionLabel.C, RegionLabel.D),
-                RegionLabel.D: (RegionLabel.A, RegionLabel.B)}
-        return {(i, j) for i, outs in away.items() for j in outs}
-    raise ValueError(f"unknown family {family!r}")
-
-
-def g_increment(family: str, label: RegionLabel) -> int:
-    """Contribution of one visited region to the net count g."""
-    if family == "map1":
-        return {RegionLabel.A: 1, RegionLabel.B: -1}[label]
-    if family == "map2":
-        return {RegionLabel.A: 0, RegionLabel.B: 1,
-                RegionLabel.C: -1, RegionLabel.D: 0}[label]
-    raise ValueError(f"unknown family {family!r}")
-
-
-def contraction_unit_base(family: str, l) -> Fraction:
-    """Rational base whose log is the contraction quantum per unit of g."""
-    l = as_fraction(l)
-    if family == "map1":
-        return l / (1 - l)
-    if family == "map2":
-        return 2 * (1 - 2 * l)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def mean_g_per_step(family: str, l) -> Fraction:
     """Steady-state expectation of the per-step g increment."""
-    l = as_fraction(l)
-    if family == "map1":
-        # x-marginal of the invariant measure is Lebesgue: mu_A = l
-        return 2 * l - 1
-    if family == "map2":
-        mu = region_measures(l)
-        return mu[RegionLabel.B] - mu[RegionLabel.C]
-    raise ValueError(f"unknown family {family!r}")
+    return families.family(family, l).psi
 
 
 @dataclass(frozen=True)
@@ -87,8 +40,8 @@ class SymbolSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        allowed = allowed_transitions(self.family)
-        ok = all((a, b) in allowed for a, b in zip(self.labels, self.labels[1:]))
+        succ = families.symbols(self.family).successors
+        ok = all(b in succ[a] for a, b in zip(self.labels, self.labels[1:]))
         if self.admissible is None:
             object.__setattr__(self, "admissible", ok)
         elif self.admissible != ok:
@@ -100,7 +53,8 @@ class SymbolSequence:
     def g(self, count: Optional[int] = None) -> int:
         """Net count over the first `count` labels (all by default)."""
         labels = self.labels if count is None else self.labels[:count]
-        return sum(g_increment(self.family, lab) for lab in labels)
+        g = families.symbols(self.family).g
+        return sum(g[lab] for lab in labels)
 
     def text(self) -> str:
         return "".join(lab.value for lab in self.labels)
@@ -142,7 +96,7 @@ class ContractionStats:
 
     @property
     def unit_base(self) -> Fraction:
-        return contraction_unit_base(self.family, self.l)
+        return families.family(self.family, self.l).unit_base
 
     @property
     def phi(self) -> float:
@@ -154,13 +108,13 @@ class ContractionStats:
 
     @property
     def mean_is_zero(self) -> bool:
-        return mean_g_per_step(self.family, self.l) == 0
+        return families.family(self.family, self.l).psi == 0
 
     @property
     def e_n(self) -> Optional[Fraction]:
         """Normalized contraction; exactly rational, None in the
         zero-dissipation cases (l = 1/2 resp. l = 1/4)."""
-        psi = mean_g_per_step(self.family, self.l)
+        psi = families.family(self.family, self.l).psi
         if psi == 0:
             return None
         return Fraction(self.g, self.steps) / psi
@@ -183,23 +137,12 @@ def lambda_at(m: PiecewiseAffineMap, p: PhasePoint) -> float:
 
 def mean_lambda_exact(family: str, l) -> tuple[Fraction, Fraction]:
     """Steady-state mean contraction as (coefficient, base) with
-    <Lambda> = coefficient * ln(base), verified across two independent
-    derivations (current formula in the bias parameter; region measures)."""
-    l = as_fraction(l)
-    base = contraction_unit_base(family, l)
-    if family == "map1":
-        coeff = 2 * l - 1  # (l - r), paired with base l/r
-        return coeff, base
-    if family == "map2":
-        from bakerfr.multibaker import analytic_current
-
-        coeff_measures = mean_g_per_step(family, l)
-        coeff_current = analytic_current(l)
-        if coeff_measures != coeff_current:
-            raise ConsistencyError(
-                f"current route {coeff_current} != measure route {coeff_measures}")
-        return coeff_measures, base
-    raise ValueError(f"unknown family {family!r}")
+    <Lambda> = coefficient * ln(base).  For the four-branch map the
+    coefficient is verified across two independent derivations (current
+    formula in the bias parameter; region measures) when the family
+    record is built."""
+    fam = families.family(family, l)
+    return fam.psi, fam.unit_base
 
 
 def mean_lambda_analytic(family: str, l) -> float:
@@ -234,7 +177,7 @@ def reversed_initial(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
 def reversed_symbol_sequence(seq: SymbolSequence) -> SymbolSequence:
     """Symbols of the time-reversed segment: read backwards with the
     expanding and contracting regions swapped (A, D fixed)."""
-    conj = gm_region_conjugacy(seq.family)
+    conj = families.symbols(seq.family).conjugacy
     return SymbolSequence(tuple(conj[lab] for lab in reversed(seq.labels)),
                           seq.family)
 
@@ -271,9 +214,10 @@ def write_trajectory_csv(m: PiecewiseAffineMap, x0: PhasePoint, n: int, path,
     def fmt(v):
         return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else repr(v)
 
+    increment = families.symbols(m.family).g
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("k,x,y,region,cumulative_g\n")
         g = 0
         for k, (pt, lab) in enumerate(zip(seg.points, seg.symbols.labels)):
-            g += g_increment(m.family, lab)
+            g += increment[lab]
             fh.write(f"{k},{fmt(pt.x)},{fmt(pt.y)},{lab.value},{g}\n")

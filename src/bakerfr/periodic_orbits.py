@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from bakerfr.maps import RegionLabel, as_fraction, build_simple_baker
-from bakerfr.fluctuation import SymbolDistribution, chain_spec, exact_distribution
-from bakerfr.observables import g_increment
-from bakerfr.transfer import project_unstable
+from bakerfr.families import family
+from bakerfr.maps import SCHEMA_VERSION, RegionLabel, as_fraction, build_simple_baker
+from bakerfr.fluctuation import SymbolDistribution, exact_distribution
+from bakerfr.transfer import ConsistencyError, project_unstable
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -73,28 +73,26 @@ def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
         pt = x
         for lab in code:
             if not (by_label[lab].lo <= pt < by_label[lab].hi or pt == by_label[lab].hi == 1):
-                raise AssertionError(f"code {code} not realized at x={x}")
+                raise ConsistencyError(f"code {code} not realized at x={x}")
             pt = by_label[lab](pt)
         if pt != x:
-            raise AssertionError(f"orbit {code} does not close: {pt} != {x}")
+            raise ConsistencyError(f"orbit {code} does not close: {pt} != {x}")
         alpha = sum(1 for lab in code if lab == RegionLabel.A)
         beta = n - alpha
         orbits.append(PeriodicOrbit(code, alpha, beta, x, l ** alpha * r ** beta))
     return orbits
 
 
-def orbit_weight(orbit: PeriodicOrbit) -> Fraction:
-    return orbit.weight
-
-
-def upo_distribution(l, n: int) -> SymbolDistribution:
-    """Law of g from orbit weights grouped by alpha - beta.  The weights
-    already sum to one, (l + r)^n, so no extra normalization enters."""
+def upo_distribution(l, orbits: list[PeriodicOrbit]) -> SymbolDistribution:
+    """Law of g from the weights of `orbits` (all orbits of one length, as
+    `enumerate_orbits(l, n)` gives them) grouped by alpha - beta.  The
+    weights already sum to one, (l + r)^n, so no extra normalization
+    enters."""
     l = as_fraction(l)
-    orbits = enumerate_orbits(l, n)
+    n = len(orbits[0].code)
     total = sum(o.weight for o in orbits)
     if total != 1:
-        raise AssertionError(f"orbit weights sum to {total}, not 1")
+        raise ConsistencyError(f"orbit weights sum to {total}, not 1")
     probs: dict[int, Fraction] = {}
     for o in orbits:
         probs[o.g] = probs.get(o.g, _ZERO) + o.weight
@@ -112,7 +110,7 @@ class UPODiagnostic:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "l": f"{self.l.numerator}/{self.l.denominator}",
             "n": self.n,
             "cycles": self.cycles,
@@ -129,9 +127,8 @@ def generalized_upo_diagnostic(l, n: int) -> UPODiagnostic:
     l = as_fraction(l)
     if not 1 <= n <= MAX_ORBIT_LENGTH:
         raise ValueError(f"supported cycle lengths are 1..{MAX_ORBIT_LENGTH}")
-    spec = chain_spec("map2", l)
-    inv_slope = {RegionLabel.A: 2 * l, RegionLabel.B: 1 - 2 * l,
-                 RegionLabel.C: Fraction(1, 2), RegionLabel.D: Fraction(1, 2)}
+    fam = family("map2", l)
+    inv_slope = {b.label: 1 / b.linear[0][0] for b in fam.build_map().branches}
 
     cycles = 0
     weights: dict[int, Fraction] = {}
@@ -140,20 +137,20 @@ def generalized_upo_diagnostic(l, n: int) -> UPODiagnostic:
     def extend(prefix):
         nonlocal cycles, total
         if len(prefix) == n:
-            if prefix[0] in spec.successors(prefix[-1]):
+            if prefix[0] in fam.successors[prefix[-1]]:
                 cycles += 1
                 w = _ONE
                 g = 0
                 for lab in prefix:
                     w *= inv_slope[lab]
-                    g += g_increment("map2", lab)
+                    g += fam.g[lab]
                 weights[g] = weights.get(g, _ZERO) + w
                 total += w
             return
-        for succ in spec.successors(prefix[-1]):
+        for succ in fam.successors[prefix[-1]]:
             extend(prefix + (succ,))
 
-    for lab in spec.labels:
+    for lab in fam.labels:
         extend((lab,))
     upo_probs = {g: w / total for g, w in weights.items()}
     chain = exact_distribution("map2", l, n)

@@ -149,10 +149,6 @@ class StepDensity:
                 bp.append(b)
         return StepDensity(tuple(bp), tuple(vals))
 
-    def to_float(self) -> "StepDensity":
-        return StepDensity(tuple(float(b) for b in self.breakpoints),
-                           tuple(float(v) for v in self.values))
-
     def rows(self) -> list[tuple[Scalar, Scalar]]:
         """(breakpoint, value) rows for CSV output; the final breakpoint 1
         repeats the last value so step plots close."""
@@ -347,59 +343,6 @@ def srb_density(l) -> StepDensity:
 
 
 # ---------------------------------------------------------------------------
-# half-interval transfer matrix (generalized map)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """2x2 operator on the density values over {[0,1/2), [1/2,1]}."""
-
-    l: Fraction
-    entries: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-
-    def column_sums(self) -> tuple[Fraction, Fraction]:
-        e = self.entries
-        return (e[0][0] + e[1][0], e[0][1] + e[1][1])
-
-    def apply(self, rho_l, rho_r):
-        e = self.entries
-        return (e[0][0] * rho_l + e[0][1] * rho_r,
-                e[1][0] * rho_l + e[1][1] * rho_r)
-
-
-def transfer_matrix(l) -> TransferMatrix:
-    """Half-interval transfer matrix [[1-2l, 1/2], [2l, 1/2]] of the
-    generalized map, reproduced from branch data by pushing the two
-    half-interval indicators through the exact operator."""
-    l = as_fraction(l)
-    from bakerfr.maps import build_generalized_baker
-
-    closed_form = ((1 - 2 * l, _HALF), (2 * l, _HALF))
-    map1d = project_unstable(build_generalized_baker(l))
-    halves = [_ZERO, _HALF, _ONE]
-    cols = []
-    for j in range(2):
-        vals = [_ONE if i == j else _ZERO for i in range(2)]
-        bp, pushed = _push(map1d, halves, vals)
-        col = []
-        for a, b in zip(halves, halves[1:]):
-            cell_vals = _values_on_interval(bp, pushed, a, b)
-            if len(cell_vals) != 1:
-                raise ConsistencyError("half intervals are not Markov cells")
-            col.append(cell_vals.pop())
-        cols.append(col)
-    rebuilt = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
-    if rebuilt != closed_form:
-        raise ConsistencyError(
-            f"transfer matrix from branch data {rebuilt} != closed form {closed_form}")
-    tm = TransferMatrix(l, closed_form)
-    if tm.column_sums() != (_ONE, _ONE):
-        raise ConsistencyError("transfer matrix columns must sum to 1")
-    return tm
-
-
-# ---------------------------------------------------------------------------
 # region-level stochastic matrix and invariant measures
 # ---------------------------------------------------------------------------
 
@@ -417,39 +360,20 @@ class StochasticMatrix:
     def prob(self, i: RegionLabel, j: RegionLabel) -> Fraction:
         return self.rows[LABELS4.index(i)][LABELS4.index(j)]
 
-    def successors(self, i: RegionLabel) -> list[RegionLabel]:
-        return [j for j in LABELS4 if self.prob(i, j) > 0]
-
-
-_FORBIDDEN = {
-    (RegionLabel.A, RegionLabel.A), (RegionLabel.A, RegionLabel.B),
-    (RegionLabel.C, RegionLabel.A), (RegionLabel.C, RegionLabel.B),
-    (RegionLabel.B, RegionLabel.C), (RegionLabel.B, RegionLabel.D),
-    (RegionLabel.D, RegionLabel.C), (RegionLabel.D, RegionLabel.D),
-}
-
 
 def transition_matrix(l) -> StochasticMatrix:
-    """Rows (A, B, C, D): A and C jump to C or D with probability 1/2 each;
-    B and D jump to A with probability 2l and to B with probability 1-2l.
-
-    The rows are rebuilt from the map geometry (overlap of each branch
-    image with the region strips) and checked against the closed form,
-    including the column equalities p_ij = p_kj shared by the two rows
-    that can reach column j."""
+    """Rows (A, B, C, D) rebuilt from the map geometry: the overlap of each
+    branch image with the region strips.  Checked here: every row sums to
+    1, and the column equalities p_ij = p_kj hold for the rows that can
+    reach column j.  `families.family` compares the rows with the closed
+    form."""
     l = as_fraction(l)
     if not 0 < l <= Fraction(1, 4):
         raise ValueError(f"need 0 < l <= 1/4, got {l}")
-    closed = (
-        (_ZERO, _ZERO, _HALF, _HALF),
-        (2 * l, 1 - 2 * l, _ZERO, _ZERO),
-        (_ZERO, _ZERO, _HALF, _HALF),
-        (2 * l, 1 - 2 * l, _ZERO, _ZERO),
-    )
     from bakerfr.maps import build_generalized_baker
 
     m = build_generalized_baker(l)
-    strips = {label: (lo, hi) for lo, hi, label in m.partition}
+    strips = {b.label: (b.x_lo, b.x_hi) for b in m.branches}
     map1d = project_unstable(m)
     geo_rows = []
     for src in LABELS4:
@@ -462,21 +386,15 @@ def transition_matrix(l) -> StochasticMatrix:
             overlap = max(_ZERO, min(hi, img_hi) - max(lo, img_lo))
             row.append(overlap / width)
         geo_rows.append(tuple(row))
-    if tuple(geo_rows) != closed:
-        raise ConsistencyError(
-            f"geometric transition rows {geo_rows} != closed form {closed}")
-    for row in closed:
+    for row in geo_rows:
         if sum(row) != 1:
             raise ConsistencyError("transition rows must sum to 1")
-    for i, j in _FORBIDDEN:
-        if closed[LABELS4.index(i)][LABELS4.index(j)] != 0:
-            raise ConsistencyError(f"transition {i}->{j} should be forbidden")
     for j in range(4):
-        nonzero = {closed[i][j] for i in range(4) if closed[i][j] != 0}
+        nonzero = {geo_rows[i][j] for i in range(4) if geo_rows[i][j] != 0}
         if len(nonzero) > 1:
             raise ConsistencyError(
                 f"column {LABELS4[j]} has unequal entries across source rows")
-    return StochasticMatrix(l, closed)
+    return StochasticMatrix(l, tuple(geo_rows))
 
 
 @dataclass(frozen=True)
@@ -491,7 +409,8 @@ class RegionMeasures:
 def region_measures(l) -> RegionMeasures:
     """Invariant region probabilities of the generalized map, computed two
     independent ways (left unit-eigenvector of the transition matrix;
-    stationary density times strip widths) and required to agree exactly."""
+    stationary density times strip widths) and required to agree exactly.
+    `families.family` compares them with the closed form."""
     l = as_fraction(l)
     p = transition_matrix(l)
     # route (a): left eigenvector, i.e. nullspace of (P^T - I)
@@ -508,20 +427,12 @@ def region_measures(l) -> RegionMeasures:
     m = build_generalized_baker(l)
     rho = invariant_density(project_unstable(m))
     by_width = {}
-    for lo, hi, label in m.partition:
-        mid = (lo + hi) / 2
-        by_width[label] = rho.value_at(mid) * (hi - lo)
+    for b in m.branches:
+        mid = (b.x_lo + b.x_hi) / 2
+        by_width[b.label] = rho.value_at(mid) * (b.x_hi - b.x_lo)
     if eig != by_width:
         raise ConsistencyError(
             f"eigenvector route {eig} != density-times-width route {by_width}")
-    closed = {
-        RegionLabel.A: 2 * l / (1 + 4 * l),
-        RegionLabel.B: (1 - 2 * l) / (1 + 4 * l),
-        RegionLabel.C: 2 * l / (1 + 4 * l),
-        RegionLabel.D: 2 * l / (1 + 4 * l),
-    }
-    if eig != closed:
-        raise ConsistencyError(f"measures {eig} != closed form {closed}")
     if sum(eig.values()) != 1:
         raise ConsistencyError("region measures must sum to 1")
     # stationarity under P

@@ -29,12 +29,9 @@ from bakerfr.multibaker import (
     linear_response_sweep,
     simulate_current,
 )
-from bakerfr.observables import (
-    average_contraction,
-    contraction_unit_base,
-    mean_lambda_exact,
-)
-from bakerfr.periodic_orbits import upo_distribution
+from bakerfr.families import family
+from bakerfr.observables import average_contraction, mean_lambda_exact
+from bakerfr.periodic_orbits import enumerate_orbits, upo_distribution
 from bakerfr.transfer import (
     invariant_density,
     project_unstable,
@@ -114,7 +111,7 @@ def test_criterion_05_oracle_equivalence():
             assert (exact_distribution(family, l, n).probs
                     == brute_force_distribution(family, l, n).probs)
     for n in range(1, 13):
-        assert (upo_distribution(F(2, 3), n).probs
+        assert (upo_distribution(F(2, 3), enumerate_orbits(F(2, 3), n)).probs
                 == exact_distribution("map1", F(2, 3), n).probs)
     report(5, True, "dynamic programming, explicit enumeration and orbit "
                     "weights give bit-identical laws for n <= 12")
@@ -122,7 +119,7 @@ def test_criterion_05_oracle_equivalence():
 
 def test_criterion_06_simple_map_exact_ratio():
     l = F(2, 3)
-    base = contraction_unit_base("map1", l)
+    base = family("map1", l).unit_base
     for n in range(1, 21):
         d = exact_distribution("map1", l, n)
         for g in d.support():
@@ -163,7 +160,7 @@ def test_criterion_08_analytic_steady_state():
     n = 10
     m = build_generalized_baker(l)
     emp = monte_carlo_distribution(m, n, 1_000_000, 100, seed=303)
-    phi = math.log(contraction_unit_base("map2", l))
+    phi = math.log(family("map2", l).unit_base)
     lam_hat = emp.mean_g() * phi / n
     var_g = (sum(g * g * c for g, c in emp.counts.items()) / emp.total
              - emp.mean_g() ** 2)

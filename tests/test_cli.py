@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from bakerfr.cli import ExperimentConfig, main
+from bakerfr.maps import RegionLabel
 
 
 def run(args):
@@ -168,3 +169,28 @@ class TestErrorHandling:
         rc = run(["density", "--family", "map2", "--l", "1/3",
                   "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_inconsistency_has_its_own_exit_code(self, tmp_path, monkeypatch, capsys):
+        from bakerfr import families, transfer
+
+        real = transfer.region_measures
+
+        def corrupted(l):
+            good = real(l)
+            if good.l != F(1, 7):
+                return good
+            mu = dict(good.mu)
+            mu[RegionLabel.A] /= 2
+            return transfer.RegionMeasures(good.l, mu)
+
+        monkeypatch.setattr(transfer, "region_measures", corrupted)
+        families._family.cache_clear()
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text("l=1/7,1/8\n")
+        rc = run(["fr", "--family", "map2", "--n", "4", "--mode", "exact",
+                  "--sweep", str(sweep), "--out", str(tmp_path / "fr")])
+        assert rc == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("fr [INCONSISTENT] measures ")
+        assert lines[1].startswith("fr [pass]")
+        assert (tmp_path / "fr-001.json").exists()

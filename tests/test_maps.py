@@ -246,6 +246,16 @@ def test_json_roundtrip(tmp_path):
         assert again == m
 
 
+def test_save_load_roundtrip(tmp_path):
+    from bakerfr.maps import load_map, save_map
+
+    for m in (build_simple_baker(F(2, 3)), build_composite(F(1, 8))):
+        path = tmp_path / f"{m.name}.json"
+        save_map(m, path)
+        assert load_map(path) == m
+        assert path.read_text().endswith("}\n")
+
+
 def test_random_points_avoid_boundaries():
     m = build_generalized_baker(F(1, 8))
     for p in random_rational_points(50, seed=9):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from bakerfr.families import family, symbols
 from bakerfr.maps import (
     PhasePoint,
     RegionLabel,
@@ -19,7 +20,6 @@ from bakerfr.observables import (
     SymbolSequence,
     UndefinedValueError,
     average_contraction,
-    contraction_unit_base,
     dissipation_function,
     lambda_at,
     mean_g_per_step,
@@ -231,9 +231,7 @@ class TestReversedSymbols:
             if rev.labels != reversed_symbol_sequence(fwd).labels:
                 mismatch += 1
         assert mismatch > 0
-        from bakerfr.maps import gm_region_conjugacy
-
-        conj = gm_region_conjugacy("map2")
+        conj = symbols("map2").conjugacy
         for p in random_rational_points(100, seed=15):
             assert k.region_of(g.apply(k.apply(p))) == conj[k.region_of(p)]
 
@@ -264,8 +262,8 @@ class TestDissipationFunction:
 
 
 def test_contraction_unit_bases():
-    assert contraction_unit_base("map1", F(2, 3)) == 2
-    assert contraction_unit_base("map2", F(1, 8)) == F(3, 2)
+    assert family("map1", F(2, 3)).unit_base == 2
+    assert family("map2", F(1, 8)).unit_base == F(3, 2)
 
 
 def test_trajectory_csv_dump(tmp_path):

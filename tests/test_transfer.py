@@ -19,7 +19,6 @@ from bakerfr.transfer import (
     project_unstable,
     region_measures,
     srb_density,
-    transfer_matrix,
     transition_matrix,
     uniform_density,
 )
@@ -52,9 +51,8 @@ class TestFrobeniusPerronStep:
         l = F(1, 8)
         map1d = project_unstable(build_generalized_baker(l))
         stepped = frobenius_perron_step(map1d, uniform_density())
-        expected = transfer_matrix(l).apply(F(1), F(1))
+        expected = (F(5, 4), F(3, 4))
         assert stepped.simplify() == StepDensity((F(0), F(1, 2), F(1)), expected)
-        assert expected == (F(5, 4), F(3, 4))
 
     def test_conserves_mass_exactly(self):
         map1d = project_unstable(build_generalized_baker(F(1, 6)))
@@ -110,19 +108,6 @@ class TestInvariantDensity:
     def test_closed_form_any_l(self, l):
         rho = invariant_density(project_unstable(build_generalized_baker(l)))
         assert rho == srb_density(l)
-
-
-class TestTransferMatrix:
-    def test_entries_and_column_sums(self):
-        tm = transfer_matrix(F(1, 8))
-        assert tm.entries == ((F(3, 4), F(1, 2)), (F(1, 4), F(1, 2)))
-        assert tm.column_sums() == (1, 1)
-
-    def test_srb_values_are_fixed(self):
-        l = F(1, 6)
-        tm = transfer_matrix(l)
-        rho = srb_density(l)
-        assert tm.apply(*rho.values) == rho.values
 
 
 class TestTransitionMatrix:
