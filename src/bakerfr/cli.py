@@ -37,7 +37,6 @@ from bakerfr.maps import (
     verify_reversibility,
 )
 from bakerfr.multibaker import (
-    analytic_current,
     linear_response_sweep,
     simulate_current,
     write_sweep_csv,
@@ -256,7 +255,7 @@ def cmd_multibaker(cfg: ExperimentConfig, out: Path) -> int:
         })
         return 0 if ok else 1
     est = simulate_current(cfg.l, cfg.ensemble, cfg.n, cfg.seed, cfg.transient)
-    psi = analytic_current(cfg.l)
+    psi = family("map2", cfg.l).psi
     ok = abs(est.psi_hat - float(psi)) <= 4 * est.stderr
     _write_json(out.with_suffix(".json"), {
         "schema_version": SCHEMA_VERSION,

@@ -62,7 +62,11 @@ def l_of_bias(b) -> Fraction:
 
 def analytic_current(l) -> Fraction:
     """Steady-state cells per step per particle: (1-4l)/(1+4l), equal both
-    to b/(4-3b) in the bias parameter and to mu_B - mu_C."""
+    to b/(4-3b) in the bias parameter and to mu_B - mu_C.
+
+    This is the geometric route the `family("map2", l)` record checks its
+    psi against when it is built; callers read `family("map2", l).psi`,
+    which does not re-run `region_measures`."""
     l = as_fraction(l)
     direct = (1 - 4 * l) / (1 + 4 * l)
     b = bias_of(l)
@@ -121,10 +125,11 @@ def linear_response_sweep(b_values, particles: int, steps: int, seed: int,
     for idx, b_in in enumerate(b_values):
         b = as_fraction(b_in)
         l = l_of_bias(b)
-        psi = analytic_current(l)
+        fam = family("map2", l)
+        psi = fam.psi
         if psi / b != 1 / (4 - 3 * b):
             raise ConsistencyError("psi/b must equal 1/(4-3b) exactly")
-        phi = math.log(family("map2", l).unit_base)
+        phi = math.log(fam.unit_base)
         lam = float(psi) * phi
         if abs(lam / float(b) ** 2 - 0.125) > 0.3 * float(b):
             raise ConsistencyError(

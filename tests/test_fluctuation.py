@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction as F
 
@@ -5,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from bakerfr import fluctuation
 from bakerfr.fluctuation import (
+    MAX_DP_STEPS,
+    BinnedFRRow,
     alpha_bounds_check,
+    binned_fr_report,
     brute_force_distribution,
     chain_spec,
     empirical_fr_report,
@@ -16,6 +21,7 @@ from bakerfr.fluctuation import (
     sequence_measure,
     verify_fr_irreversible,
 )
+from bakerfr.families import family
 from bakerfr.maps import (
     RegionLabel,
     build_composite,
@@ -26,6 +32,13 @@ from bakerfr.observables import UndefinedValueError, mean_g_per_step
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
 l_map2 = st.fractions(min_value=F(1, 40), max_value=F(6, 25), max_denominator=40)
+
+LONG_LS = (F(1, 8), F(1, 6), F(1, 5))
+
+
+@functools.lru_cache(maxsize=None)
+def map2_law(l, n):
+    return exact_distribution("map2", l, n)
 
 
 class TestExactDistribution:
@@ -50,6 +63,14 @@ class TestExactDistribution:
     def test_guard(self):
         with pytest.raises(ValueError):
             exact_distribution("map2", F(1, 8), 10_001)
+
+    def test_guard_refuses_before_any_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the guard must come before the chain is built")
+
+        monkeypatch.setattr(fluctuation, "chain_spec", fail)
+        with pytest.raises(ValueError, match="exceeds the DP guard"):
+            exact_distribution("map2", F(1, 8), MAX_DP_STEPS + 1)
 
     @settings(max_examples=20)
     @given(l=l_map2, n=st.integers(min_value=1, max_value=15))
@@ -88,6 +109,19 @@ class TestBruteForceOracle:
     def test_guard(self):
         with pytest.raises(ValueError):
             brute_force_distribution("map2", F(1, 8), 13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(family_l=st.one_of(
+               st.tuples(st.just("map1"), st.fractions(F(1, 60), F(59, 60),
+                                                       max_denominator=60)),
+               st.tuples(st.just("map2"), st.fractions(F(1, 60), F(1, 4),
+                                                       max_denominator=60))),
+           start=st.sampled_from(["stationary", "uniform"]),
+           n=st.integers(min_value=1, max_value=9))
+    def test_packed_dp_equals_enumeration(self, family_l, start, n):
+        name, l = family_l
+        assert (exact_distribution(name, l, n, start).probs
+                == brute_force_distribution(name, l, n, start).probs)
 
 
 class TestFRReport:
@@ -240,6 +274,27 @@ class TestIrreversibleComposite:
             verify_fr_irreversible(m, 5, 1000, 10, seed=1)
 
 
+def binned_reference(dist, delta):
+    """The O(support^2) definition of the binned report: sum the exact
+    probabilities of every lattice point inside each window."""
+    fam = family(dist.family, dist.l)
+    psi, base = fam.psi, fam.unit_base
+    n_lambda = dist.n * float(psi) * math.log(base)
+    lattice = {g: F(g, dist.n) / psi for g in dist.support()}
+    rows = []
+    for g0 in dist.support():
+        if g0 <= 0:
+            continue
+        p = lattice[g0]
+        plus = sum((dist.prob(g) for g in lattice if abs(lattice[g] - p) < delta), F(0))
+        minus = sum((dist.prob(g) for g in lattice if abs(lattice[g] + p) < delta), F(0))
+        lhs = math.log(plus / minus) / n_lambda
+        slack = float(delta) + math.log(fam.alpha_bounds[1]) / n_lambda
+        passed = float(p) - slack - 1e-12 <= lhs <= float(p) + slack + 1e-12
+        rows.append(BinnedFRRow(p, plus, minus, lhs, slack, passed))
+    return tuple(rows)
+
+
 class TestBinnedReport:
     def test_narrow_window_reduces_to_lattice_rows(self):
         from bakerfr.fluctuation import binned_fr_report
@@ -267,3 +322,54 @@ class TestBinnedReport:
 
         with pytest.raises(UndefinedValueError):
             binned_fr_report(exact_distribution("map2", F(1, 4), 5), F(1, 10))
+
+    @pytest.mark.parametrize("family,l,n,start,delta", [
+        # delta * n * psi == 1 exactly: the open window must exclude g0 +- 1
+        ("map2", F(1, 8), 12, "stationary", F(1, 4)),
+        # below the lattice spacing 1/(n psi) = 1/4: one lattice point each
+        ("map2", F(1, 8), 12, "stationary", F(1, 100)),
+        ("map2", F(1, 8), 12, "stationary", F(1, 2)),
+        ("map2", F(1, 5), 30, "uniform", F(3, 7)),
+        ("map2", F(7, 57), 25, "stationary", F(5, 2)),
+        ("map1", F(2, 3), 15, "stationary", F(1, 3)),
+        # negative psi: the lattice runs the other way
+        ("map1", F(1, 3), 15, "uniform", F(2, 5)),
+    ])
+    def test_equals_pairwise_definition(self, family, l, n, start, delta):
+        dist = exact_distribution(family, l, n, start)
+        assert binned_fr_report(dist, delta).rows == binned_reference(dist, delta)
+
+    def test_tie_case_is_an_integer_window(self):
+        fam = family("map2", F(1, 8))
+        assert F(1, 4) * 12 * fam.psi == 1
+        dist = exact_distribution("map2", F(1, 8), 12)
+        rows = binned_fr_report(dist, F(1, 4)).rows
+        assert [(r.prob_plus, r.prob_minus) for r in rows] == [
+            (dist.prob(g), dist.prob(-g)) for g in dist.support() if g > 0]
+
+    @settings(max_examples=25, deadline=None)
+    @given(l=st.fractions(F(1, 60), F(6, 25), max_denominator=60),
+           n=st.integers(min_value=1, max_value=30),
+           delta=st.fractions(F(1, 50), F(3), max_denominator=50))
+    def test_equals_pairwise_definition_property(self, l, n, delta):
+        dist = exact_distribution("map2", l, n)
+        assert binned_fr_report(dist, delta).rows == binned_reference(dist, delta)
+
+
+class TestLongWindow:
+    @pytest.mark.parametrize("l", LONG_LS)
+    def test_fluctuation_relation_at_n_1000(self, l):
+        dist = map2_law(l, 1000)
+        assert fr_report(dist).all_pass
+        assert binned_fr_report(dist, "1/2").all_pass
+
+    @pytest.mark.parametrize("n", [12, 120, 1000])
+    @pytest.mark.parametrize("l", LONG_LS)
+    def test_binned_rows_clear_the_float_slack(self, l, n):
+        # every row lies well away from both edges of its band, so the
+        # 1e-12 slack of binned_fr_report decides none of them
+        for r in binned_fr_report(map2_law(l, n), "1/2").rows:
+            p = float(r.p)
+            margin = min(r.lhs_normalized - (p - r.slack),
+                         (p + r.slack) - r.lhs_normalized)
+            assert margin >= 1e-6

@@ -105,3 +105,30 @@ class TestLinearResponse:
             l_of_bias(F(3, 2))
         with pytest.raises(ValueError):
             l_of_bias(0)
+
+
+def test_current_is_read_from_the_record(monkeypatch, tmp_path):
+    # the record build is the only caller of analytic_current: one call per
+    # new parameter, none from the sweep or the CLI on top of it
+    from bakerfr import cli, families, multibaker
+
+    calls = []
+    original = multibaker.analytic_current
+
+    def counting(l):
+        calls.append(l)
+        return original(l)
+
+    monkeypatch.setattr(multibaker, "analytic_current", counting)
+    families._family.cache_clear()
+    b_values = [F(1, 20), F(1, 10)]
+    linear_response_sweep(b_values, particles=200, steps=20, seed=45)
+    assert calls == [l_of_bias(b) for b in b_values]
+    calls.clear()
+    argv = ["multibaker", "--l", "1/8", "--ensemble", "200", "--n", "20",
+            "--out", str(tmp_path / "mb")]
+    assert cli.main(argv) in (0, 1)
+    assert calls == [F(1, 8)]
+    calls.clear()
+    cli.main(argv)
+    assert calls == []
