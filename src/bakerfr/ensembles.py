@@ -1,16 +1,22 @@
 """Vectorized float backend for ensemble simulations.
 
-Ensembles are split into shards, each driven by a child RNG stream spawned
-deterministically from (seed, shard index); results merge by concatenation
-in shard order, so the outcome is deterministic for a given (seed, shard
-size).  A different shard size spawns different streams, so results are
-not invariant under the shard size.  Branch dispatch mirrors the exact
-backend's half-open convention with the top edges of the square closed.
+The observable g counts visits to the contracting and expanding strips,
+a function of the x-orbit alone.  Every supported map acts on full-height
+vertical strips with an x-image free of y, and the composite differs from
+its base map by a fold of y alone, so the sampler integrates x only and
+runs the composite on its base map's x-action (its histograms equal the
+base map's bit for bit).  The regions are the branch strips, so one strip
+index per step, by a compare and an add per inner edge, serves both the g
+increment and the step; arrays are updated in place in buffers allocated
+once per `sample_g` call.
 
-Both map families act on full-height vertical strips with diagonal linear
-parts, so a step reduces to a searchsorted over the strip edges plus two
-fused multiply-adds.  The composite map is simulated as its factors: a
-masked y-fold on the perturbation strip followed by the base-map step.
+Ensembles are split into shards, each driven by a child RNG stream spawned
+deterministically from (seed, shard index).  A shard draws its start
+points x and y (y only to keep the stream unchanged), then one dither
+array per step.  The outcome is deterministic for a given (seed, shard
+size); a different shard size spawns different streams, so results depend
+on the shard size.  Branch dispatch mirrors the exact backend's half-open
+convention with the top edges of the square closed.
 
 Sampling applies one ulp of seed-deterministic dither to x after every
 step.  Without it, parameter choices whose expanding slopes are exact
@@ -24,7 +30,6 @@ observable resolution and keeps runs byte-reproducible per seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,70 +41,67 @@ DITHER = 2.0 ** -52
 
 @dataclass(frozen=True)
 class CompiledMap:
-    """Float view of a strip map plus region bookkeeping."""
+    """Float x-action of a strip map; its strips are its regions."""
 
     strip_edges: np.ndarray   # inner x-edges separating the branches
     axx: np.ndarray
     tx: np.ndarray
-    ayy: np.ndarray
-    ty: np.ndarray
-    region_edges: np.ndarray  # inner partition edges for region lookup
-    g_delta: np.ndarray       # per-region-index g increment
-    fold_lo: Optional[float] = None  # composite: y-fold strip [lo, hi)
-    fold_hi: Optional[float] = None
+    g_delta: np.ndarray       # g increment per strip index
 
 
 def compile_map(m: PiecewiseAffineMap) -> CompiledMap:
     from bakerfr.families import symbols
     from bakerfr.maps import build_generalized_baker
 
-    fold_lo = fold_hi = None
-    if m.eps is not None and m.eps > 0:
-        # composite: simulate as y-fold followed by the base map
-        fold_lo, fold_hi = float(m.x_tilde), float(m.x_tilde + m.eps)
-        base = build_generalized_baker(m.l)
-    else:
-        base = m
+    # the composite's perturbation folds y only, so x follows the base map
+    base = build_generalized_baker(m.l) if m.eps else m
     branches = sorted(base.branches, key=lambda b: b.x_lo)
     for b in branches:
-        if not (b.y_lo == 0 and b.y_hi == 1):
-            raise ValueError(f"{base.name}: branch is not a full-height strip")
-        if b.linear[0][1] != 0 or b.linear[1][0] != 0:
-            raise ValueError(f"{base.name}: branch linear part is not diagonal")
+        if not (b.y_lo == 0 and b.y_hi == 1) or b.linear[0][1] != 0:
+            raise ValueError(f"{base.name}: branch is not a full-height x-only strip")
     if m.partition is None:
         raise ValueError(f"{m.name} carries no region partition")
-    edges = [float(hi) for _lo, hi, _lab in m.partition[:-1]]
-    labels = [lab for _lo, _hi, lab in m.partition]
+    if [(b.x_lo, b.x_hi) for b in branches] != [(lo, hi) for lo, hi, _ in m.partition]:
+        raise ValueError(f"{m.name}: region edges differ from the strip edges")
     increment = symbols(m.family).g
-    delta = np.array([increment[lab] for lab in labels], dtype=np.int64)
     return CompiledMap(
         strip_edges=np.array([float(b.x_hi) for b in branches[:-1]]),
         axx=np.array([float(b.linear[0][0]) for b in branches]),
         tx=np.array([float(b.offset[0]) for b in branches]),
-        ayy=np.array([float(b.linear[1][1]) for b in branches]),
-        ty=np.array([float(b.offset[1]) for b in branches]),
-        region_edges=np.array(edges),
-        g_delta=delta,
-        fold_lo=fold_lo,
-        fold_hi=fold_hi,
+        g_delta=np.array([increment[lab] for *_, lab in m.partition], dtype=np.int64),
     )
 
 
-def step(cm: CompiledMap, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One map application on coordinate arrays (in-place friendly)."""
-    if cm.fold_lo is not None:
-        fold = (x >= cm.fold_lo) & (x < cm.fold_hi) & (y < 0.5)
-        y = np.where(fold, 1.0 - y, y)
-    idx = np.searchsorted(cm.strip_edges, x, side="right")
-    xn = cm.axx[idx] * x + cm.tx[idx]
-    yn = cm.ayy[idx] * y + cm.ty[idx]
-    np.clip(xn, 0.0, 1.0, out=xn)
-    np.clip(yn, 0.0, 1.0, out=yn)
-    return xn, yn
+def region_index(cm: CompiledMap, x: np.ndarray, out: np.ndarray,
+                 hits: np.ndarray) -> None:
+    """Strip index of each x into the intp array `out`: the number of inner
+    edges e <= x, as np.searchsorted(cm.strip_edges, x, side="right"),
+    counted in int8 row 0 of `hits` from one compare per edge into row 1."""
+    count, hit = hits
+    count.fill(0)
+    for e in cm.strip_edges:
+        np.greater_equal(x, e, out=hit.view(bool))
+        count += hit
+    np.copyto(out, count)
 
 
-def region_index(cm: CompiledMap, x: np.ndarray) -> np.ndarray:
-    return np.searchsorted(cm.region_edges, x, side="right")
+def step(cm: CompiledMap, x: np.ndarray, idx: np.ndarray,
+         rng: np.random.Generator, buf: np.ndarray) -> None:
+    """One map application on x in place, from the strip index `idx`,
+    followed by the dither; `buf` is float scratch of x's size."""
+    # idx is always in range; mode="clip" only skips numpy's bounds check
+    np.take(cm.axx, idx, out=buf, mode="clip")
+    x *= buf
+    np.take(cm.tx, idx, out=buf, mode="clip")
+    x += buf
+    np.maximum(x, 0.0, out=x)  # np.clip(x, 0, 1), with less overhead
+    np.minimum(x, 1.0, out=x)
+    rng.random(out=buf)
+    buf -= 0.5
+    buf *= DITHER
+    x += buf
+    np.maximum(x, 0.0, out=x)
+    np.minimum(x, 1.0, out=x)
 
 
 def shard_sizes(total: int, shard: int = DEFAULT_SHARD) -> list[int]:
@@ -115,25 +117,23 @@ def sample_g(m: PiecewiseAffineMap, n: int, ensemble: int, transient: int,
     particles started uniformly on the unit square and relaxed for
     `transient` steps.  Deterministic for a given (seed, shard)."""
     cm = compile_map(m)
-    streams = np.random.SeedSequence(seed).spawn(len(shard_sizes(ensemble, shard)))
-    out = []
-    for size, stream in zip(shard_sizes(ensemble, shard), streams):
+    sizes = shard_sizes(ensemble, shard)
+    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+    out = np.zeros(ensemble, dtype=np.int64)
+    width = max(sizes, default=0)
+    xs, bufs = np.empty(width), np.empty(width)
+    idxs, hit_rows = np.empty(width, dtype=np.intp), np.empty((2, width), dtype=np.int8)
+    for start, size, stream in zip(range(0, ensemble, shard), sizes, streams):
         rng = np.random.default_rng(stream)
-        x = rng.random(size)
-        y = rng.random(size)
-
-        def dithered(xv):
-            xv += (rng.random(xv.size) - 0.5) * DITHER
-            np.clip(xv, 0.0, 1.0, out=xv)
-            return xv
-
-        for _ in range(transient):
-            x, y = step(cm, x, y)
-            x = dithered(x)
-        g = np.zeros(size, dtype=np.int64)
-        for _ in range(n):
-            g += cm.g_delta[region_index(cm, x)]
-            x, y = step(cm, x, y)
-            x = dithered(x)
-        out.append(g)
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+        x, buf, idx, hits = xs[:size], bufs[:size], idxs[:size], hit_rows[:, :size]
+        g = out[start:start + size]
+        rng.random(out=x)
+        rng.random(out=buf)  # y: drawn only to keep the stream
+        for t in range(transient + n):
+            region_index(cm, x, idx, hits)
+            if t >= transient:
+                # buf is free until the step; read it as int64 scratch
+                np.take(cm.g_delta, idx, out=buf.view(np.int64), mode="clip")
+                g += buf.view(np.int64)
+            step(cm, x, idx, rng, buf)
+    return out

@@ -11,10 +11,11 @@ step psi and the band [4l, 1/(4l)] of the fluctuation-ratio correction.
 
 The first `family(name, l)` call for a given (name, l) compares the
 closed forms with what the map geometry gives (branch strips,
-`transfer.transition_matrix`, `transfer.region_measures` and
-`multibaker.analytic_current`) and raises `ConsistencyError` on any
-disagreement; later calls return the same record from the cache.  Its
-mappings are read-only, so no caller can alter the cached facts.
+`transfer.transition_matrix`, `transfer.region_measures`, run once, and
+`multibaker.analytic_current` against the current mu_B - mu_C of those
+measures) and raises `ConsistencyError` on any disagreement; later calls
+return the same record from the cache.  Its mappings are read-only, so
+no caller can alter the cached facts.
 """
 
 from __future__ import annotations
@@ -168,7 +169,8 @@ def _verify(fam: Family) -> None:
         measured = transfer.region_measures(fam.l).mu
         if measured != mu:
             raise ConsistencyError(f"measures {measured} != closed form {dict(mu)}")
+        via_measures = measured[B] - measured[C]
         current = multibaker.analytic_current(fam.l)
-        if current != fam.psi:
+        if current != via_measures:
             raise ConsistencyError(
-                f"current route {current} != measure route {fam.psi}")
+                f"current route {current} != measure route {via_measures}")

@@ -17,11 +17,10 @@ from bakerfr.families import family, symbols
 from bakerfr.maps import (
     PhasePoint,
     PiecewiseAffineMap,
-    RegionLabel,
     as_fraction,
     build_generalized_baker,
 )
-from bakerfr.transfer import ConsistencyError, region_measures
+from bakerfr.transfer import ConsistencyError
 
 DEFAULT_TRANSIENT = 100
 
@@ -61,22 +60,18 @@ def l_of_bias(b) -> Fraction:
 
 
 def analytic_current(l) -> Fraction:
-    """Steady-state cells per step per particle: (1-4l)/(1+4l), equal both
-    to b/(4-3b) in the bias parameter and to mu_B - mu_C.
+    """Steady-state cells per step per particle: (1-4l)/(1+4l), checked
+    equal to b/(4-3b) in the bias parameter.
 
-    This is the geometric route the `family("map2", l)` record checks its
-    psi against when it is built; callers read `family("map2", l).psi`,
-    which does not re-run `region_measures`."""
+    The `family("map2", l)` record build checks it against the measure
+    route mu_B - mu_C of the `region_measures` it derives once per l;
+    callers read `family("map2", l).psi`."""
     l = as_fraction(l)
     direct = (1 - 4 * l) / (1 + 4 * l)
     b = bias_of(l)
     via_bias = b / (4 - 3 * b)
     if via_bias != direct:
         raise ConsistencyError(f"bias route {via_bias} != direct form {direct}")
-    mu = region_measures(l)
-    via_measures = mu[RegionLabel.B] - mu[RegionLabel.C]
-    if via_measures != direct:
-        raise ConsistencyError(f"measure route {via_measures} != direct form {direct}")
     return direct
 
 

@@ -70,6 +70,12 @@ class TestFRCommand:
         payload = json.loads((tmp_path / "fr.json").read_text())
         assert all(row["alpha"] == "1" for row in payload["rows"])
 
+    def test_exact_ratio_below_the_float_range(self, tmp_path):
+        out = tmp_path / "fr"
+        assert run(["fr", "--family", "map1", "--l", "1/1000", "--n", "120",
+                    "--mode", "exact", "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "fr.json").read_text())["all_pass"] is True
+
     def test_montecarlo_composite(self, tmp_path):
         out = tmp_path / "frmc"
         assert run(["fr", "--family", "composite", "--l", "1/8", "--n", "6",

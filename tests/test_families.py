@@ -30,6 +30,23 @@ def test_cross_check_runs_once_per_parameter(monkeypatch):
     assert family("map2", "1/8") is family("map2", F(1, 8))
 
 
+def test_region_measures_run_once_per_parameter(monkeypatch):
+    calls = []
+    original = transfer.region_measures
+
+    def counting(l):
+        calls.append(l)
+        return original(l)
+
+    # every binding a record build could reach the measures through
+    monkeypatch.setattr(transfer, "region_measures", counting)
+    monkeypatch.setattr(multibaker, "region_measures", counting, raising=False)
+    families._family.cache_clear()
+    for l in (F(1, 8), F(3, 37), F(1, 8)):
+        family("map2", l)
+    assert calls == [F(1, 8), F(3, 37)]
+
+
 def test_record_mappings_reject_assignment():
     fam = family("map2", F(1, 8))
     for mapping, key in ((fam.trans, (A, A)), (fam.stationary, A),

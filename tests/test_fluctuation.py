@@ -17,6 +17,7 @@ from bakerfr.fluctuation import (
     empirical_fr_report,
     exact_distribution,
     fr_report,
+    log_ratio,
     monte_carlo_distribution,
     sequence_measure,
     verify_fr_irreversible,
@@ -158,6 +159,23 @@ class TestFRReport:
                 for g in d.support():
                     if g > 0:
                         assert d.prob(g) == d.prob(-g) * base ** g
+
+    def test_ratio_outside_the_float_range(self):
+        # P(g)/P(-g) = (1/999)^g is below the smallest float from g = 108 on
+        dist = exact_distribution("map1", F(1, 1000), 120)
+        rep = fr_report(dist)
+        assert rep.all_pass
+        top = rep.rows[-1]
+        assert float(top.p_plus / top.p_minus) == 0.0
+        assert top.lhs == pytest.approx(top.g * math.log(F(1, 999)), rel=1e-12)
+        assert binned_fr_report(dist, F(1, 2)).all_pass
+
+    def test_log_ratio(self):
+        for k in (-3000, -1100, 1100, 3000):
+            expected = math.log(3 / 7) + k * math.log(2)
+            assert log_ratio(F(3, 7) * F(2) ** k) == pytest.approx(expected, rel=1e-14)
+        for r in (F(1, 3), F(10 ** 300, 7), F(7, 10 ** 300)):
+            assert log_ratio(r) == math.log(r)
 
     def test_e_n_lattice(self):
         rep = fr_report(exact_distribution("map2", F(1, 8), 6))
