@@ -33,15 +33,12 @@ from bakerfr.maps import (
 )
 from bakerfr.transfer import (
     Map1D,
-    RegionMeasures,
     StepDensity,
-    StochasticMatrix,
     frobenius_perron_step,
     invariant_density,
     invariant_density_power,
     project_unstable,
     region_measures,
-    srb_density,
     transition_matrix,
 )
 from bakerfr.families import Family, Symbols, family, symbols

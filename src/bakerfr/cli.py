@@ -57,7 +57,10 @@ from bakerfr.transfer import (
 
 
 def _frac(text) -> Fraction:
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _fmt(v) -> str:
@@ -391,7 +394,11 @@ def main(argv=None) -> int:
     from bakerfr.observables import UndefinedValueError
 
     args = build_parser().parse_args(argv)
-    configs, out = _configs_from_args(args)
+    try:
+        configs, out = _configs_from_args(args)
+    except (OSError, ValueError) as exc:
+        print(f"{args.command} [ERROR] {exc}")
+        return 2
     worst = 0
     for idx, cfg in enumerate(configs):
         prefix = out if len(configs) == 1 else out.with_name(f"{out.name}-{idx:03d}")

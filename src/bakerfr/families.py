@@ -9,11 +9,12 @@ l: the strip partition, the one-step transition probabilities, the
 stationary region weights, the contraction unit base, the mean g per
 step psi and the band [4l, 1/(4l)] of the fluctuation-ratio correction.
 
-The first `family(name, l)` call for a given (name, l) compares the
-closed forms with what the map geometry gives (branch strips,
-`transfer.transition_matrix`, `transfer.region_measures`, run once, and
-`multibaker.analytic_current` against the current mu_B - mu_C of those
-measures) and raises `ConsistencyError` on any disagreement; later calls
+The first `family(name, l)` call for a given (name, l) builds the map
+once and, for both families, compares the closed forms with what its
+geometry gives: the branch strips, `transfer.transition_matrix(m)` and
+`transfer.region_measures(m)`.  For map2 it also compares
+`multibaker.analytic_current` with psi = sum(mu * g) over those
+measures.  It raises `ConsistencyError` on any disagreement; later calls
 return the same record from the cache.  Its mappings are read-only, so
 no caller can alter the cached facts.
 """
@@ -154,23 +155,22 @@ def _verify(fam: Family) -> None:
     from bakerfr import multibaker, transfer
 
     labels, trans, mu = fam.labels, fam.trans, fam.stationary
-    strips = tuple((b.x_lo, b.x_hi, b.label) for b in fam.build_map().branches)
+    m = fam.build_map()
+    strips = tuple((b.x_lo, b.x_hi, b.label) for b in m.branches)
     if strips != fam.partition:
         raise ConsistencyError(f"partition {fam.partition} != branch strips {strips}")
     up, down = (next(lab for lab in labels if fam.g[lab] == s) for s in (1, -1))
     if trans[(up, up)] / trans[(down, down)] != fam.unit_base:
         raise ConsistencyError("stay-probability ratio must equal the unit base")
+    geo = transfer.transition_matrix(m)
+    if geo != trans:
+        raise ConsistencyError(
+            f"geometric transition rows {geo} != closed form {dict(trans)}")
+    measured = transfer.region_measures(m)
+    if measured != mu:
+        raise ConsistencyError(f"measures {measured} != closed form {dict(mu)}")
     if fam.name == "map2":
-        p = transfer.transition_matrix(fam.l)
-        geo = {(i, j): p.prob(i, j) for i in labels for j in labels}
-        if geo != trans:
-            raise ConsistencyError(
-                f"geometric transition rows {p.rows} != closed form {dict(trans)}")
-        measured = transfer.region_measures(fam.l).mu
-        if measured != mu:
-            raise ConsistencyError(f"measures {measured} != closed form {dict(mu)}")
-        via_measures = measured[B] - measured[C]
+        # the measure route of the current: psi = sum(mu * g), mu as checked above
         current = multibaker.analytic_current(fam.l)
-        if current != via_measures:
-            raise ConsistencyError(
-                f"current route {current} != measure route {via_measures}")
+        if current != fam.psi:
+            raise ConsistencyError(f"current route {current} != measure route {fam.psi}")

@@ -533,6 +533,8 @@ def monte_carlo_distribution(m: PiecewiseAffineMap, n: int, ensemble: int,
     uniformly on the square and relaxed for `transient` steps."""
     from bakerfr.ensembles import sample_g
 
+    if ensemble < 1:
+        raise ValueError(f"need at least one trajectory, got ensemble={ensemble}")
     g = sample_g(m, n, ensemble, transient, seed)
     values, counts = _bincount(g)
     return EmpiricalDistribution(m.family, m.l, n,
@@ -572,7 +574,8 @@ class EmpiricalFRReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(r.passed for r in self.rows)
+        """Every tested pair passed, and there was at least one."""
+        return bool(self.rows) and all(r.passed for r in self.rows)
 
     def to_dict(self) -> dict:
         return {

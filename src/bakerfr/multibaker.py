@@ -63,9 +63,10 @@ def analytic_current(l) -> Fraction:
     """Steady-state cells per step per particle: (1-4l)/(1+4l), checked
     equal to b/(4-3b) in the bias parameter.
 
-    The `family("map2", l)` record build checks it against the measure
-    route mu_B - mu_C of the `region_measures` it derives once per l;
-    callers read `family("map2", l).psi`."""
+    The `family("map2", l)` record build checks it once per l against the
+    measure route psi = sum(mu * g) = mu_B - mu_C, with mu the
+    `transfer.region_measures` of the map; callers read
+    `family("map2", l).psi`."""
     l = as_fraction(l)
     direct = (1 - 4 * l) / (1 + 4 * l)
     b = bias_of(l)
@@ -82,6 +83,8 @@ def simulate_current(l, particles: int, steps: int, seed: int,
     sampling backend is shared with the fluctuation histograms."""
     from bakerfr.ensembles import sample_g
 
+    if particles < 2:
+        raise ValueError(f"a standard error needs at least 2 particles, got {particles}")
     m = build_generalized_baker(l)
     g = sample_g(m, steps, particles, transient, seed)
     per_particle = g / steps

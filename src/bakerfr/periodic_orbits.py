@@ -14,9 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from bakerfr.families import family
 from bakerfr.maps import SCHEMA_VERSION, RegionLabel, as_fraction, build_simple_baker
-from bakerfr.fluctuation import SymbolDistribution, exact_distribution
+from bakerfr.fluctuation import (
+    SymbolDistribution,
+    admissible_sequences,
+    chain_spec,
+    exact_distribution,
+)
 from bakerfr.transfer import ConsistencyError, project_unstable
 
 _ZERO = Fraction(0)
@@ -127,31 +131,21 @@ def generalized_upo_diagnostic(l, n: int) -> UPODiagnostic:
     l = as_fraction(l)
     if not 1 <= n <= MAX_ORBIT_LENGTH:
         raise ValueError(f"supported cycle lengths are 1..{MAX_ORBIT_LENGTH}")
-    fam = family("map2", l)
-    inv_slope = {b.label: 1 / b.linear[0][0] for b in fam.build_map().branches}
-
+    spec = chain_spec("map2", l)
+    inv_slope = {b.label: 1 / b.linear[0][0] for b in spec.fam.build_map().branches}
     cycles = 0
     weights: dict[int, Fraction] = {}
     total = _ZERO
-
-    def extend(prefix):
-        nonlocal cycles, total
-        if len(prefix) == n:
-            if prefix[0] in fam.successors[prefix[-1]]:
-                cycles += 1
-                w = _ONE
-                g = 0
-                for lab in prefix:
-                    w *= inv_slope[lab]
-                    g += fam.g[lab]
-                weights[g] = weights.get(g, _ZERO) + w
-                total += w
-            return
-        for succ in fam.successors[prefix[-1]]:
-            extend(prefix + (succ,))
-
-    for lab in fam.labels:
-        extend((lab,))
+    for seq in admissible_sequences(spec, n):
+        if seq[0] not in spec.successors(seq[-1]):
+            continue
+        cycles += 1
+        w = _ONE
+        for lab in seq:
+            w *= inv_slope[lab]
+        g = sum(spec.delta(lab) for lab in seq)
+        weights[g] = weights.get(g, _ZERO) + w
+        total += w
     upo_probs = {g: w / total for g, w in weights.items()}
     chain = exact_distribution("map2", l, n)
     support = set(upo_probs) | set(chain.probs)

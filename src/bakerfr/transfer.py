@@ -7,26 +7,27 @@ Frobenius-Perron operator acts exactly on step densities with rational
 breakpoints.  The stationary density is obtained from exact linear algebra
 on the cell-transfer matrix of the natural Markov partition; power
 iteration in floats is kept as an independent cross-check.
-"""
+
+The region chain (`transition_matrix`, `region_measures`) is derived from
+the geometry of any map made of labelled full-height strips, and
+`families.family` checks it against the closed forms of both families."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from bakerfr.maps import (
     MapConstructionError,
     PiecewiseAffineMap,
     RegionLabel,
-    as_fraction,
 )
 
 Scalar = Union[Fraction, float]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
 class ConsistencyError(AssertionError):
@@ -50,6 +51,7 @@ class Branch1D:
     hi: Fraction
     slope: Fraction
     intercept: Fraction
+    label: Optional[RegionLabel] = None
 
     def __call__(self, x):
         return self.slope * x + self.intercept
@@ -91,7 +93,7 @@ def project_unstable(m: PiecewiseAffineMap) -> Map1D:
         if not (b.y_lo == 0 and b.y_hi == 1):
             raise MapConstructionError(
                 f"{m.name}: branch domain is split in y; not projectable")
-        branches.append(Branch1D(b.x_lo, b.x_hi, b.linear[0][0], b.offset[0]))
+        branches.append(Branch1D(b.x_lo, b.x_hi, b.linear[0][0], b.offset[0], b.label))
     branches.sort(key=lambda b: b.lo)
     return Map1D(m.name + "_x", tuple(branches))
 
@@ -329,118 +331,62 @@ def invariant_density_power(map1d: Map1D, tol: float = 1e-12,
                            residual)
 
 
-def srb_density(l) -> StepDensity:
-    """Closed-form stationary density of the generalized map: constant
-    2/(1+4l) on the left half and 8l/(1+4l) on the right half."""
-    l = as_fraction(l)
-    if not 0 < l <= Fraction(1, 4):
-        raise ValueError(f"need 0 < l <= 1/4, got {l}")
-    rho_l = 2 / (1 + 4 * l)
-    rho_r = 8 * l / (1 + 4 * l)
-    if rho_l == rho_r:
-        return StepDensity((_ZERO, _ONE), (rho_l,))
-    return StepDensity((_ZERO, _HALF, _ONE), (rho_l, rho_r))
-
-
 # ---------------------------------------------------------------------------
-# region-level stochastic matrix and invariant measures
+# region-level chain of a strip map
 # ---------------------------------------------------------------------------
 
 
-LABELS4 = (RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D)
+def transition_matrix(m: PiecewiseAffineMap) -> dict[tuple[RegionLabel, RegionLabel], Fraction]:
+    """Region-to-region probabilities {(i, j): p} of a map made of labelled
+    full-height strips, from the geometry: the share of the x-image of
+    strip i that falls in strip j.  Checked here: every row sums to 1, and
+    the nonzero entries of each column are equal.  `families.family`
+    compares the result with the closed form."""
+    branches = project_unstable(m).branches
+    labels = [b.label for b in branches]
+    if None in labels or len(set(labels)) != len(labels):
+        raise MapConstructionError(f"{m.name}: needs one labelled branch per strip")
+    p = {}
+    for src in branches:
+        img_lo, img_hi = src.image()
+        for dst in branches:
+            overlap = max(_ZERO, min(dst.hi, img_hi) - max(dst.lo, img_lo))
+            p[src.label, dst.label] = overlap / (img_hi - img_lo)
+    if any(sum(p[i, j] for j in labels) != 1 for i in labels):
+        raise ConsistencyError("transition rows must sum to 1")
+    for j in labels:
+        if len({p[i, j] for i in labels if p[i, j] != 0}) > 1:
+            raise ConsistencyError(f"column {j} has unequal entries across source rows")
+    return p
 
 
-@dataclass(frozen=True)
-class StochasticMatrix:
-    """Region-to-region transition probabilities of the generalized map."""
-
-    l: Fraction
-    rows: tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]
-
-    def prob(self, i: RegionLabel, j: RegionLabel) -> Fraction:
-        return self.rows[LABELS4.index(i)][LABELS4.index(j)]
-
-
-def transition_matrix(l) -> StochasticMatrix:
-    """Rows (A, B, C, D) rebuilt from the map geometry: the overlap of each
-    branch image with the region strips.  Checked here: every row sums to
-    1, and the column equalities p_ij = p_kj hold for the rows that can
-    reach column j.  `families.family` compares the rows with the closed
-    form."""
-    l = as_fraction(l)
-    if not 0 < l <= Fraction(1, 4):
-        raise ValueError(f"need 0 < l <= 1/4, got {l}")
-    from bakerfr.maps import build_generalized_baker
-
-    m = build_generalized_baker(l)
-    strips = {b.label: (b.x_lo, b.x_hi) for b in m.branches}
-    map1d = project_unstable(m)
-    geo_rows = []
-    for src in LABELS4:
-        br = next(b for b in map1d.branches if strips[src] == (b.lo, b.hi))
-        img_lo, img_hi = br.image()
-        width = img_hi - img_lo
-        row = []
-        for dst in LABELS4:
-            lo, hi = strips[dst]
-            overlap = max(_ZERO, min(hi, img_hi) - max(lo, img_lo))
-            row.append(overlap / width)
-        geo_rows.append(tuple(row))
-    for row in geo_rows:
-        if sum(row) != 1:
-            raise ConsistencyError("transition rows must sum to 1")
-    for j in range(4):
-        nonzero = {geo_rows[i][j] for i in range(4) if geo_rows[i][j] != 0}
-        if len(nonzero) > 1:
-            raise ConsistencyError(
-                f"column {LABELS4[j]} has unequal entries across source rows")
-    return StochasticMatrix(l, tuple(geo_rows))
-
-
-@dataclass(frozen=True)
-class RegionMeasures:
-    l: Fraction
-    mu: dict[RegionLabel, Fraction]
-
-    def __getitem__(self, label: RegionLabel) -> Fraction:
-        return self.mu[label]
-
-
-def region_measures(l) -> RegionMeasures:
-    """Invariant region probabilities of the generalized map, computed two
-    independent ways (left unit-eigenvector of the transition matrix;
+def region_measures(m: PiecewiseAffineMap) -> dict[RegionLabel, Fraction]:
+    """Invariant region probabilities {label: mu} of a strip map, computed
+    two independent ways (left unit-eigenvector of `transition_matrix(m)`;
     stationary density times strip widths) and required to agree exactly.
     `families.family` compares them with the closed form."""
-    l = as_fraction(l)
-    p = transition_matrix(l)
+    p = transition_matrix(m)
+    map1d = project_unstable(m)
+    labels = [b.label for b in map1d.branches]
     # route (a): left eigenvector, i.e. nullspace of (P^T - I)
-    pt_minus_i = [[p.rows[j][i] - (_ONE if i == j else _ZERO) for j in range(4)]
-                  for i in range(4)]
+    pt_minus_i = [[p[j, i] - (_ONE if i == j else _ZERO) for j in labels]
+                  for i in labels]
     v = _nullspace_vector(pt_minus_i)
-    if all(x <= 0 for x in v):
-        v = [-x for x in v]
-    total = sum(v)
-    eig = {lab: val / total for lab, val in zip(LABELS4, v)}
-    # route (b): stationary density times region widths
-    from bakerfr.maps import build_generalized_baker
-
-    m = build_generalized_baker(l)
-    rho = invariant_density(project_unstable(m))
-    by_width = {}
-    for b in m.branches:
-        mid = (b.x_lo + b.x_hi) / 2
-        by_width[b.label] = rho.value_at(mid) * (b.x_hi - b.x_lo)
+    total = sum(v)  # also fixes the sign
+    eig = {lab: val / total for lab, val in zip(labels, v)}
+    # route (b): stationary density times strip widths
+    rho = invariant_density(map1d)
+    by_width = {b.label: rho.value_at((b.lo + b.hi) / 2) * (b.hi - b.lo)
+                for b in map1d.branches}
     if eig != by_width:
         raise ConsistencyError(
             f"eigenvector route {eig} != density-times-width route {by_width}")
     if sum(eig.values()) != 1:
         raise ConsistencyError("region measures must sum to 1")
-    # stationarity under P
-    for j, lab_j in enumerate(LABELS4):
-        back = sum(eig[lab_i] * p.rows[i][j] for i, lab_i in enumerate(LABELS4))
-        if back != eig[lab_j]:
-            raise ConsistencyError(f"measures not stationary at {lab_j}")
-    return RegionMeasures(l, eig)
+    for j in labels:
+        if sum(eig[i] * p[i, j] for i in labels) != eig[j]:
+            raise ConsistencyError(f"measures not stationary at {j}")
+    return eig
 
 
 def write_density_csv(rho: StepDensity, path) -> None:

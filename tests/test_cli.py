@@ -176,18 +176,44 @@ class TestErrorHandling:
                   "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("args,reason", [
+        (["fr", "--l", "abc"], "Invalid literal"),
+        (["fr", "--l", "1/0"], "zero denominator"),
+        (["fr", "--sweep", "{sweep}"], "sweep file cannot set 'delta'"),
+        (["fr", "--sweep", "{missing}"], "No such file"),
+        (["fr", "--family", "map2", "--mode", "montecarlo", "--ensemble", "0",
+          "--n", "10"], "ensemble=0"),
+        (["multibaker", "--ensemble", "1", "--n", "10"], "at least 2 particles"),
+    ])
+    def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, args, reason):
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text("delta=1/2\n")
+        args = [a.format(sweep=sweep, missing=tmp_path / "absent.txt") for a in args]
+        rc = run(args + ["--out", str(tmp_path / "x")])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert out.startswith(f"{args[0]} [ERROR] ") and reason in out
+
+    def test_montecarlo_run_with_no_tested_pair_fails(self, tmp_path):
+        out = tmp_path / "frmc"
+        rc = run(["fr", "--family", "map2", "--mode", "montecarlo",
+                  "--ensemble", "10", "--n", "10", "--out", str(out)])
+        payload = json.loads((tmp_path / "frmc.json").read_text())
+        assert rc == 1
+        assert payload["rows"] == [] and payload["all_pass"] is False
+
     def test_inconsistency_has_its_own_exit_code(self, tmp_path, monkeypatch, capsys):
         from bakerfr import families, transfer
 
         real = transfer.region_measures
 
-        def corrupted(l):
-            good = real(l)
-            if good.l != F(1, 7):
+        def corrupted(m):
+            good = real(m)
+            if m.l != F(1, 7):
                 return good
-            mu = dict(good.mu)
+            mu = dict(good)
             mu[RegionLabel.A] /= 2
-            return transfer.RegionMeasures(good.l, mu)
+            return mu
 
         monkeypatch.setattr(transfer, "region_measures", corrupted)
         families._family.cache_clear()

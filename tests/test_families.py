@@ -2,12 +2,14 @@ import dataclasses
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from bakerfr import families, multibaker, transfer
 from bakerfr.families import family, symbols
 from bakerfr.fluctuation import exact_distribution, fr_report
 from bakerfr.maps import RegionLabel
-from bakerfr.transfer import ConsistencyError, RegionMeasures, StochasticMatrix
+from bakerfr.transfer import ConsistencyError
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
@@ -16,9 +18,9 @@ def test_cross_check_runs_once_per_parameter(monkeypatch):
     calls = []
     original = transfer.transition_matrix
 
-    def counting(l):
-        calls.append(l)
-        return original(l)
+    def counting(m):
+        calls.append(m.l)
+        return original(m)
 
     monkeypatch.setattr(transfer, "transition_matrix", counting)
     families._family.cache_clear()
@@ -28,15 +30,18 @@ def test_cross_check_runs_once_per_parameter(monkeypatch):
     assert first > 0
     assert len(calls) == first
     assert family("map2", "1/8") is family("map2", F(1, 8))
+    fr_report(exact_distribution("map1", "2/3", 6))
+    fr_report(exact_distribution("map1", F(2, 3), 6))
+    assert calls[first:] == [F(2, 3)] * first  # same work per build, once per l
 
 
 def test_region_measures_run_once_per_parameter(monkeypatch):
     calls = []
     original = transfer.region_measures
 
-    def counting(l):
-        calls.append(l)
-        return original(l)
+    def counting(m):
+        calls.append((m.family, m.l))
+        return original(m)
 
     # every binding a record build could reach the measures through
     monkeypatch.setattr(transfer, "region_measures", counting)
@@ -44,7 +49,9 @@ def test_region_measures_run_once_per_parameter(monkeypatch):
     families._family.cache_clear()
     for l in (F(1, 8), F(3, 37), F(1, 8)):
         family("map2", l)
-    assert calls == [F(1, 8), F(3, 37)]
+        family("map1", l)
+    assert calls == [("map2", F(1, 8)), ("map1", F(1, 8)),
+                     ("map2", F(3, 37)), ("map1", F(3, 37))]
 
 
 def test_record_mappings_reject_assignment():
@@ -84,19 +91,22 @@ def test_geometric_disagreement_raises(monkeypatch, route, message):
     def corrupted(arg):
         good = real(arg)
         if route == "transition_matrix":
-            rows = (good.rows[1],) + good.rows[1:]
-            return StochasticMatrix(good.l, rows)
+            return {**good, (A, A): good[A, A] + 1}
         if route == "region_measures":
-            return RegionMeasures(good.l, {**good.mu, A: good.mu[A] / 2})
+            return {**good, A: good[A] / 2}
         return good + 1
 
     monkeypatch.setattr(multibaker if route == "analytic_current" else transfer,
                         route, corrupted)
-    families._family.cache_clear()
-    with pytest.raises(ConsistencyError, match=message):
-        family("map2", l)
+    # the current route exists for map2 alone
+    names = ("map2",) if route == "analytic_current" else ("map2", "map1")
+    for name in names:
+        families._family.cache_clear()
+        with pytest.raises(ConsistencyError, match=message):
+            family(name, l)
     monkeypatch.undo()
-    assert family("map2", l).l == l  # the failure was not cached
+    for name in names:
+        assert family(name, l).l == l  # the failure was not cached
 
 
 def test_bad_input_is_a_value_error():
@@ -106,3 +116,15 @@ def test_bad_input_is_a_value_error():
         family("map2", F(1, 3))
     with pytest.raises(ValueError):
         family("map1", 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["map1", "map2"]),
+       l=st.fractions(min_value=F(1, 40), max_value=F(39, 40), max_denominator=40))
+@example(name="map1", l=F(1, 2))
+def test_record_builds_for_random_l(name, l):
+    # the record build runs the geometric cross-check for both families
+    if name == "map2":
+        l /= 4
+    fam = family(name, l)
+    assert fam.stationary == transfer.region_measures(fam.build_map())

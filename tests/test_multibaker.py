@@ -62,7 +62,7 @@ class TestAnalyticCurrent:
     @settings(max_examples=25)
     @given(l=l_map2)
     def test_current_equals_measure_difference(self, l):
-        mu = region_measures(l)
+        mu = region_measures(build_generalized_baker(l))
         assert analytic_current(l) == mu[B] - mu[C]
 
     @settings(max_examples=15)

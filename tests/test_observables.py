@@ -29,7 +29,8 @@ from bakerfr.observables import (
     reversed_symbol_sequence,
     trajectory_segment,
 )
-from bakerfr.transfer import StepDensity, srb_density
+from bakerfr.families import family
+from bakerfr.transfer import StepDensity
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
@@ -244,13 +245,13 @@ class TestDissipationFunction:
 
     def test_vanishes_on_area_preserving_region(self):
         m = build_generalized_baker(F(1, 8))
-        rho = srb_density(F(1, 8))
+        rho = family("map2", F(1, 8)).density
         p = PhasePoint(F(1, 16), F(2, 7))  # region A maps back into A
         assert dissipation_function(m, rho, p) == 0.0
 
     def test_equilibrium_vanishes_everywhere(self):
         m = build_generalized_baker(F(1, 4))
-        rho = srb_density(F(1, 4))
+        rho = family("map2", F(1, 4)).density
         for p in random_rational_points(10, seed=21):
             assert dissipation_function(m, rho, p) == 0.0
 
