@@ -40,6 +40,7 @@ from bakerfr.transfer import (
     project_unstable,
     region_measures,
     transition_matrix,
+    verify_x_factor,
 )
 from bakerfr.families import Family, Symbols, family, symbols
 from bakerfr.observables import (

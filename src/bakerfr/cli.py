@@ -52,6 +52,7 @@ from bakerfr.transfer import (
     ConsistencyError,
     invariant_density,
     project_unstable,
+    verify_x_factor,
     write_density_csv,
 )
 
@@ -99,31 +100,6 @@ class ExperimentConfig:
             lines.append("b_values=" + ",".join(_fmt(b) for b in self.b_values))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
-        kv = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
-        return cls(
-            command=kv["command"],
-            family=kv.get("family", "map2"),
-            l=_frac(kv.get("l", "1/8")),
-            n=int(kv.get("n", 10)),
-            ensemble=int(kv.get("ensemble", 100_000)),
-            transient=int(kv.get("transient", 100)),
-            seed=int(kv.get("seed", 0)),
-            mode=kv.get("mode", "exact"),
-            x_tilde=_frac(kv["x_tilde"]) if "x_tilde" in kv else None,
-            eps=_frac(kv["eps"]) if "eps" in kv else None,
-            delta=_frac(kv["delta"]) if "delta" in kv else None,
-            b_values=tuple(_frac(b) for b in kv["b_values"].split(","))
-            if "b_values" in kv else None,
-        )
-
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
@@ -142,8 +118,9 @@ def _base_map(cfg: ExperimentConfig):
 
 
 def cmd_density(cfg: ExperimentConfig, out: Path) -> int:
-    fam = family("map2" if cfg.family == "composite" else cfg.family, cfg.l)
-    rho = invariant_density(project_unstable(fam.build_map()))
+    m = _base_map(cfg)
+    fam = family(m.family, cfg.l)
+    rho = invariant_density(project_unstable(m))
     analytic = fam.density
     agree = rho == analytic
     write_density_csv(rho, out.with_suffix(".csv"))
@@ -162,8 +139,10 @@ def cmd_density(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_fr(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.mode == "exact":
-        family_name = "map2" if cfg.family == "composite" else cfg.family
-        dist = exact_distribution(family_name, cfg.l, cfg.n)
+        m = _base_map(cfg)
+        if cfg.family == "composite":
+            verify_x_factor(m)
+        dist = exact_distribution(m.family, cfg.l, cfg.n)
         report = fr_report(dist)
         payload = report.to_dict()
         payload["config"] = cfg.to_text()
@@ -174,7 +153,8 @@ def cmd_fr(cfg: ExperimentConfig, out: Path) -> int:
             ok = ok and binned.all_pass
         if cfg.family == "composite":
             payload["notes"] = ["exact symbol law of the composite equals the "
-                                "base map's law: the perturbation leaves x alone"]
+                                "base map's law: checked that the composite's "
+                                "x-factor equals map2's, strip for strip"]
         _write_json(out.with_suffix(".json"), payload)
         write_fr_csv(report, out.with_suffix(".csv"))
         return 0 if ok else 1

@@ -1,30 +1,32 @@
 """Vectorized float backend for ensemble simulations.
 
 The observable g counts visits to the contracting and expanding strips,
-a function of the x-orbit alone.  Every supported map acts on full-height
-vertical strips with an x-image free of y, and the composite differs from
-its base map by a fold of y alone, so the sampler integrates x only and
-runs the composite on its base map's x-action (its histograms equal the
-base map's bit for bit).  The regions are the branch strips, so one strip
-index per step, by a compare and an add per inner edge, serves both the g
-increment and the step; arrays are updated in place in buffers allocated
-once per `sample_g` call.
+a function of the x-orbit alone.  `compile_map` reads the x-action of any
+map from `transfer.project_unstable`, which merges the pieces that share
+one x-action: the composite's fold cuts strip B in x and in y but acts on
+y alone, so it projects onto its base map's four strips, and its
+histograms equal the base map's bit for bit.  The sampler integrates x
+only.  The regions are the projected strips, so one strip index per
+iteration, by a compare and an add per inner edge, serves both the g
+increment and the map application; arrays are updated in place in
+buffers allocated once per `sample_g` call.
 
 Ensembles are split into shards, each driven by a child RNG stream spawned
 deterministically from (seed, shard index).  A shard draws its start
 points x and y (y only to keep the stream unchanged), then one dither
-array per step.  The outcome is deterministic for a given (seed, shard
-size); a different shard size spawns different streams, so results depend
-on the shard size.  Branch dispatch mirrors the exact backend's half-open
-convention with the top edges of the square closed.
+array per iteration.  The outcome is deterministic for a given (seed,
+shard size); a different shard size spawns different streams, so results
+depend on the shard size.  Branch dispatch mirrors the exact backend's
+half-open convention with the top edges of the square closed.
 
 Sampling applies one ulp of seed-deterministic dither to x after every
-step.  Without it, parameter choices whose expanding slopes are exact
-powers of two (the equilibrium point l = 1/4 in particular) turn the
-float iteration into a pure bit shift: each step discards one mantissa
-bit and within ~53 steps every orbit collapses onto a dyadic fixed point
-instead of sampling the invariant measure.  The dither is far below any
-observable resolution and keeps runs byte-reproducible per seed.
+iteration.  Without it, parameter choices whose expanding slopes are
+exact powers of two (the equilibrium point l = 1/4 in particular) turn
+the float iteration into a pure bit shift: each iteration discards one
+mantissa bit and within ~53 iterations every orbit collapses onto a
+dyadic fixed point instead of sampling the invariant measure.  The
+dither is far below any observable resolution, and runs stay
+byte-reproducible per seed.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bakerfr.maps import PiecewiseAffineMap
+from bakerfr.transfer import project_unstable
 
 DEFAULT_SHARD = 250_000
 DITHER = 2.0 ** -52
@@ -51,24 +54,18 @@ class CompiledMap:
 
 def compile_map(m: PiecewiseAffineMap) -> CompiledMap:
     from bakerfr.families import symbols
-    from bakerfr.maps import build_generalized_baker
 
-    # the composite's perturbation folds y only, so x follows the base map
-    base = build_generalized_baker(m.l) if m.eps else m
-    branches = sorted(base.branches, key=lambda b: b.x_lo)
-    for b in branches:
-        if not (b.y_lo == 0 and b.y_hi == 1) or b.linear[0][1] != 0:
-            raise ValueError(f"{base.name}: branch is not a full-height x-only strip")
+    strips = project_unstable(m).branches
     if m.partition is None:
         raise ValueError(f"{m.name} carries no region partition")
-    if [(b.x_lo, b.x_hi) for b in branches] != [(lo, hi) for lo, hi, _ in m.partition]:
+    if [(b.lo, b.hi, b.label) for b in strips] != list(m.partition):
         raise ValueError(f"{m.name}: region edges differ from the strip edges")
     increment = symbols(m.family).g
     return CompiledMap(
-        strip_edges=np.array([float(b.x_hi) for b in branches[:-1]]),
-        axx=np.array([float(b.linear[0][0]) for b in branches]),
-        tx=np.array([float(b.offset[0]) for b in branches]),
-        g_delta=np.array([increment[lab] for *_, lab in m.partition], dtype=np.int64),
+        strip_edges=np.array([float(b.hi) for b in strips[:-1]]),
+        axx=np.array([float(b.slope) for b in strips]),
+        tx=np.array([float(b.intercept) for b in strips]),
+        g_delta=np.array([increment[b.label] for b in strips], dtype=np.int64),
     )
 
 
@@ -113,9 +110,11 @@ def shard_sizes(total: int, shard: int = DEFAULT_SHARD) -> list[int]:
 
 def sample_g(m: PiecewiseAffineMap, n: int, ensemble: int, transient: int,
              seed: int, shard: int = DEFAULT_SHARD) -> np.ndarray:
-    """Net expanding-visit count over n steps for each of `ensemble`
+    """Net expanding-visit count over n iterations for each of `ensemble`
     particles started uniformly on the unit square and relaxed for
-    `transient` steps.  Deterministic for a given (seed, shard)."""
+    `transient` iterations.  Deterministic for a given (seed, shard)."""
+    if n < 0 or transient < 0:
+        raise ValueError(f"need n >= 0 and transient >= 0, got n={n}, transient={transient}")
     cm = compile_map(m)
     sizes = shard_sizes(ensemble, shard)
     streams = np.random.SeedSequence(seed).spawn(len(sizes))

@@ -34,7 +34,7 @@ from bakerfr.maps import (
     random_rational_points,
 )
 from bakerfr.observables import UndefinedValueError
-from bakerfr.transfer import ConsistencyError
+from bakerfr.transfer import ConsistencyError, verify_x_factor
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -427,33 +427,19 @@ class AlphaBoundsReport:
     def all_within(self) -> bool:
         return not self.violations
 
-    @property
-    def extrema_attained(self) -> bool:
-        return self.attained_min == self.bound_min and self.attained_max == self.bound_max
-
 
 def _alpha_direct(spec: ChainSpec, seq) -> Fraction:
-    """Per-sequence correction from the boundary terms alone: measure
-    ratio of the first symbols times the stay/jump factors created by the
-    window ends."""
-    conj = spec.fam.conjugacy
-    mu = spec.initial
-    p = spec.trans
-    first, last = seq[0], seq[-1]
+    """Per-sequence correction from the boundary terms alone.  Every step
+    into region j has the same probability col[j] (the common nonzero
+    entry of column j), and col[j] / col[conj j] = base^(g_j), so all but
+    the window ends cancel: alpha = mu[s1] col[conj sn] / (mu[conj sn]
+    col[s1])."""
+    first, last = seq[0], spec.fam.conjugacy[seq[-1]]
 
-    def ind(lab, want):
-        return 1 if lab == want else 0
+    def col(j):
+        return max(p for (_i, k), p in spec.trans.items() if k == j)
 
-    d_aa = ind(first, RegionLabel.A) - ind(last, RegionLabel.A)
-    d_bc = ind(first, RegionLabel.B) - ind(last, RegionLabel.C)
-    d_cb = ind(first, RegionLabel.C) - ind(last, RegionLabel.B)
-    d_dd = ind(first, RegionLabel.D) - ind(last, RegionLabel.D)
-    alpha = mu[first] / mu[conj[last]]
-    alpha *= p[(RegionLabel.D, RegionLabel.A)] ** (-d_aa)
-    alpha *= p[(RegionLabel.B, RegionLabel.B)] ** (-d_bc)
-    alpha *= p[(RegionLabel.C, RegionLabel.C)] ** (-d_cb)
-    alpha *= p[(RegionLabel.A, RegionLabel.D)] ** (-d_dd)
-    return alpha
+    return spec.initial[first] * col(last) / (spec.initial[last] * col(first))
 
 
 def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
@@ -516,16 +502,6 @@ class EmpiricalDistribution:
     def mean_g(self) -> float:
         return sum(g * c for g, c in self.counts.items()) / self.total
 
-    def wilson(self, g: int, z: float = 1.0) -> tuple[float, float]:
-        """Wilson score interval (lo, hi) for the bin proportion."""
-        k, total = self.counts.get(g, 0), self.total
-        phat = k / total
-        denom = 1 + z * z / total
-        center = (phat + z * z / (2 * total)) / denom
-        half = z * math.sqrt(phat * (1 - phat) / total
-                             + z * z / (4 * total * total)) / denom
-        return center - half, center + half
-
 
 def monte_carlo_distribution(m: PiecewiseAffineMap, n: int, ensemble: int,
                              transient: int, seed: int) -> EmpiricalDistribution:
@@ -535,6 +511,8 @@ def monte_carlo_distribution(m: PiecewiseAffineMap, n: int, ensemble: int,
 
     if ensemble < 1:
         raise ValueError(f"need at least one trajectory, got ensemble={ensemble}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     g = sample_g(m, n, ensemble, transient, seed)
     values, counts = _bincount(g)
     return EmpiricalDistribution(m.family, m.l, n,
@@ -633,10 +611,10 @@ def verify_fr_irreversible(k_map: PiecewiseAffineMap, n: int, ensemble: int,
     """Ratio test under the non-invertible composite map.
 
     First verifies the structural claims that make the test meaningful:
-    the perturbation factor leaves x untouched (so region occupancy
-    statistics coincide with the reversible map's) and only folds the
-    strip inside the contracting region; the composite agrees pointwise
-    with perturbation-then-map on random rational points.
+    the composite's x-factor equals the reversible map's, strip for strip
+    (`transfer.verify_x_factor`, so the region statistics coincide); the
+    fold lies inside the contracting region; and the composite agrees
+    pointwise with perturbation-then-map on random rational points.
 
     The sampler then integrates x alone, so the histogram it tests is the
     x-marginal the composite shares with the reversible map: for the same
@@ -645,11 +623,10 @@ def verify_fr_irreversible(k_map: PiecewiseAffineMap, n: int, ensemble: int,
     of the irreversible dynamics."""
     if k_map.eps is None or k_map.x_tilde is None or k_map.l is None:
         raise ValueError("expected a composite map carrying strip parameters")
+    verify_x_factor(k_map)
     pert = build_perturbation(k_map.l, k_map.x_tilde, k_map.eps)
     baker = build_generalized_baker(k_map.l)
     for b in pert.branches:
-        if b.linear[0] != (_ONE, _ZERO) or b.offset[0] != 0:
-            raise ConsistencyError("perturbation must act on y only")
         is_identity = b.linear == ((_ONE, _ZERO), (_ZERO, _ONE)) and b.offset == (_ZERO, _ZERO)
         if not is_identity and not (k_map.l <= b.x_lo and b.x_hi <= Fraction(1, 2)):
             raise ConsistencyError("perturbation strip must sit inside region B")

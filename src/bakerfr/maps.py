@@ -554,6 +554,8 @@ def random_rational_points(count: int, seed: int,
                            denominator: int = SAMPLE_DENOMINATOR) -> list[PhasePoint]:
     """Random interior points with a fixed prime denominator, so iterates
     can never hit the branch boundaries of the map families exactly."""
+    if count < 0:
+        raise ValueError(f"need a sample count >= 0, got count={count}")
     rng = random.Random(seed)
     return [
         PhasePoint(Fraction(rng.randint(1, denominator - 1), denominator),

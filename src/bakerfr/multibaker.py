@@ -42,7 +42,10 @@ class CurrentEstimate:
 def lift_step(m: PiecewiseAffineMap, s: ChainState) -> ChainState:
     """One multibaker step: advance the local coordinates and move the
     cell index by the g increment of the current region (+1 from strip B,
-    -1 from strip C, 0 otherwise for the four-branch map)."""
+    -1 from strip C, 0 otherwise for the four-branch map).  It is the exact
+    reference model of the lift: the sampler only counts g, and
+    `tests/test_multibaker.py` checks that the displacement of this model
+    equals g."""
     region = m.region_of(s.local)
     return ChainState(s.cell + symbols(m.family).g[region], m.apply(s.local))
 
@@ -85,6 +88,8 @@ def simulate_current(l, particles: int, steps: int, seed: int,
 
     if particles < 2:
         raise ValueError(f"a standard error needs at least 2 particles, got {particles}")
+    if steps < 1:
+        raise ValueError(f"need n >= 1 steps, got n={steps}")
     m = build_generalized_baker(l)
     g = sample_g(m, steps, particles, transient, seed)
     per_particle = g / steps

@@ -86,29 +86,14 @@ def trajectory_segment(m: PiecewiseAffineMap, x0: PhasePoint, n: int,
 
 @dataclass(frozen=True)
 class ContractionStats:
-    """Time-averaged contraction over a trajectory segment, held in exact
-    integer-times-log form."""
+    """Time-averaged contraction over a trajectory segment, held as the
+    exact count g: the average is g ln(unit_base) / steps, with the unit
+    base of `family(family, l)`."""
 
     family: str
     l: Fraction
     g: int
     steps: int
-
-    @property
-    def unit_base(self) -> Fraction:
-        return families.family(self.family, self.l).unit_base
-
-    @property
-    def phi(self) -> float:
-        return math.log(self.unit_base)
-
-    @property
-    def lambda_bar(self) -> float:
-        return self.g * self.phi / self.steps
-
-    @property
-    def mean_is_zero(self) -> bool:
-        return families.family(self.family, self.l).psi == 0
 
     @property
     def e_n(self) -> Optional[Fraction]:
@@ -203,21 +188,3 @@ def dissipation_function(m: PiecewiseAffineMap, rho: Optional[StepDensity],
         raise UndefinedValueError(
             f"density vanishes at x={p.x} or x={gmp.x}; dissipation undefined")
     return math.log(rho_here / rho_there) + lam
-
-
-def write_trajectory_csv(m: PiecewiseAffineMap, x0: PhasePoint, n: int, path,
-                         max_exact_steps: int = MAX_EXACT_STEPS) -> None:
-    """Rows (k, x, y, region, cumulative g)."""
-    seg = trajectory_segment(m, x0, n, keep_points=True,
-                             max_exact_steps=max_exact_steps)
-
-    def fmt(v):
-        return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else repr(v)
-
-    increment = families.symbols(m.family).g
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,x,y,region,cumulative_g\n")
-        g = 0
-        for k, (pt, lab) in enumerate(zip(seg.points, seg.symbols.labels)):
-            g += increment[lab]
-            fh.write(f"{k},{fmt(pt.x)},{fmt(pt.y)},{lab.value},{g}\n")

@@ -8,9 +8,14 @@ breakpoints.  The stationary density is obtained from exact linear algebra
 on the cell-transfer matrix of the natural Markov partition; power
 iteration in floats is kept as an independent cross-check.
 
-The region chain (`transition_matrix`, `region_measures`) is derived from
-the geometry of any map made of labelled full-height strips, and
-`families.family` checks it against the closed forms of both families."""
+`project_unstable` reads the x-action of a map, merging pieces that share
+one x-action, so the irreversible composite, whose fold cuts strip B in x
+and in y, projects onto the four labelled strips of its base map.
+`verify_x_factor` checks exactly that for any map: its projection must
+equal the one of its family's map, strip for strip.  The region chain
+(`transition_matrix`, `region_measures`) is derived from the projected
+strips, and `families.family` checks it against the closed forms of both
+families."""
 
 from __future__ import annotations
 
@@ -82,20 +87,48 @@ class Map1D:
 def project_unstable(m: PiecewiseAffineMap) -> Map1D:
     """Project a map onto its expanding direction.
 
-    Requires every branch to act on x independently of y and to span the
-    full height of the square; the perturbation map fails both.
-    """
-    branches = []
+    Every branch must act on x independently of y.  Pieces over one
+    x-interval, split in y, merge into one branch: they must share the
+    x-slope, x-offset and label, and their heights must sum to 1.  Then
+    adjacent x-pieces with equal slope, offset and label merge.  A map
+    that fails either condition raises `MapConstructionError`."""
+    stacks: dict[tuple[Fraction, Fraction], list] = {}
     for b in m.branches:
         if b.linear[0][1] != 0:
             raise MapConstructionError(
                 f"{m.name}: branch x-action depends on y; not projectable")
-        if not (b.y_lo == 0 and b.y_hi == 1):
+        stacks.setdefault((b.x_lo, b.x_hi), []).append(b)
+    merged: list[Branch1D] = []
+    for (lo, hi), pieces in sorted(stacks.items()):
+        actions = {(b.linear[0][0], b.offset[0], b.label) for b in pieces}
+        if len(actions) != 1 or sum(b.y_hi - b.y_lo for b in pieces) != 1:
             raise MapConstructionError(
-                f"{m.name}: branch domain is split in y; not projectable")
-        branches.append(Branch1D(b.x_lo, b.x_hi, b.linear[0][0], b.offset[0], b.label))
-    branches.sort(key=lambda b: b.lo)
-    return Map1D(m.name + "_x", tuple(branches))
+                f"{m.name}: pieces over x in [{lo}, {hi}) differ in their "
+                "x-action or leave y uncovered; not projectable")
+        [action] = actions
+        last = merged[-1] if merged else None
+        if last is not None and last.hi == lo and (last.slope, last.intercept, last.label) == action:
+            lo = merged.pop().lo
+        merged.append(Branch1D(lo, hi, *action))
+    return Map1D(m.name + "_x", tuple(merged))
+
+
+def verify_x_factor(m: PiecewiseAffineMap) -> None:
+    """Exact check that `m` has its family's x-factor: the projection of
+    `m` must equal that of `family(m.family, m.l).build_map()`, branch for
+    branch and label for label, or `ConsistencyError` is raised.  For the
+    composite this is the reduction to the reversible map: the strip law,
+    hence the law of g, is the base map's."""
+    from bakerfr.families import family
+
+    got = project_unstable(m).branches
+    want = project_unstable(family(m.family, m.l).build_map()).branches
+    if got != want:
+        def text(branches):
+            return "; ".join(f"{b.label} on [{b.lo}, {b.hi}): {b.slope} x + {b.intercept}"
+                             for b in branches)
+        raise ConsistencyError(
+            f"{m.name}: x-factor {text(got)} differs from {m.family}'s {text(want)}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +190,6 @@ class StepDensity:
         out = list(zip(self.breakpoints, self.values))
         out.append((self.breakpoints[-1], self.values[-1]))
         return out
-
-
-def uniform_density() -> StepDensity:
-    return StepDensity((_ZERO, _ONE), (_ONE,))
 
 
 def _push(map1d: Map1D, breakpoints: Sequence, values: Sequence):
@@ -337,9 +366,9 @@ def invariant_density_power(map1d: Map1D, tol: float = 1e-12,
 
 
 def transition_matrix(m: PiecewiseAffineMap) -> dict[tuple[RegionLabel, RegionLabel], Fraction]:
-    """Region-to-region probabilities {(i, j): p} of a map made of labelled
-    full-height strips, from the geometry: the share of the x-image of
-    strip i that falls in strip j.  Checked here: every row sums to 1, and
+    """Region-to-region probabilities {(i, j): p} of a map whose projection
+    is made of labelled strips, from the geometry: the share of the x-image
+    of strip i that falls in strip j.  Checked here: every row sums to 1, and
     the nonzero entries of each column are equal.  `families.family`
     compares the result with the closed form."""
     branches = project_unstable(m).branches

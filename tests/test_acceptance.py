@@ -210,6 +210,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         ["fr", "--family", "composite", "--l", "1/8", "--n", "5",
          "--mode", "montecarlo", "--ensemble", "30000", "--transient", "30",
          "--seed", "6"],
+        ["fr", "--family", "composite", "--l", "1/8", "--n", "12", "--mode", "exact"],
         ["upo", "--n", "7"],
         ["multibaker", "--l", "1/8", "--ensemble", "10000", "--n", "200",
          "--seed", "8"],

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from bakerfr.cli import ExperimentConfig, main
+from bakerfr.cli import ExperimentConfig, _configs_from_args, build_parser, main
 from bakerfr.maps import RegionLabel
 
 
@@ -17,11 +18,17 @@ class TestConfig:
                                ensemble=1000, transient=50, seed=7, mode="exact",
                                x_tilde=F(7, 32), eps=F(3, 64),
                                b_values=(F(1, 100), F(1, 10)), delta=F(1, 3))
-        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+        assert cfg.to_text() == (
+            "command=fr\nfamily=map2\nl=1/8\nn=15\nensemble=1000\ntransient=50\n"
+            "seed=7\nmode=exact\nx_tilde=7/32\neps=3/64\ndelta=1/3\n"
+            "b_values=1/100,1/10\n")
 
-    def test_rational_parsing_is_exact(self):
-        cfg = ExperimentConfig.from_text("command=density\nl=1/3\n")
-        assert cfg.l == F(1, 3)
+    def test_rational_parsing_is_exact(self, tmp_path):
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text("l=1/3\n")
+        for argv in (["density", "--l", "1/3"], ["density", "--sweep", str(sweep)]):
+            [cfg], _out = _configs_from_args(build_parser().parse_args(argv))
+            assert cfg.l == F(1, 3)
 
 
 class TestDensityCommand:
@@ -163,6 +170,50 @@ class TestDeterminism:
                 assert content_a == content_b
 
 
+class TestCompositeCheck:
+    @pytest.mark.parametrize("mode_args", [
+        ["--mode", "exact"],
+        ["--mode", "montecarlo", "--ensemble", "2000", "--transient", "10"],
+    ])
+    def test_corrupted_full_height_piece_is_inconsistent(self, tmp_path, monkeypatch,
+                                                         capsys, mode_args):
+        # the full-height piece [x_tilde + eps, 1/2) of strip B, its
+        # x-offset raised by 1/1000 in the builder the CLI calls
+        from bakerfr import cli
+
+        real = cli.build_composite
+
+        def corrupted(*args):
+            k = real(*args)
+            return dataclasses.replace(k, branches=tuple(
+                dataclasses.replace(b, offset=(b.offset[0] + F(1, 1000), b.offset[1]))
+                if b.x_lo == k.x_tilde + k.eps and b.label == RegionLabel.B else b
+                for b in k.branches))
+
+        monkeypatch.setattr(cli, "build_composite", corrupted)
+        rc = run(["fr", "--family", "composite", "--l", "1/8", "--n", "6",
+                  *mode_args, "--out", str(tmp_path / "fr")])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert out.startswith("fr [INCONSISTENT] mapK: x-factor ")
+        assert not (tmp_path / "fr.json").exists()
+
+    def test_exact_note_states_the_check(self, tmp_path):
+        out = tmp_path / "frk"
+        assert run(["fr", "--family", "composite", "--l", "1/8", "--n", "8",
+                    "--mode", "exact", "--out", str(out)]) == 0
+        payload = json.loads((tmp_path / "frk.json").read_text())
+        assert payload["all_pass"] is True
+        assert "x-factor equals map2's" in payload["notes"][0]
+
+    def test_density_projects_the_composite(self, tmp_path):
+        out = tmp_path / "dk"
+        assert run(["density", "--family", "composite", "--l", "1/8",
+                    "--out", str(out)]) == 0
+        payload = json.loads((tmp_path / "dk.json").read_text())
+        assert payload["family"] == "map2" and payload["agree"] is True
+
+
 class TestErrorHandling:
     def test_equilibrium_gives_explanatory_error(self, tmp_path, capsys):
         out = tmp_path / "bad"
@@ -184,6 +235,14 @@ class TestErrorHandling:
         (["fr", "--family", "map2", "--mode", "montecarlo", "--ensemble", "0",
           "--n", "10"], "ensemble=0"),
         (["multibaker", "--ensemble", "1", "--n", "10"], "at least 2 particles"),
+        (["fr", "--family", "map2", "--mode", "montecarlo", "--ensemble", "100",
+          "--n", "0"], "need n >= 1, got n=0"),
+        (["multibaker", "--ensemble", "100", "--n", "0"], "need n >= 1 steps, got n=0"),
+        (["fr", "--family", "map2", "--mode", "montecarlo", "--ensemble", "1000",
+          "--n", "5", "--transient", "-3"], "transient=-3"),
+        (["multibaker", "--ensemble", "100", "--n", "10", "--transient", "-1"],
+         "transient=-1"),
+        (["reversibility", "--ensemble", "-2"], "count=-2"),
     ])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, args, reason):
         sweep = tmp_path / "sweep.txt"

@@ -137,11 +137,23 @@ def test_region_index_equals_searchsorted():
 
 
 def test_refuses_regions_that_are_not_the_strips():
-    # the four-branch map with strip B cut in two: same x-action, but one
-    # strip index no longer names one region
+    # the four-branch map with strip B cut in two halves that act
+    # differently on x: two strips, but one region B
     m = build_generalized_baker(F(1, 8))
     a, b, c, d = sorted(m.branches, key=lambda br: br.x_lo)
-    halves = (dataclasses.replace(b, x_hi=F(1, 4)), dataclasses.replace(b, x_lo=F(1, 4)))
+    halves = (dataclasses.replace(b, x_hi=F(1, 4)),
+              dataclasses.replace(b, x_lo=F(1, 4), offset=(b.offset[0] + F(1, 100),
+                                                           b.offset[1])))
     split = dataclasses.replace(m, branches=(a, *halves, c, d))
     with pytest.raises(ValueError, match="region edges"):
         compile_map(split)
+
+
+def test_refuses_strips_labelled_unlike_the_regions():
+    # g is read from the strip labels, so strips B and C with swapped
+    # labels would count g with the wrong sign
+    m = build_generalized_baker(F(1, 8))
+    a, b, c, d = sorted(m.branches, key=lambda br: br.x_lo)
+    swapped = (dataclasses.replace(b, label=c.label), dataclasses.replace(c, label=b.label))
+    with pytest.raises(ValueError, match="region edges"):
+        compile_map(dataclasses.replace(m, branches=(a, *swapped, d)))

@@ -10,6 +10,7 @@ from bakerfr import fluctuation
 from bakerfr.fluctuation import (
     MAX_DP_STEPS,
     BinnedFRRow,
+    admissible_sequences,
     alpha_bounds_check,
     binned_fr_report,
     brute_force_distribution,
@@ -190,7 +191,7 @@ class TestAlphaBounds:
             rep = alpha_bounds_check(F(1, 8), n)
             assert rep.all_within
             assert rep.bound_min == F(1, 2) and rep.bound_max == 2
-            assert rep.extrema_attained
+            assert rep.attained_min == rep.bound_min and rep.attained_max == rep.bound_max
 
     def test_equilibrium_collapses_to_unity(self):
         rep = alpha_bounds_check(F(1, 4), 5)
@@ -206,6 +207,23 @@ class TestAlphaBounds:
     def test_bounds_property(self, l, n):
         rep = alpha_bounds_check(l, n)
         assert rep.all_within
+
+    @pytest.mark.parametrize("name,l", [("map1", F(2, 3)), ("map1", F(1, 5)),
+                                        ("map2", F(1, 8)), ("map2", F(3, 37))])
+    def test_boundary_formula_equals_the_ratio(self, name, l):
+        # read from the record alone: alpha is the measured ratio for every
+        # admissible sequence, and exactly 1 for the two-branch map
+        spec = chain_spec(name, l)
+        fam = spec.fam
+        for n in range(1, 7):
+            for seq in admissible_sequences(spec, n):
+                rev = tuple(fam.conjugacy[lab] for lab in reversed(seq))
+                g = sum(fam.g[lab] for lab in seq)
+                ratio = sequence_measure(spec, seq) / sequence_measure(spec, rev)
+                alpha = fluctuation._alpha_direct(spec, seq)
+                assert alpha == ratio / fam.unit_base ** g
+                if name == "map1":
+                    assert alpha == 1
 
 
 class TestMonteCarlo:
@@ -249,14 +267,6 @@ class TestMonteCarlo:
         sd = math.sqrt(sum((g - emp.mean_g()) ** 2 * c
                            for g, c in emp.counts.items()) / emp.total)
         assert abs(emp.mean_g()) <= 4 * sd / math.sqrt(emp.total)
-
-    def test_wilson_interval_covers_exact(self):
-        m = build_generalized_baker(F(1, 8))
-        emp = monte_carlo_distribution(m, 5, 50_000, 40, seed=14)
-        exact = exact_distribution("map2", F(1, 8), 5)
-        for g in emp.support():
-            lo, hi = emp.wilson(g, z=4.0)
-            assert lo <= float(exact.prob(g)) <= hi
 
     def test_empirical_report_passes(self):
         m = build_generalized_baker(F(1, 8))

@@ -98,7 +98,8 @@ class TestAverageContraction:
     def test_single_step_in_quiet_region(self):
         m = build_generalized_baker(F(1, 8))
         stats = average_contraction(m, PhasePoint(F(1, 16), F(1, 2)), 1)
-        assert stats.g == 0 and stats.lambda_bar == 0.0
+        phi = math.log(family(stats.family, stats.l).unit_base)
+        assert stats.g == 0 and stats.g * phi / stats.steps == 0.0
 
     def test_simple_map_count_relation(self):
         m = build_simple_baker(F(2, 3))
@@ -109,7 +110,8 @@ class TestAverageContraction:
         alpha = sum(1 for lab in seg.symbols.labels if lab == A)
         beta = n - alpha
         assert stats.g == alpha - beta
-        assert stats.lambda_bar * n == pytest.approx((alpha - beta) * math.log(2))
+        phi = math.log(family(stats.family, stats.l).unit_base)
+        assert stats.g * phi == pytest.approx((alpha - beta) * math.log(2))
 
     def test_e_n_rational_form(self):
         m = build_generalized_baker(F(1, 8))
@@ -119,7 +121,7 @@ class TestAverageContraction:
     def test_e_n_undefined_at_equilibrium(self):
         m = build_generalized_baker(F(1, 4))
         stats = average_contraction(m, PhasePoint(F(3, 7), F(2, 9)), 5)
-        assert stats.mean_is_zero and stats.e_n is None
+        assert family("map2", stats.l).psi == 0 and stats.e_n is None
 
     def test_e_n_bounded_by_domain_edge(self):
         # |e_n| <= (max contraction per step)/(mean contraction)
@@ -193,7 +195,8 @@ class TestReversedInitial:
         fwd = average_contraction(m, p, n)
         rev = average_contraction(m, reversed_initial(m, g, p, n), n)
         assert rev.g == -fwd.g
-        assert rev.lambda_bar == -fwd.lambda_bar
+        phi = math.log(family("map2", F(1, 8)).unit_base)
+        assert rev.g * phi / rev.steps == -(fwd.g * phi / fwd.steps)
 
 
 class TestReversedSymbols:
@@ -265,15 +268,3 @@ class TestDissipationFunction:
 def test_contraction_unit_bases():
     assert family("map1", F(2, 3)).unit_base == 2
     assert family("map2", F(1, 8)).unit_base == F(3, 2)
-
-
-def test_trajectory_csv_dump(tmp_path):
-    from bakerfr.observables import write_trajectory_csv
-
-    m = build_generalized_baker(F(1, 8))
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(m, PhasePoint(F(3, 7), F(2, 9)), 6, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,x,y,region,cumulative_g"
-    assert len(lines) == 8  # header + 7 visited points
-    assert lines[1].startswith("0,3/7,2/9,")

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from bakerfr.maps import (
 )
 from bakerfr.families import family
 from bakerfr.transfer import (
+    ConsistencyError,
     StepDensity,
     frobenius_perron_step,
     invariant_density,
@@ -21,12 +23,25 @@ from bakerfr.transfer import (
     project_unstable,
     region_measures,
     transition_matrix,
-    uniform_density,
+    verify_x_factor,
 )
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
 l_map2 = st.fractions(min_value=F(1, 40), max_value=F(1, 4), max_denominator=40)
+
+UNIFORM = StepDensity((F(0), F(1)), (F(1),))
+
+
+@st.composite
+def composite_strips(draw):
+    """(l, x_tilde, eps) with the fold strip [x_tilde, x_tilde + eps)
+    inside region B = [l, 1/2), eps = 0 included."""
+    l = draw(l_map2)
+    u = draw(st.fractions(F(0), F(1), max_denominator=30))
+    v = draw(st.fractions(F(0), F(29, 30), max_denominator=30))
+    x_tilde = l + (F(1, 2) - l) * u * F(99, 100)
+    return l, x_tilde, (F(1, 2) - x_tilde) * v
 
 
 class TestProjection:
@@ -39,19 +54,76 @@ class TestProjection:
         assert [b.slope for b in map1d.branches] == [4, F(4, 3), 2, 2]
 
     def test_perturbation_not_projectable(self):
-        with pytest.raises(MapConstructionError):
-            project_unstable(build_perturbation(F(1, 8)))
+        # the fold's two y-pieces share the identity's x-action, so the
+        # perturbation projects to the identity on x
+        map1d = project_unstable(build_perturbation(F(1, 8)))
+        assert [(b.lo, b.hi, b.slope, b.intercept) for b in map1d.branches] == [
+            (0, 1, 1, 0)]
+        # a y-split whose two pieces act differently on x does not project
+        m = build_simple_baker(F(2, 3))
+        a, b = m.branches
+        lower = dataclasses.replace(a, y_hi=F(1, 2))
+        upper = dataclasses.replace(a, y_lo=F(1, 2), offset=(F(1, 9), a.offset[1]))
+        split = dataclasses.replace(m, branches=(lower, upper, b))
+        with pytest.raises(MapConstructionError, match="differ in their x-action"):
+            project_unstable(split)
+
+    def test_pieces_must_cover_y(self):
+        # strip A of the two-branch map as a lower half over [0, l) and an
+        # upper half cut in x: one x-action, but the pieces over each
+        # x-interval cover only half of y, which the merge rule refuses
+        m = build_simple_baker(F(2, 3))
+        a, b = m.branches
+        pieces = (dataclasses.replace(a, y_hi=F(1, 2)),
+                  dataclasses.replace(a, x_hi=F(1, 3), y_lo=F(1, 2)),
+                  dataclasses.replace(a, x_lo=F(1, 3), y_lo=F(1, 2)))
+        with pytest.raises(MapConstructionError, match="leave y uncovered"):
+            project_unstable(dataclasses.replace(m, branches=(*pieces, b)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(strip=composite_strips())
+    def test_composite_projects_onto_the_base_map_strips(self, strip):
+        l, x_tilde, eps = strip
+        k = build_composite(l, x_tilde, eps)
+        base = project_unstable(build_generalized_baker(l)).branches
+        assert project_unstable(k).branches == base
+        assert [(b.lo, b.hi, b.label) for b in base] == list(family("map2", l).partition)
+        verify_x_factor(k)
+
+    def test_corrupted_fold_piece_does_not_project(self):
+        # one of the two y-pieces of the fold with a different x-offset
+        k = build_composite(F(1, 8))
+        fold = next(b for b in k.branches if b.x_lo == k.x_tilde and b.y_lo == 0)
+        bad = dataclasses.replace(fold, offset=(fold.offset[0] + F(1, 1000), fold.offset[1]))
+        corrupted = dataclasses.replace(
+            k, branches=tuple(bad if b is fold else b for b in k.branches))
+        with pytest.raises(MapConstructionError, match="differ in their x-action"):
+            project_unstable(corrupted)
+
+    def test_corrupted_full_height_piece_is_inconsistent(self):
+        # the piece [x_tilde + eps, 1/2) with its own x-offset still
+        # projects, but onto five strips instead of map2's four
+        k = build_composite(F(1, 8))
+        piece = next(b for b in k.branches
+                     if b.x_lo == k.x_tilde + k.eps and b.label == B)
+        bad = dataclasses.replace(piece, offset=(piece.offset[0] + F(1, 1000),
+                                                 piece.offset[1]))
+        corrupted = dataclasses.replace(
+            k, branches=tuple(bad if b is piece else b for b in k.branches))
+        assert len(project_unstable(corrupted).branches) == 5
+        with pytest.raises(ConsistencyError, match="x-factor"):
+            verify_x_factor(corrupted)
 
 
 class TestFrobeniusPerronStep:
     def test_simple_map_keeps_uniform(self):
         map1d = project_unstable(build_simple_baker(F(2, 3)))
-        assert frobenius_perron_step(map1d, uniform_density()).simplify() == uniform_density()
+        assert frobenius_perron_step(map1d, UNIFORM).simplify() == UNIFORM
 
     def test_one_step_equals_matrix_multiplication(self):
         l = F(1, 8)
         map1d = project_unstable(build_generalized_baker(l))
-        stepped = frobenius_perron_step(map1d, uniform_density())
+        stepped = frobenius_perron_step(map1d, UNIFORM)
         expected = (F(5, 4), F(3, 4))
         assert stepped.simplify() == StepDensity((F(0), F(1, 2), F(1)), expected)
 
@@ -85,11 +157,11 @@ class TestInvariantDensity:
 
     def test_equilibrium_is_uniform(self):
         rho = invariant_density(project_unstable(build_generalized_baker(F(1, 4))))
-        assert rho == uniform_density()
+        assert rho == UNIFORM
 
     def test_simple_map_is_uniform(self):
         rho = invariant_density(project_unstable(build_simple_baker(F(2, 3))))
-        assert rho == uniform_density()
+        assert rho == UNIFORM
 
     def test_exact_fixed_point(self):
         map1d = project_unstable(build_generalized_baker(F(1, 6)))
@@ -128,9 +200,16 @@ class TestTransitionMatrix:
             assert p[i, C] == 0 and p[i, D] == 0
 
     def test_rejects_a_map_not_made_of_strips(self):
-        # the composite's fold splits a branch of region B in y
-        with pytest.raises(MapConstructionError):
-            transition_matrix(build_composite(F(1, 8)))
+        # the composite's fold pieces merge back into strip B, so its chain
+        # is the base map's; an x-action that depends on y has no strips
+        l = F(1, 8)
+        assert transition_matrix(build_composite(l)) == transition_matrix(
+            build_generalized_baker(l))
+        m = build_generalized_baker(l)
+        a, b, c, d = m.branches
+        sheared = dataclasses.replace(b, linear=((b.linear[0][0], F(1, 100)), b.linear[1]))
+        with pytest.raises(MapConstructionError, match="depends on y"):
+            transition_matrix(dataclasses.replace(m, branches=(a, sheared, c, d)))
 
 
 class TestRegionMeasures:
@@ -174,4 +253,4 @@ class TestStepDensity:
         rho = StepDensity((F(0), F(1, 2), F(1)), (F(1), F(1)))
         assert rho.value_at(F(1, 4)) == 1
         assert rho.value_at(F(1)) == 1
-        assert rho.simplify() == uniform_density()
+        assert rho.simplify() == UNIFORM
