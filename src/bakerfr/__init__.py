@@ -50,8 +50,6 @@ from bakerfr.observables import (
     average_contraction,
     dissipation_function,
     lambda_at,
-    mean_lambda_analytic,
-    mean_lambda_exact,
     reversed_initial,
     reversed_symbol_sequence,
     trajectory_segment,

@@ -45,6 +45,11 @@ _ONE = Fraction(1)
 MAX_DP_STEPS = 2000
 MAX_BRUTE_FORCE = 12
 
+# Monte-Carlo ratio test: a +/-g pair is tested when both sides hold at
+# least MIN_COUNT samples, and passes within Z_SCORE standard errors
+Z_SCORE = 4.0
+MIN_COUNT = 25
+
 
 # ---------------------------------------------------------------------------
 # symbolic Markov chains of the two families
@@ -545,8 +550,6 @@ class EmpiricalFRReport:
     n: int
     total: int
     seed: int
-    z: float
-    min_count: int
     rows: tuple[EmpiricalFRRow, ...]
     notes: tuple[str, ...] = ()
 
@@ -563,8 +566,8 @@ class EmpiricalFRReport:
             "n": self.n,
             "samples": self.total,
             "seed": self.seed,
-            "z": self.z,
-            "min_count": self.min_count,
+            "z": Z_SCORE,
+            "min_count": MIN_COUNT,
             "all_pass": self.all_pass,
             "notes": list(self.notes),
             "rows": [
@@ -576,12 +579,11 @@ class EmpiricalFRReport:
         }
 
 
-def empirical_fr_report(emp: EmpiricalDistribution, z: float = 4.0,
-                        min_count: int = 25,
+def empirical_fr_report(emp: EmpiricalDistribution,
                         notes: tuple[str, ...] = ()) -> EmpiricalFRReport:
     """Statistical version of the ratio test: a populated +/-g pair passes
-    when |ln ratio - g ln(base)| <= ln(alpha_max) + z standard errors of
-    the log ratio.  Pairs with fewer than `min_count` counts on either
+    when |ln ratio - g ln(base)| <= ln(alpha_max) + Z_SCORE standard errors
+    of the log ratio.  Pairs with fewer than MIN_COUNT counts on either
     side are excluded as too noisy to test."""
     fam = families.family(emp.family, emp.l)
     base = fam.unit_base
@@ -592,22 +594,21 @@ def empirical_fr_report(emp: EmpiricalDistribution, z: float = 4.0,
         if g <= 0:
             continue
         k_plus, k_minus = emp.counts.get(g, 0), emp.counts.get(-g, 0)
-        if min(k_plus, k_minus) < min_count:
+        if min(k_plus, k_minus) < MIN_COUNT:
             continue
         p_plus, p_minus = k_plus / emp.total, k_minus / emp.total
         lhs = math.log(k_plus / k_minus)
         sigma = math.sqrt((1 - p_plus) / k_plus + (1 - p_minus) / k_minus)
         bound = math.log(a_max)
-        passed = abs(lhs - g * log_base) <= bound + z * sigma
+        passed = abs(lhs - g * log_base) <= bound + Z_SCORE * sigma
         rows.append(EmpiricalFRRow(g, k_plus, k_minus, lhs, g * log_base,
                                    bound, sigma, passed))
     return EmpiricalFRReport(emp.family, emp.l, emp.n, emp.total, emp.seed,
-                             z, min_count, tuple(rows), notes)
+                             tuple(rows), notes)
 
 
 def verify_fr_irreversible(k_map: PiecewiseAffineMap, n: int, ensemble: int,
-                           transient: int, seed: int, z: float = 4.0,
-                           min_count: int = 25) -> EmpiricalFRReport:
+                           transient: int, seed: int) -> EmpiricalFRReport:
     """Ratio test under the non-invertible composite map.
 
     First verifies the structural claims that make the test meaningful:
@@ -636,7 +637,7 @@ def verify_fr_irreversible(k_map: PiecewiseAffineMap, n: int, ensemble: int,
     emp = monte_carlo_distribution(k_map, n, ensemble, transient, seed)
     notes = ("perturbation preserves x and folds only inside region B; "
              "region statistics match the reversible map",)
-    return empirical_fr_report(emp, z=z, min_count=min_count, notes=notes)
+    return empirical_fr_report(emp, notes=notes)
 
 
 def write_fr_csv(report, path) -> None:

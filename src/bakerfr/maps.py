@@ -1,10 +1,11 @@
-"""Piecewise-affine maps of the unit square with a dual numeric backend.
+"""Piecewise-affine maps of the unit square, in exact arithmetic.
 
-All map coefficients are exact rationals.  Points carry either ``Fraction``
-coordinates (identities, enumeration) or ``float`` coordinates (sampling);
-an affine step preserves the flavour of its input.  Branch domains follow
-the half-open convention ``[lo, hi)`` with the top edge of the square
-closed, which makes region membership total and deterministic.
+All map coefficients are exact rationals, and a `PhasePoint` holds
+``Fraction`` coordinates only, so every step of an orbit is exact.  The
+float sampler is `bakerfr.ensembles`, which integrates the x-action read
+from `transfer.project_unstable`.  Branch domains follow the half-open
+convention ``[lo, hi)`` with the top edge of the square closed
+(`in_interval`), which makes region membership total and deterministic.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
-
-Scalar = Union[Fraction, float]
+from typing import Optional, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -63,20 +62,23 @@ def as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point of the unit square."""
+    """A point of the unit square with exact rational coordinates."""
 
-    x: Scalar
-    y: Scalar
+    x: Fraction
+    y: Fraction
 
-    def is_rational(self) -> bool:
-        return isinstance(self.x, Fraction) and isinstance(self.y, Fraction)
+    def __post_init__(self):
+        if not (isinstance(self.x, Fraction) and isinstance(self.y, Fraction)):
+            raise TypeError(
+                f"PhasePoint needs Fraction coordinates, got {self.x!r}, {self.y!r}")
 
     def in_unit_square(self) -> bool:
         return 0 <= self.x <= 1 and 0 <= self.y <= 1
 
 
-def _in_interval(v: Scalar, lo: Fraction, hi: Fraction) -> bool:
-    # [lo, hi), closed at the top edge of the square
+def in_interval(v: Fraction, lo: Fraction, hi: Fraction) -> bool:
+    """Half-open membership v in [lo, hi), closed at the top edge 1 of
+    the square."""
     return (lo <= v < hi) or (v == hi == 1)
 
 
@@ -118,7 +120,7 @@ class AffineBranch:
     # -- geometry ---------------------------------------------------------
 
     def contains(self, p: PhasePoint) -> bool:
-        return _in_interval(p.x, self.x_lo, self.x_hi) and _in_interval(
+        return in_interval(p.x, self.x_lo, self.x_hi) and in_interval(
             p.y, self.y_lo, self.y_hi
         )
 
@@ -146,7 +148,7 @@ class AffineBranch:
 
     def image_contains(self, p: PhasePoint) -> bool:
         x_lo, x_hi, y_lo, y_hi = self.image_rect
-        return _in_interval(p.x, x_lo, x_hi) and _in_interval(p.y, y_lo, y_hi)
+        return in_interval(p.x, x_lo, x_hi) and in_interval(p.y, y_lo, y_hi)
 
     def is_monomial(self) -> bool:
         (a, b), (c, d) = self.linear
@@ -157,10 +159,6 @@ class AffineBranch:
     def apply(self, p: PhasePoint) -> PhasePoint:
         x = self.linear[0][0] * p.x + self.linear[0][1] * p.y + self.offset[0]
         y = self.linear[1][0] * p.x + self.linear[1][1] * p.y + self.offset[1]
-        if not isinstance(x, Fraction):
-            x = min(max(x, 0.0), 1.0)
-        if not isinstance(y, Fraction):
-            y = min(max(y, 0.0), 1.0)
         return PhasePoint(x, y)
 
     def apply_inverse(self, p: PhasePoint) -> PhasePoint:
@@ -265,7 +263,7 @@ class PiecewiseAffineMap:
         if part is None:
             raise ValueError(f"{self.name} carries no region partition")
         for lo, hi, label in part:
-            if _in_interval(p.x, lo, hi):
+            if in_interval(p.x, lo, hi):
                 return label
         raise ValueError(f"x={p.x} not covered by the region partition")
 
@@ -332,11 +330,11 @@ def build_generalized_baker(l) -> PiecewiseAffineMap:
 
 
 def build_involution(map_kind: str) -> PiecewiseAffineMap:
-    """Time-reversal involution for the given family.
+    """Time-reversal involution of family "map1" or "map2".
 
-    For the simple map this is the mirror (x, y) -> (1-y, 1-x).  For the
-    generalized map it swaps the left and right halves of the square and
-    mirrors each half along its anti-diagonal (rescaled):
+    For map1 this is the mirror (x, y) -> (1-y, 1-x).  For map2 it swaps
+    the left and right halves of the square and mirrors each half along
+    its anti-diagonal (rescaled):
 
         (x, y) -> (1 - y/2,   1 - 2x)   for x <  1/2,
         (x, y) -> (1/2 - y/2, 2 - 2x)   for x >= 1/2.
@@ -344,12 +342,12 @@ def build_involution(map_kind: str) -> PiecewiseAffineMap:
     Both have unit jacobian everywhere and square to the identity on the
     interior of the square.
     """
-    if map_kind in ("simple", "map1"):
+    if map_kind == "map1":
         branch = AffineBranch(
             0, 1, 0, 1, ((_ZERO, -_ONE), (-_ONE, _ZERO)), (_ONE, _ONE)
         )
         return PiecewiseAffineMap("involution1", (branch,), family="map1")
-    if map_kind in ("generalized", "map2"):
+    if map_kind == "map2":
         branches = (
             AffineBranch(0, _HALF, 0, 1,
                          ((_ZERO, -_HALF), (-Fraction(2), _ZERO)), (_ONE, _ONE)),
@@ -480,9 +478,9 @@ class ReversibilityReport:
         }
 
 
-def _shrunken_corners(lo, hi, delta=Fraction(1, 4096)) -> list[Fraction]:
-    w = hi - lo
-    return [lo + w * delta, hi - w * delta]
+def _shrunken_corners(lo, hi) -> list[Fraction]:
+    inset = (hi - lo) / 4096
+    return [lo + inset, hi - inset]
 
 
 def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
@@ -506,8 +504,6 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
     failures: list[IdentityFailure] = []
 
     def run_point(p: PhasePoint):
-        if not p.is_rational():
-            raise ValueError("reversibility verification needs rational samples")
         gg = involution.apply(involution.apply(p))
         if gg == p:
             checks["involution_squares_to_identity"] += 1
@@ -550,16 +546,16 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
     return ReversibilityReport(m.name, count, checks, failures)
 
 
-def random_rational_points(count: int, seed: int,
-                           denominator: int = SAMPLE_DENOMINATOR) -> list[PhasePoint]:
+def random_rational_points(count: int, seed: int) -> list[PhasePoint]:
     """Random interior points with a fixed prime denominator, so iterates
     can never hit the branch boundaries of the map families exactly."""
     if count < 0:
         raise ValueError(f"need a sample count >= 0, got count={count}")
     rng = random.Random(seed)
+    den = SAMPLE_DENOMINATOR
     return [
-        PhasePoint(Fraction(rng.randint(1, denominator - 1), denominator),
-                   Fraction(rng.randint(1, denominator - 1), denominator))
+        PhasePoint(Fraction(rng.randint(1, den - 1), den),
+                   Fraction(rng.randint(1, den - 1), den))
         for _ in range(count)
     ]
 

@@ -10,16 +10,16 @@ every identity is checked on g rather than on accumulated float logs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from bakerfr import families
-from bakerfr.maps import PhasePoint, PiecewiseAffineMap, RegionLabel
+from bakerfr.maps import PhasePoint, PiecewiseAffineMap, RegionLabel, build_involution
 from bakerfr.transfer import ConsistencyError, StepDensity
 
-#: exact-backend iteration guard; rational coordinates grow geometrically
-#: with the step count, so long runs belong to the float backend.
+#: exact iteration guard: the denominators of rational coordinates grow
+#: geometrically with the step count
 MAX_EXACT_STEPS = 64
 
 
@@ -28,7 +28,9 @@ class UndefinedValueError(ValueError):
 
 
 def mean_g_per_step(family: str, l) -> Fraction:
-    """Steady-state expectation of the per-step g increment."""
+    """Steady-state expectation of the per-step g increment, the same as
+    `family(family, l).psi`.  Kept by name because the benchmark tracer
+    (`perfbench/tracer.py`) binds it."""
     return families.family(family, l).psi
 
 
@@ -36,16 +38,13 @@ def mean_g_per_step(family: str, l) -> Fraction:
 class SymbolSequence:
     labels: tuple[RegionLabel, ...]
     family: str
-    admissible: bool = None
+    admissible: bool = field(init=False)   # every transition is allowed
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         succ = families.symbols(self.family).successors
-        ok = all(b in succ[a] for a, b in zip(self.labels, self.labels[1:]))
-        if self.admissible is None:
-            object.__setattr__(self, "admissible", ok)
-        elif self.admissible != ok:
-            raise ValueError("declared admissibility contradicts the labels")
+        object.__setattr__(self, "admissible", all(
+            b in succ[a] for a, b in zip(self.labels, self.labels[1:])))
 
     def __len__(self):
         return len(self.labels)
@@ -56,32 +55,23 @@ class SymbolSequence:
         g = families.symbols(self.family).g
         return sum(g[lab] for lab in labels)
 
-    def text(self) -> str:
-        return "".join(lab.value for lab in self.labels)
-
 
 @dataclass(frozen=True)
 class TrajectorySegment:
     initial: PhasePoint
     steps: int
     symbols: SymbolSequence
-    points: Optional[tuple[PhasePoint, ...]] = None
 
 
-def trajectory_segment(m: PiecewiseAffineMap, x0: PhasePoint, n: int,
-                       keep_points: bool = False,
-                       max_exact_steps: int = MAX_EXACT_STEPS) -> TrajectorySegment:
-    """Evolve n steps and record the n+1 visited region labels."""
+def trajectory_segment(m: PiecewiseAffineMap, x0: PhasePoint, n: int) -> TrajectorySegment:
+    """Evolve n steps (at most MAX_EXACT_STEPS) and record the n+1 visited
+    region labels."""
     if n < 0:
         raise ValueError("need n >= 0")
-    if x0.is_rational() and n > max_exact_steps:
-        raise ValueError(
-            f"{n} exact-rational steps exceed the cap {max_exact_steps}; "
-            "raise max_exact_steps explicitly or use float coordinates")
-    orbit = m.iterate(x0, n)
-    labels = tuple(m.region_of(p) for p in orbit)
-    seq = SymbolSequence(labels, m.family)
-    return TrajectorySegment(x0, n, seq, tuple(orbit) if keep_points else None)
+    if n > MAX_EXACT_STEPS:
+        raise ValueError(f"{n} exact-rational steps exceed the cap {MAX_EXACT_STEPS}")
+    labels = tuple(m.region_of(p) for p in m.iterate(x0, n))
+    return TrajectorySegment(x0, n, SymbolSequence(labels, m.family))
 
 
 @dataclass(frozen=True)
@@ -105,12 +95,11 @@ class ContractionStats:
         return Fraction(self.g, self.steps) / psi
 
 
-def average_contraction(m: PiecewiseAffineMap, x0: PhasePoint, n: int,
-                        max_exact_steps: int = MAX_EXACT_STEPS) -> ContractionStats:
+def average_contraction(m: PiecewiseAffineMap, x0: PhasePoint, n: int) -> ContractionStats:
     """Average contraction over the n labels of x_0 .. x_{n-1}."""
     if n < 1:
         raise ValueError("need n >= 1")
-    seg = trajectory_segment(m, x0, n - 1, max_exact_steps=max_exact_steps)
+    seg = trajectory_segment(m, x0, n - 1)
     g = seg.symbols.g()
     return ContractionStats(m.family, m.l, g, n)
 
@@ -120,35 +109,19 @@ def lambda_at(m: PiecewiseAffineMap, p: PhasePoint) -> float:
     return -math.log(m.jacobian_at(p))
 
 
-def mean_lambda_exact(family: str, l) -> tuple[Fraction, Fraction]:
-    """Steady-state mean contraction as (coefficient, base) with
-    <Lambda> = coefficient * ln(base).  For the four-branch map the
-    coefficient is verified across two independent derivations (current
-    formula in the bias parameter; region measures) when the family
-    record is built."""
-    fam = families.family(family, l)
-    return fam.psi, fam.unit_base
-
-
-def mean_lambda_analytic(family: str, l) -> float:
-    coeff, base = mean_lambda_exact(family, l)
-    return float(coeff) * math.log(base)
-
-
 def reversed_initial(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
-                     x0: PhasePoint, n: int, check: bool = True,
-                     max_exact_steps: int = MAX_EXACT_STEPS) -> PhasePoint:
+                     x0: PhasePoint, n: int, check: bool = True) -> PhasePoint:
     """Initial condition of the time-reversed segment: the involution
-    applied to the point one step past the forward segment.  In exact mode
-    the equivalent backward construction (n inverse steps from the
-    reversed start) is asserted to agree."""
-    if x0.is_rational() and n > max_exact_steps:
-        raise ValueError(f"{n} exact steps exceed the cap {max_exact_steps}")
+    applied to the point one step past the forward segment (n at most
+    MAX_EXACT_STEPS).  With `check`, the equivalent backward construction
+    (n inverse steps from the reversed start) is asserted to agree."""
+    if n > MAX_EXACT_STEPS:
+        raise ValueError(f"{n} exact-rational steps exceed the cap {MAX_EXACT_STEPS}")
     forward_end = x0
     for _ in range(n):
         forward_end = m.apply(forward_end)
     rev = involution.apply(forward_end)
-    if check and x0.is_rational():
+    if check:
         back = involution.apply(x0)
         for _ in range(n):
             back = m.apply_inverse(back)
@@ -168,17 +141,13 @@ def reversed_symbol_sequence(seq: SymbolSequence) -> SymbolSequence:
 
 
 def dissipation_function(m: PiecewiseAffineMap, rho: Optional[StepDensity],
-                         p: PhasePoint,
-                         involution: Optional[PiecewiseAffineMap] = None) -> float:
-    """ln(rho(p) / rho(reversed image of p)) plus the local contraction.
+                         p: PhasePoint) -> float:
+    """ln(rho(p) / rho(reversed image of p)) plus the local contraction,
+    with the involution of `m`'s family.
 
     `rho` is the projected x-density (None means uniform, for which the
     output equals the local contraction rate)."""
-    from bakerfr.maps import build_involution
-
-    if involution is None:
-        involution = build_involution(m.family)
-    gmp = involution.apply(m.apply(p))
+    gmp = build_involution(m.family).apply(m.apply(p))
     lam = lambda_at(m, p)
     if rho is None:
         return lam

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from bakerfr.maps import SCHEMA_VERSION, RegionLabel, as_fraction, build_simple_baker
+from bakerfr.maps import SCHEMA_VERSION, RegionLabel, as_fraction, build_simple_baker, in_interval
 from bakerfr.fluctuation import (
     SymbolDistribution,
     admissible_sequences,
@@ -76,7 +76,7 @@ def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
         x = _compose_fixed_point(by_label, code)
         pt = x
         for lab in code:
-            if not (by_label[lab].lo <= pt < by_label[lab].hi or pt == by_label[lab].hi == 1):
+            if not in_interval(pt, by_label[lab].lo, by_label[lab].hi):
                 raise ConsistencyError(f"code {code} not realized at x={x}")
             pt = by_label[lab](pt)
         if pt != x:

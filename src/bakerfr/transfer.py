@@ -21,15 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from bakerfr.maps import (
     MapConstructionError,
     PiecewiseAffineMap,
     RegionLabel,
+    in_interval,
 )
-
-Scalar = Union[Fraction, float]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -79,7 +78,7 @@ class Map1D:
 
     def apply(self, x):
         for b in self.branches:
-            if b.lo <= x < b.hi or (x == b.hi == 1):
+            if in_interval(x, b.lo, b.hi):
                 return b(x)
         raise ValueError(f"x={x} not in any branch of {self.name}")
 
@@ -118,10 +117,15 @@ def verify_x_factor(m: PiecewiseAffineMap) -> None:
     `m` must equal that of `family(m.family, m.l).build_map()`, branch for
     branch and label for label, or `ConsistencyError` is raised.  For the
     composite this is the reduction to the reversible map: the strip law,
-    hence the law of g, is the base map's."""
+    hence the law of g, is the base map's.  A map that does not project
+    at all (`MapConstructionError` from `project_unstable(m)`) fails the
+    same check."""
     from bakerfr.families import family
 
-    got = project_unstable(m).branches
+    try:
+        got = project_unstable(m).branches
+    except MapConstructionError as exc:
+        raise ConsistencyError(f"{m.name}: x-factor does not exist: {exc}") from None
     want = project_unstable(family(m.family, m.l).build_map()).branches
     if got != want:
         def text(branches):
@@ -140,8 +144,8 @@ def verify_x_factor(m: PiecewiseAffineMap) -> None:
 class StepDensity:
     """Piecewise-constant probability density on [0, 1]."""
 
-    breakpoints: tuple[Scalar, ...]
-    values: tuple[Scalar, ...]
+    breakpoints: tuple[Fraction, ...]
+    values: tuple[Fraction, ...]
 
     def __post_init__(self):
         bp, vals = tuple(self.breakpoints), tuple(self.values)
@@ -154,10 +158,7 @@ class StepDensity:
         if any(v < 0 for v in vals):
             raise ValueError("density values must be non-negative")
         total = self.integral()
-        if isinstance(total, Fraction):
-            if total != 1:
-                raise ValueError(f"density integrates to {total}, not 1")
-        elif abs(total - 1.0) > 1e-12:
+        if total != 1:
             raise ValueError(f"density integrates to {total}, not 1")
 
     def integral(self):
@@ -168,7 +169,7 @@ class StepDensity:
         if not 0 <= x <= 1:
             raise ValueError(f"x={x} outside [0, 1]")
         for a, b, v in zip(self.breakpoints, self.breakpoints[1:], self.values):
-            if a <= x < b or (x == b == 1):
+            if in_interval(x, a, b):
                 return v
         raise AssertionError("unreachable")
 
@@ -184,7 +185,7 @@ class StepDensity:
                 bp.append(b)
         return StepDensity(tuple(bp), tuple(vals))
 
-    def rows(self) -> list[tuple[Scalar, Scalar]]:
+    def rows(self) -> list[tuple[Fraction, Fraction]]:
         """(breakpoint, value) rows for CSV output; the final breakpoint 1
         repeats the last value so step plots close."""
         out = list(zip(self.breakpoints, self.values))
@@ -306,14 +307,19 @@ def cell_transfer_matrix(map1d: Map1D) -> list[list[Fraction]]:
     return [[cols[j][i] for j in range(k)] for i in range(k)]
 
 
-def invariant_density(map1d: Map1D, tol: float = 1e-12,
-                      max_iter: int = 10_000) -> StepDensity:
+# float power iteration (the cross-check of `invariant_density`): stop at a
+# sup-norm residual of POWER_TOL, give up after POWER_MAX_ITER steps
+POWER_TOL = 1e-12
+POWER_MAX_ITER = 10_000
+
+
+def invariant_density(map1d: Map1D) -> StepDensity:
     """Exact stationary density of the projected operator.
 
     Solves the unit-eigenvalue problem of the cell-transfer matrix with
     rational elimination, asserts the result is an exact fixed point of
-    the Frobenius-Perron step, and cross-checks against float power
-    iteration (sup-norm residual <= tol within max_iter)."""
+    the Frobenius-Perron step, and cross-checks it cell by cell against
+    `invariant_density_power` (within 100 POWER_TOL)."""
     edges = markov_cells(map1d)
     t = cell_transfer_matrix(map1d)
     k = len(t)
@@ -330,34 +336,34 @@ def invariant_density(map1d: Map1D, tol: float = 1e-12,
     stepped = frobenius_perron_step(map1d, rho)
     if stepped.simplify() != rho.simplify():
         raise ConsistencyError("eigen-solution is not a fixed point of the operator")
-    power = invariant_density_power(map1d, tol=tol, max_iter=max_iter)
-    worst = max(abs(float(a) - b) for a, b in zip(v, power.values))
-    if worst > 100 * tol:
+    power = invariant_density_power(map1d)
+    worst = max(abs(float(a) - b) for a, b in zip(v, power))
+    if worst > 100 * POWER_TOL:
         raise ConsistencyError(
             f"power iteration disagrees with the exact solution by {worst:.3e}")
     return rho.simplify()
 
 
-def invariant_density_power(map1d: Map1D, tol: float = 1e-12,
-                            max_iter: int = 10_000) -> StepDensity:
-    """Stationary density by float power iteration on the cell values;
-    independent of the exact eigen-solve."""
+def invariant_density_power(map1d: Map1D) -> list[float]:
+    """Stationary density values on the cells of `markov_cells(map1d)`, by
+    float power iteration; independent of the exact eigen-solve.  A
+    cross-check, not a density: the values are floats."""
     edges = markov_cells(map1d)
     widths = [float(b - a) for a, b in zip(edges, edges[1:])]
     t = [[float(x) for x in row] for row in cell_transfer_matrix(map1d)]
     k = len(t)
     v = [1.0] * k
     residual = float("inf")
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         new = [sum(t[i][j] * v[j] for j in range(k)) for i in range(k)]
         mass = sum(val * w for val, w in zip(new, widths))
         new = [val / mass for val in new]
         residual = max(abs(a - b) for a, b in zip(new, v))
         v = new
-        if residual <= tol:
-            return StepDensity(tuple(float(e) for e in edges), tuple(v))
-    raise ConvergenceError(f"power iteration did not reach {tol} in {max_iter} steps",
-                           residual)
+        if residual <= POWER_TOL:
+            return v
+    raise ConvergenceError(
+        f"power iteration did not reach {POWER_TOL} in {POWER_MAX_ITER} steps", residual)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +425,9 @@ def region_measures(m: PiecewiseAffineMap) -> dict[RegionLabel, Fraction]:
 
 
 def write_density_csv(rho: StepDensity, path) -> None:
-    """CSV rows (breakpoint, value); rationals as num/den text."""
+    """CSV rows (breakpoint, value) as num/den text."""
     def fmt(v):
-        return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else repr(v)
+        return f"{v.numerator}/{v.denominator}"
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("breakpoint,value\n")

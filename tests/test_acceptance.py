@@ -30,7 +30,7 @@ from bakerfr.multibaker import (
     simulate_current,
 )
 from bakerfr.families import family
-from bakerfr.observables import average_contraction, mean_lambda_exact
+from bakerfr.observables import average_contraction
 from bakerfr.periodic_orbits import enumerate_orbits, upo_distribution
 from bakerfr.transfer import (
     invariant_density,
@@ -149,12 +149,11 @@ def test_criterion_07_generalized_band_and_alpha():
 
 
 def test_criterion_08_analytic_steady_state():
-    # exact route agreement (asserted inside mean_lambda_exact)
+    # exact route agreement (also checked when each family record is built)
     for l in (F(1, 8), F(1, 6), F(1, 5)):
-        coeff, base = mean_lambda_exact("map2", l)
-        assert coeff == analytic_current(l)
-    coeff1, base1 = mean_lambda_exact("map1", F(2, 3))
-    assert (coeff1, base1) == (F(1, 3), F(2, 1))
+        assert family("map2", l).psi == analytic_current(l)
+    fam1 = family("map1", F(2, 3))
+    assert (fam1.psi, fam1.unit_base) == (F(1, 3), F(2, 1))
     # Monte-Carlo mean with one million samples
     l = F(1, 8)
     n = 10
@@ -165,7 +164,7 @@ def test_criterion_08_analytic_steady_state():
     var_g = (sum(g * g * c for g, c in emp.counts.items()) / emp.total
              - emp.mean_g() ** 2)
     stderr = phi / n * math.sqrt(var_g / emp.total)
-    lam = float(mean_lambda_exact("map2", l)[0]) * phi
+    lam = float(family("map2", l).psi) * phi
     ok = abs(lam_hat - lam) <= 4 * stderr and stderr / lam < 0.01
     report(8, ok,
            f"mean contraction {lam_hat:.6f} vs analytic {lam:.6f} "

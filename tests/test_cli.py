@@ -170,24 +170,35 @@ class TestDeterminism:
                 assert content_a == content_b
 
 
+# pieces of the composite's strip B: the full-height piece right of the
+# fold, and the lower fold piece, which shares its x-interval with the upper
+CORRUPTED_PIECES = {
+    "full_height": lambda k, b: b.x_lo == k.x_tilde + k.eps and b.label == RegionLabel.B,
+    "fold": lambda k, b: b.x_lo == k.x_tilde and b.y_hi == F(1, 2),
+}
+
+
 class TestCompositeCheck:
+    @pytest.mark.parametrize("piece", sorted(CORRUPTED_PIECES))
     @pytest.mark.parametrize("mode_args", [
         ["--mode", "exact"],
         ["--mode", "montecarlo", "--ensemble", "2000", "--transient", "10"],
     ])
-    def test_corrupted_full_height_piece_is_inconsistent(self, tmp_path, monkeypatch,
-                                                         capsys, mode_args):
-        # the full-height piece [x_tilde + eps, 1/2) of strip B, its
-        # x-offset raised by 1/1000 in the builder the CLI calls
+    def test_corrupted_piece_is_inconsistent(self, tmp_path, monkeypatch, capsys,
+                                             mode_args, piece):
+        # one piece of strip B, its x-offset raised by 1/1000 in the
+        # builder the CLI calls
         from bakerfr import cli
 
         real = cli.build_composite
+        hit = CORRUPTED_PIECES[piece]
 
         def corrupted(*args):
             k = real(*args)
+            assert sum(hit(k, b) for b in k.branches) == 1
             return dataclasses.replace(k, branches=tuple(
                 dataclasses.replace(b, offset=(b.offset[0] + F(1, 1000), b.offset[1]))
-                if b.x_lo == k.x_tilde + k.eps and b.label == RegionLabel.B else b
+                if hit(k, b) else b
                 for b in k.branches))
 
         monkeypatch.setattr(cli, "build_composite", corrupted)

@@ -112,6 +112,11 @@ class TestInvolutions:
         p = PhasePoint(F(3, 10), F(4, 5))
         assert g.apply_inverse(p) == g.apply(p)
 
+    @pytest.mark.parametrize("kind", ["simple", "generalized", "map3"])
+    def test_only_family_names(self, kind):
+        with pytest.raises(MapConstructionError):
+            build_involution(kind)
+
 
 class TestPerturbation:
     def test_strip_folds_lower_half(self):
@@ -178,11 +183,17 @@ class TestApplyInverse:
                 assert m.apply_inverse(m.apply(p)) == p
 
 
+@pytest.mark.parametrize("x,y", [(0.5, F(1, 2)), (F(1, 2), 0.5)])
+def test_float_coordinates_are_rejected(x, y):
+    with pytest.raises(TypeError):
+        PhasePoint(x, y)
+
+
 def test_rational_orbits_stay_rational():
     m = build_generalized_baker(F(1, 8))
     p = PhasePoint(F(3, 7), F(2, 9))
     for q in m.iterate(p, 20):
-        assert q.is_rational() and q.in_unit_square()
+        assert isinstance(q.x, F) and isinstance(q.y, F) and q.in_unit_square()
 
 
 @settings(max_examples=40)

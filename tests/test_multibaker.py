@@ -14,7 +14,8 @@ from bakerfr.multibaker import (
     linear_response_sweep,
     simulate_current,
 )
-from bakerfr.observables import average_contraction, mean_lambda_exact
+from bakerfr.families import family
+from bakerfr.observables import average_contraction
 from bakerfr.transfer import region_measures
 from bakerfr.maps import RegionLabel
 
@@ -68,8 +69,7 @@ class TestAnalyticCurrent:
     @settings(max_examples=15)
     @given(l=l_map2)
     def test_mean_contraction_is_current_times_unit(self, l):
-        coeff, _base = mean_lambda_exact("map2", l)
-        assert coeff == analytic_current(l)
+        assert family("map2", l).psi == analytic_current(l)
 
 
 class TestSimulateCurrent:

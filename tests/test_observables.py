@@ -23,8 +23,6 @@ from bakerfr.observables import (
     dissipation_function,
     lambda_at,
     mean_g_per_step,
-    mean_lambda_analytic,
-    mean_lambda_exact,
     reversed_initial,
     reversed_symbol_sequence,
     trajectory_segment,
@@ -62,15 +60,14 @@ class TestTrajectorySegment:
     def test_symbols_match_orbit_regions(self):
         m = build_generalized_baker(F(1, 8))
         p = PhasePoint(F(3, 7), F(2, 9))
-        seg = trajectory_segment(m, p, 8, keep_points=True)
-        assert seg.symbols.labels == tuple(m.region_of(q) for q in seg.points)
+        seg = trajectory_segment(m, p, 8)
+        assert seg.symbols.labels == tuple(m.region_of(q) for q in m.iterate(p, 8))
 
     def test_exact_step_cap(self):
         m = build_generalized_baker(F(1, 8))
         with pytest.raises(ValueError):
             trajectory_segment(m, PhasePoint(F(1, 3), F(1, 3)), 65)
-        trajectory_segment(m, PhasePoint(F(1, 3), F(1, 3)), 65,
-                           max_exact_steps=100)
+        trajectory_segment(m, PhasePoint(F(1, 3), F(1, 3)), 64)
 
     @settings(max_examples=25)
     @given(p=points)
@@ -133,31 +130,34 @@ class TestAverageContraction:
 
 
 class TestMeanLambda:
+    # <Lambda> = psi ln(unit_base), read from the family record
     def test_simple_symmetric_vanishes(self):
-        assert mean_lambda_analytic("map1", F(1, 2)) == 0.0
+        fam = family("map1", F(1, 2))
+        assert float(fam.psi) * math.log(fam.unit_base) == 0.0
 
     def test_generalized_value(self):
-        coeff, base = mean_lambda_exact("map2", F(1, 8))
-        assert (coeff, base) == (F(1, 3), F(3, 2))
-        assert mean_lambda_analytic("map2", F(1, 8)) == pytest.approx(
+        fam = family("map2", F(1, 8))
+        assert (fam.psi, fam.unit_base) == (F(1, 3), F(3, 2))
+        assert float(fam.psi) * math.log(fam.unit_base) == pytest.approx(
             math.log(1.5) / 3)
 
     def test_equilibrium_vanishes(self):
-        assert mean_lambda_analytic("map2", F(1, 4)) == 0.0
+        fam = family("map2", F(1, 4))
+        assert float(fam.psi) * math.log(fam.unit_base) == 0.0
 
     def test_simple_form(self):
-        coeff, base = mean_lambda_exact("map1", F(2, 3))
-        assert coeff == F(1, 3) and base == 2
+        fam = family("map1", F(2, 3))
+        assert fam.psi == F(1, 3) and fam.unit_base == 2
 
     @settings(max_examples=20)
     @given(l=st.fractions(min_value=F(1, 40), max_value=F(1, 4),
                           max_denominator=40))
     def test_positive_off_equilibrium(self, l):
-        coeff, base = mean_lambda_exact("map2", l)
+        fam = family("map2", l)
         if l == F(1, 4):
-            assert coeff == 0
+            assert fam.psi == 0
         else:
-            assert coeff > 0 and base > 1
+            assert fam.psi > 0 and fam.unit_base > 1
 
 
 class TestReversedInitial:
