@@ -40,6 +40,7 @@ from bakerfr.transfer import (
     project_unstable,
     region_measures,
     transition_matrix,
+    verify_composite,
     verify_x_factor,
 )
 from bakerfr.families import Family, Symbols, family, symbols
@@ -65,7 +66,6 @@ from bakerfr.fluctuation import (
     fr_report,
     monte_carlo_distribution,
     sequence_measure,
-    verify_fr_irreversible,
 )
 from bakerfr.periodic_orbits import (
     PeriodicOrbit,

@@ -4,8 +4,10 @@ Each subcommand reads a config (flags, optionally expanded by a sweep
 file of key=value lines with comma-separated value lists), runs the
 corresponding check, writes machine-readable outputs (a JSON report and,
 where natural, a CSV table) under the --out prefix, and exits 0 exactly
-when all asserted checks pass.  Outputs are byte-identical across re-runs
-of the same config; rationals cross the boundary as num/den strings.
+when all asserted checks pass.  A flag or sweep key that the run would
+not read is refused as bad input.  Outputs are byte-identical across
+re-runs of the same config; rationals cross the boundary as num/den
+strings.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from bakerfr.fluctuation import (
     exact_distribution,
     fr_report,
     monte_carlo_distribution,
-    verify_fr_irreversible,
     write_fr_csv,
 )
 from bakerfr.families import family
@@ -52,7 +53,7 @@ from bakerfr.transfer import (
     ConsistencyError,
     invariant_density,
     project_unstable,
-    verify_x_factor,
+    verify_composite,
     write_density_csv,
 )
 
@@ -90,12 +91,9 @@ class ExperimentConfig:
                  f"l={_fmt(self.l)}", f"n={self.n}", f"ensemble={self.ensemble}",
                  f"transient={self.transient}", f"seed={self.seed}",
                  f"mode={self.mode}"]
-        if self.x_tilde is not None:
-            lines.append(f"x_tilde={_fmt(self.x_tilde)}")
-        if self.eps is not None:
-            lines.append(f"eps={_fmt(self.eps)}")
-        if self.delta is not None:
-            lines.append(f"delta={_fmt(self.delta)}")
+        for key in ("x_tilde", "eps", "delta"):
+            if getattr(self, key) is not None:
+                lines.append(f"{key}={_fmt(getattr(self, key))}")
         if self.b_values is not None:
             lines.append("b_values=" + ",".join(_fmt(b) for b in self.b_values))
         return "\n".join(lines) + "\n"
@@ -107,9 +105,21 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _base_map(cfg: ExperimentConfig):
-    if cfg.family == "composite":
-        return build_composite(cfg.l, cfg.x_tilde, cfg.eps)
-    return family(cfg.family, cfg.l).build_map()
+    """The config's map; a composite is checked first (`verify_composite`)."""
+    if cfg.family != "composite":
+        return family(cfg.family, cfg.l).build_map()
+    k = build_composite(cfg.l, cfg.x_tilde, cfg.eps)
+    verify_composite(k)
+    return k
+
+
+# what a composite's fr report says about the check `_base_map` made
+_COMPOSITE_NOTES = {
+    "exact": "exact symbol law of the composite equals the base map's law: "
+             "checked that the composite's x-factor equals map2's, strip for strip",
+    "montecarlo": "perturbation preserves x and folds only inside region B; "
+                  "region statistics match the reversible map",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -138,40 +148,26 @@ def cmd_density(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_fr(cfg: ExperimentConfig, out: Path) -> int:
-    if cfg.mode == "exact":
-        m = _base_map(cfg)
-        if cfg.family == "composite":
-            verify_x_factor(m)
+    m = _base_map(cfg)
+    notes = (_COMPOSITE_NOTES[cfg.mode],) if cfg.family == "composite" else ()
+    binned = None
+    if cfg.mode == "montecarlo":
+        emp = monte_carlo_distribution(m, cfg.n, cfg.ensemble, cfg.transient, cfg.seed)
+        report = empirical_fr_report(emp, notes)
+    else:
         dist = exact_distribution(m.family, cfg.l, cfg.n)
         report = fr_report(dist)
-        payload = report.to_dict()
-        payload["config"] = cfg.to_text()
-        ok = report.all_pass
         if cfg.delta is not None:
             binned = binned_fr_report(dist, cfg.delta)
-            payload["binned"] = binned.to_dict()
-            ok = ok and binned.all_pass
-        if cfg.family == "composite":
-            payload["notes"] = ["exact symbol law of the composite equals the "
-                                "base map's law: checked that the composite's "
-                                "x-factor equals map2's, strip for strip"]
-        _write_json(out.with_suffix(".json"), payload)
-        write_fr_csv(report, out.with_suffix(".csv"))
-        return 0 if ok else 1
-    if cfg.mode == "montecarlo":
-        if cfg.family == "composite":
-            report = verify_fr_irreversible(_base_map(cfg), cfg.n, cfg.ensemble,
-                                            cfg.transient, cfg.seed)
-        else:
-            emp = monte_carlo_distribution(_base_map(cfg), cfg.n, cfg.ensemble,
-                                           cfg.transient, cfg.seed)
-            report = empirical_fr_report(emp)
-        payload = report.to_dict()
-        payload["config"] = cfg.to_text()
-        _write_json(out.with_suffix(".json"), payload)
-        write_fr_csv(report, out.with_suffix(".csv"))
-        return 0 if report.all_pass else 1
-    raise ValueError(f"unknown mode {cfg.mode!r}")
+    payload = report.to_dict()
+    if binned is not None:
+        payload["binned"] = binned.to_dict()
+    if notes:
+        payload["notes"] = list(notes)
+    payload["config"] = cfg.to_text()
+    _write_json(out.with_suffix(".json"), payload)
+    write_fr_csv(report, out.with_suffix(".csv"))
+    return 0 if report.all_pass and (binned is None or binned.all_pass) else 1
 
 
 def _upo_orbits(cfg: ExperimentConfig, out: Path) -> int:
@@ -266,15 +262,13 @@ def cmd_reversibility(cfg: ExperimentConfig, out: Path) -> int:
     report = verify_reversibility(m, involution, points)
     payload = report.to_dict()
     payload["config"] = cfg.to_text()
+    ok = report.ok
     if cfg.family == "composite":
         # a composite with a non-trivial strip must break the pointwise
         # inverse while keeping the coarse-grained identities intact
-        pointwise_only = report.failed_identities() == {"conjugation_inverts_map"}
-        expected = pointwise_only if (cfg.eps is None or cfg.eps != 0) else report.ok
-        payload["irreversible_as_expected"] = bool(expected)
-        ok = bool(expected)
-    else:
-        ok = report.ok
+        if m.eps != 0:
+            ok = report.failed_identities() == {"conjugation_inverts_map"}
+        payload["irreversible_as_expected"] = ok
     _write_json(out.with_suffix(".json"), payload)
     return 0 if ok else 1
 
@@ -295,6 +289,41 @@ _DEFAULTS = {
     "reversibility": {"ensemble": 1000},
 }
 
+_FAMILIES = ("map1", "map2", "composite")
+_MODES = ("exact", "montecarlo")
+
+
+def _choice(*allowed):
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise ValueError(f"{text!r} is not one of {', '.join(allowed)}")
+        return text
+    return parse
+
+
+# the one parser of each config key, for flags and sweep lines alike
+_PARSERS = {
+    "family": _choice(*_FAMILIES), "l": _frac, "n": int, "ensemble": int,
+    "transient": int, "seed": int, "mode": _choice(*_MODES),
+    "x_tilde": _frac, "eps": _frac, "delta": _frac,
+    "b_values": lambda text: tuple(_frac(b) for b in text.split(",")),
+}
+
+
+def _reads(cfg: ExperimentConfig) -> set[str]:
+    """The config keys that the run of `cfg` reads."""
+    keys = {"density": {"family", "l"}, "fr": {"family", "l", "n", "mode"},
+            "upo": {"family", "l", "n"},
+            "multibaker": {"n", "ensemble", "transient", "seed"},
+            "reversibility": {"family", "l", "ensemble", "seed"}}[cfg.command]
+    if cfg.command == "fr":
+        keys |= {"delta"} if cfg.mode == "exact" else {"ensemble", "transient", "seed"}
+    if cfg.command == "multibaker":
+        keys.add("b_values" if cfg.b_values else "l")
+    if "family" in keys and cfg.family == "composite":
+        keys |= {"x_tilde", "eps"}
+    return keys
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -303,14 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--family", choices=["map1", "map2", "composite"])
+        p.add_argument("--family", help=" | ".join(_FAMILIES))
         p.add_argument("--l", help="strip width as an exact rational, e.g. 1/8")
-        p.add_argument("--n", type=int, help="window length / step count")
-        p.add_argument("--ensemble", type=int,
-                       help="sample count (particles / points)")
-        p.add_argument("--transient", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--mode", choices=["exact", "montecarlo"])
+        p.add_argument("--n", help="window length / step count")
+        p.add_argument("--ensemble", help="sample count (particles / points)")
+        p.add_argument("--transient")
+        p.add_argument("--seed")
+        p.add_argument("--mode", help=" | ".join(_MODES))
         p.add_argument("--x-tilde", dest="x_tilde",
                        help="perturbation strip start (composite family)")
         p.add_argument("--eps", help="perturbation strip width (composite family)")
@@ -324,50 +352,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configs_from_args(args) -> tuple[list[ExperimentConfig], Path]:
-    base = dict(_DEFAULTS[args.command])
-    direct = {
-        "family": args.family,
-        "l": _frac(args.l) if args.l else None,
-        "n": args.n,
-        "ensemble": args.ensemble,
-        "transient": args.transient,
-        "seed": args.seed,
-        "mode": args.mode,
-        "x_tilde": _frac(args.x_tilde) if args.x_tilde else None,
-        "eps": _frac(args.eps) if args.eps else None,
-        "b_values": tuple(_frac(b) for b in args.b_values.split(","))
-        if args.b_values else None,
-        "delta": _frac(args.delta) if args.delta else None,
-    }
-    for key, value in direct.items():
-        if value is not None:
-            base[key] = value
-    cfg = ExperimentConfig(command=args.command, **base)
+    """One config per point of the sweep (one without a sweep file).  A
+    flag or sweep key that a config's run would not read is refused."""
+    given = {key: parse(getattr(args, key)) for key, parse in _PARSERS.items()
+             if getattr(args, key) is not None}
+    cfg = ExperimentConfig(command=args.command, **{**_DEFAULTS[args.command], **given})
     out = Path(args.out) if args.out else Path(f"bakerfr_{args.command}")
-    if not args.sweep:
-        return [cfg], out
     lists: dict[str, list] = {}
-    for raw in Path(args.sweep).read_text(encoding="utf-8").splitlines():
+    sweep = Path(args.sweep).read_text(encoding="utf-8") if args.sweep else ""
+    for raw in sweep.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
         key = key.strip()
-        parts = [v.strip() for v in value.split(",")]
-        if key == "l":
-            lists[key] = [_frac(v) for v in parts]
-        elif key in ("n", "ensemble", "transient", "seed"):
-            lists[key] = [int(v) for v in parts]
-        elif key in ("family", "mode"):
-            lists[key] = parts
-        elif key in ("x_tilde", "eps"):
-            lists[key] = [_frac(v) for v in parts]
-        else:
+        if key not in _PARSERS or key in ("b_values", "delta"):
             raise ValueError(f"sweep file cannot set {key!r}")
+        lists[key] = [_PARSERS[key](v.strip()) for v in value.split(",")]
     keys = sorted(lists)
-    configs = []
-    for combo in itertools.product(*(lists[k] for k in keys)):
-        configs.append(replace(cfg, **dict(zip(keys, combo))))
+    configs = [replace(cfg, **dict(zip(keys, combo)))
+               for combo in itertools.product(*(lists[k] for k in keys))]
+    for c in configs:
+        reads = _reads(c)
+        unused = (set(given) | set(lists)) - reads
+        if unused:
+            setting = [f"--{k} {getattr(c, k)}" for k in ("family", "mode") if k in reads]
+            raise ValueError(f"{' '.join([c.command, *setting])} does not use "
+                             f"{', '.join(sorted(unused))}")
     return configs, out
 
 

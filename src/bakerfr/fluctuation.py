@@ -10,7 +10,10 @@ multiplicative correction confined to [4l, 1/(4l)] for the four-branch
 family, and required to be exactly base^g for the two-branch family.
 The per-g report decides by rational comparisons; the interval-binned
 report compares float logarithms with a slack of 1e-12 (see
-`binned_fr_report`).
+`binned_fr_report`).  The irreversible composite needs no function of
+its own: once `transfer.verify_composite` has checked it, its law is
+map2's, and its Monte-Carlo histogram goes through the same
+`monte_carlo_distribution` and `empirical_fr_report`.
 """
 
 from __future__ import annotations
@@ -29,15 +32,11 @@ from bakerfr.maps import (
     PiecewiseAffineMap,
     RegionLabel,
     as_fraction,
-    build_generalized_baker,
-    build_perturbation,
-    random_rational_points,
 )
 from bakerfr.observables import UndefinedValueError
-from bakerfr.transfer import ConsistencyError, verify_x_factor
+from bakerfr.transfer import ConsistencyError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # The packed DP costs about n^2 log2(D) bit operations.  Measured for map2
 # at l = 1/8, 1/6, 1/5 (2-CPU Xeon container, Python 3.11): 0.003-0.01 s at
@@ -512,23 +511,19 @@ def monte_carlo_distribution(m: PiecewiseAffineMap, n: int, ensemble: int,
                              transient: int, seed: int) -> EmpiricalDistribution:
     """Histogram of g over `ensemble` independent trajectories started
     uniformly on the square and relaxed for `transient` steps."""
+    import numpy as np
+
     from bakerfr.ensembles import sample_g
 
     if ensemble < 1:
         raise ValueError(f"need at least one trajectory, got ensemble={ensemble}")
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    g = sample_g(m, n, ensemble, transient, seed)
-    values, counts = _bincount(g)
+    values, counts = np.unique(sample_g(m, n, ensemble, transient, seed),
+                               return_counts=True)
     return EmpiricalDistribution(m.family, m.l, n,
-                                 dict(zip(values, counts)), ensemble, seed)
-
-
-def _bincount(g) -> tuple[list[int], list[int]]:
-    import numpy as np
-
-    values, counts = np.unique(g, return_counts=True)
-    return [int(v) for v in values], [int(c) for c in counts]
+                                 {int(v): int(c) for v, c in zip(values, counts)},
+                                 ensemble, seed)
 
 
 @dataclass(frozen=True)
@@ -605,39 +600,6 @@ def empirical_fr_report(emp: EmpiricalDistribution,
                                    bound, sigma, passed))
     return EmpiricalFRReport(emp.family, emp.l, emp.n, emp.total, emp.seed,
                              tuple(rows), notes)
-
-
-def verify_fr_irreversible(k_map: PiecewiseAffineMap, n: int, ensemble: int,
-                           transient: int, seed: int) -> EmpiricalFRReport:
-    """Ratio test under the non-invertible composite map.
-
-    First verifies the structural claims that make the test meaningful:
-    the composite's x-factor equals the reversible map's, strip for strip
-    (`transfer.verify_x_factor`, so the region statistics coincide); the
-    fold lies inside the contracting region; and the composite agrees
-    pointwise with perturbation-then-map on random rational points.
-
-    The sampler then integrates x alone, so the histogram it tests is the
-    x-marginal the composite shares with the reversible map: for the same
-    seed it equals the reversible map's bit for bit.  This checks that the
-    fold leaves the ratio law intact; it is not an independent simulation
-    of the irreversible dynamics."""
-    if k_map.eps is None or k_map.x_tilde is None or k_map.l is None:
-        raise ValueError("expected a composite map carrying strip parameters")
-    verify_x_factor(k_map)
-    pert = build_perturbation(k_map.l, k_map.x_tilde, k_map.eps)
-    baker = build_generalized_baker(k_map.l)
-    for b in pert.branches:
-        is_identity = b.linear == ((_ONE, _ZERO), (_ZERO, _ONE)) and b.offset == (_ZERO, _ZERO)
-        if not is_identity and not (k_map.l <= b.x_lo and b.x_hi <= Fraction(1, 2)):
-            raise ConsistencyError("perturbation strip must sit inside region B")
-    for p in random_rational_points(32, seed=seed ^ 0x5F5F):
-        if k_map.apply(p) != baker.apply(pert.apply(p)):
-            raise ConsistencyError(f"composite disagrees with factor maps at {p}")
-    emp = monte_carlo_distribution(k_map, n, ensemble, transient, seed)
-    notes = ("perturbation preserves x and folds only inside region B; "
-             "region statistics match the reversible map",)
-    return empirical_fr_report(emp, notes=notes)
 
 
 def write_fr_csv(report, path) -> None:

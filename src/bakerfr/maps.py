@@ -377,12 +377,9 @@ def build_perturbation(l, x_tilde=None, eps=None) -> PiecewiseAffineMap:
     half of the square is folded onto the upper half via y -> 1 - y.
     Unit jacobian everywhere, so it neither contracts nor expands."""
     l = as_fraction(l)
-    if x_tilde is None or eps is None:
-        d_x, d_e = default_strip(l)
-        x_tilde = d_x if x_tilde is None else as_fraction(x_tilde)
-        eps = d_e if eps is None else as_fraction(eps)
-    else:
-        x_tilde, eps = as_fraction(x_tilde), as_fraction(eps)
+    d_x, d_e = default_strip(l)
+    x_tilde = d_x if x_tilde is None else as_fraction(x_tilde)
+    eps = d_e if eps is None else as_fraction(eps)
     if eps < 0 or not (l <= x_tilde and x_tilde + eps < _HALF):
         raise MapConstructionError(
             f"strip [{x_tilde}, {x_tilde + eps}) not inside region B = [{l}, 1/2)"
@@ -413,8 +410,6 @@ def build_composite(l, x_tilde=None, eps=None) -> PiecewiseAffineMap:
     baker = build_generalized_baker(l)
     branches = []
     for bn in pert.branches:
-        if bn.linear[0] != (_ONE, _ZERO) or bn.offset[0] != 0:
-            raise MapConstructionError("perturbation must preserve x")
         for bm in baker.branches:
             x_lo, x_hi = max(bn.x_lo, bm.x_lo), min(bn.x_hi, bm.x_hi)
             if x_lo >= x_hi:

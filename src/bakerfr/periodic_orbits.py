@@ -10,6 +10,7 @@ expanding direction, and the orbit weights need not reproduce the law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -21,6 +22,7 @@ from bakerfr.fluctuation import (
     chain_spec,
     exact_distribution,
 )
+from bakerfr.families import symbols
 from bakerfr.transfer import ConsistencyError, project_unstable
 
 _ZERO = Fraction(0)
@@ -67,12 +69,10 @@ def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
     l = as_fraction(l)
     if not 1 <= n <= MAX_ORBIT_LENGTH:
         raise ValueError(f"supported orbit lengths are 1..{MAX_ORBIT_LENGTH}")
-    m = build_simple_baker(l)
-    map1d = project_unstable(m)
-    by_label = {RegionLabel.A: map1d.branches[0], RegionLabel.B: map1d.branches[1]}
-    r = 1 - l
+    by_label = {b.label: b for b in project_unstable(build_simple_baker(l)).branches}
+    sym = symbols("map1")
     orbits = []
-    for code in product((RegionLabel.A, RegionLabel.B), repeat=n):
+    for code in product(sym.labels, repeat=n):
         x = _compose_fixed_point(by_label, code)
         pt = x
         for lab in code:
@@ -81,9 +81,9 @@ def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
             pt = by_label[lab](pt)
         if pt != x:
             raise ConsistencyError(f"orbit {code} does not close: {pt} != {x}")
-        alpha = sum(1 for lab in code if lab == RegionLabel.A)
-        beta = n - alpha
-        orbits.append(PeriodicOrbit(code, alpha, beta, x, l ** alpha * r ** beta))
+        alpha = sum(sym.g[lab] == 1 for lab in code)
+        orbits.append(PeriodicOrbit(code, alpha, n - alpha, x,
+                                    math.prod(1 / by_label[lab].slope for lab in code)))
     return orbits
 
 
@@ -132,20 +132,16 @@ def generalized_upo_diagnostic(l, n: int) -> UPODiagnostic:
     if not 1 <= n <= MAX_ORBIT_LENGTH:
         raise ValueError(f"supported cycle lengths are 1..{MAX_ORBIT_LENGTH}")
     spec = chain_spec("map2", l)
-    inv_slope = {b.label: 1 / b.linear[0][0] for b in spec.fam.build_map().branches}
+    inv_slope = {b.label: 1 / b.slope for b in project_unstable(spec.fam.build_map()).branches}
     cycles = 0
     weights: dict[int, Fraction] = {}
-    total = _ZERO
     for seq in admissible_sequences(spec, n):
         if seq[0] not in spec.successors(seq[-1]):
             continue
         cycles += 1
-        w = _ONE
-        for lab in seq:
-            w *= inv_slope[lab]
         g = sum(spec.delta(lab) for lab in seq)
-        weights[g] = weights.get(g, _ZERO) + w
-        total += w
+        weights[g] = weights.get(g, _ZERO) + math.prod(inv_slope[lab] for lab in seq)
+    total = sum(weights.values())
     upo_probs = {g: w / total for g, w in weights.items()}
     chain = exact_distribution("map2", l, n)
     support = set(upo_probs) | set(chain.probs)

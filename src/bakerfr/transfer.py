@@ -12,10 +12,11 @@ iteration in floats is kept as an independent cross-check.
 one x-action, so the irreversible composite, whose fold cuts strip B in x
 and in y, projects onto the four labelled strips of its base map.
 `verify_x_factor` checks exactly that for any map: its projection must
-equal the one of its family's map, strip for strip.  The region chain
-(`transition_matrix`, `region_measures`) is derived from the projected
-strips, and `families.family` checks it against the closed forms of both
-families."""
+equal the one of its family's map, strip for strip.  `verify_composite`
+adds the rest of the composite's claim: every piece acts as fold-then-map.
+The region chain (`transition_matrix`, `region_measures`) is derived from
+the projected strips, and `families.family` checks it against the closed
+forms of both families."""
 
 from __future__ import annotations
 
@@ -25,8 +26,11 @@ from typing import Optional, Sequence
 
 from bakerfr.maps import (
     MapConstructionError,
+    PhasePoint,
     PiecewiseAffineMap,
     RegionLabel,
+    build_generalized_baker,
+    build_perturbation,
     in_interval,
 )
 
@@ -133,6 +137,37 @@ def verify_x_factor(m: PiecewiseAffineMap) -> None:
                              for b in branches)
         raise ConsistencyError(
             f"{m.name}: x-factor {text(got)} differs from {m.family}'s {text(want)}")
+
+
+def verify_composite(k: PiecewiseAffineMap) -> None:
+    """Exact check that `k` is fold-then-map: `build_perturbation(l,
+    x_tilde, eps)`, then `build_generalized_baker(l)`, at `k`'s parameters.
+
+    First `verify_x_factor(k)`, which puts every piece inside one strip of
+    the map.  Then, piece by piece: the piece must lie inside one piece of
+    the fold, so fold-then-map is affine on it, and agree with
+    fold-then-map at three affinely independent interior points, which
+    fixes an affine action on the whole piece.  Raises `ValueError` for a
+    map without strip parameters and `ConsistencyError` for any
+    disagreement."""
+    if k.l is None or k.x_tilde is None or k.eps is None:
+        raise ValueError(f"{k.name}: expected a composite map carrying strip parameters")
+    verify_x_factor(k)
+    fold = build_perturbation(k.l, k.x_tilde, k.eps)
+    base = build_generalized_baker(k.l)
+    for b in k.branches:
+        where = f"{k.name}: piece on [{b.x_lo}, {b.x_hi}) x [{b.y_lo}, {b.y_hi})"
+        if not any(f.x_lo <= b.x_lo and b.x_hi <= f.x_hi and f.y_lo <= b.y_lo
+                   and b.y_hi <= f.y_hi for f in fold.branches):
+            raise ConsistencyError(f"{where} straddles two pieces of the fold")
+        dx, dy = (b.x_hi - b.x_lo) / 4, (b.y_hi - b.y_lo) / 4
+        for p in (PhasePoint(b.x_lo + dx, b.y_lo + dy), PhasePoint(b.x_lo + 3 * dx, b.y_lo + dy),
+                  PhasePoint(b.x_lo + dx, b.y_lo + 3 * dy)):
+            got, want = b.apply(p), base.apply(fold.apply(p))
+            if got != want:
+                raise ConsistencyError(
+                    f"{where} maps ({p.x}, {p.y}) to ({got.x}, {got.y}), "
+                    f"fold-then-map to ({want.x}, {want.y})")
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from bakerfr.cli import main as cli_main
 from bakerfr.fluctuation import (
     alpha_bounds_check,
     brute_force_distribution,
+    empirical_fr_report,
     exact_distribution,
     fr_report,
     monte_carlo_distribution,
-    verify_fr_irreversible,
 )
 from bakerfr.maps import (
     build_composite,
@@ -36,6 +36,7 @@ from bakerfr.transfer import (
     invariant_density,
     project_unstable,
     region_measures,
+    verify_composite,
 )
 
 
@@ -194,8 +195,9 @@ def test_criterion_09_transport():
 
 def test_criterion_10_irreversible_composite():
     k = build_composite(F(1, 8))
-    rep = verify_fr_irreversible(k, n=10, ensemble=1_000_000, transient=100,
-                                 seed=505)
+    verify_composite(k)
+    rep = empirical_fr_report(monte_carlo_distribution(
+        k, n=10, ensemble=1_000_000, transient=100, seed=505))
     ok = bool(rep.rows) and rep.all_pass
     report(10, ok,
            f"composite-map ratio test passes on {len(rep.rows)} populated "

@@ -170,44 +170,78 @@ class TestDeterminism:
                 assert content_a == content_b
 
 
-# pieces of the composite's strip B: the full-height piece right of the
-# fold, and the lower fold piece, which shares its x-interval with the upper
-CORRUPTED_PIECES = {
-    "full_height": lambda k, b: b.x_lo == k.x_tilde + k.eps and b.label == RegionLabel.B,
-    "fold": lambda k, b: b.x_lo == k.x_tilde and b.y_hi == F(1, 2),
+# pieces of the composite's strip B (the full-height piece right of the
+# fold, and the lower fold piece, which shares its x-interval with the
+# upper), the offset a corruption adds to one of them, and how the
+# inconsistency report starts
+def full_height(k, b):
+    return b.x_lo == k.x_tilde + k.eps and b.label == RegionLabel.B
+
+
+def lower_fold(k, b):
+    return b.x_lo == k.x_tilde and b.y_hi == F(1, 2)
+
+
+CORRUPTIONS = {
+    "full_height": (full_height, (F(1, 1000), 0), "mapK: x-factor "),
+    "fold": (lower_fold, (F(1, 1000), 0), "mapK: x-factor "),
+    "fold_y": (lower_fold, (0, F(1, 1000)), "mapK: piece on "),
 }
 
 
+def corrupt_composite(monkeypatch, piece):
+    """Make the builder the CLI calls return a composite with one piece
+    of strip B shifted; return how the inconsistency report starts."""
+    from bakerfr import cli
+
+    real = cli.build_composite
+    hit, (dx, dy), reason = CORRUPTIONS[piece]
+
+    def corrupted(*args):
+        k = real(*args)
+        assert sum(hit(k, b) for b in k.branches) == 1
+        return dataclasses.replace(k, branches=tuple(
+            dataclasses.replace(b, offset=(b.offset[0] + dx, b.offset[1] + dy))
+            if hit(k, b) else b
+            for b in k.branches))
+
+    monkeypatch.setattr(cli, "build_composite", corrupted)
+    return reason
+
+
 class TestCompositeCheck:
-    @pytest.mark.parametrize("piece", sorted(CORRUPTED_PIECES))
+    @pytest.mark.parametrize("piece", sorted(CORRUPTIONS))
     @pytest.mark.parametrize("mode_args", [
         ["--mode", "exact"],
         ["--mode", "montecarlo", "--ensemble", "2000", "--transient", "10"],
     ])
     def test_corrupted_piece_is_inconsistent(self, tmp_path, monkeypatch, capsys,
                                              mode_args, piece):
-        # one piece of strip B, its x-offset raised by 1/1000 in the
-        # builder the CLI calls
-        from bakerfr import cli
-
-        real = cli.build_composite
-        hit = CORRUPTED_PIECES[piece]
-
-        def corrupted(*args):
-            k = real(*args)
-            assert sum(hit(k, b) for b in k.branches) == 1
-            return dataclasses.replace(k, branches=tuple(
-                dataclasses.replace(b, offset=(b.offset[0] + F(1, 1000), b.offset[1]))
-                if hit(k, b) else b
-                for b in k.branches))
-
-        monkeypatch.setattr(cli, "build_composite", corrupted)
+        reason = corrupt_composite(monkeypatch, piece)
         rc = run(["fr", "--family", "composite", "--l", "1/8", "--n", "6",
                   *mode_args, "--out", str(tmp_path / "fr")])
         out = capsys.readouterr().out
         assert rc == 3
-        assert out.startswith("fr [INCONSISTENT] mapK: x-factor ")
+        assert out.startswith("fr [INCONSISTENT] " + reason)
         assert not (tmp_path / "fr.json").exists()
+
+    @pytest.mark.parametrize("piece", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("args", [
+        pytest.param(["density"], id="density"),
+        *(pytest.param(["fr", "--mode", "montecarlo", "--n", "6", "--ensemble", "2000",
+                        "--transient", "10", "--seed", str(seed)], id=f"montecarlo-seed{seed}")
+          for seed in range(6)),
+        pytest.param(["reversibility", "--ensemble", "50"], id="reversibility"),
+    ])
+    def test_every_command_checks_the_composite(self, tmp_path, monkeypatch, capsys,
+                                                args, piece):
+        reason = corrupt_composite(monkeypatch, piece)
+        rc = run([args[0], "--family", "composite", "--l", "1/8", *args[1:],
+                  "--out", str(tmp_path / "k")])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert out.startswith(f"{args[0]} [INCONSISTENT] {reason}")
+        assert not (tmp_path / "k.json").exists()
 
     def test_exact_note_states_the_check(self, tmp_path):
         out = tmp_path / "frk"
@@ -254,11 +288,36 @@ class TestErrorHandling:
         (["multibaker", "--ensemble", "100", "--n", "10", "--transient", "-1"],
          "transient=-1"),
         (["reversibility", "--ensemble", "-2"], "count=-2"),
+        # flags and sweep keys that the run would not read
+        (["multibaker", "--family", "map1", "--l", "1/8"],
+         "multibaker does not use family"),
+        (["multibaker", "--l", "1/8", "--b-values", "1/10"], "multibaker does not use l"),
+        (["fr", "--mode", "montecarlo", "--delta", "1/2"],
+         "fr --family map2 --mode montecarlo does not use delta"),
+        (["fr", "--family", "map1", "--l", "2/3", "--x-tilde", "1/5"],
+         "fr --family map1 --mode exact does not use x_tilde"),
+        (["density", "--family", "map2", "--eps", "1/100"],
+         "density --family map2 does not use eps"),
+        (["reversibility", "--family", "map2", "--x-tilde", "1/5", "--eps", "1/100"],
+         "does not use eps, x_tilde"),
+        (["fr", "--mode", "exact", "--seed", "3"], "--mode exact does not use seed"),
+        (["fr", "--family", "map2", "--sweep", "{ignored}"],
+         "fr --family map2 --mode exact does not use eps"),
+        (["fr", "--family", "map2", "--sweep", "{montecarlo}", "--delta", "1/2"],
+         "--mode montecarlo does not use delta"),
+        (["multibaker", "--sweep", "{family}"], "multibaker does not use family"),
+        (["fr", "--sweep", "{bad_mode}"], "'fast' is not one of exact, montecarlo"),
+        (["density", "--family", "map3"], "'map3' is not one of map1, map2, composite"),
     ])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, args, reason):
-        sweep = tmp_path / "sweep.txt"
-        sweep.write_text("delta=1/2\n")
-        args = [a.format(sweep=sweep, missing=tmp_path / "absent.txt") for a in args]
+        files = {"sweep": "delta=1/2\n", "ignored": "eps=1/100\n",
+                 "montecarlo": "mode=exact,montecarlo\n", "family": "family=map2\n",
+                 "bad_mode": "mode=fast\n"}
+        for name, text in files.items():
+            (tmp_path / f"{name}.txt").write_text(text)
+        args = [a.format(missing=tmp_path / "absent.txt",
+                         **{name: tmp_path / f"{name}.txt" for name in files})
+                for a in args]
         rc = run(args + ["--out", str(tmp_path / "x")])
         out = capsys.readouterr().out
         assert rc == 2

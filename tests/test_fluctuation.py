@@ -21,7 +21,6 @@ from bakerfr.fluctuation import (
     log_ratio,
     monte_carlo_distribution,
     sequence_measure,
-    verify_fr_irreversible,
 )
 from bakerfr.families import family
 from bakerfr.maps import (
@@ -30,6 +29,7 @@ from bakerfr.maps import (
     build_generalized_baker,
 )
 from bakerfr.observables import UndefinedValueError, mean_g_per_step
+from bakerfr.transfer import verify_composite
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
@@ -278,7 +278,8 @@ class TestMonteCarlo:
 class TestIrreversibleComposite:
     def test_report_passes(self):
         k = build_composite(F(1, 8))
-        rep = verify_fr_irreversible(k, 8, 150_000, 60, seed=16)
+        verify_composite(k)
+        rep = empirical_fr_report(monte_carlo_distribution(k, 8, 150_000, 60, seed=16))
         assert rep.rows and rep.all_pass
 
     def test_zero_width_strip_reproduces_base_histogram(self):
@@ -299,7 +300,7 @@ class TestIrreversibleComposite:
     def test_requires_strip_parameters(self):
         m = build_generalized_baker(F(1, 8))
         with pytest.raises(ValueError):
-            verify_fr_irreversible(m, 5, 1000, 10, seed=1)
+            verify_composite(m)
 
 
 def binned_reference(dist, delta):

@@ -23,6 +23,7 @@ from bakerfr.transfer import (
     project_unstable,
     region_measures,
     transition_matrix,
+    verify_composite,
     verify_x_factor,
 )
 
@@ -113,6 +114,62 @@ class TestProjection:
         assert len(project_unstable(corrupted).branches) == 5
         with pytest.raises(ConsistencyError, match="x-factor"):
             verify_x_factor(corrupted)
+
+
+class TestVerifyComposite:
+    @settings(max_examples=40, deadline=None)
+    @given(strip=composite_strips())
+    def test_builder_output_passes(self, strip):
+        verify_composite(build_composite(*strip))
+
+    def test_zero_width_strip_passes(self):
+        verify_composite(build_composite(F(1, 8), eps=0))
+
+    def test_shifted_fold_piece_is_inconsistent(self):
+        # the lower fold piece sent 1/1000 higher in y: same x-action, so
+        # the x-factor holds, but fold-then-map differs on the piece
+        k = build_composite(F(1, 8))
+        fold = next(b for b in k.branches if b.x_lo == k.x_tilde and b.y_lo == 0)
+        bad = dataclasses.replace(fold, offset=(fold.offset[0], fold.offset[1] + F(1, 1000)))
+        shifted = dataclasses.replace(
+            k, branches=tuple(bad if b is fold else b for b in k.branches))
+        verify_x_factor(shifted)
+        with pytest.raises(ConsistencyError, match="fold-then-map"):
+            verify_composite(shifted)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_tilt_seen_by_one_point_only_is_inconsistent(self, axis):
+        # the lower fold piece's y-image tilted by 1/1000 along x or y,
+        # about the line through the first checked point: two of the
+        # three points still agree, so one point alone would miss it
+        k = build_composite(F(1, 8))
+        fold = next(b for b in k.branches if b.x_lo == k.x_tilde and b.y_lo == 0)
+        lo, hi = ((fold.x_lo, fold.x_hi), (fold.y_lo, fold.y_hi))[axis]
+        tilt, pivot = F(1, 1000), lo + (hi - lo) / 4
+        row = list(fold.linear[1])
+        row[axis] += tilt
+        bad = dataclasses.replace(fold, linear=(fold.linear[0], tuple(row)), jacobian=None,
+                                  offset=(fold.offset[0], fold.offset[1] - tilt * pivot))
+        tilted = dataclasses.replace(
+            k, branches=tuple(bad if b is fold else b for b in k.branches))
+        verify_x_factor(tilted)
+        with pytest.raises(ConsistencyError, match="fold-then-map"):
+            verify_composite(tilted)
+
+    def test_moved_fold_boundary_is_inconsistent(self):
+        # the line between the two fold pieces moved from y = 1/2 to 5/8:
+        # the pieces still tile the square and share one x-action, and the
+        # lower piece's action is right at any point below 1/2
+        k = build_composite(F(1, 8))
+        lower, upper = (next(b for b in k.branches if b.x_lo == k.x_tilde and b.y_lo == y)
+                        for y in (0, F(1, 2)))
+        moved = dataclasses.replace(k, branches=tuple(
+            dataclasses.replace(b, y_hi=F(5, 8)) if b is lower else
+            dataclasses.replace(b, y_lo=F(5, 8)) if b is upper else b
+            for b in k.branches))
+        verify_x_factor(moved)
+        with pytest.raises(ConsistencyError, match="straddles two pieces of the fold"):
+            verify_composite(moved)
 
 
 class TestFrobeniusPerronStep:
