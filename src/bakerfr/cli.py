@@ -301,10 +301,17 @@ def _choice(*allowed):
     return parse
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got seed={seed}")
+    return seed
+
+
 # the one parser of each config key, for flags and sweep lines alike
 _PARSERS = {
     "family": _choice(*_FAMILIES), "l": _frac, "n": int, "ensemble": int,
-    "transient": int, "seed": int, "mode": _choice(*_MODES),
+    "transient": int, "seed": _seed, "mode": _choice(*_MODES),
     "x_tilde": _frac, "eps": _frac, "delta": _frac,
     "b_values": lambda text: tuple(_frac(b) for b in text.split(",")),
 }
@@ -358,6 +365,8 @@ def _configs_from_args(args) -> tuple[list[ExperimentConfig], Path]:
              if getattr(args, key) is not None}
     cfg = ExperimentConfig(command=args.command, **{**_DEFAULTS[args.command], **given})
     out = Path(args.out) if args.out else Path(f"bakerfr_{args.command}")
+    if not out.parent.is_dir():
+        raise ValueError(f"output directory {out.parent} does not exist")
     lists: dict[str, list] = {}
     sweep = Path(args.sweep).read_text(encoding="utf-8") if args.sweep else ""
     for raw in sweep.splitlines():

@@ -9,15 +9,21 @@ histograms equal the base map's bit for bit.  The sampler integrates x
 only.  The regions are the projected strips, so one strip index per
 iteration, by a compare and an add per inner edge, serves both the g
 increment and the map application; arrays are updated in place in
-buffers allocated once per `sample_g` call.
+scratch buffers that each worker allocates once.
 
-Ensembles are split into shards, each driven by a child RNG stream spawned
-deterministically from (seed, shard index).  A shard draws its start
-points x and y (y only to keep the stream unchanged), then one dither
-array per iteration.  The outcome is deterministic for a given (seed,
-shard size); a different shard size spawns different streams, so results
-depend on the shard size.  Branch dispatch mirrors the exact backend's
-half-open convention with the top edges of the square closed.
+Every random number sits at a fixed position of one PCG64 stream seeded
+from `SeedSequence(seed)`: particle p draws its start x at position p and
+the dither of step t at position (t + 1) * ensemble + p (counter-addressed
+streams, Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11).  A chunk of particles [a, b) copies the seeded state, advances it
+to a and, after each draw, skips the ensemble's other particles.  So the
+histogram depends on the seed alone: the chunk size (`shard`) and the
+number of worker threads only set how the work is split.  Chunks run on a
+thread pool of min(CPUs, chunks) workers, since numpy releases the GIL in
+`take`, in the ufuncs and in `Generator.random(out=)`; each chunk writes
+its own slice of the output, so the order in which chunks run cannot
+change it.  Branch dispatch mirrors the exact backend's half-open
+convention with the top edges of the square closed.
 
 Sampling applies one ulp of seed-deterministic dither to x after every
 iteration.  Without it, parameter choices whose expanding slopes are
@@ -31,6 +37,8 @@ byte-reproducible per seed.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +46,7 @@ import numpy as np
 from bakerfr.maps import PiecewiseAffineMap
 from bakerfr.transfer import project_unstable
 
-DEFAULT_SHARD = 250_000
+DEFAULT_SHARD = 50_000  # ~1.3 MB of scratch per worker: fits a 2 MB L2
 DITHER = 2.0 ** -52
 
 
@@ -101,38 +109,60 @@ def step(cm: CompiledMap, x: np.ndarray, idx: np.ndarray,
     np.minimum(x, 1.0, out=x)
 
 
-def shard_sizes(total: int, shard: int = DEFAULT_SHARD) -> list[int]:
-    sizes = [shard] * (total // shard)
-    if total % shard:
-        sizes.append(total % shard)
-    return sizes
+def _cpu_count() -> int:
+    """CPUs this process may run on; all CPUs where the platform has no
+    affinity mask (macOS, Windows)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sample_g(m: PiecewiseAffineMap, n: int, ensemble: int, transient: int,
              seed: int, shard: int = DEFAULT_SHARD) -> np.ndarray:
     """Net expanding-visit count over n iterations for each of `ensemble`
-    particles started uniformly on the unit square and relaxed for
-    `transient` iterations.  Deterministic for a given (seed, shard)."""
+    particles started uniformly on the unit square (only x is drawn: g
+    does not depend on y) and relaxed for `transient` iterations.
+    Particle p draws x at position p of the PCG64 stream of
+    `SeedSequence(seed)` and the dither of step t at position
+    (t + 1) * ensemble + p, so the result depends on the seed alone, not
+    on the chunk size `shard` or on the worker count.  Chunks of `shard`
+    particles run on min(CPUs, chunks) threads; no process is started."""
     if n < 0 or transient < 0:
         raise ValueError(f"need n >= 0 and transient >= 0, got n={n}, transient={transient}")
+    if shard < 1:
+        raise ValueError(f"need shard >= 1, got shard={shard}")
     cm = compile_map(m)
-    sizes = shard_sizes(ensemble, shard)
-    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+    seeded = np.random.PCG64(np.random.SeedSequence(seed)).state
     out = np.zeros(ensemble, dtype=np.int64)
-    width = max(sizes, default=0)
-    xs, bufs = np.empty(width), np.empty(width)
-    idxs, hit_rows = np.empty(width, dtype=np.intp), np.empty((2, width), dtype=np.int8)
-    for start, size, stream in zip(range(0, ensemble, shard), sizes, streams):
-        rng = np.random.default_rng(stream)
-        x, buf, idx, hits = xs[:size], bufs[:size], idxs[:size], hit_rows[:, :size]
-        g = out[start:start + size]
-        rng.random(out=x)
-        rng.random(out=buf)  # y: drawn only to keep the stream
-        for t in range(transient + n):
-            region_index(cm, x, idx, hits)
-            if t >= transient:
-                # buf is free until the step; read it as int64 scratch
-                np.take(cm.g_delta, idx, out=buf.view(np.int64), mode="clip")
-                g += buf.view(np.int64)
-            step(cm, x, idx, rng, buf)
+    starts = iter(range(0, ensemble, shard))
+    width = min(shard, ensemble)
+
+    def work() -> None:
+        bits = np.random.PCG64()
+        rng = np.random.Generator(bits)
+        xs, bufs = np.empty(width), np.empty(width)
+        idxs, hit_rows = np.empty(width, dtype=np.intp), np.empty((2, width), dtype=np.int8)
+        # threads share `starts`; next() on a range iterator is one C call
+        # under the GIL, so each chunk start goes to exactly one worker
+        for start in starts:
+            size = min(shard, ensemble - start)
+            x, buf, idx, hits = xs[:size], bufs[:size], idxs[:size], hit_rows[:, :size]
+            g = out[start:start + size]
+            bits.state = seeded
+            bits.advance(start)
+            rng.random(out=x)
+            for t in range(transient + n):
+                bits.advance(ensemble - size)  # to position (t + 1) * ensemble + start
+                region_index(cm, x, idx, hits)
+                if t >= transient:
+                    # buf is free until the step; read it as int64 scratch
+                    np.take(cm.g_delta, idx, out=buf.view(np.int64), mode="clip")
+                    g += buf.view(np.int64)
+                step(cm, x, idx, rng, buf)
+
+    workers = min(_cpu_count(), -(-ensemble // shard))
+    if workers:
+        with ThreadPoolExecutor(workers) as pool:
+            for future in [pool.submit(work) for _ in range(workers)]:
+                future.result()
     return out

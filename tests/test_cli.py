@@ -308,11 +308,18 @@ class TestErrorHandling:
         (["multibaker", "--sweep", "{family}"], "multibaker does not use family"),
         (["fr", "--sweep", "{bad_mode}"], "'fast' is not one of exact, montecarlo"),
         (["density", "--family", "map3"], "'map3' is not one of map1, map2, composite"),
+        # a negative seed, which random.Random would fold onto its absolute value
+        (["reversibility", "--seed", "-1"], "need seed >= 0, got seed=-1"),
+        (["fr", "--family", "map2", "--mode", "montecarlo", "--seed", "-1"],
+         "need seed >= 0, got seed=-1"),
+        (["multibaker", "--seed", "-3"], "need seed >= 0, got seed=-3"),
+        (["fr", "--mode", "montecarlo", "--sweep", "{negative_seed}"],
+         "need seed >= 0, got seed=-2"),
     ])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, args, reason):
         files = {"sweep": "delta=1/2\n", "ignored": "eps=1/100\n",
                  "montecarlo": "mode=exact,montecarlo\n", "family": "family=map2\n",
-                 "bad_mode": "mode=fast\n"}
+                 "bad_mode": "mode=fast\n", "negative_seed": "seed=4,-2\n"}
         for name, text in files.items():
             (tmp_path / f"{name}.txt").write_text(text)
         args = [a.format(missing=tmp_path / "absent.txt",
@@ -322,6 +329,20 @@ class TestErrorHandling:
         out = capsys.readouterr().out
         assert rc == 2
         assert out.startswith(f"{args[0]} [ERROR] ") and reason in out
+
+    def test_missing_output_directory_exits_2_before_any_work(self, tmp_path, capsys,
+                                                              monkeypatch):
+        from bakerfr import cli
+
+        def never(cfg, out):
+            raise AssertionError("ran with an output directory that does not exist")
+
+        monkeypatch.setitem(cli._COMMANDS, "fr", never)
+        rc = run(["fr", "--out", str(tmp_path / "absent" / "fr")])
+        assert rc == 2
+        assert capsys.readouterr().out.startswith(
+            f"fr [ERROR] output directory {tmp_path / 'absent'} does not exist")
+        assert not (tmp_path / "absent").exists()
 
     def test_montecarlo_run_with_no_tested_pair_fails(self, tmp_path):
         out = tmp_path / "frmc"

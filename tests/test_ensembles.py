@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,20 +10,24 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from bakerfr import ensembles
 from bakerfr.ensembles import DEFAULT_SHARD, DITHER, compile_map, region_index, sample_g
 from bakerfr.families import symbols
 from bakerfr.maps import build_composite, build_generalized_baker, build_simple_baker
 
 
 # ---------------------------------------------------------------------------
-# reference: the two-dimensional sampler the x-only kernel replaced
+# reference: the serial two-dimensional sampler on the same random stream
 # ---------------------------------------------------------------------------
 
 
-def reference_sample_g(m, n, ensemble, transient, seed, shard=DEFAULT_SHARD):
-    """The sampler as it integrated (x, y): the composite as a y-fold on its
-    perturbation strip followed by the base map, searchsorted twice per
-    step (branch and region), fresh arrays on every operation."""
+def reference_sample_g(m, n, ensemble, transient, seed):
+    """The sampler as one serial loop over (x, y): the composite as a
+    y-fold on its perturbation strip followed by the base map, searchsorted
+    twice per step (branch and region), fresh arrays on every operation.
+    One PCG64 stream from SeedSequence(seed) gives all x, then one dither
+    per particle per step; y, which never feeds back into x or g, comes
+    from a generator of its own."""
     fold = None
     base = m
     if m.eps is not None and m.eps > 0:
@@ -47,28 +54,24 @@ def reference_sample_g(m, n, ensemble, transient, seed, shard=DEFAULT_SHARD):
         np.clip(yn, 0.0, 1.0, out=yn)
         return xn, yn
 
-    sizes = [shard] * (ensemble // shard) + ([ensemble % shard] if ensemble % shard else [])
-    out = []
-    for size, stream in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        rng = np.random.default_rng(stream)
-        x = rng.random(size)
-        y = rng.random(size)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    x = rng.random(ensemble)
+    y = np.random.default_rng([seed, 1]).random(ensemble)
 
-        def dithered(xv):
-            xv += (rng.random(xv.size) - 0.5) * DITHER
-            np.clip(xv, 0.0, 1.0, out=xv)
-            return xv
+    def dithered(xv):
+        xv += (rng.random(xv.size) - 0.5) * DITHER
+        np.clip(xv, 0.0, 1.0, out=xv)
+        return xv
 
-        for _ in range(transient):
-            x, y = step(x, y)
-            x = dithered(x)
-        g = np.zeros(size, dtype=np.int64)
-        for _ in range(n):
-            g += g_delta[np.searchsorted(region_edges, x, side="right")]
-            x, y = step(x, y)
-            x = dithered(x)
-        out.append(g)
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+    for _ in range(transient):
+        x, y = step(x, y)
+        x = dithered(x)
+    g = np.zeros(ensemble, dtype=np.int64)
+    for _ in range(n):
+        g += g_delta[np.searchsorted(region_edges, x, side="right")]
+        x, y = step(x, y)
+        x = dithered(x)
+    return g
 
 
 @st.composite
@@ -90,23 +93,25 @@ def maps(draw):
        ensemble=st.integers(0, 400), shard=st.integers(1, 160),
        seed=st.integers(0, 2**32 - 1))
 def test_equals_reference_sampler(m, n, transient, ensemble, shard, seed):
+    # the kernel splits the ensemble into chunks of `shard`; the reference
+    # has no chunks at all
     got = sample_g(m, n, ensemble, transient, seed, shard)
-    want = reference_sample_g(m, n, ensemble, transient, seed, shard)
+    want = reference_sample_g(m, n, ensemble, transient, seed)
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
 
 
-# sha256 of the little-endian int64 bytes, taken with the two-dimensional
-# sampler before the x-only kernel replaced it
+# sha256 of the little-endian int64 bytes, taken with `reference_sample_g`;
+# the shard column only sets the kernel's chunks
 PINNED = [
     (build_simple_baker(F(2, 3)), 20, 5000, 10, 1, 777,
-     "663a5a15e6968c2af4b45c05ab970e8a4fa4e39bd4a6c8f55f9343fec4e0c1dd"),
+     "2dcd0ae6423e21735aeefa8cdbf68d930256bac78eab738d6e584f10d395b3c2"),
     (build_generalized_baker(F(3, 17)), 30, 7001, 5, 2, 1000,
-     "5efe56d83c96774e0e7b80186ec9046c9bc4e99f9b2a300fa3fbf91481a66d25"),
+     "52fe0a108e150bf27b435f5e545e296412ecb7ee604c63b60a94eb17aa5facfb"),
     (build_generalized_baker(F(1, 4)), 80, 3000, 0, 3, DEFAULT_SHARD,
-     "e9bd5f16500ab79924663774267cb6832e7ea91a13dd84ecbc712bccea4b92f3"),
+     "b9ac25eeb2a040a2353f51811700b6eb4a98561c9b2b22697c405c0e531c7083"),
     (build_composite(F(1, 8)), 10, 20000, 20, 4, 6000,
-     "57bc6713eae68fe8a576089ed00ae5f4b2c005d469a82dfd83a7910efccab683"),
+     "6408395375eda7b960d4de99eaae52c6c76aa7f0b9c2c1a11b26e16d93aa519b"),
 ]
 
 
@@ -115,6 +120,69 @@ PINNED = [
 def test_pinned_digests(m, n, ensemble, transient, seed, shard, digest):
     g = sample_g(m, n, ensemble, transient, seed, shard)
     assert hashlib.sha256(g.astype("<i8").tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_same_histograms_for_every_shard_and_worker_count(monkeypatch, cpus):
+    # at the equilibrium point the dither decides the orbit (see the module
+    # docstring), so over 60 steps a dither drawn at a wrong position
+    # shows in g; elsewhere its one ulp rarely reaches g in a short run
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    m = build_generalized_baker(F(1, 4))
+    ensemble = DEFAULT_SHARD + 777
+    want = reference_sample_g(m, 60, ensemble, 5, 21)
+    for shard in (1000, 300, DEFAULT_SHARD):
+        assert np.array_equal(sample_g(m, 60, ensemble, 5, 21, shard), want)
+
+
+def test_many_workers_with_frequent_switches_lose_no_chunk(monkeypatch):
+    # more workers than cores, each switching threads every microsecond:
+    # a chunk start that no worker took from the shared iterator would
+    # leave zeros and break the equality with the serial reference
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    m = build_generalized_baker(F(1, 8))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sample_g(m, 20, 6000, 3, 5, shard=97)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, reference_sample_g(m, 20, 6000, 3, 5))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every pool the sampler starts."""
+    sizes = []
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(ensembles, "ThreadPoolExecutor", pool)
+    return sizes
+
+
+@pytest.mark.parametrize("cpus,ensemble,shard,workers", [
+    (2, 1000, 300, 2), (8, 1000, 300, 4), (2, 100, 300, 1), (2, 0, 300, None)])
+def test_pool_is_capped_at_cpus_and_chunks(monkeypatch, pool_sizes, cpus, ensemble,
+                                           shard, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    sample_g(build_generalized_baker(F(1, 8)), 3, ensemble, 2, 0, shard)
+    assert pool_sizes == ([] if workers is None else [workers])
+
+
+def test_pool_without_an_affinity_mask_takes_the_cpu_count(monkeypatch, pool_sizes):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    sample_g(build_generalized_baker(F(1, 8)), 3, 1000, 2, 0, 300)
+    assert pool_sizes == [3]
+
+
+@pytest.mark.parametrize("shard", [0, -5])
+def test_refuses_a_shard_below_one(shard):
+    with pytest.raises(ValueError, match=f"shard={shard}"):
+        sample_g(build_generalized_baker(F(1, 8)), 3, 100, 2, 0, shard)
 
 
 @pytest.mark.parametrize("l", [F(1, 8), F(3, 17), F(1, 4)])

@@ -233,13 +233,14 @@ class TestMonteCarlo:
         b = monte_carlo_distribution(m, 6, 30_000, 40, seed=11)
         assert a.counts == b.counts
 
-    def test_deterministic_given_seed_and_shard(self):
+    def test_same_result_for_every_shard(self):
         from bakerfr.ensembles import sample_g
 
         m = build_generalized_baker(F(1, 8))
         a = sample_g(m, 10, 3000, 20, seed=7, shard=300)
-        b = sample_g(m, 10, 3000, 20, seed=7, shard=300)
-        assert len(a) == 3000 and (a == b).all()
+        b = sample_g(m, 10, 3000, 20, seed=7, shard=1001)
+        c = sample_g(m, 10, 3000, 20, seed=7)
+        assert len(a) == 3000 and (a == b).all() and (a == c).all()
 
     def test_simple_family_matches_exact_law(self):
         from bakerfr.maps import build_simple_baker
