@@ -235,14 +235,14 @@ class PiecewiseAffineMap:
     # -- operations ----------------------------------------------------------
 
     def branch_at(self, p: PhasePoint) -> AffineBranch:
+        if not p.in_unit_square():
+            raise ValueError(f"point {p} outside the unit square")
         for b in self.branches:
             if b.contains(p):
                 return b
         raise ValueError(f"point {p} not covered by any branch of {self.name}")
 
     def apply(self, p: PhasePoint) -> PhasePoint:
-        if not p.in_unit_square():
-            raise ValueError(f"point {p} outside the unit square")
         return self.branch_at(p).apply(p)
 
     def apply_inverse(self, p: PhasePoint) -> PhasePoint:
@@ -487,7 +487,9 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
     reversed image are reciprocal, and region labels transform by the
     family conjugacy.  Region-corner images are checked on points shrunk
     slightly into each region, since exact corners sit on branch
-    boundaries where the half-open convention is arbitrary.
+    boundaries where the half-open convention is arbitrary.  The map's
+    branch is looked up once per point and gives both the image and the
+    jacobian; a point outside the unit square raises `ValueError`.
     """
     from bakerfr.families import symbols
 
@@ -505,20 +507,21 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
         else:
             failures.append(IdentityFailure(p, "involution_squares_to_identity",
                                             f"G(G(p)) = {gg}"))
-        mp = m.apply(p)
-        gmp = involution.apply(mp)
-        back = involution.apply(m.apply(gmp))
+        at_p = m.branch_at(p)
+        gmp = involution.apply(at_p.apply(p))
+        at_gmp = m.branch_at(gmp)
+        back = involution.apply(at_gmp.apply(gmp))
         if back == p:
             checks["conjugation_inverts_map"] += 1
         else:
             failures.append(IdentityFailure(p, "conjugation_inverts_map",
                                             f"G(M(G(M(p)))) = {back}"))
-        if m.jacobian_at(p) * m.jacobian_at(gmp) == 1:
+        jac = at_p.jacobian * at_gmp.jacobian
+        if jac == 1:
             checks["jacobian_reciprocity"] += 1
         else:
-            failures.append(IdentityFailure(
-                p, "jacobian_reciprocity",
-                f"J(p)*J(GMp) = {m.jacobian_at(p) * m.jacobian_at(gmp)}"))
+            failures.append(IdentityFailure(p, "jacobian_reciprocity",
+                                            f"J(p)*J(GMp) = {jac}"))
         if conj is not None:
             want = conj[m.region_of(p)]
             got = m.region_of(gmp)
@@ -543,9 +546,13 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
 
 def random_rational_points(count: int, seed: int) -> list[PhasePoint]:
     """Random interior points with a fixed prime denominator, so iterates
-    can never hit the branch boundaries of the map families exactly."""
+    can never hit the branch boundaries of the map families exactly.  A
+    negative seed raises `ValueError`."""
     if count < 0:
         raise ValueError(f"need a sample count >= 0, got count={count}")
+    if seed < 0:
+        # random.Random folds a negative seed onto its absolute value
+        raise ValueError(f"need seed >= 0, got seed={seed}")
     rng = random.Random(seed)
     den = SAMPLE_DENOMINATOR
     return [

@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import math
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,10 @@ A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 l_map2 = st.fractions(min_value=F(1, 40), max_value=F(6, 25), max_denominator=40)
 
 LONG_LS = (F(1, 8), F(1, 6), F(1, 5))
+
+family_l = st.one_of(
+    st.tuples(st.just("map1"), st.fractions(F(1, 60), F(59, 60), max_denominator=60)),
+    st.tuples(st.just("map2"), st.fractions(F(1, 60), F(1, 4), max_denominator=60)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,17 +119,27 @@ class TestBruteForceOracle:
             brute_force_distribution("map2", F(1, 8), 13)
 
     @settings(max_examples=40, deadline=None)
-    @given(family_l=st.one_of(
-               st.tuples(st.just("map1"), st.fractions(F(1, 60), F(59, 60),
-                                                       max_denominator=60)),
-               st.tuples(st.just("map2"), st.fractions(F(1, 60), F(1, 4),
-                                                       max_denominator=60))),
+    @given(family_l=family_l,
            start=st.sampled_from(["stationary", "uniform"]),
            n=st.integers(min_value=1, max_value=9))
     def test_packed_dp_equals_enumeration(self, family_l, start, n):
         name, l = family_l
         assert (exact_distribution(name, l, n, start).probs
                 == brute_force_distribution(name, l, n, start).probs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(family_l=family_l,
+           start=st.sampled_from(["stationary", "uniform"]),
+           n=st.integers(min_value=1, max_value=9))
+    def test_walk_equals_per_sequence_sum(self, family_l, start, n):
+        name, l = family_l
+        spec = chain_spec(name, l, start)
+        probs = {}
+        for seq in admissible_sequences(spec, n):
+            g = sum(spec.delta(lab) for lab in seq)
+            probs[g] = probs.get(g, F(0)) + sequence_measure(spec, seq)
+        assert (brute_force_distribution(name, l, n, start).probs
+                == {g: p for g, p in probs.items() if p})
 
 
 class TestFRReport:
@@ -185,6 +201,47 @@ class TestFRReport:
             assert r.e_n == F(r.g, 6) / psi
 
 
+def reference_alpha_bounds(l, n):
+    """The per-sequence definition of the alpha check: the measures of each
+    admissible sequence and of its reversal from `sequence_measure`,
+    compared with the boundary formula of the whole sequence.  Returns
+    (sequences, attained_min, attained_max, violations)."""
+    spec = fluctuation.chain_spec("map2", l)
+    fam = spec.fam
+    lo, hi = fam.alpha_bounds
+    attained, violations = [], []
+    count = 0
+    for seq in admissible_sequences(spec, n):
+        count += 1
+        text = "".join(s.value for s in seq)
+        rev = sequence_measure(spec, tuple(fam.conjugacy[lab] for lab in reversed(seq)))
+        if rev == 0:
+            violations.append(text + ": reversal inadmissible")
+            continue
+        g = sum(spec.delta(lab) for lab in seq)
+        alpha = (sequence_measure(spec, seq) / rev) / fam.unit_base ** g
+        direct = fluctuation._alpha_direct(spec, seq)
+        if alpha != direct:
+            violations.append(text + f": ratio {alpha} != boundary formula {direct}")
+        if not lo <= alpha <= hi:
+            violations.append(text + f": alpha {alpha}")
+        attained.append(alpha)
+    return count, min(attained), max(attained), tuple(violations)
+
+
+def alpha_fields(rep):
+    return rep.sequences, rep.attained_min, rep.attained_max, rep.violations
+
+
+def corrupt_chain(monkeypatch, l, trans=(), initial=()):
+    """Make `fluctuation.chain_spec` return map2's chain at `l` with the
+    given transition probabilities and initial weights replaced."""
+    spec = chain_spec("map2", l)
+    fam = dataclasses.replace(spec.fam, trans=MappingProxyType({**spec.trans, **dict(trans)}))
+    bad = fluctuation.ChainSpec(fam, {**spec.initial, **dict(initial)})
+    monkeypatch.setattr(fluctuation, "chain_spec", lambda *args: bad)
+
+
 class TestAlphaBounds:
     def test_exhaustive_small_n(self):
         for n in range(1, 7):
@@ -207,6 +264,35 @@ class TestAlphaBounds:
     def test_bounds_property(self, l, n):
         rep = alpha_bounds_check(l, n)
         assert rep.all_within
+
+    @settings(max_examples=30, deadline=None)
+    @given(l=st.fractions(F(1, 60), F(1, 4), max_denominator=60),
+           n=st.integers(min_value=1, max_value=9))
+    def test_walk_equals_per_sequence_loop(self, l, n):
+        assert alpha_fields(alpha_bounds_check(l, n)) == reference_alpha_bounds(l, n)
+
+    def test_column_that_is_not_constant_breaks_the_boundary_formula(self, monkeypatch):
+        # A -> C at 1/3 while D -> ... -> C keeps 1/2: the column of C is no
+        # longer constant, so the boundary terms no longer cancel
+        corrupt_chain(monkeypatch, F(1, 8), trans={(A, C): F(1, 3)})
+        rep = alpha_bounds_check(F(1, 8), 5)
+        assert not rep.all_within
+        assert any("boundary formula" in v for v in rep.violations)
+        assert alpha_fields(rep) == reference_alpha_bounds(F(1, 8), 5)
+
+    def test_corrupted_initial_weight_leaves_the_band(self, monkeypatch):
+        corrupt_chain(monkeypatch, F(1, 8), initial={A: F(1, 2)})
+        rep = alpha_bounds_check(F(1, 8), 5)
+        assert rep.violations and rep.attained_max == 6
+        assert alpha_fields(rep) == reference_alpha_bounds(F(1, 8), 5)
+
+    def test_forbidden_reversal_is_reported(self, monkeypatch):
+        # the reversal of ...AC... steps from B to A
+        corrupt_chain(monkeypatch, F(1, 8), trans={(B, A): F(0)})
+        rep = alpha_bounds_check(F(1, 8), 3)
+        assert "ACC: reversal inadmissible" in rep.violations
+        assert not any(v.startswith("CCC") for v in rep.violations)
+        assert alpha_fields(rep) == reference_alpha_bounds(F(1, 8), 3)
 
     @pytest.mark.parametrize("name,l", [("map1", F(2, 3)), ("map1", F(1, 5)),
                                         ("map2", F(1, 8)), ("map2", F(3, 37))])

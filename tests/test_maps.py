@@ -243,6 +243,26 @@ class TestVerifyReversibility:
         assert rep.checks["region_conjugacy"] == rep.samples
         assert rep.checks["jacobian_reciprocity"] == rep.samples
 
+    def test_jacobians_read_from_the_branch_of_each_point(self):
+        # the two-branch map under the wrong involution: its jacobians are
+        # no longer reciprocal, and the detail holds J(p) * J(G(M(p)))
+        m, g = build_simple_baker(F(2, 3)), build_involution("map2")
+        pts = random_rational_points(20, seed=4)
+        rep = verify_reversibility(m, g, pts)
+        details = {f.point: f.detail for f in rep.failures
+                   if f.identity == "jacobian_reciprocity"}
+        assert details
+        for p in pts:
+            jac = m.jacobian_at(p) * m.jacobian_at(g.apply(m.apply(p)))
+            assert (details.get(p) == f"J(p)*J(GMp) = {jac}") == (jac != 1)
+
+    @pytest.mark.parametrize("p", [PhasePoint(F(3, 2), F(1, 2)),
+                                   PhasePoint(F(1, 2), F(-1, 3))])
+    def test_point_outside_the_square_is_refused(self, p):
+        with pytest.raises(ValueError, match="outside the unit square"):
+            verify_reversibility(build_generalized_baker(F(1, 8)),
+                                 build_involution("map2"), [p])
+
 
 def test_branch_jacobian_validated():
     with pytest.raises(MapConstructionError):
@@ -272,3 +292,10 @@ def test_random_points_avoid_boundaries():
     for p in random_rational_points(50, seed=9):
         for q in m.iterate(p, 10):
             assert q.x not in (F(1, 8), F(1, 2), F(3, 4))
+
+
+def test_random_points_refuse_a_negative_seed():
+    # random.Random(-1) would draw the points of seed 1
+    with pytest.raises(ValueError, match="seed >= 0"):
+        random_rational_points(3, -1)
+    assert random_rational_points(3, 0) != random_rational_points(3, 1)

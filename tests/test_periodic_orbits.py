@@ -1,17 +1,20 @@
+import dataclasses
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from bakerfr.fluctuation import exact_distribution
-from bakerfr.maps import RegionLabel, build_simple_baker
+from bakerfr import periodic_orbits
+from bakerfr.fluctuation import admissible_sequences, chain_spec, exact_distribution
+from bakerfr.maps import RegionLabel, build_generalized_baker, build_simple_baker
 from bakerfr.periodic_orbits import (
     enumerate_orbits,
     generalized_upo_diagnostic,
     upo_distribution,
 )
-from bakerfr.transfer import project_unstable
+from bakerfr.transfer import Branch1D, ConsistencyError, project_unstable
 
 A, B = RegionLabel.A, RegionLabel.B
 
@@ -45,6 +48,62 @@ class TestEnumerateOrbits:
     def test_guard(self):
         with pytest.raises(ValueError):
             enumerate_orbits(F(2, 3), 21)
+
+    @settings(max_examples=15, deadline=None)
+    @given(l=l_values, n=st.integers(min_value=1, max_value=7))
+    def test_codes_in_lexicographic_order_with_closing_points(self, l, n):
+        # the n-step walk of every orbit that the one-step check replaced
+        by_label = {b.label: b for b in project_unstable(build_simple_baker(l)).branches}
+        orbits = enumerate_orbits(l, n)
+        assert [o.code for o in orbits] == sorted(o.code for o in orbits)
+        assert len(orbits) == 2 ** n
+        for o in orbits:
+            x = o.x_point
+            for lab in o.code:
+                assert lab == (A if x < l else B)
+                x = by_label[lab](x)
+            assert x == o.x_point
+            assert o.weight == math.prod(1 / by_label[lab].slope for lab in o.code)
+
+
+def patch_branch(monkeypatch, label, replace):
+    """Make `enumerate_orbits` read the projected branch `label` through
+    `replace`."""
+    def patched(m):
+        proj = project_unstable(m)
+        return dataclasses.replace(proj, branches=tuple(
+            replace(b) if b.label == label else b for b in proj.branches))
+
+    monkeypatch.setattr(periodic_orbits, "project_unstable", patched)
+
+
+@dataclasses.dataclass(frozen=True)
+class DriftingBranch(Branch1D):
+    """A branch whose action is off by 1/1000 from its slope and intercept."""
+
+    def __call__(self, x):
+        return super().__call__(x) + F(1, 1000)
+
+
+class TestOrbitChecks:
+    @pytest.mark.parametrize("label,shift", [(A, F(1, 1000)), (B, F(-1, 1000))])
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_shifted_intercept_is_inconsistent(self, monkeypatch, label, shift, n):
+        # the fixed point of the constant code leaves its strip
+        patch_branch(monkeypatch, label,
+                     lambda b: dataclasses.replace(b, intercept=b.intercept + shift))
+        with pytest.raises(ConsistencyError, match="not realized"):
+            enumerate_orbits(F(2, 3), n)
+
+    @pytest.mark.parametrize("label", [A, B])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_one_step_that_misses_the_rotated_point_is_inconsistent(self, monkeypatch,
+                                                                    label, n):
+        # the walk composes slope and intercept; the one-step check applies
+        # the branch, whose action here drifts away from them
+        patch_branch(monkeypatch, label, lambda b: DriftingBranch(**vars(b)))
+        with pytest.raises(ConsistencyError, match="does not close"):
+            enumerate_orbits(F(2, 3), n)
 
 
 class TestOrbitWeights:
@@ -97,6 +156,24 @@ class TestGeneralizedDiagnostic:
         # the naive orbit expansion is far from the true law here; no
         # agreement is asserted, only that the gap is quantified
         assert diag.total_variation > 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(l=st.fractions(F(1, 60), F(1, 4), max_denominator=60),
+           n=st.integers(min_value=1, max_value=8))
+    def test_walk_equals_per_sequence_sum(self, l, n):
+        spec = chain_spec("map2", l)
+        inv_slope = {b.label: 1 / b.slope
+                     for b in project_unstable(build_generalized_baker(l)).branches}
+        weights, cycles = {}, 0
+        for seq in admissible_sequences(spec, n):
+            if seq[0] in spec.successors(seq[-1]):
+                cycles += 1
+                g = sum(spec.delta(lab) for lab in seq)
+                weights[g] = weights.get(g, F(0)) + math.prod(inv_slope[lab] for lab in seq)
+        total = sum(weights.values())
+        diag = generalized_upo_diagnostic(l, n)
+        assert diag.cycles == cycles
+        assert diag.upo_probs == {g: w / total for g, w in weights.items()}
 
     def test_equilibrium_diagnostic_is_symmetric(self):
         diag = generalized_upo_diagnostic(F(1, 4), 5)
