@@ -14,7 +14,6 @@ backend.
 from bakerfr.maps import (
     AffineBranch,
     MapConstructionError,
-    NonInvertibleMapError,
     PhasePoint,
     PiecewiseAffineMap,
     RegionLabel,
@@ -23,6 +22,7 @@ from bakerfr.maps import (
     build_involution,
     build_perturbation,
     build_simple_baker,
+    compose,
     default_strip,
     load_map,
     map_from_dict,

@@ -264,10 +264,11 @@ def cmd_reversibility(cfg: ExperimentConfig, out: Path) -> int:
     payload["config"] = cfg.to_text()
     ok = report.ok
     if cfg.family == "composite":
-        # a composite with a non-trivial strip must break the pointwise
-        # inverse while keeping the coarse-grained identities intact
+        # a composite with a non-trivial strip must break the pointwise inverse,
+        # on a set of positive area, and keep the coarse-grained identities
         if m.eps != 0:
-            ok = report.failed_identities() == {"conjugation_inverts_map"}
+            ok = (report.failed_identities() == {"conjugation_inverts_map"}
+                  and report.proofs["conjugation_inverts_map"].failed_area > 0)
         payload["irreversible_as_expected"] = ok
     _write_json(out.with_suffix(".json"), payload)
     return 0 if ok else 1

@@ -1,10 +1,12 @@
 """Piecewise-affine maps of the unit square, in exact arithmetic.
 
-All map coefficients are exact rationals, and a `PhasePoint` holds
-``Fraction`` coordinates only, so every step of an orbit is exact.  The
-float sampler is `bakerfr.ensembles`, which integrates the x-action read
-from `transfer.project_unstable`.  Branch domains follow the half-open
-convention ``[lo, hi)`` with the top edge of the square closed
+Every branch is monomial (each output coordinate is a scaled, shifted
+copy of one input coordinate), so the preimage of a rectangle is a
+rectangle: `compose` is exact on the common refinement, and
+`verify_reversibility` proves the reversal identities on every piece.
+Coefficients and `PhasePoint` coordinates are ``Fraction``s only; the
+float sampler is `bakerfr.ensembles`.  Branch domains follow the
+half-open convention ``[lo, hi)`` with the top edge of the square closed
 (`in_interval`), which makes region membership total and deterministic.
 """
 
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import NamedTuple, Optional, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -33,10 +36,6 @@ SCHEMA_VERSION = 1
 
 class MapConstructionError(ValueError):
     """Raised when map parameters or branch data are invalid."""
-
-
-class NonInvertibleMapError(ValueError):
-    """Raised when an inverse is requested from a non-invertible map."""
 
 
 class RegionLabel(str, Enum):
@@ -82,103 +81,108 @@ def in_interval(v: Fraction, lo: Fraction, hi: Fraction) -> bool:
     return (lo <= v < hi) or (v == hi == 1)
 
 
-Matrix2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 Vector2 = tuple[Fraction, Fraction]
+Rect = tuple[Fraction, Fraction, Fraction, Fraction]  # (x_lo, x_hi, y_lo, y_hi)
+
+
+def _meet(r: Rect, s: Rect) -> Optional[Rect]:
+    """Intersection of two rectangles, or None unless it has positive area."""
+    x_lo, x_hi = max(r[0], s[0]), min(r[1], s[1])
+    y_lo, y_hi = max(r[2], s[2]), min(r[3], s[3])
+    return (x_lo, x_hi, y_lo, y_hi) if x_lo < x_hi and y_lo < y_hi else None
+
+
+def _area(r: Rect) -> Fraction:
+    return (r[1] - r[0]) * (r[3] - r[2])
+
+
+def _affine_interval(lo, hi, s, t) -> tuple[Fraction, Fraction]:
+    """Image (min, max) of [lo, hi] under v -> s v + t."""
+    a, b = s * lo + t, s * hi + t
+    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(frozen=True)
 class AffineBranch:
-    """One affine piece: a domain rectangle and the action x' = L x + t."""
+    """One affine piece: a domain rectangle and the monomial action
+
+        x' = sx (y if swap else x) + tx,    y' = sy (x if swap else y) + ty,
+
+    with ``scale = (sx, sy)`` and ``offset = (tx, ty)``; the jacobian
+    |sx sy| is derived, and a zero scale raises `MapConstructionError`."""
 
     x_lo: Fraction
     x_hi: Fraction
     y_lo: Fraction
     y_hi: Fraction
-    linear: Matrix2
+    scale: Vector2
     offset: Vector2
-    jacobian: Optional[Fraction] = None
+    swap: bool = False
     label: Optional[RegionLabel] = None
+    jacobian: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("x_lo", "x_hi", "y_lo", "y_hi"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        lin = tuple(tuple(as_fraction(c) for c in row) for row in self.linear)
-        object.__setattr__(self, "linear", lin)
+        object.__setattr__(self, "scale", tuple(as_fraction(c) for c in self.scale))
         object.__setattr__(self, "offset", tuple(as_fraction(c) for c in self.offset))
         if not (0 <= self.x_lo < self.x_hi <= 1 and 0 <= self.y_lo < self.y_hi <= 1):
             raise MapConstructionError(f"degenerate or out-of-square domain: {self}")
-        det = abs(lin[0][0] * lin[1][1] - lin[0][1] * lin[1][0])
-        if self.jacobian is None:
-            object.__setattr__(self, "jacobian", det)
-        elif as_fraction(self.jacobian) != det:
-            raise MapConstructionError(
-                f"declared jacobian {self.jacobian} != |det| {det} of the linear part"
-            )
-        else:
-            object.__setattr__(self, "jacobian", as_fraction(self.jacobian))
+        sx, sy = self.scale
+        if sx == 0 or sy == 0:
+            raise MapConstructionError(f"zero scale: {self}")
+        object.__setattr__(self, "jacobian", abs(sx * sy))
 
     # -- geometry ---------------------------------------------------------
 
-    def contains(self, p: PhasePoint) -> bool:
-        return in_interval(p.x, self.x_lo, self.x_hi) and in_interval(
-            p.y, self.y_lo, self.y_hi
-        )
+    @property
+    def domain(self) -> Rect:
+        return (self.x_lo, self.x_hi, self.y_lo, self.y_hi)
 
-    def domain_area(self) -> Fraction:
-        return (self.x_hi - self.x_lo) * (self.y_hi - self.y_lo)
+    @property
+    def action(self) -> tuple[bool, Vector2, Vector2]:
+        """(swap, scale, offset): equal actions are equal affine maps."""
+        return (self.swap, self.scale, self.offset)
+
+    def contains(self, p: PhasePoint) -> bool:
+        return in_interval(p.x, self.x_lo, self.x_hi) and in_interval(p.y, self.y_lo, self.y_hi)
 
     @cached_property
-    def image_rect(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """Bounding box (x_lo, x_hi, y_lo, y_hi) of the branch image.
+    def image_rect(self) -> Rect:
+        """Image (x_lo, x_hi, y_lo, y_hi) of the domain rectangle."""
+        (sx, sy), (tx, ty) = self.scale, self.offset
+        u, v = (self.x_lo, self.x_hi), (self.y_lo, self.y_hi)
+        u, v = (v, u) if self.swap else (u, v)
+        return (*_affine_interval(*u, sx, tx), *_affine_interval(*v, sy, ty))
 
-        Exact for the monomial linear parts used here (each output
-        coordinate depends on a single input coordinate).
-        """
-        corners = [
-            (self.x_lo, self.y_lo),
-            (self.x_lo, self.y_hi),
-            (self.x_hi, self.y_lo),
-            (self.x_hi, self.y_hi),
-        ]
-        xs, ys = [], []
-        for cx, cy in corners:
-            xs.append(self.linear[0][0] * cx + self.linear[0][1] * cy + self.offset[0])
-            ys.append(self.linear[1][0] * cx + self.linear[1][1] * cy + self.offset[1])
-        return (min(xs), max(xs), min(ys), max(ys))
-
-    def image_contains(self, p: PhasePoint) -> bool:
-        x_lo, x_hi, y_lo, y_hi = self.image_rect
-        return in_interval(p.x, x_lo, x_hi) and in_interval(p.y, y_lo, y_hi)
-
-    def is_monomial(self) -> bool:
-        (a, b), (c, d) = self.linear
-        return (a == 0 or b == 0) and (c == 0 or d == 0)
+    def preimage(self, r: Rect) -> Optional[Rect]:
+        """The part of the domain that the action sends into `r`: a
+        rectangle, or None unless it has positive area."""
+        (sx, sy), (tx, ty) = self.scale, self.offset
+        u = _affine_interval(r[0], r[1], 1 / sx, -tx / sx)
+        v = _affine_interval(r[2], r[3], 1 / sy, -ty / sy)
+        return _meet(self.domain, (*v, *u) if self.swap else (*u, *v))
 
     # -- action ------------------------------------------------------------
 
     def apply(self, p: PhasePoint) -> PhasePoint:
-        x = self.linear[0][0] * p.x + self.linear[0][1] * p.y + self.offset[0]
-        y = self.linear[1][0] * p.x + self.linear[1][1] * p.y + self.offset[1]
-        return PhasePoint(x, y)
-
-    def apply_inverse(self, p: PhasePoint) -> PhasePoint:
-        (a, b), (c, d) = self.linear
-        det = a * d - b * c
-        if det == 0:
-            raise NonInvertibleMapError("branch linear part is singular")
-        rx = p.x - self.offset[0]
-        ry = p.y - self.offset[1]
-        x = (d * rx - b * ry) / det
-        y = (-c * rx + a * ry) / det
-        return PhasePoint(x, y)
+        u, v = (p.y, p.x) if self.swap else (p.x, p.y)
+        return PhasePoint(self.scale[0] * u + self.offset[0],
+                          self.scale[1] * v + self.offset[1])
 
 
-def _rects_overlap_area(r1, r2) -> Fraction:
-    w = min(r1[1], r2[1]) - max(r1[0], r2[0])
-    h = min(r1[3], r2[3]) - max(r1[2], r2[2])
-    if w <= 0 or h <= 0:
-        return _ZERO
-    return w * h
+_IDENTITY = (False, (_ONE, _ONE), (_ZERO, _ZERO))
+
+
+def _after(outer: AffineBranch, inner: AffineBranch, domain: Rect) -> AffineBranch:
+    """`outer` after `inner` on a `domain` that `inner` sends into the
+    domain of `outer`, with the outer label.  Output i of `outer` reads
+    output i of `inner`, or the other one when `outer` swaps."""
+    read = (1, 0) if outer.swap else (0, 1)
+    scale = tuple(outer.scale[i] * inner.scale[read[i]] for i in range(2))
+    offset = tuple(outer.scale[i] * inner.offset[read[i]] + outer.offset[i]
+                   for i in range(2))
+    return AffineBranch(*domain, scale, offset, outer.swap != inner.swap, outer.label)
 
 
 @dataclass(frozen=True)
@@ -196,32 +200,21 @@ class PiecewiseAffineMap:
         object.__setattr__(self, "branches", tuple(self.branches))
         if not self.branches:
             raise MapConstructionError("map needs at least one branch")
-        total = sum(b.domain_area() for b in self.branches)
+        total = sum(_area(b.domain) for b in self.branches)
         if total != 1:
             raise MapConstructionError(f"branch domains have total area {total} != 1")
-        doms = [(b.x_lo, b.x_hi, b.y_lo, b.y_hi) for b in self.branches]
-        for i in range(len(doms)):
-            for j in range(i + 1, len(doms)):
-                if _rects_overlap_area(doms[i], doms[j]) != 0:
-                    raise MapConstructionError(
-                        f"branch domains {i} and {j} overlap in {self.name}"
-                    )
+        for (i, a), (j, b) in combinations(enumerate(self.branches), 2):
+            if _meet(a.domain, b.domain):
+                raise MapConstructionError(f"branch domains {i} and {j} overlap in {self.name}")
 
     # -- structural properties ----------------------------------------------
 
     @cached_property
     def invertible(self) -> bool:
         """True when branch images tile the square (inverse is well defined)."""
-        if not all(b.is_monomial() and b.jacobian != 0 for b in self.branches):
-            return False
         rects = [b.image_rect for b in self.branches]
-        if sum((r[1] - r[0]) * (r[3] - r[2]) for r in rects) != 1:
-            return False
-        for i in range(len(rects)):
-            for j in range(i + 1, len(rects)):
-                if _rects_overlap_area(rects[i], rects[j]) != 0:
-                    return False
-        return True
+        return sum(_area(r) for r in rects) == 1 and not any(
+            _meet(r, s) for r, s in combinations(rects, 2))
 
     @cached_property
     def partition(self) -> Optional[tuple[tuple[Fraction, Fraction, RegionLabel], ...]]:
@@ -245,16 +238,6 @@ class PiecewiseAffineMap:
     def apply(self, p: PhasePoint) -> PhasePoint:
         return self.branch_at(p).apply(p)
 
-    def apply_inverse(self, p: PhasePoint) -> PhasePoint:
-        if not self.invertible:
-            raise NonInvertibleMapError(f"{self.name} is not invertible")
-        if not p.in_unit_square():
-            raise ValueError(f"point {p} outside the unit square")
-        for b in self.branches:
-            if b.image_contains(p):
-                return b.apply_inverse(p)
-        raise ValueError(f"point {p} not covered by any branch image of {self.name}")
-
     def jacobian_at(self, p: PhasePoint) -> Fraction:
         return self.branch_at(p).jacobian
 
@@ -276,6 +259,28 @@ class PiecewiseAffineMap:
         return orbit
 
 
+def compose(outer: PiecewiseAffineMap, inner: PiecewiseAffineMap) -> PiecewiseAffineMap:
+    """The map p -> outer(inner(p)) on the common refinement: the part of
+    each inner piece that the inner action sends into one outer piece, a
+    rectangle (the monomial preimage of one), with one monomial action and
+    the outer label.  It equals ``outer.apply(inner.apply(p))`` off the
+    piece edges, a null set.  An inner image that leaves the square
+    leaves the pieces short of area 1: `MapConstructionError`."""
+    pieces = [_after(a, b, part)
+              for b in inner.branches for a in outer.branches
+              if (part := b.preimage(a.domain))]
+    return PiecewiseAffineMap(f"{outer.name} o {inner.name}", pieces)
+
+
+def overlay(m1: PiecewiseAffineMap, m2: PiecewiseAffineMap):
+    """(rect, b1, b2) for every piece b1 of `m1` and b2 of `m2` whose
+    domains overlap in positive area; the rects tile the square."""
+    for b1 in m1.branches:
+        for b2 in m2.branches:
+            if rect := _meet(b1.domain, b2.domain):
+                yield rect, b1, b2
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -290,10 +295,8 @@ def build_simple_baker(l) -> PiecewiseAffineMap:
         raise MapConstructionError(f"need 0 < l < 1, got {l}")
     r = 1 - l
     branches = (
-        AffineBranch(0, l, 0, 1, ((1 / l, _ZERO), (_ZERO, r)), (_ZERO, _ZERO),
-                     label=RegionLabel.A),
-        AffineBranch(l, 1, 0, 1, ((1 / r, _ZERO), (_ZERO, l)), (-l / r, r),
-                     label=RegionLabel.B),
+        AffineBranch(0, l, 0, 1, (1 / l, r), (_ZERO, _ZERO), label=RegionLabel.A),
+        AffineBranch(l, 1, 0, 1, (1 / r, l), (-l / r, r), label=RegionLabel.B),
     )
     m = PiecewiseAffineMap("map1", branches, family="map1", l=l)
     if not m.invertible:
@@ -310,17 +313,11 @@ def build_generalized_baker(l) -> PiecewiseAffineMap:
         raise MapConstructionError(f"need 0 < l <= 1/4, got {l}")
     w = 1 - 2 * l
     branches = (
-        AffineBranch(0, l, 0, 1,
-                     ((1 / (2 * l), _ZERO), (_ZERO, 2 * l)), (_HALF, w),
-                     label=RegionLabel.A),
-        AffineBranch(l, _HALF, 0, 1,
-                     ((1 / w, _ZERO), (_ZERO, _HALF)), (-l / w, _HALF),
-                     label=RegionLabel.B),
-        AffineBranch(_HALF, Fraction(3, 4), 0, 1,
-                     ((Fraction(2), _ZERO), (_ZERO, w)), (-_HALF, _ZERO),
+        AffineBranch(0, l, 0, 1, (1 / (2 * l), 2 * l), (_HALF, w), label=RegionLabel.A),
+        AffineBranch(l, _HALF, 0, 1, (1 / w, _HALF), (-l / w, _HALF), label=RegionLabel.B),
+        AffineBranch(_HALF, Fraction(3, 4), 0, 1, (2, w), (-_HALF, _ZERO),
                      label=RegionLabel.C),
-        AffineBranch(Fraction(3, 4), 1, 0, 1,
-                     ((Fraction(2), _ZERO), (_ZERO, _HALF)), (-Fraction(3, 2), _ZERO),
+        AffineBranch(Fraction(3, 4), 1, 0, 1, (2, _HALF), (-Fraction(3, 2), _ZERO),
                      label=RegionLabel.D),
     )
     m = PiecewiseAffineMap("map2", branches, family="map2", l=l)
@@ -343,16 +340,12 @@ def build_involution(map_kind: str) -> PiecewiseAffineMap:
     interior of the square.
     """
     if map_kind == "map1":
-        branch = AffineBranch(
-            0, 1, 0, 1, ((_ZERO, -_ONE), (-_ONE, _ZERO)), (_ONE, _ONE)
-        )
+        branch = AffineBranch(0, 1, 0, 1, (-_ONE, -_ONE), (_ONE, _ONE), swap=True)
         return PiecewiseAffineMap("involution1", (branch,), family="map1")
     if map_kind == "map2":
         branches = (
-            AffineBranch(0, _HALF, 0, 1,
-                         ((_ZERO, -_HALF), (-Fraction(2), _ZERO)), (_ONE, _ONE)),
-            AffineBranch(_HALF, 1, 0, 1,
-                         ((_ZERO, -_HALF), (-Fraction(2), _ZERO)), (_HALF, Fraction(2))),
+            AffineBranch(0, _HALF, 0, 1, (-_HALF, -2), (_ONE, _ONE), swap=True),
+            AffineBranch(_HALF, 1, 0, 1, (-_HALF, -2), (_HALF, 2), swap=True),
         )
         return PiecewiseAffineMap("involution2", branches, family="map2")
     raise MapConstructionError(f"unknown map kind {map_kind!r}")
@@ -366,9 +359,8 @@ def default_strip(l) -> tuple[Fraction, Fraction]:
     return x_tilde, eps
 
 
-def _identity_branch(x_lo, x_hi, y_lo=_ZERO, y_hi=_ONE) -> AffineBranch:
-    return AffineBranch(x_lo, x_hi, y_lo, y_hi,
-                        ((_ONE, _ZERO), (_ZERO, _ONE)), (_ZERO, _ZERO))
+def _identity_branch(x_lo, x_hi, y_lo=_ZERO, y_hi=_ONE, label=None) -> AffineBranch:
+    return AffineBranch(x_lo, x_hi, y_lo, y_hi, (_ONE, _ONE), (_ZERO, _ZERO), label=label)
 
 
 def build_perturbation(l, x_tilde=None, eps=None) -> PiecewiseAffineMap:
@@ -389,8 +381,7 @@ def build_perturbation(l, x_tilde=None, eps=None) -> PiecewiseAffineMap:
     else:
         branches = (
             _identity_branch(0, x_tilde),
-            AffineBranch(x_tilde, x_tilde + eps, 0, _HALF,
-                         ((_ONE, _ZERO), (_ZERO, -_ONE)), (_ZERO, _ONE)),
+            AffineBranch(x_tilde, x_tilde + eps, 0, _HALF, (_ONE, -_ONE), (_ZERO, _ONE)),
             _identity_branch(x_tilde, x_tilde + eps, _HALF, 1),
             _identity_branch(x_tilde + eps, 1),
         )
@@ -402,9 +393,11 @@ def build_composite(l, x_tilde=None, eps=None) -> PiecewiseAffineMap:
     """Composite map: perturbation first, then the generalized baker map.
 
     The perturbation leaves x untouched and the baker branches are full-
-    height vertical strips, so the composition flattens into an explicit
-    branch list (intersect strip intervals, stack the affine actions).
-    The result is non-invertible whenever eps > 0.
+    height vertical strips, so each piece of the perturbation meets each
+    strip of the map in the x-interval the two share.  This strip
+    intersection is the builder's own, independent of the general
+    preimages of `compose`, which `transfer.verify_composite` checks it
+    against.  The result is non-invertible whenever eps > 0.
     """
     pert = build_perturbation(l, x_tilde, eps)
     baker = build_generalized_baker(l)
@@ -412,22 +405,8 @@ def build_composite(l, x_tilde=None, eps=None) -> PiecewiseAffineMap:
     for bn in pert.branches:
         for bm in baker.branches:
             x_lo, x_hi = max(bn.x_lo, bm.x_lo), min(bn.x_hi, bm.x_hi)
-            if x_lo >= x_hi:
-                continue
-            lin = tuple(
-                tuple(
-                    sum(bm.linear[i][k] * bn.linear[k][j] for k in range(2))
-                    for j in range(2)
-                )
-                for i in range(2)
-            )
-            off = tuple(
-                sum(bm.linear[i][k] * bn.offset[k] for k in range(2)) + bm.offset[i]
-                for i in range(2)
-            )
-            branches.append(
-                AffineBranch(x_lo, x_hi, bn.y_lo, bn.y_hi, lin, off, label=bm.label)
-            )
+            if x_lo < x_hi:
+                branches.append(_after(bm, bn, (x_lo, x_hi, bn.y_lo, bn.y_hi)))
     return PiecewiseAffineMap("mapK", tuple(branches), family="map2", l=pert.l,
                               x_tilde=pert.x_tilde, eps=pert.eps)
 
@@ -444,19 +423,31 @@ class IdentityFailure:
     detail: str
 
 
+class PieceProof(NamedTuple):
+    """One identity decided on every piece of an exact composition: the
+    number of pieces, those on which it fails and their total area."""
+
+    pieces: int
+    failed_pieces: int
+    failed_area: Fraction
+
+
 @dataclass
 class ReversibilityReport:
     map_name: str
     samples: int
     checks: dict[str, int]
     failures: list[IdentityFailure] = field(default_factory=list)
+    proofs: dict[str, PieceProof] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failed_identities()
 
     def failed_identities(self) -> set[str]:
-        return {f.identity for f in self.failures}
+        """Identities that fail at a sample point or on a piece."""
+        return ({f.identity for f in self.failures}
+                | {name for name, proof in self.proofs.items() if proof.failed_pieces})
 
     def to_dict(self) -> dict:
         return {
@@ -470,78 +461,85 @@ class ReversibilityReport:
                  "detail": f.detail}
                 for f in self.failures
             ],
+            "proofs": {name: {**proof._asdict(), "failed_area": str(proof.failed_area)}
+                       for name, proof in sorted(self.proofs.items())},
         }
 
 
-def _shrunken_corners(lo, hi) -> list[Fraction]:
-    inset = (hi - lo) / 4096
-    return [lo + inset, hi - inset]
+def _proof(cells) -> PieceProof:
+    """Tally (rect, holds) pairs into a `PieceProof`."""
+    cells = list(cells)
+    failed = [_area(rect) for rect, holds in cells if not holds]
+    return PieceProof(len(cells), len(failed), sum(failed, _ZERO))
 
 
 def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
                          samples: Sequence[PhasePoint]) -> ReversibilityReport:
-    """Check the reversal identities on exact rational sample points.
+    """Check the reversal identities: the involution G squares to the
+    identity, conjugating the map M by G inverts it, the jacobians at a
+    point and at its reversed image are reciprocal, and region labels
+    transform by the family conjugacy.
 
-    Per sample: the involution squares to the identity, conjugating the map
-    by the involution inverts it, the jacobians at a point and at its
-    reversed image are reciprocal, and region labels transform by the
-    family conjugacy.  Region-corner images are checked on points shrunk
-    slightly into each region, since exact corners sit on branch
-    boundaries where the half-open convention is arbitrary.  The map's
-    branch is looked up once per point and gives both the image and the
-    jacobian; a point outside the unit square raises `ValueError`.
-    """
+    Two independent routes.  The proofs decide each identity on every
+    piece of the exact compositions G o G, (G o M) o (G o M) and
+    M o (G o M), and for the regions on the overlay of the strip
+    partition, as a labelled identity map S, with S o (G o M); each gives
+    the area on which it fails.  A jacobian is constant on a piece, so it
+    is read at the piece's centre, which G o M sends inside one piece of
+    M.  The samples check each identity at exact rational points, plus
+    region corners shrunk into each region (exact corners sit on branch
+    boundaries, where the half-open convention is arbitrary); a point
+    outside the unit square raises `ValueError`."""
     from bakerfr.families import symbols
 
     conj = symbols(m.family).conjugacy if m.partition is not None else None
-    checks = {"involution_squares_to_identity": 0, "conjugation_inverts_map": 0,
-              "jacobian_reciprocity": 0}
-    if conj is not None:
-        checks["region_conjugacy"] = 0
-    failures: list[IdentityFailure] = []
+    gm = compose(involution, m)
 
-    def run_point(p: PhasePoint):
+    def identity(b: AffineBranch):
+        return b.domain, b.action == _IDENTITY
+
+    def reciprocal(b: AffineBranch):
+        q = PhasePoint((b.x_lo + b.x_hi) / 2, (b.y_lo + b.y_hi) / 2)
+        return b.domain, m.jacobian_at(q) * m.jacobian_at(gm.apply(q)) == 1
+
+    proofs = {
+        "involution_squares_to_identity": _proof(
+            map(identity, compose(involution, involution).branches)),
+        "conjugation_inverts_map": _proof(map(identity, compose(gm, gm).branches)),
+        "jacobian_reciprocity": _proof(map(reciprocal, compose(m, gm).branches)),
+    }
+    points = list(samples)
+    if conj is not None:
+        strips = PiecewiseAffineMap("strips", [_identity_branch(lo, hi, label=label)
+                                               for lo, hi, label in m.partition])
+        proofs["region_conjugacy"] = _proof(
+            (rect, after.label == conj[at.label])
+            for rect, at, after in overlay(strips, compose(strips, gm)))
+        inset = (Fraction(1, 4096), Fraction(4095, 4096))  # region corners, shrunk
+        points += [PhasePoint(lo + (hi - lo) * t, s) for lo, hi, _label in m.partition
+                   for t in inset for s in inset]
+    checks = dict.fromkeys(proofs, 0)
+    failures: list[IdentityFailure] = []
+    for p in points:
         gg = involution.apply(involution.apply(p))
-        if gg == p:
-            checks["involution_squares_to_identity"] += 1
-        else:
-            failures.append(IdentityFailure(p, "involution_squares_to_identity",
-                                            f"G(G(p)) = {gg}"))
         at_p = m.branch_at(p)
         gmp = involution.apply(at_p.apply(p))
         at_gmp = m.branch_at(gmp)
         back = involution.apply(at_gmp.apply(gmp))
-        if back == p:
-            checks["conjugation_inverts_map"] += 1
-        else:
-            failures.append(IdentityFailure(p, "conjugation_inverts_map",
-                                            f"G(M(G(M(p)))) = {back}"))
         jac = at_p.jacobian * at_gmp.jacobian
-        if jac == 1:
-            checks["jacobian_reciprocity"] += 1
-        else:
-            failures.append(IdentityFailure(p, "jacobian_reciprocity",
-                                            f"J(p)*J(GMp) = {jac}"))
+        # (identity, holds, detail template, value shown on failure)
+        outcomes = [("involution_squares_to_identity", gg == p, "G(G(p)) = {}", gg),
+                    ("conjugation_inverts_map", back == p, "G(M(G(M(p)))) = {}", back),
+                    ("jacobian_reciprocity", jac == 1, "J(p)*J(GMp) = {}", jac)]
         if conj is not None:
-            want = conj[m.region_of(p)]
-            got = m.region_of(gmp)
-            if got == want:
-                checks["region_conjugacy"] += 1
+            want, got = conj[m.region_of(p)], m.region_of(gmp)
+            outcomes.append(("region_conjugacy", got == want, f"expected {want}, got {{}}", got))
+        for name, holds, detail, value in outcomes:
+            if holds:
+                checks[name] += 1
             else:
-                failures.append(IdentityFailure(
-                    p, "region_conjugacy", f"expected {want}, got {got}"))
-
-    count = 0
-    for p in samples:
-        run_point(p)
-        count += 1
-    if conj is not None:
-        for lo, hi, _label in m.partition:
-            for cx in _shrunken_corners(lo, hi):
-                for cy in _shrunken_corners(_ZERO, _ONE):
-                    run_point(PhasePoint(cx, cy))
-                    count += 1
-    return ReversibilityReport(m.name, count, checks, failures)
+                failures.append(IdentityFailure(p, name, detail.format(value)))
+    return ReversibilityReport(m.name, len(points), checks, failures, proofs)
 
 
 def random_rational_points(count: int, seed: int) -> list[PhasePoint]:
@@ -575,6 +573,17 @@ def _pair_frac(v):
     return None if v is None else Fraction(v[0], v[1])
 
 
+def _branch_to_dict(b: AffineBranch) -> dict:
+    """One branch in the JSON layout, which stores the 2x2 linear part."""
+    sx, sy = b.scale
+    linear = [[_ZERO, sx], [sy, _ZERO]] if b.swap else [[sx, _ZERO], [_ZERO, sy]]
+    return {"domain": [_frac_pair(c) for c in b.domain],
+            "linear": [[_frac_pair(c) for c in row] for row in linear],
+            "offset": [_frac_pair(c) for c in b.offset],
+            "jacobian": _frac_pair(b.jacobian),
+            "label": b.label.value if b.label else None}
+
+
 def map_to_dict(m: PiecewiseAffineMap) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -583,33 +592,34 @@ def map_to_dict(m: PiecewiseAffineMap) -> dict:
         "l": _frac_pair(m.l),
         "x_tilde": _frac_pair(m.x_tilde),
         "eps": _frac_pair(m.eps),
-        "branches": [
-            {
-                "domain": [_frac_pair(b.x_lo), _frac_pair(b.x_hi),
-                           _frac_pair(b.y_lo), _frac_pair(b.y_hi)],
-                "linear": [[_frac_pair(c) for c in row] for row in b.linear],
-                "offset": [_frac_pair(c) for c in b.offset],
-                "jacobian": _frac_pair(b.jacobian),
-                "label": b.label.value if b.label else None,
-            }
-            for b in m.branches
-        ],
+        "branches": [_branch_to_dict(b) for b in m.branches],
     }
 
 
+def _branch_from_dict(bd: dict) -> AffineBranch:
+    """One branch of the JSON layout.  Its linear part must be monomial
+    and a stored jacobian must equal |sx sy|, or `MapConstructionError`
+    is raised."""
+    (a, b), (c, d) = ((_pair_frac(e) for e in row) for row in bd["linear"])
+    if b == c == 0:
+        swap, scale = False, (a, d)
+    elif a == d == 0:
+        swap, scale = True, (b, c)
+    else:
+        raise MapConstructionError(f"linear part {bd['linear']} is not monomial")
+    branch = AffineBranch(*(_pair_frac(e) for e in bd["domain"]), scale,
+                          tuple(_pair_frac(e) for e in bd["offset"]), swap,
+                          RegionLabel(bd["label"]) if bd["label"] else None)
+    stored = _pair_frac(bd["jacobian"])
+    if stored is not None and stored != branch.jacobian:
+        raise MapConstructionError(
+            f"stored jacobian {stored} != |sx sy| = {branch.jacobian} of {branch}")
+    return branch
+
+
 def map_from_dict(d: dict) -> PiecewiseAffineMap:
-    branches = tuple(
-        AffineBranch(
-            _pair_frac(bd["domain"][0]), _pair_frac(bd["domain"][1]),
-            _pair_frac(bd["domain"][2]), _pair_frac(bd["domain"][3]),
-            tuple(tuple(_pair_frac(c) for c in row) for row in bd["linear"]),
-            tuple(_pair_frac(c) for c in bd["offset"]),
-            jacobian=_pair_frac(bd["jacobian"]),
-            label=RegionLabel(bd["label"]) if bd["label"] else None,
-        )
-        for bd in d["branches"]
-    )
-    return PiecewiseAffineMap(d["name"], branches, family=d.get("family"),
+    return PiecewiseAffineMap(d["name"], tuple(map(_branch_from_dict, d["branches"])),
+                              family=d.get("family"),
                               l=_pair_frac(d.get("l")),
                               x_tilde=_pair_frac(d.get("x_tilde")),
                               eps=_pair_frac(d.get("eps")))

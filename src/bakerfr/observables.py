@@ -16,7 +16,7 @@ from typing import Optional
 
 from bakerfr import families
 from bakerfr.maps import PhasePoint, PiecewiseAffineMap, RegionLabel, build_involution
-from bakerfr.transfer import ConsistencyError, StepDensity
+from bakerfr.transfer import StepDensity
 
 #: exact iteration guard: the denominators of rational coordinates grow
 #: geometrically with the step count
@@ -110,26 +110,14 @@ def lambda_at(m: PiecewiseAffineMap, p: PhasePoint) -> float:
 
 
 def reversed_initial(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
-                     x0: PhasePoint, n: int, check: bool = True) -> PhasePoint:
+                     x0: PhasePoint, n: int) -> PhasePoint:
     """Initial condition of the time-reversed segment: the involution
     applied to the point one step past the forward segment (n at most
-    MAX_EXACT_STEPS).  With `check`, the equivalent backward construction
-    (n inverse steps from the reversed start) is asserted to agree."""
+    MAX_EXACT_STEPS).  For a reversible map, where `verify_reversibility`
+    proves G o M o G = M^-1 on every piece, n steps from it end at G(x0)."""
     if n > MAX_EXACT_STEPS:
         raise ValueError(f"{n} exact-rational steps exceed the cap {MAX_EXACT_STEPS}")
-    forward_end = x0
-    for _ in range(n):
-        forward_end = m.apply(forward_end)
-    rev = involution.apply(forward_end)
-    if check:
-        back = involution.apply(x0)
-        for _ in range(n):
-            back = m.apply_inverse(back)
-        if back != rev:
-            raise ConsistencyError(
-                "forward and backward constructions of the reversed initial "
-                f"condition disagree at n={n}: {rev} vs {back}")
-    return rev
+    return involution.apply(m.iterate(x0, n)[-1])
 
 
 def reversed_symbol_sequence(seq: SymbolSequence) -> SymbolSequence:

@@ -13,7 +13,7 @@ one x-action, so the irreversible composite, whose fold cuts strip B in x
 and in y, projects onto the four labelled strips of its base map.
 `verify_x_factor` checks exactly that for any map: its projection must
 equal the one of its family's map, strip for strip.  `verify_composite`
-adds the rest of the composite's claim: every piece acts as fold-then-map.
+adds the rest of the composite's claim: it equals fold-then-map exactly.
 The region chain (`transition_matrix`, `region_measures`) is derived from
 the projected strips, and `families.family` checks it against the closed
 forms of both families."""
@@ -26,12 +26,14 @@ from typing import Optional, Sequence
 
 from bakerfr.maps import (
     MapConstructionError,
-    PhasePoint,
+    AffineBranch,
     PiecewiseAffineMap,
     RegionLabel,
     build_generalized_baker,
     build_perturbation,
+    compose,
     in_interval,
+    overlay,
 )
 
 _ZERO = Fraction(0)
@@ -97,13 +99,13 @@ def project_unstable(m: PiecewiseAffineMap) -> Map1D:
     that fails either condition raises `MapConstructionError`."""
     stacks: dict[tuple[Fraction, Fraction], list] = {}
     for b in m.branches:
-        if b.linear[0][1] != 0:
+        if b.swap:
             raise MapConstructionError(
                 f"{m.name}: branch x-action depends on y; not projectable")
         stacks.setdefault((b.x_lo, b.x_hi), []).append(b)
     merged: list[Branch1D] = []
     for (lo, hi), pieces in sorted(stacks.items()):
-        actions = {(b.linear[0][0], b.offset[0], b.label) for b in pieces}
+        actions = {(b.scale[0], b.offset[0], b.label) for b in pieces}
         if len(actions) != 1 or sum(b.y_hi - b.y_lo for b in pieces) != 1:
             raise MapConstructionError(
                 f"{m.name}: pieces over x in [{lo}, {hi}) differ in their "
@@ -139,35 +141,32 @@ def verify_x_factor(m: PiecewiseAffineMap) -> None:
             f"{m.name}: x-factor {text(got)} differs from {m.family}'s {text(want)}")
 
 
+def _action_text(b: AffineBranch) -> str:
+    (sx, sy), (tx, ty), (u, v) = b.scale, b.offset, ("yx" if b.swap else "xy")
+    return f"x' = {sx} {u} + {tx}, y' = {sy} {v} + {ty} ({b.label})"
+
+
 def verify_composite(k: PiecewiseAffineMap) -> None:
     """Exact check that `k` is fold-then-map: `build_perturbation(l,
     x_tilde, eps)`, then `build_generalized_baker(l)`, at `k`'s parameters.
 
-    First `verify_x_factor(k)`, which puts every piece inside one strip of
-    the map.  Then, piece by piece: the piece must lie inside one piece of
-    the fold, so fold-then-map is affine on it, and agree with
-    fold-then-map at three affinely independent interior points, which
-    fixes an affine action on the whole piece.  Raises `ValueError` for a
-    map without strip parameters and `ConsistencyError` for any
-    disagreement."""
+    First `verify_x_factor(k)`.  Then one map equality: `k` must equal
+    `compose(build_generalized_baker(l), build_perturbation(l, x_tilde,
+    eps))`, action and label, on every overlap of a piece of `k` with a
+    piece of the composition.  Two monomial actions that differ agree at
+    most on a line, so this decides equality everywhere off the piece
+    edges.  Raises `ValueError` for a map without strip parameters and
+    `ConsistencyError` for any disagreement."""
     if k.l is None or k.x_tilde is None or k.eps is None:
         raise ValueError(f"{k.name}: expected a composite map carrying strip parameters")
     verify_x_factor(k)
-    fold = build_perturbation(k.l, k.x_tilde, k.eps)
-    base = build_generalized_baker(k.l)
-    for b in k.branches:
-        where = f"{k.name}: piece on [{b.x_lo}, {b.x_hi}) x [{b.y_lo}, {b.y_hi})"
-        if not any(f.x_lo <= b.x_lo and b.x_hi <= f.x_hi and f.y_lo <= b.y_lo
-                   and b.y_hi <= f.y_hi for f in fold.branches):
-            raise ConsistencyError(f"{where} straddles two pieces of the fold")
-        dx, dy = (b.x_hi - b.x_lo) / 4, (b.y_hi - b.y_lo) / 4
-        for p in (PhasePoint(b.x_lo + dx, b.y_lo + dy), PhasePoint(b.x_lo + 3 * dx, b.y_lo + dy),
-                  PhasePoint(b.x_lo + dx, b.y_lo + 3 * dy)):
-            got, want = b.apply(p), base.apply(fold.apply(p))
-            if got != want:
-                raise ConsistencyError(
-                    f"{where} maps ({p.x}, {p.y}) to ({got.x}, {got.y}), "
-                    f"fold-then-map to ({want.x}, {want.y})")
+    want = compose(build_generalized_baker(k.l), build_perturbation(k.l, k.x_tilde, k.eps))
+    for (x_lo, x_hi, y_lo, y_hi), got, exp in overlay(k, want):
+        if (got.action, got.label) != (exp.action, exp.label):
+            raise ConsistencyError(
+                f"{k.name}: piece on [{got.x_lo}, {got.x_hi}) x [{got.y_lo}, {got.y_hi}) "
+                f"acts as {_action_text(got)}, but on [{x_lo}, {x_hi}) x [{y_lo}, {y_hi}) "
+                f"fold-then-map acts as {_action_text(exp)}")
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,11 @@ class TestOtherCommands:
         payload = json.loads((tmp_path / "revk.json").read_text())
         assert payload["irreversible_as_expected"] is True
         assert payload["ok"] is False
+        # the exact witness: G o K o G o K differs from the identity on 5/128
+        assert payload["proofs"]["conjugation_inverts_map"] == {
+            "pieces": 10, "failed_pieces": 2, "failed_area": "5/128"}
+        assert {name for name, proof in payload["proofs"].items()
+                if proof["failed_pieces"]} == {"conjugation_inverts_map"}
 
 
 class TestSweepFile:

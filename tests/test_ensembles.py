@@ -35,9 +35,9 @@ def reference_sample_g(m, n, ensemble, transient, seed):
         base = build_generalized_baker(m.l)
     branches = sorted(base.branches, key=lambda b: b.x_lo)
     strip_edges = np.array([float(b.x_hi) for b in branches[:-1]])
-    axx = np.array([float(b.linear[0][0]) for b in branches])
+    axx = np.array([float(b.scale[0]) for b in branches])
     tx = np.array([float(b.offset[0]) for b in branches])
-    ayy = np.array([float(b.linear[1][1]) for b in branches])
+    ayy = np.array([float(b.scale[1]) for b in branches])
     ty = np.array([float(b.offset[1]) for b in branches])
     region_edges = np.array([float(hi) for _lo, hi, _lab in m.partition[:-1]])
     increment = symbols(m.family).g

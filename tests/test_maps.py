@@ -1,13 +1,15 @@
+import copy
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from bakerfr.families import family
 from bakerfr.maps import (
     AffineBranch,
     MapConstructionError,
-    NonInvertibleMapError,
     PhasePoint,
     RegionLabel,
     build_composite,
@@ -15,6 +17,7 @@ from bakerfr.maps import (
     build_involution,
     build_perturbation,
     build_simple_baker,
+    compose,
     default_strip,
     map_from_dict,
     map_to_dict,
@@ -30,6 +33,10 @@ coords = st.integers(min_value=1, max_value=1_000_002).map(
 points = st.builds(PhasePoint, coords, coords)
 l_map1 = st.fractions(min_value=F(1, 50), max_value=F(49, 50), max_denominator=50)
 l_map2 = st.fractions(min_value=F(1, 40), max_value=F(1, 4), max_denominator=40)
+
+
+def area(b):
+    return (b.x_hi - b.x_lo) * (b.y_hi - b.y_lo)
 
 
 class TestSimpleBaker:
@@ -53,11 +60,11 @@ class TestSimpleBaker:
 
     def test_stable_unstable_reciprocity(self):
         # y-contraction of one branch is the reciprocal of the other
-        # branch's x-expansion, directly from the branch matrices
+        # branch's x-expansion, directly from the branch scales
         m = build_simple_baker(F(2, 3))
         ba, bb = m.branches
-        assert ba.linear[1][1] == 1 / bb.linear[0][0]
-        assert bb.linear[1][1] == 1 / ba.linear[0][0]
+        assert ba.scale[1] == 1 / bb.scale[0]
+        assert bb.scale[1] == 1 / ba.scale[0]
 
 
 class TestGeneralizedBaker:
@@ -108,9 +115,12 @@ class TestInvolutions:
         assert g.apply(m.apply(g.apply(m.apply(p)))) == p
 
     def test_involution_is_own_inverse(self):
-        g = build_involution("map2")
-        p = PhasePoint(F(3, 10), F(4, 5))
-        assert g.apply_inverse(p) == g.apply(p)
+        # G o G is the identity on every piece, so G is its own inverse
+        for kind in ("map1", "map2"):
+            g = build_involution(kind)
+            gg = compose(g, g)
+            assert sum(area(b) for b in gg.branches) == 1
+            assert all(b.action == (False, (1, 1), (0, 0)) for b in gg.branches)
 
     @pytest.mark.parametrize("kind", ["simple", "generalized", "map3"])
     def test_only_family_names(self, kind):
@@ -130,8 +140,6 @@ class TestPerturbation:
     def test_not_invertible(self):
         n = build_perturbation(F(1, 8))
         assert not n.invertible
-        with pytest.raises(NonInvertibleMapError):
-            n.apply_inverse(PhasePoint(F(1, 4), F(1, 4)))
 
     def test_strip_must_sit_inside_contracting_region(self):
         with pytest.raises(MapConstructionError):
@@ -162,25 +170,12 @@ class TestComposite:
     def test_not_invertible(self):
         k = build_composite(F(1, 8))
         assert not k.invertible
-        with pytest.raises(NonInvertibleMapError):
-            k.apply_inverse(PhasePoint(F(1, 3), F(1, 3)))
 
     def test_zero_width_strip_reduces_to_base_map(self):
         k = build_composite(F(1, 8), eps=0)
         m = build_generalized_baker(F(1, 8))
         for p in random_rational_points(20, seed=5):
             assert k.apply(p) == m.apply(p)
-
-
-class TestApplyInverse:
-    def test_specific_preimage(self):
-        m = build_generalized_baker(F(1, 8))
-        assert m.apply_inverse(PhasePoint(F(1, 2), F(3, 4))) == PhasePoint(F(0), F(0))
-
-    def test_roundtrip_many_points(self):
-        for m in (build_simple_baker(F(2, 3)), build_generalized_baker(F(1, 8))):
-            for p in random_rational_points(100, seed=6):
-                assert m.apply_inverse(m.apply(p)) == p
 
 
 @pytest.mark.parametrize("x,y", [(0.5, F(1, 2)), (F(1, 2), 0.5)])
@@ -201,7 +196,6 @@ def test_rational_orbits_stay_rational():
 def test_simple_family_identities(l, p):
     m = build_simple_baker(l)
     g = build_involution("map1")
-    assert m.apply_inverse(m.apply(p)) == p
     assert g.apply(g.apply(p)) == p
     assert g.apply(m.apply(g.apply(m.apply(p)))) == p
     gmp = g.apply(m.apply(p))
@@ -213,7 +207,6 @@ def test_simple_family_identities(l, p):
 def test_generalized_family_identities(l, p):
     m = build_generalized_baker(l)
     g = build_involution("map2")
-    assert m.apply_inverse(m.apply(p)) == p
     assert g.apply(g.apply(p)) == p
     assert g.apply(m.apply(g.apply(m.apply(p)))) == p
     gmp = g.apply(m.apply(p))
@@ -264,10 +257,55 @@ class TestVerifyReversibility:
                                  build_involution("map2"), [p])
 
 
+# involution2 as a map saved by an earlier version writes it: the JSON
+# layout keeps the full 2x2 linear part and the jacobian
+INVOLUTION2_DICT = {
+    "schema_version": 1, "name": "involution2", "family": "map2",
+    "l": None, "x_tilde": None, "eps": None,
+    "branches": [
+        {"domain": [[0, 1], [1, 2], [0, 1], [1, 1]], "jacobian": [1, 1], "label": None,
+         "linear": [[[0, 1], [-1, 2]], [[-2, 1], [0, 1]]], "offset": [[1, 1], [1, 1]]},
+        {"domain": [[1, 2], [1, 1], [0, 1], [1, 1]], "jacobian": [1, 1], "label": None,
+         "linear": [[[0, 1], [-1, 2]], [[-2, 1], [0, 1]]], "offset": [[1, 2], [2, 1]]},
+    ],
+}
+
+
+def corrupted_involution2(**branch0):
+    d = copy.deepcopy(INVOLUTION2_DICT)
+    d["branches"][0].update(branch0)
+    return d
+
+
+class TestMapFromDict:
+    def test_earlier_layout_loads(self):
+        assert map_from_dict(INVOLUTION2_DICT) == build_involution("map2")
+        assert map_to_dict(build_involution("map2")) == INVOLUTION2_DICT
+
+    @pytest.mark.parametrize("linear", [
+        [[[1, 1000], [-1, 2]], [[-2, 1], [0, 1]]],
+        [[[0, 1], [-1, 2]], [[-2, 1], [1, 1000]]],
+    ])
+    def test_refuses_a_non_monomial_linear_part(self, linear):
+        with pytest.raises(MapConstructionError, match="not monomial"):
+            map_from_dict(corrupted_involution2(linear=linear))
+
+    @pytest.mark.parametrize("linear", [
+        [[[0, 1], [0, 1]], [[-2, 1], [0, 1]]],
+        [[[1, 1], [0, 1]], [[0, 1], [0, 1]]],
+    ])
+    def test_refuses_a_zero_scale(self, linear):
+        with pytest.raises(MapConstructionError, match="zero scale"):
+            map_from_dict(corrupted_involution2(linear=linear, jacobian=None))
+
+
 def test_branch_jacobian_validated():
-    with pytest.raises(MapConstructionError):
-        AffineBranch(0, 1, 0, 1, ((F(2), F(0)), (F(0), F(1))), (F(0), F(0)),
-                     jacobian=F(3))
+    # a stored jacobian must equal the derived |sx sy|
+    with pytest.raises(MapConstructionError, match="stored jacobian 3"):
+        map_from_dict(corrupted_involution2(jacobian=[3, 1]))
+    with pytest.raises(MapConstructionError, match="zero scale"):
+        AffineBranch(0, 1, 0, 1, (F(2), F(0)), (F(0), F(0)))
+    assert AffineBranch(0, 1, 0, 1, (F(-2), F(1, 3)), (F(1), F(0))).jacobian == F(2, 3)
 
 
 def test_json_roundtrip(tmp_path):
@@ -299,3 +337,107 @@ def test_random_points_refuse_a_negative_seed():
     with pytest.raises(ValueError, match="seed >= 0"):
         random_rational_points(3, -1)
     assert random_rational_points(3, 0) != random_rational_points(3, 1)
+
+
+# ---------------------------------------------------------------------------
+# exact composition and the per-piece proofs
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def named_maps(draw):
+    """(name, map): map1 or map2 at a random rational l, or the composite
+    with a random fold strip inside region B."""
+    kind = draw(st.sampled_from(["map1", "map2", "composite"]))
+    if kind == "map1":
+        return kind, build_simple_baker(draw(l_map1))
+    l = draw(l_map2)
+    if kind == "map2":
+        return kind, build_generalized_baker(l)
+    u = draw(st.fractions(F(0), F(1), max_denominator=30))
+    v = draw(st.fractions(F(0), F(29, 30), max_denominator=30))
+    x_tilde = l + (F(1, 2) - l) * u * F(99, 100)
+    return kind, build_composite(l, x_tilde, (F(1, 2) - x_tilde) * v)
+
+
+class TestCompose:
+    @settings(max_examples=40, deadline=None)
+    @given(named=named_maps(), pts=st.lists(points, min_size=5, max_size=5))
+    def test_matches_pointwise_composition(self, named, pts):
+        kind, m = named
+        g = build_involution("map1" if kind == "map1" else "map2")
+        for outer, inner in ((g, m), (m, g), (m, m)):
+            both = compose(outer, inner)
+            assert sum(area(b) for b in both.branches) == 1
+            for p in pts:
+                assert both.apply(p) == outer.apply(inner.apply(p))
+                assert both.branch_at(p).label == outer.branch_at(inner.apply(p)).label
+
+    def test_image_leaving_the_square_is_refused(self):
+        m = build_simple_baker(F(2, 3))
+        a, b = m.branches
+        out = dataclasses.replace(m, branches=(a, dataclasses.replace(
+            b, offset=(b.offset[0] + F(1, 1000), b.offset[1]))))
+        with pytest.raises(MapConstructionError, match="total area"):
+            compose(m, out)
+
+
+def proofs(m, g):
+    return verify_reversibility(m, g, []).proofs
+
+
+class TestPieceProofs:
+    @pytest.mark.parametrize("l", ["1/3", "2/3", "3/7"])
+    def test_simple_map_passes(self, l):
+        rep = verify_reversibility(build_simple_baker(F(l)), build_involution("map1"), [])
+        assert rep.ok and set(rep.proofs) == set(rep.checks)
+        assert all(res.pieces > 0 and res.failed_area == 0 for res in rep.proofs.values())
+
+    @settings(max_examples=30, deadline=None)
+    @given(l=l_map2)
+    def test_generalized_map_passes(self, l):
+        rep = verify_reversibility(build_generalized_baker(l), build_involution("map2"), [])
+        assert rep.ok and set(rep.proofs) == set(rep.checks)
+        assert all(res.pieces > 0 and res.failed_area == 0 for res in rep.proofs.values())
+
+    def test_composite_witness(self):
+        # 2 of the 10 pieces of G o K o G o K are not the identity
+        res = proofs(build_composite(F(1, 8)), build_involution("map2"))
+        assert {name for name, p in res.items() if p.failed_pieces} == {
+            "conjugation_inverts_map"}
+        wit = res["conjugation_inverts_map"]
+        assert (wit.pieces, wit.failed_pieces, wit.failed_area) == (10, 2, F(5, 128))
+
+    @pytest.mark.parametrize("piece,shift", [(0, F(-1, 1000)), (1, F(1, 1000))])
+    def test_shifted_involution_fails_the_involution_proof(self, piece, shift):
+        # one x-offset of map2's involution moved by 1/1000, towards the
+        # inside of the square, so that G o G is still defined
+        g = build_involution("map2")
+        b = g.branches[piece]
+        bad = dataclasses.replace(g, branches=tuple(
+            dataclasses.replace(c, offset=(c.offset[0] + shift, c.offset[1])) if c is b else c
+            for c in g.branches))
+        res = proofs(build_generalized_baker(F(1, 8)), bad)
+        assert res["involution_squares_to_identity"].failed_area > 0
+        assert res["involution_squares_to_identity"].failed_pieces > 0
+
+    def test_failed_area_equals_a_grid_count(self):
+        # map2 under map1's mirror: the jacobian and region identities fail
+        # on 35/48 of the square, and so they do at exactly that share of
+        # the centres of a 48 x 48 grid, whose lines hold every piece edge
+        m, g = build_generalized_baker(F(1, 8)), build_involution("map1")
+        res = proofs(m, g)
+        conj = family("map2", F(1, 8)).conjugacy
+        centres = [PhasePoint(F(2 * i + 1, 96), F(2 * j + 1, 96))
+                   for i in range(48) for j in range(48)]
+        jac = sum(m.jacobian_at(p) * m.jacobian_at(g.apply(m.apply(p))) != 1 for p in centres)
+        reg = sum(conj[m.region_of(p)] != m.region_of(g.apply(m.apply(p))) for p in centres)
+        assert res["jacobian_reciprocity"].failed_area == F(jac, 48 * 48) == F(35, 48)
+        assert res["region_conjugacy"].failed_area == F(reg, 48 * 48) == F(35, 48)
+
+    def test_wrong_involution_fails_on_area(self):
+        # the two-branch map under map2's involution: its jacobians are
+        # not reciprocal on a set of positive area
+        rep = verify_reversibility(build_simple_baker(F(2, 3)), build_involution("map2"), [])
+        assert rep.proofs["jacobian_reciprocity"].failed_area > 0
+        assert "jacobian_reciprocity" in rep.failed_identities() and not rep.ok

@@ -12,6 +12,8 @@ from bakerfr.maps import (
     build_generalized_baker,
     build_perturbation,
     build_simple_baker,
+    map_from_dict,
+    map_to_dict,
 )
 from bakerfr.families import family
 from bakerfr.transfer import (
@@ -140,16 +142,26 @@ class TestVerifyComposite:
     @pytest.mark.parametrize("axis", [0, 1])
     def test_tilt_seen_by_one_point_only_is_inconsistent(self, axis):
         # the lower fold piece's y-image tilted by 1/1000 along x or y,
-        # about the line through the first checked point: two of the
-        # three points still agree, so one point alone would miss it
+        # about the line y-image = const through the point a quarter into
+        # the piece, where the tilted action still agrees.  Along x the
+        # tilt makes y' depend on x and y: no branch holds such an action,
+        # and loading it is refused.  Along y it changes the y-scale,
+        # which the map equality sees on the whole piece.
         k = build_composite(F(1, 8))
-        fold = next(b for b in k.branches if b.x_lo == k.x_tilde and b.y_lo == 0)
+        i, fold = next((i, b) for i, b in enumerate(k.branches)
+                       if b.x_lo == k.x_tilde and b.y_lo == 0)
         lo, hi = ((fold.x_lo, fold.x_hi), (fold.y_lo, fold.y_hi))[axis]
         tilt, pivot = F(1, 1000), lo + (hi - lo) / 4
-        row = list(fold.linear[1])
-        row[axis] += tilt
-        bad = dataclasses.replace(fold, linear=(fold.linear[0], tuple(row)), jacobian=None,
-                                  offset=(fold.offset[0], fold.offset[1] - tilt * pivot))
+        ty = fold.offset[1] - tilt * pivot
+        if axis == 0:
+            d = map_to_dict(k)
+            d["branches"][i].update(linear=[[[1, 1], [0, 1]], [[1, 1000], [-1, 1]]],
+                                    offset=[[0, 1], [ty.numerator, ty.denominator]])
+            with pytest.raises(MapConstructionError, match="not monomial"):
+                map_from_dict(d)
+            return
+        bad = dataclasses.replace(fold, scale=(fold.scale[0], fold.scale[1] + tilt),
+                                  offset=(fold.offset[0], ty))
         tilted = dataclasses.replace(
             k, branches=tuple(bad if b is fold else b for b in k.branches))
         verify_x_factor(tilted)
@@ -168,7 +180,9 @@ class TestVerifyComposite:
             dataclasses.replace(b, y_lo=F(5, 8)) if b is upper else b
             for b in k.branches))
         verify_x_factor(moved)
-        with pytest.raises(ConsistencyError, match="straddles two pieces of the fold"):
+        with pytest.raises(ConsistencyError, match=r"mapK: piece on \[7/32, 17/64\) x "
+                           r"\[0, 5/8\) acts as .* but on \[7/32, 17/64\) x \[1/2, 5/8\) "
+                           "fold-then-map acts as"):
             verify_composite(moved)
 
 
@@ -265,7 +279,7 @@ class TestTransitionMatrix:
             build_generalized_baker(l))
         m = build_generalized_baker(l)
         a, b, c, d = m.branches
-        sheared = dataclasses.replace(b, linear=((b.linear[0][0], F(1, 100)), b.linear[1]))
+        sheared = dataclasses.replace(b, swap=True)
         with pytest.raises(MapConstructionError, match="depends on y"):
             transition_matrix(dataclasses.replace(m, branches=(a, sheared, c, d)))
 
