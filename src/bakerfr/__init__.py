@@ -36,7 +36,6 @@ from bakerfr.transfer import (
     StepDensity,
     frobenius_perron_step,
     invariant_density,
-    invariant_density_power,
     project_unstable,
     region_measures,
     transition_matrix,

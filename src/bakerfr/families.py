@@ -5,13 +5,15 @@ once per strip width.
 region labels in strip order, the g increment of each region, how the
 time-reversal involution permutes the regions, and which region may
 follow which.  `family(name, l)` extends that with every closed form in
-l: the strip partition, the one-step transition probabilities, the
-stationary region weights, the contraction unit base, the mean g per
-step psi and the band [4l, 1/(4l)] of the fluctuation-ratio correction.
+l: the strip partition, the one-step transition probabilities and the
+common nonzero entry `col` of each of their columns, the stationary
+region weights, the contraction unit base, the mean g per step psi and
+the band [4l, 1/(4l)] of the fluctuation-ratio correction.
 
 The first `family(name, l)` call for a given (name, l) builds the map
 once and, for both families, compares the closed forms with what its
-geometry gives: the branch strips, `transfer.transition_matrix(m)` and
+geometry gives: the branch strips, the inverse slopes of the projected
+strips (against `col`), `transfer.transition_matrix(m)` and
 `transfer.region_measures(m)`.  For map2 it also compares
 `multibaker.analytic_current` with psi = sum(mu * g) over those
 measures.  It raises `ConsistencyError` on any disagreement; later calls
@@ -79,6 +81,7 @@ class Family(Symbols):
     l: Fraction
     partition: tuple[tuple[Fraction, Fraction, RegionLabel], ...]
     trans: Mapping[tuple[RegionLabel, RegionLabel], Fraction]
+    col: Mapping[RegionLabel, Fraction]  # common nonzero entry of each column of trans
     initial: Mapping[str, Mapping[RegionLabel, Fraction]]  # "stationary", "uniform"
     unit_base: Fraction          # log of it is the contraction per unit of g
     psi: Fraction                # steady-state mean g per step
@@ -139,7 +142,7 @@ def _family(name: str, l: Fraction) -> Family:
     widths = {lab: hi - lo for lo, hi, lab in partition}
     fam = Family(
         **vars(sym), l=l, partition=partition,
-        trans=MappingProxyType(trans),
+        trans=MappingProxyType(trans), col=MappingProxyType(column),
         initial=MappingProxyType({"stationary": MappingProxyType(stationary),
                                   "uniform": MappingProxyType(widths)}),
         unit_base=unit_base,
@@ -159,6 +162,10 @@ def _verify(fam: Family) -> None:
     strips = tuple((b.x_lo, b.x_hi, b.label) for b in m.branches)
     if strips != fam.partition:
         raise ConsistencyError(f"partition {fam.partition} != branch strips {strips}")
+    inverse_slopes = {b.label: 1 / abs(b.slope) for b in transfer.project_unstable(m).branches}
+    if inverse_slopes != fam.col:
+        raise ConsistencyError(
+            f"inverse strip slopes {inverse_slopes} != column weights {dict(fam.col)}")
     up, down = (next(lab for lab in labels if fam.g[lab] == s) for s in (1, -1))
     if trans[(up, up)] / trans[(down, down)] != fam.unit_base:
         raise ConsistencyError("stay-probability ratio must equal the unit base")

@@ -460,15 +460,12 @@ class AlphaBoundsReport:
 def _alpha_direct(spec: ChainSpec, seq) -> Fraction:
     """Per-sequence correction from the boundary terms alone.  Every step
     into region j has the same probability col[j] (the common nonzero
-    entry of column j), and col[j] / col[conj j] = base^(g_j), so all but
-    the window ends cancel: alpha = mu[s1] col[conj sn] / (mu[conj sn]
-    col[s1])."""
+    entry of column j, `Family.col`), and col[j] / col[conj j] = base^(g_j),
+    so all but the window ends cancel: alpha = mu[s1] col[conj sn] /
+    (mu[conj sn] col[s1])."""
     first, last = seq[0], spec.fam.conjugacy[seq[-1]]
-
-    def col(j):
-        return max(p for (_i, k), p in spec.trans.items() if k == j)
-
-    return spec.initial[first] * col(last) / (spec.initial[last] * col(first))
+    col = spec.fam.col
+    return spec.initial[first] * col[last] / (spec.initial[last] * col[first])
 
 
 def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:

@@ -56,9 +56,10 @@ def bias_of(l) -> Fraction:
 
 
 def l_of_bias(b) -> Fraction:
+    """The strip width of bias b in (0, 1); b = 1 would be l = 0, no map."""
     b = as_fraction(b)
-    if not 0 < b <= 1:
-        raise ValueError(f"need a bias in (0, 1], got {b}")
+    if not 0 < b < 1:
+        raise ValueError(f"need a bias b in (0, 1), got b={b}")
     return (1 - b) / (2 * (2 - b))
 
 

@@ -144,13 +144,13 @@ def generalized_upo_diagnostic(l, n: int) -> UPODiagnostic:
     The cycles are the admissible n-sequences whose first symbol may
     follow their last.  They are walked depth first, in the order of
     `admissible_sequences`, and each node carries g and the product of
-    the inverse projected slopes of its prefix."""
+    the inverse projected slopes `Family.col` of its prefix."""
     l = as_fraction(l)
     if not 1 <= n <= MAX_ORBIT_LENGTH:
         raise ValueError(f"supported cycle lengths are 1..{MAX_ORBIT_LENGTH}")
     spec = chain_spec("map2", l)
     fam = spec.fam
-    inv_slope = {b.label: 1 / b.slope for b in project_unstable(fam.build_map()).branches}
+    inv_slope = fam.col
     cycles = 0
     weights: dict[int, Fraction] = {}
 

@@ -4,9 +4,10 @@ The vertical coordinate never enters the contraction statistics, so the
 invariant measure only matters through its projection on the x axis.  That
 projection is piecewise constant for both map families, and the projected
 Frobenius-Perron operator acts exactly on step densities with rational
-breakpoints.  The stationary density is obtained from exact linear algebra
-on the cell-transfer matrix of the natural Markov partition; power
-iteration in floats is kept as an independent cross-check.
+breakpoints.  On a map whose branches are its Markov cells, that operator
+is the strip chain written on densities: `invariant_density` checks the
+pushed-indicator matrix against the chain entry by entry, then solves the
+chain's stationary law once, in rationals.
 
 `project_unstable` reads the x-action of a map, merging pieces that share
 one x-action, so the irreversible composite, whose fold cuts strip B in x
@@ -15,8 +16,8 @@ and in y, projects onto the four labelled strips of its base map.
 equal the one of its family's map, strip for strip.  `verify_composite`
 adds the rest of the composite's claim: it equals fold-then-map exactly.
 The region chain (`transition_matrix`, `region_measures`) is derived from
-the projected strips, and `families.family` checks it against the closed
-forms of both families."""
+the projected strips by the same overlap rule, and `families.family`
+checks it against the closed forms of both families."""
 
 from __future__ import annotations
 
@@ -42,12 +43,6 @@ _ONE = Fraction(1)
 
 class ConsistencyError(AssertionError):
     """Two supposedly-equivalent computations disagreed."""
-
-
-class ConvergenceError(RuntimeError):
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (last residual {residual:.3e})")
-        self.residual = residual
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +306,6 @@ def markov_cells(map1d: Map1D) -> list[Fraction]:
     return edges
 
 
-def _values_on_interval(bp, vals, a, b) -> set:
-    """Values a step function takes on the interval [a, b)."""
-    out = set()
-    for za, zb, v in zip(bp, bp[1:], vals):
-        if max(a, za) < min(b, zb):
-            out.add(v)
-    return out
-
-
 def cell_transfer_matrix(map1d: Map1D) -> list[list[Fraction]]:
     """k x k matrix of the projected operator on cell-wise constant
     densities, built by pushing each cell indicator through one exact
@@ -332,7 +318,7 @@ def cell_transfer_matrix(map1d: Map1D) -> list[list[Fraction]]:
         bp, pushed = _push(map1d, edges, vals)
         col = []
         for a, b in zip(edges, edges[1:]):
-            cell_vals = _values_on_interval(bp, pushed, a, b)
+            cell_vals = {v for za, zb, v in zip(bp, bp[1:], pushed) if max(a, za) < min(b, zb)}
             if len(cell_vals) != 1:
                 raise MapConstructionError(
                     "pushed indicator is not constant per cell; partition not Markov")
@@ -341,63 +327,52 @@ def cell_transfer_matrix(map1d: Map1D) -> list[list[Fraction]]:
     return [[cols[j][i] for j in range(k)] for i in range(k)]
 
 
-# float power iteration (the cross-check of `invariant_density`): stop at a
-# sup-norm residual of POWER_TOL, give up after POWER_MAX_ITER steps
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 10_000
+def _strip_chain(strips: Sequence[Branch1D]) -> list[list[Fraction]]:
+    """p[i][j]: the share of the x-image of strip i that falls in strip j."""
+    p = []
+    for src in strips:
+        lo, hi = src.image()
+        p.append([max(_ZERO, min(dst.hi, hi) - max(dst.lo, lo)) / (hi - lo)
+                  for dst in strips])
+    return p
 
 
 def invariant_density(map1d: Map1D) -> StepDensity:
     """Exact stationary density of the projected operator.
 
-    Solves the unit-eigenvalue problem of the cell-transfer matrix with
-    rational elimination, asserts the result is an exact fixed point of
-    the Frobenius-Perron step, and cross-checks it cell by cell against
-    `invariant_density_power` (within 100 POWER_TOL)."""
-    edges = markov_cells(map1d)
+    The branches must tile [0, 1] in order, so the strips are the cells of
+    `markov_cells` (`MapConstructionError` otherwise).  With w the strip
+    widths and p the strip chain, the pushed-indicator matrix t of
+    `cell_transfer_matrix` must satisfy t[i][j] == p[j][i] w[j] / w[i] for
+    every entry: the Frobenius-Perron operator of a Markov map written in
+    the chain's coordinates.  So t is similar to the transpose of p, and
+    the chain's stationary law mu, one rational solve whose nullity must
+    be 1, gives the density mu[i] / w[i].  Raises `ConsistencyError` on a
+    differing entry, a stationary vector of mixed signs, or a density that
+    is not an exact fixed point of `frobenius_perron_step`."""
+    edges = map1d.breakpoints()
+    strips = map1d.branches
+    if [(b.lo, b.hi) for b in strips] != list(zip(edges, edges[1:])):
+        raise MapConstructionError(f"{map1d.name}: branches must tile [0, 1] in order")
+    w = [b.hi - b.lo for b in strips]
     t = cell_transfer_matrix(map1d)
-    k = len(t)
-    shifted = [[t[i][j] - (_ONE if i == j else _ZERO) for j in range(k)]
-               for i in range(k)]
-    v = _nullspace_vector(shifted)
-    if all(x <= 0 for x in v):
-        v = [-x for x in v]
-    if any(x < 0 for x in v):
-        raise ConsistencyError(f"stationary vector has mixed signs: {v}")
-    mass = sum(val * (b - a) for val, a, b in zip(v, edges, edges[1:]))
-    v = [val / mass for val in v]
-    rho = StepDensity(tuple(edges), tuple(v))
-    stepped = frobenius_perron_step(map1d, rho)
-    if stepped.simplify() != rho.simplify():
-        raise ConsistencyError("eigen-solution is not a fixed point of the operator")
-    power = invariant_density_power(map1d)
-    worst = max(abs(float(a) - b) for a, b in zip(v, power))
-    if worst > 100 * POWER_TOL:
-        raise ConsistencyError(
-            f"power iteration disagrees with the exact solution by {worst:.3e}")
-    return rho.simplify()
-
-
-def invariant_density_power(map1d: Map1D) -> list[float]:
-    """Stationary density values on the cells of `markov_cells(map1d)`, by
-    float power iteration; independent of the exact eigen-solve.  A
-    cross-check, not a density: the values are floats."""
-    edges = markov_cells(map1d)
-    widths = [float(b - a) for a, b in zip(edges, edges[1:])]
-    t = [[float(x) for x in row] for row in cell_transfer_matrix(map1d)]
-    k = len(t)
-    v = [1.0] * k
-    residual = float("inf")
-    for _ in range(POWER_MAX_ITER):
-        new = [sum(t[i][j] * v[j] for j in range(k)) for i in range(k)]
-        mass = sum(val * w for val, w in zip(new, widths))
-        new = [val / mass for val in new]
-        residual = max(abs(a - b) for a, b in zip(new, v))
-        v = new
-        if residual <= POWER_TOL:
-            return v
-    raise ConvergenceError(
-        f"power iteration did not reach {POWER_TOL} in {POWER_MAX_ITER} steps", residual)
+    p = _strip_chain(strips)
+    k = len(w)
+    for i in range(k):
+        for j in range(k):
+            if t[i][j] != p[j][i] * w[j] / w[i]:
+                raise ConsistencyError(
+                    f"{map1d.name}: pushed indicator t[{i}][{j}] = {t[i][j]}, but the "
+                    f"strip chain gives p[{j}][{i}] w[{j}] / w[{i}] = {p[j][i] * w[j] / w[i]}")
+    mu = _nullspace_vector([[p[j][i] - (_ONE if i == j else _ZERO) for j in range(k)]
+                            for i in range(k)])
+    total = sum(mu)  # nonzero for a vector of one sign, and fixes that sign
+    if total == 0 or any(x * total < 0 for x in mu):
+        raise ConsistencyError(f"stationary vector has mixed signs: {mu}")
+    rho = StepDensity(tuple(edges), tuple(x / (total * wi) for x, wi in zip(mu, w))).simplify()
+    if frobenius_perron_step(map1d, rho).simplify() != rho:
+        raise ConsistencyError("stationary density is not a fixed point of the operator")
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +386,11 @@ def transition_matrix(m: PiecewiseAffineMap) -> dict[tuple[RegionLabel, RegionLa
     of strip i that falls in strip j.  Checked here: every row sums to 1, and
     the nonzero entries of each column are equal.  `families.family`
     compares the result with the closed form."""
-    branches = project_unstable(m).branches
-    labels = [b.label for b in branches]
+    strips = project_unstable(m).branches
+    labels = [b.label for b in strips]
     if None in labels or len(set(labels)) != len(labels):
         raise MapConstructionError(f"{m.name}: needs one labelled branch per strip")
-    p = {}
-    for src in branches:
-        img_lo, img_hi = src.image()
-        for dst in branches:
-            overlap = max(_ZERO, min(dst.hi, img_hi) - max(dst.lo, img_lo))
-            p[src.label, dst.label] = overlap / (img_hi - img_lo)
+    p = {(i, j): x for i, row in zip(labels, _strip_chain(strips)) for j, x in zip(labels, row)}
     if any(sum(p[i, j] for j in labels) != 1 for i in labels):
         raise ConsistencyError("transition rows must sum to 1")
     for j in labels:
@@ -430,32 +400,18 @@ def transition_matrix(m: PiecewiseAffineMap) -> dict[tuple[RegionLabel, RegionLa
 
 
 def region_measures(m: PiecewiseAffineMap) -> dict[RegionLabel, Fraction]:
-    """Invariant region probabilities {label: mu} of a strip map, computed
-    two independent ways (left unit-eigenvector of `transition_matrix(m)`;
-    stationary density times strip widths) and required to agree exactly.
-    `families.family` compares them with the closed form."""
+    """Invariant region probabilities {label: mu} of a strip map: the
+    stationary density of `invariant_density` times the strip widths,
+    checked stationary under `transition_matrix(m)`.  `families.family`
+    compares them with the closed form."""
     p = transition_matrix(m)
     map1d = project_unstable(m)
-    labels = [b.label for b in map1d.branches]
-    # route (a): left eigenvector, i.e. nullspace of (P^T - I)
-    pt_minus_i = [[p[j, i] - (_ONE if i == j else _ZERO) for j in labels]
-                  for i in labels]
-    v = _nullspace_vector(pt_minus_i)
-    total = sum(v)  # also fixes the sign
-    eig = {lab: val / total for lab, val in zip(labels, v)}
-    # route (b): stationary density times strip widths
     rho = invariant_density(map1d)
-    by_width = {b.label: rho.value_at((b.lo + b.hi) / 2) * (b.hi - b.lo)
-                for b in map1d.branches}
-    if eig != by_width:
-        raise ConsistencyError(
-            f"eigenvector route {eig} != density-times-width route {by_width}")
-    if sum(eig.values()) != 1:
-        raise ConsistencyError("region measures must sum to 1")
-    for j in labels:
-        if sum(eig[i] * p[i, j] for i in labels) != eig[j]:
+    mu = {b.label: rho.value_at(b.lo) * (b.hi - b.lo) for b in map1d.branches}
+    for j in mu:
+        if sum(mu[i] * p[i, j] for i in mu) != mu[j]:
             raise ConsistencyError(f"measures not stationary at {j}")
-    return eig
+    return mu
 
 
 def write_density_csv(rho: StepDensity, path) -> None:

@@ -320,6 +320,9 @@ class TestErrorHandling:
         (["multibaker", "--seed", "-3"], "need seed >= 0, got seed=-3"),
         (["fr", "--mode", "montecarlo", "--sweep", "{negative_seed}"],
          "need seed >= 0, got seed=-2"),
+        # b = 1 maps to l = 0: refused as a bias, not as a strip width
+        (["multibaker", "--b-values", "1", "--ensemble", "10", "--n", "5"],
+         "need a bias b in (0, 1), got b=1"),
     ])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, args, reason):
         files = {"sweep": "delta=1/2\n", "ignored": "eps=1/100\n",

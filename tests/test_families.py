@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,7 +57,7 @@ def test_region_measures_run_once_per_parameter(monkeypatch):
 
 def test_record_mappings_reject_assignment():
     fam = family("map2", F(1, 8))
-    for mapping, key in ((fam.trans, (A, A)), (fam.stationary, A),
+    for mapping, key in ((fam.trans, (A, A)), (fam.col, A), (fam.stationary, A),
                          (fam.initial, "uniform"), (fam.g, A),
                          (fam.conjugacy, A), (fam.successors, A)):
         with pytest.raises(TypeError):
@@ -65,10 +66,20 @@ def test_record_mappings_reject_assignment():
         fam.psi = F(0)
 
 
+@pytest.mark.parametrize("name,l", [("map2", F(3, 37)), ("map1", F(2, 3))])
+def test_strip_slope_that_disagrees_with_the_column_weight_raises(name, l):
+    fam = family(name, l)
+    bad = dataclasses.replace(fam, col=MappingProxyType({**fam.col, A: fam.col[A] * 2}))
+    with pytest.raises(ConsistencyError, match="inverse strip slopes .* != column weights"):
+        families._verify(bad)
+    families._verify(fam)
+
+
 def test_closed_forms():
     fam = family("map2", F(1, 8))
     assert fam.partition == ((0, F(1, 8), A), (F(1, 8), F(1, 2), B),
                              (F(1, 2), F(3, 4), C), (F(3, 4), 1, D))
+    assert fam.col == {A: F(1, 4), B: F(3, 4), C: F(1, 2), D: F(1, 2)}
     assert fam.stationary == {A: F(1, 6), B: F(1, 2), C: F(1, 6), D: F(1, 6)}
     assert fam.initial["uniform"] == {A: F(1, 8), B: F(3, 8), C: F(1, 4), D: F(1, 4)}
     assert (fam.psi, fam.unit_base, fam.alpha_bounds) == (F(1, 3), F(3, 2), (F(1, 2), 2))

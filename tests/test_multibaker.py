@@ -105,6 +105,9 @@ class TestLinearResponse:
             l_of_bias(F(3, 2))
         with pytest.raises(ValueError):
             l_of_bias(0)
+        # b = 1 would be l = 0, which is not a map: refused as a bias
+        with pytest.raises(ValueError, match=r"need a bias b in \(0, 1\), got b=1"):
+            l_of_bias(1)
 
 
 def test_current_is_read_from_the_record(monkeypatch, tmp_path):

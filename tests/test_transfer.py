@@ -15,13 +15,14 @@ from bakerfr.maps import (
     map_from_dict,
     map_to_dict,
 )
+from bakerfr import families, transfer
+from bakerfr.cli import main
 from bakerfr.families import family
 from bakerfr.transfer import (
     ConsistencyError,
     StepDensity,
     frobenius_perron_step,
     invariant_density,
-    invariant_density_power,
     project_unstable,
     region_measures,
     transition_matrix,
@@ -239,20 +240,47 @@ class TestInvariantDensity:
         rho = invariant_density(map1d)
         assert frobenius_perron_step(map1d, rho).simplify() == rho
 
-    def test_power_iteration_agrees(self):
+    def test_branches_must_be_the_cells_in_order(self):
         map1d = project_unstable(build_generalized_baker(F(1, 8)))
-        exact = invariant_density(map1d)
-        power = invariant_density_power(map1d)
-        edges = map1d.breakpoints()
-        assert len(power) == len(edges) - 1
-        for a, b, value in zip(edges, edges[1:], power):
-            assert abs(float(exact.value_at((a + b) / 2)) - value) < 1e-11
+        with pytest.raises(MapConstructionError, match="must tile"):
+            invariant_density(dataclasses.replace(map1d, branches=map1d.branches[::-1]))
 
     @settings(max_examples=20)
     @given(l=l_map2)
     def test_closed_form_any_l(self, l):
         rho = invariant_density(project_unstable(build_generalized_baker(l)))
         assert rho == family("map2", l).density
+
+
+def _scale_first_nonzero(rows, factor):
+    rows = [row[:] for row in rows]
+    i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+    rows[i][j] *= factor
+    return rows
+
+
+@pytest.mark.parametrize("route", ["cell_transfer_matrix", "_strip_chain"])
+class TestChainEquality:
+    """One entry of the pushed-indicator matrix or of the strip chain off by
+    a factor 1 + 2^-60, far below float resolution of the density."""
+
+    @pytest.fixture(autouse=True)
+    def corrupt(self, monkeypatch, route):
+        real = getattr(transfer, route)
+        monkeypatch.setattr(transfer, route,
+                            lambda arg: _scale_first_nonzero(real(arg), 1 + F(1, 2 ** 60)))
+        families._family.cache_clear()
+        yield
+        families._family.cache_clear()
+
+    def test_invariant_density_raises(self, route):
+        with pytest.raises(ConsistencyError, match=r"pushed indicator t\[\d\]\[\d\]"):
+            invariant_density(project_unstable(build_generalized_baker(F(3, 37))))
+
+    def test_density_command_exits_3(self, route, tmp_path, capsys):
+        rc = main(["density", "--family", "map2", "--l", "3/37", "--out", str(tmp_path / "d")])
+        assert rc == 3
+        assert capsys.readouterr().out.startswith("density [INCONSISTENT] ")
 
 
 class TestTransitionMatrix:
@@ -306,8 +334,9 @@ class TestRegionMeasures:
     @settings(max_examples=20)
     @given(l=l_map2)
     def test_routes_agree_any_l(self, l):
-        # the eigenvector and density-times-width routes are asserted to
-        # agree inside region_measures; here just confirm normalization
+        # inside invariant_density the pushed-indicator matrix must equal the
+        # strip chain entry by entry, and region_measures checks the measures
+        # stationary under the chain; here just confirm normalization
         mu = region_measures(build_generalized_baker(l))
         assert sum(mu.values()) == 1
 
