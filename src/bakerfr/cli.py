@@ -52,7 +52,6 @@ from bakerfr.periodic_orbits import (
 from bakerfr.transfer import (
     ConsistencyError,
     invariant_density,
-    project_unstable,
     verify_composite,
     write_density_csv,
 )
@@ -105,9 +104,10 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _base_map(cfg: ExperimentConfig):
-    """The config's map; a composite is checked first (`verify_composite`)."""
+    """The config's map: the record's own map, or a composite checked
+    first (`verify_composite`)."""
     if cfg.family != "composite":
-        return family(cfg.family, cfg.l).build_map()
+        return family(cfg.family, cfg.l).map
     k = build_composite(cfg.l, cfg.x_tilde, cfg.eps)
     verify_composite(k)
     return k
@@ -130,7 +130,8 @@ _COMPOSITE_NOTES = {
 def cmd_density(cfg: ExperimentConfig, out: Path) -> int:
     m = _base_map(cfg)
     fam = family(m.family, cfg.l)
-    rho = invariant_density(project_unstable(m))
+    # a composite's projection was checked equal to fam.x_factor, strip for strip
+    rho = invariant_density(fam.x_factor)
     analytic = fam.density
     agree = rho == analytic
     write_density_csv(rho, out.with_suffix(".csv"))

@@ -7,14 +7,15 @@ time-reversal involution permutes the regions, and which region may
 follow which.  `family(name, l)` extends that with every closed form in
 l: the strip partition, the one-step transition probabilities and the
 common nonzero entry `col` of each of their columns, the stationary
-region weights, the contraction unit base, the mean g per step psi and
-the band [4l, 1/(4l)] of the fluctuation-ratio correction.
+region weights, the contraction unit base, the mean g per step psi,
+the band [4l, 1/(4l)] of the fluctuation-ratio correction, and the map
+at l, `map`, with its projection `x_factor`, which every consumer reads.
 
-The first `family(name, l)` call for a given (name, l) builds the map
-once and, for both families, compares the closed forms with what its
-geometry gives: the branch strips, the inverse slopes of the projected
-strips (against `col`), `transfer.transition_matrix(m)` and
-`transfer.region_measures(m)`.  For map2 it also compares
+The first `family(name, l)` call for a given (name, l) builds and
+projects the map once and, for both families, compares the closed forms
+with that geometry: the branch strips, the inverse slopes of the
+projected strips (against `col`), `transfer.transition_matrix` and
+`transfer.region_measures` of `x_factor`.  For map2 it also compares
 `multibaker.analytic_current` with psi = sum(mu * g) over those
 measures.  It raises `ConsistencyError` on any disagreement; later calls
 return the same record from the cache.  Its mappings are read-only, so
@@ -29,8 +30,9 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from bakerfr.maps import RegionLabel, as_fraction
-from bakerfr.transfer import ConsistencyError, StepDensity
+from bakerfr import maps, transfer
+from bakerfr.maps import PiecewiseAffineMap, RegionLabel, as_fraction
+from bakerfr.transfer import ConsistencyError, Map1D, StepDensity
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
@@ -86,6 +88,8 @@ class Family(Symbols):
     unit_base: Fraction          # log of it is the contraction per unit of g
     psi: Fraction                # steady-state mean g per step
     alpha_bounds: tuple[Fraction, Fraction]
+    map: PiecewiseAffineMap      # the family's map at l, as checked by the build
+    x_factor: Map1D              # its projection on the expanding direction
 
     @property
     def stationary(self) -> Mapping[RegionLabel, Fraction]:
@@ -98,12 +102,6 @@ class Family(Symbols):
         edges = (self.partition[0][0],) + tuple(hi for _lo, hi, _lab in self.partition)
         return StepDensity(edges, tuple(self.stationary[lab] / (hi - lo)
                                         for lo, hi, lab in self.partition)).simplify()
-
-    def build_map(self):
-        """The family's map at this strip width."""
-        from bakerfr import maps
-
-        return getattr(maps, self.builder)(self.l)
 
 
 def family(name: str, l) -> Family:
@@ -140,6 +138,7 @@ def _family(name: str, l: Fraction) -> Family:
     trans = {(i, j): column[j] if j in sym.successors[i] else _ZERO
              for i in sym.labels for j in sym.labels}
     widths = {lab: hi - lo for lo, hi, lab in partition}
+    m = getattr(maps, sym.builder)(l)
     fam = Family(
         **vars(sym), l=l, partition=partition,
         trans=MappingProxyType(trans), col=MappingProxyType(column),
@@ -147,7 +146,7 @@ def _family(name: str, l: Fraction) -> Family:
                                   "uniform": MappingProxyType(widths)}),
         unit_base=unit_base,
         psi=sum(stationary[lab] * sym.g[lab] for lab in sym.labels),
-        alpha_bounds=alpha_bounds)
+        alpha_bounds=alpha_bounds, map=m, x_factor=transfer.project_unstable(m))
     _verify(fam)
     return fam
 
@@ -155,25 +154,24 @@ def _family(name: str, l: Fraction) -> Family:
 def _verify(fam: Family) -> None:
     """Check the closed forms of `fam` against each other and against the
     map geometry."""
-    from bakerfr import multibaker, transfer
+    from bakerfr import multibaker
 
     labels, trans, mu = fam.labels, fam.trans, fam.stationary
-    m = fam.build_map()
-    strips = tuple((b.x_lo, b.x_hi, b.label) for b in m.branches)
+    strips = tuple((b.x_lo, b.x_hi, b.label) for b in fam.map.branches)
     if strips != fam.partition:
         raise ConsistencyError(f"partition {fam.partition} != branch strips {strips}")
-    inverse_slopes = {b.label: 1 / abs(b.slope) for b in transfer.project_unstable(m).branches}
+    inverse_slopes = {b.label: 1 / abs(b.slope) for b in fam.x_factor.branches}
     if inverse_slopes != fam.col:
         raise ConsistencyError(
             f"inverse strip slopes {inverse_slopes} != column weights {dict(fam.col)}")
     up, down = (next(lab for lab in labels if fam.g[lab] == s) for s in (1, -1))
     if trans[(up, up)] / trans[(down, down)] != fam.unit_base:
         raise ConsistencyError("stay-probability ratio must equal the unit base")
-    geo = transfer.transition_matrix(m)
+    geo = transfer.transition_matrix(fam.x_factor)
     if geo != trans:
         raise ConsistencyError(
             f"geometric transition rows {geo} != closed form {dict(trans)}")
-    measured = transfer.region_measures(m)
+    measured = transfer.region_measures(fam.x_factor)
     if measured != mu:
         raise ConsistencyError(f"measures {measured} != closed form {dict(mu)}")
     if fam.name == "map2":

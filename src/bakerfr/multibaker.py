@@ -14,12 +14,7 @@ from fractions import Fraction
 
 
 from bakerfr.families import family, symbols
-from bakerfr.maps import (
-    PhasePoint,
-    PiecewiseAffineMap,
-    as_fraction,
-    build_generalized_baker,
-)
+from bakerfr.maps import PhasePoint, PiecewiseAffineMap, as_fraction
 from bakerfr.transfer import ConsistencyError
 
 DEFAULT_TRANSIENT = 100
@@ -69,7 +64,7 @@ def analytic_current(l) -> Fraction:
 
     The `family("map2", l)` record build checks it once per l against the
     measure route psi = sum(mu * g) = mu_B - mu_C, with mu the
-    `transfer.region_measures` of the map; callers read
+    `transfer.region_measures` of the record's `x_factor`; callers read
     `family("map2", l).psi`."""
     l = as_fraction(l)
     direct = (1 - 4 * l) / (1 + 4 * l)
@@ -82,17 +77,17 @@ def analytic_current(l) -> Fraction:
 
 def simulate_current(l, particles: int, steps: int, seed: int,
                      transient: int = DEFAULT_TRANSIENT) -> CurrentEstimate:
-    """Empirical current from independent particles started uniformly in
-    cell zero.  The displacement of each particle is its g count, so the
-    sampling backend is shared with the fluctuation histograms."""
+    """Empirical current from independent particles of the record's map
+    `family("map2", l).map`, started uniformly in cell zero.  The
+    displacement of each particle is its g count, so the sampling backend
+    is shared with the fluctuation histograms."""
     from bakerfr.ensembles import sample_g
 
     if particles < 2:
         raise ValueError(f"a standard error needs at least 2 particles, got {particles}")
     if steps < 1:
         raise ValueError(f"need n >= 1 steps, got n={steps}")
-    m = build_generalized_baker(l)
-    g = sample_g(m, steps, particles, transient, seed)
+    g = sample_g(family("map2", l).map, steps, particles, transient, seed)
     per_particle = g / steps
     psi_hat = float(per_particle.mean())
     stderr = float(per_particle.std(ddof=1) / math.sqrt(particles))
@@ -122,9 +117,10 @@ def linear_response_sweep(b_values, particles: int, steps: int, seed: int,
                           transient: int = DEFAULT_TRANSIENT) -> list[SweepRow]:
     """Current and mean contraction along a list of bias values.
 
-    Asserts the analytic small-bias behaviour exactly: psi/b equals
-    1/(4-3b) (so the zero-bias slope is 1/4), and the mean contraction
-    over b^2 deviates from 1/8 by at most ~b/8 in the swept range."""
+    Asserts the bias forms of the record exactly: psi/b equals 1/(4-3b)
+    (so the zero-bias slope is 1/4) and the unit base equals 2/(2-b).
+    Together they fix the mean contraction lambda = b/(4-3b) ln(2/(2-b))
+    = b^2/8 + b^3/8 + O(b^4)."""
     rows = []
     for idx, b_in in enumerate(b_values):
         b = as_fraction(b_in)
@@ -133,11 +129,10 @@ def linear_response_sweep(b_values, particles: int, steps: int, seed: int,
         psi = fam.psi
         if psi / b != 1 / (4 - 3 * b):
             raise ConsistencyError("psi/b must equal 1/(4-3b) exactly")
+        if fam.unit_base != 2 / (2 - b):
+            raise ConsistencyError(f"unit base {fam.unit_base} != 2/(2-b) at b={b}")
         phi = math.log(fam.unit_base)
         lam = float(psi) * phi
-        if abs(lam / float(b) ** 2 - 0.125) > 0.3 * float(b):
-            raise ConsistencyError(
-                f"analytic mean contraction strays from b^2/8 at b={b}")
         est = simulate_current(l, particles, steps, seed + idx, transient)
         rows.append(SweepRow(b, l, psi, est.psi_hat, est.stderr, lam,
                              est.psi_hat * phi))

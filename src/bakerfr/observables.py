@@ -49,11 +49,10 @@ class SymbolSequence:
     def __len__(self):
         return len(self.labels)
 
-    def g(self, count: Optional[int] = None) -> int:
-        """Net count over the first `count` labels (all by default)."""
-        labels = self.labels if count is None else self.labels[:count]
+    def g(self) -> int:
+        """Net count of expanding-region visits."""
         g = families.symbols(self.family).g
-        return sum(g[lab] for lab in labels)
+        return sum(g[lab] for lab in self.labels)
 
 
 @dataclass(frozen=True)

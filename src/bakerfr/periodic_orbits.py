@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from bakerfr.maps import SCHEMA_VERSION, RegionLabel, as_fraction, build_simple_baker, in_interval
+from bakerfr.maps import SCHEMA_VERSION, RegionLabel, as_fraction, in_interval
 from bakerfr.fluctuation import SymbolDistribution, chain_spec, exact_distribution
-from bakerfr.families import symbols
-from bakerfr.transfer import ConsistencyError, project_unstable
+from bakerfr.families import family
+from bakerfr.transfer import ConsistencyError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -64,8 +64,8 @@ def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
     l = as_fraction(l)
     if not 1 <= n <= MAX_ORBIT_LENGTH:
         raise ValueError(f"supported orbit lengths are 1..{MAX_ORBIT_LENGTH}")
-    by_label = {b.label: b for b in project_unstable(build_simple_baker(l)).branches}
-    sym = symbols("map1")
+    fam = family("map1", l)
+    by_label = {b.label: b for b in fam.x_factor.branches}
     inv_slope = {lab: 1 / br.slope for lab, br in by_label.items()}
     orbits = []
 
@@ -76,16 +76,16 @@ def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
                 raise ValueError("composed branch is not expanding; no unique fixed point")
             orbits.append(PeriodicOrbit(code, alpha, n - alpha, b / (1 - a), w))
             return
-        for lab in sym.labels:
+        for lab in fam.labels:
             br = by_label[lab]
-            walk(code + (lab,), alpha + (sym.g[lab] == 1), br.slope * a,
+            walk(code + (lab,), alpha + (fam.g[lab] == 1), br.slope * a,
                  br.slope * b + br.intercept, w * inv_slope[lab])
 
     walk((), 0, _ONE, _ZERO, _ONE)
     # orbits[i] has the code whose digits in base k are those of i, first
     # symbol most significant, so rotating a code left by one symbol takes
     # index i to (i k) mod k^n + i div k^(n-1)
-    k = len(sym.labels)
+    k = len(fam.labels)
     for i, o in enumerate(orbits):
         br = by_label[o.code[0]]
         if not in_interval(o.x_point, br.lo, br.hi):

@@ -13,11 +13,13 @@ chain's stationary law once, in rationals.
 one x-action, so the irreversible composite, whose fold cuts strip B in x
 and in y, projects onto the four labelled strips of its base map.
 `verify_x_factor` checks exactly that for any map: its projection must
-equal the one of its family's map, strip for strip.  `verify_composite`
-adds the rest of the composite's claim: it equals fold-then-map exactly.
-The region chain (`transition_matrix`, `region_measures`) is derived from
-the projected strips by the same overlap rule, and `families.family`
-checks it against the closed forms of both families."""
+equal its family's `x_factor` (the projection the record holds), strip
+for strip.  `verify_composite` adds the rest of the composite's claim: it
+equals fold-then-map exactly.  The region chain (`transition_matrix`,
+`region_measures`) is derived from the projected strips by the same
+overlap rule; like `invariant_density`, both take a projection, and
+`families.family` checks them against the closed forms of both
+families."""
 
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from bakerfr.maps import (
     AffineBranch,
     PiecewiseAffineMap,
     RegionLabel,
-    build_generalized_baker,
     build_perturbation,
     compose,
     in_interval,
@@ -115,8 +116,8 @@ def project_unstable(m: PiecewiseAffineMap) -> Map1D:
 
 def verify_x_factor(m: PiecewiseAffineMap) -> None:
     """Exact check that `m` has its family's x-factor: the projection of
-    `m` must equal that of `family(m.family, m.l).build_map()`, branch for
-    branch and label for label, or `ConsistencyError` is raised.  For the
+    `m` must equal `family(m.family, m.l).x_factor`, branch for branch
+    and label for label, or `ConsistencyError` is raised.  For the
     composite this is the reduction to the reversible map: the strip law,
     hence the law of g, is the base map's.  A map that does not project
     at all (`MapConstructionError` from `project_unstable(m)`) fails the
@@ -127,7 +128,7 @@ def verify_x_factor(m: PiecewiseAffineMap) -> None:
         got = project_unstable(m).branches
     except MapConstructionError as exc:
         raise ConsistencyError(f"{m.name}: x-factor does not exist: {exc}") from None
-    want = project_unstable(family(m.family, m.l).build_map()).branches
+    want = family(m.family, m.l).x_factor.branches
     if got != want:
         def text(branches):
             return "; ".join(f"{b.label} on [{b.lo}, {b.hi}): {b.slope} x + {b.intercept}"
@@ -143,19 +144,21 @@ def _action_text(b: AffineBranch) -> str:
 
 def verify_composite(k: PiecewiseAffineMap) -> None:
     """Exact check that `k` is fold-then-map: `build_perturbation(l,
-    x_tilde, eps)`, then `build_generalized_baker(l)`, at `k`'s parameters.
+    x_tilde, eps)`, then map2 at `k`'s parameters.
 
     First `verify_x_factor(k)`.  Then one map equality: `k` must equal
-    `compose(build_generalized_baker(l), build_perturbation(l, x_tilde,
-    eps))`, action and label, on every overlap of a piece of `k` with a
-    piece of the composition.  Two monomial actions that differ agree at
+    `compose(family("map2", l).map, build_perturbation(l, x_tilde, eps))`,
+    action and label, on every overlap of a piece of `k` with a piece of
+    the composition.  Two monomial actions that differ agree at
     most on a line, so this decides equality everywhere off the piece
     edges.  Raises `ValueError` for a map without strip parameters and
     `ConsistencyError` for any disagreement."""
     if k.l is None or k.x_tilde is None or k.eps is None:
         raise ValueError(f"{k.name}: expected a composite map carrying strip parameters")
+    from bakerfr.families import family
+
     verify_x_factor(k)
-    want = compose(build_generalized_baker(k.l), build_perturbation(k.l, k.x_tilde, k.eps))
+    want = compose(family("map2", k.l).map, build_perturbation(k.l, k.x_tilde, k.eps))
     for (x_lo, x_hi, y_lo, y_hi), got, exp in overlay(k, want):
         if (got.action, got.label) != (exp.action, exp.label):
             raise ConsistencyError(
@@ -380,16 +383,16 @@ def invariant_density(map1d: Map1D) -> StepDensity:
 # ---------------------------------------------------------------------------
 
 
-def transition_matrix(m: PiecewiseAffineMap) -> dict[tuple[RegionLabel, RegionLabel], Fraction]:
-    """Region-to-region probabilities {(i, j): p} of a map whose projection
-    is made of labelled strips, from the geometry: the share of the x-image
-    of strip i that falls in strip j.  Checked here: every row sums to 1, and
-    the nonzero entries of each column are equal.  `families.family`
-    compares the result with the closed form."""
-    strips = project_unstable(m).branches
+def transition_matrix(map1d: Map1D) -> dict[tuple[RegionLabel, RegionLabel], Fraction]:
+    """Region-to-region probabilities {(i, j): p} of a projection made of
+    labelled strips, from the geometry: the share of the x-image of strip
+    i that falls in strip j.  Checked here: every row sums to 1, and the
+    nonzero entries of each column are equal.  `families.family` compares
+    the result with the closed form."""
+    strips = map1d.branches
     labels = [b.label for b in strips]
     if None in labels or len(set(labels)) != len(labels):
-        raise MapConstructionError(f"{m.name}: needs one labelled branch per strip")
+        raise MapConstructionError(f"{map1d.name}: needs one labelled branch per strip")
     p = {(i, j): x for i, row in zip(labels, _strip_chain(strips)) for j, x in zip(labels, row)}
     if any(sum(p[i, j] for j in labels) != 1 for i in labels):
         raise ConsistencyError("transition rows must sum to 1")
@@ -399,13 +402,12 @@ def transition_matrix(m: PiecewiseAffineMap) -> dict[tuple[RegionLabel, RegionLa
     return p
 
 
-def region_measures(m: PiecewiseAffineMap) -> dict[RegionLabel, Fraction]:
-    """Invariant region probabilities {label: mu} of a strip map: the
-    stationary density of `invariant_density` times the strip widths,
-    checked stationary under `transition_matrix(m)`.  `families.family`
-    compares them with the closed form."""
-    p = transition_matrix(m)
-    map1d = project_unstable(m)
+def region_measures(map1d: Map1D) -> dict[RegionLabel, Fraction]:
+    """Invariant region probabilities {label: mu} of a projection made of
+    labelled strips: the stationary density of `invariant_density` times
+    the strip widths, checked stationary under `transition_matrix(map1d)`.
+    `families.family` compares them with the closed form."""
+    p = transition_matrix(map1d)
     rho = invariant_density(map1d)
     mu = {b.label: rho.value_at(b.lo) * (b.hi - b.lo) for b in map1d.branches}
     for j in mu:

@@ -365,9 +365,9 @@ class TestErrorHandling:
 
         real = transfer.region_measures
 
-        def corrupted(m):
-            good = real(m)
-            if m.l != F(1, 7):
+        def corrupted(map1d):
+            good = real(map1d)
+            if map1d.branches[0].hi != F(1, 7):  # strip A is [0, l)
                 return good
             mu = dict(good)
             mu[RegionLabel.A] /= 2

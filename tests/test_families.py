@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from bakerfr import families, multibaker, transfer
+from bakerfr import cli, families, maps, multibaker, transfer
 from bakerfr.families import family, symbols
 from bakerfr.fluctuation import exact_distribution, fr_report
 from bakerfr.maps import RegionLabel
@@ -19,9 +19,9 @@ def test_cross_check_runs_once_per_parameter(monkeypatch):
     calls = []
     original = transfer.transition_matrix
 
-    def counting(m):
-        calls.append(m.l)
-        return original(m)
+    def counting(map1d):
+        calls.append(map1d.branches[0].hi)  # strip A is [0, l) in both families
+        return original(map1d)
 
     monkeypatch.setattr(transfer, "transition_matrix", counting)
     families._family.cache_clear()
@@ -40,9 +40,9 @@ def test_region_measures_run_once_per_parameter(monkeypatch):
     calls = []
     original = transfer.region_measures
 
-    def counting(m):
-        calls.append((m.family, m.l))
-        return original(m)
+    def counting(map1d):
+        calls.append((map1d.name, map1d.branches[0].hi))
+        return original(map1d)
 
     # every binding a record build could reach the measures through
     monkeypatch.setattr(transfer, "region_measures", counting)
@@ -51,8 +51,54 @@ def test_region_measures_run_once_per_parameter(monkeypatch):
     for l in (F(1, 8), F(3, 37), F(1, 8)):
         family("map2", l)
         family("map1", l)
-    assert calls == [("map2", F(1, 8)), ("map1", F(1, 8)),
-                     ("map2", F(3, 37)), ("map1", F(3, 37))]
+    assert calls == [("map2_x", F(1, 8)), ("map1_x", F(1, 8)),
+                     ("map2_x", F(3, 37)), ("map1_x", F(3, 37))]
+
+
+@pytest.mark.parametrize("name,l", [("map1", F(2, 3)), ("map2", F(3, 37))])
+def test_one_build_and_one_projection_per_record(monkeypatch, name, l):
+    builder = symbols(name).builder
+    built, projected = [], []
+    real_build, real_project = getattr(maps, builder), transfer.project_unstable
+
+    def build(arg):
+        built.append(real_build(arg))
+        return built[-1]
+
+    def project(m):
+        projected.append(real_project(m))
+        return projected[-1]
+
+    monkeypatch.setattr(maps, builder, build)
+    monkeypatch.setattr(transfer, "project_unstable", project)
+    families._family.cache_clear()
+    fam = family(name, l)
+    assert (len(built), len(projected)) == (1, 1)
+    # the record keeps the very objects it built and checked
+    assert fam.map is built[0] and fam.x_factor is projected[0]
+    config = cli.ExperimentConfig(command="density", family=name, l=l)
+    assert cli._base_map(config) is fam.map
+    assert (len(built), len(projected)) == (1, 1)
+    families._family.cache_clear()
+
+
+def test_consumers_build_no_family_map(monkeypatch):
+    from bakerfr.periodic_orbits import enumerate_orbits
+
+    k = maps.build_composite(F(1, 8))  # flattens its own map2, on purpose
+    family("map1", F(2, 3)), family("map2", F(1, 8))
+
+    def refuse(l):
+        raise AssertionError(f"a consumer built a family map at l={l}")
+
+    monkeypatch.setattr(maps, "build_simple_baker", refuse)
+    monkeypatch.setattr(maps, "build_generalized_baker", refuse)
+    assert len(enumerate_orbits(F(2, 3), 3)) == 8
+    assert multibaker.simulate_current(F(1, 8), 10, 2, seed=0).particles == 10
+    transfer.verify_x_factor(family("map2", F(1, 8)).map)
+    transfer.verify_composite(k)
+    for name, l in (("map1", F(2, 3)), ("map2", F(1, 8))):
+        cli._base_map(cli.ExperimentConfig(command="density", family=name, l=l))
 
 
 def test_record_mappings_reject_assignment():
@@ -138,4 +184,6 @@ def test_record_builds_for_random_l(name, l):
     if name == "map2":
         l /= 4
     fam = family(name, l)
-    assert fam.stationary == transfer.region_measures(fam.build_map())
+    fresh = transfer.project_unstable(getattr(maps, fam.builder)(l))
+    assert fresh == fam.x_factor
+    assert fam.stationary == transfer.region_measures(fresh)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,7 @@ from bakerfr.multibaker import (
 )
 from bakerfr.families import family
 from bakerfr.observables import average_contraction
-from bakerfr.transfer import region_measures
+from bakerfr.transfer import ConsistencyError, project_unstable, region_measures
 from bakerfr.maps import RegionLabel
 
 B, C = RegionLabel.B, RegionLabel.C
@@ -63,7 +64,7 @@ class TestAnalyticCurrent:
     @settings(max_examples=25)
     @given(l=l_map2)
     def test_current_equals_measure_difference(self, l):
-        mu = region_measures(build_generalized_baker(l))
+        mu = region_measures(project_unstable(build_generalized_baker(l)))
         assert analytic_current(l) == mu[B] - mu[C]
 
     @settings(max_examples=15)
@@ -99,6 +100,23 @@ class TestLinearResponse:
             # contraction over b^2
             assert abs(r.psi_hat_over_b - 0.25) <= 0.25 * float(r.b) + 4 * r.stderr / float(r.b)
             assert abs(r.lambda_hat_over_b2 - 0.125) <= 0.3 * float(r.b) + 0.05
+
+    @pytest.mark.parametrize("b", [F(4, 5), F(9, 10), F(99, 100)])
+    def test_large_bias_is_consistent(self, b):
+        # lambda/b^2 strays far from 1/8 here; the exact bias forms still hold
+        [row] = linear_response_sweep([b], particles=200, steps=10, seed=0)
+        assert family("map2", row.l).unit_base == 2 / (2 - b)
+
+    def test_corrupted_unit_base_raises(self, monkeypatch):
+        from bakerfr import multibaker
+
+        def corrupted(name, l):
+            fam = family(name, l)
+            return dataclasses.replace(fam, unit_base=fam.unit_base + F(1, 1000))
+
+        monkeypatch.setattr(multibaker, "family", corrupted)
+        with pytest.raises(ConsistencyError, match=r"unit base .* != 2/\(2-b\)"):
+            linear_response_sweep([F(1, 10)], particles=200, steps=10, seed=0)
 
     def test_rejects_bias_out_of_range(self):
         with pytest.raises(ValueError):

@@ -83,7 +83,7 @@ class TestSymbolSequence:
     def test_g_counts(self):
         seq = SymbolSequence((B, B, A, C, D), "map2")
         assert seq.g() == 1
-        assert seq.g(2) == 2
+        assert SymbolSequence(seq.labels[:2], "map2").g() == 2
 
     def test_map1_counts(self):
         seq = SymbolSequence((A, B, A), "map1")

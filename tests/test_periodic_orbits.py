@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from bakerfr import periodic_orbits
+from bakerfr.families import family
 from bakerfr.fluctuation import admissible_sequences, chain_spec, exact_distribution
 from bakerfr.maps import RegionLabel, build_generalized_baker, build_simple_baker
 from bakerfr.periodic_orbits import (
@@ -67,14 +68,15 @@ class TestEnumerateOrbits:
 
 
 def patch_branch(monkeypatch, label, replace):
-    """Make `enumerate_orbits` read the projected branch `label` through
-    `replace`."""
-    def patched(m):
-        proj = project_unstable(m)
-        return dataclasses.replace(proj, branches=tuple(
-            replace(b) if b.label == label else b for b in proj.branches))
+    """Make `enumerate_orbits` read the branch `label` of the record's
+    x-factor through `replace`."""
+    def patched(name, l):
+        fam = family(name, l)
+        proj = fam.x_factor
+        return dataclasses.replace(fam, x_factor=dataclasses.replace(proj, branches=tuple(
+            replace(b) if b.label == label else b for b in proj.branches)))
 
-    monkeypatch.setattr(periodic_orbits, "project_unstable", patched)
+    monkeypatch.setattr(periodic_orbits, "family", patched)
 
 
 @dataclasses.dataclass(frozen=True)

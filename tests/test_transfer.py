@@ -285,13 +285,13 @@ class TestChainEquality:
 
 class TestTransitionMatrix:
     def test_values(self):
-        p = transition_matrix(build_generalized_baker(F(1, 8)))
+        p = transition_matrix(project_unstable(build_generalized_baker(F(1, 8))))
         assert p[B, B] == F(3, 4)
         assert p[C, C] == F(1, 2)
         assert p[B, A] == F(1, 4)
 
     def test_row_sums_and_zero_pattern(self):
-        p = transition_matrix(build_generalized_baker(F(1, 6)))
+        p = transition_matrix(project_unstable(build_generalized_baker(F(1, 6))))
         for i in (A, B, C, D):
             assert sum(p[i, j] for j in (A, B, C, D)) == 1
         for i in (A, C):
@@ -303,30 +303,35 @@ class TestTransitionMatrix:
         # the composite's fold pieces merge back into strip B, so its chain
         # is the base map's; an x-action that depends on y has no strips
         l = F(1, 8)
-        assert transition_matrix(build_composite(l)) == transition_matrix(
-            build_generalized_baker(l))
+        assert transition_matrix(project_unstable(build_composite(l))) == transition_matrix(
+            project_unstable(build_generalized_baker(l)))
         m = build_generalized_baker(l)
         a, b, c, d = m.branches
         sheared = dataclasses.replace(b, swap=True)
         with pytest.raises(MapConstructionError, match="depends on y"):
-            transition_matrix(dataclasses.replace(m, branches=(a, sheared, c, d)))
+            project_unstable(dataclasses.replace(m, branches=(a, sheared, c, d)))
+        unlabelled = project_unstable(m)
+        unlabelled = dataclasses.replace(unlabelled, branches=tuple(
+            dataclasses.replace(br, label=None) for br in unlabelled.branches))
+        with pytest.raises(MapConstructionError, match="one labelled branch per strip"):
+            transition_matrix(unlabelled)
 
 
 class TestRegionMeasures:
     def test_values(self):
-        mu = region_measures(build_generalized_baker(F(1, 8)))
+        mu = region_measures(project_unstable(build_generalized_baker(F(1, 8))))
         assert mu[A] == mu[C] == mu[D] == F(1, 6)
         assert mu[B] == F(1, 2)
 
     def test_equilibrium_uniform(self):
-        mu = region_measures(build_generalized_baker(F(1, 4)))
+        mu = region_measures(project_unstable(build_generalized_baker(F(1, 4))))
         assert all(mu[i] == F(1, 4) for i in (A, B, C, D))
 
     def test_stationarity(self):
         l = F(1, 8)
-        m = build_generalized_baker(l)
-        mu = region_measures(m)
-        p = transition_matrix(m)
+        map1d = project_unstable(build_generalized_baker(l))
+        mu = region_measures(map1d)
+        p = transition_matrix(map1d)
         labels = (A, B, C, D)
         for lj in labels:
             assert sum(mu[li] * p[li, lj] for li in labels) == mu[lj]
@@ -337,7 +342,7 @@ class TestRegionMeasures:
         # inside invariant_density the pushed-indicator matrix must equal the
         # strip chain entry by entry, and region_measures checks the measures
         # stationary under the chain; here just confirm normalization
-        mu = region_measures(build_generalized_baker(l))
+        mu = region_measures(project_unstable(build_generalized_baker(l)))
         assert sum(mu.values()) == 1
 
 
