@@ -48,7 +48,6 @@ from bakerfr.observables import (
     SymbolSequence,
     TrajectorySegment,
     average_contraction,
-    dissipation_function,
     lambda_at,
     reversed_initial,
     reversed_symbol_sequence,

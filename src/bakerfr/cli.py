@@ -6,8 +6,8 @@ corresponding check, writes machine-readable outputs (a JSON report and,
 where natural, a CSV table) under the --out prefix, and exits 0 exactly
 when all asserted checks pass.  A flag or sweep key that the run would
 not read is refused as bad input.  Outputs are byte-identical across
-re-runs of the same config; rationals cross the boundary as num/den
-strings.
+re-runs of the same config; rationals cross the boundary as exact
+strings, `num/den` or `str(Fraction)` (an integer without `/1`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -82,19 +82,17 @@ class ExperimentConfig:
     mode: str = "exact"
     x_tilde: Optional[Fraction] = None
     eps: Optional[Fraction] = None
-    b_values: Optional[tuple[Fraction, ...]] = None
     delta: Optional[Fraction] = None
+    b_values: Optional[tuple[Fraction, ...]] = None
 
     def to_text(self) -> str:
-        lines = [f"command={self.command}", f"family={self.family}",
-                 f"l={_fmt(self.l)}", f"n={self.n}", f"ensemble={self.ensemble}",
-                 f"transient={self.transient}", f"seed={self.seed}",
-                 f"mode={self.mode}"]
-        for key in ("x_tilde", "eps", "delta"):
-            if getattr(self, key) is not None:
-                lines.append(f"{key}={_fmt(getattr(self, key))}")
-        if self.b_values is not None:
-            lines.append("b_values=" + ",".join(_fmt(b) for b in self.b_values))
+        lines = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = ",".join(_fmt(b) for b in value)
+            if value is not None:
+                lines.append(f"{f.name}={_fmt(value)}")
         return "\n".join(lines) + "\n"
 
 
@@ -310,12 +308,21 @@ def _seed(text: str) -> int:
     return seed
 
 
-# the one parser of each config key, for flags and sweep lines alike
-_PARSERS = {
-    "family": _choice(*_FAMILIES), "l": _frac, "n": int, "ensemble": int,
-    "transient": int, "seed": _seed, "mode": _choice(*_MODES),
-    "x_tilde": _frac, "eps": _frac, "delta": _frac,
-    "b_values": lambda text: tuple(_frac(b) for b in text.split(",")),
+# each config key with its one parser, for flags and sweep lines alike,
+# and its flag help; the flags are listed in this order
+_KEYS = {
+    "family": (_choice(*_FAMILIES), " | ".join(_FAMILIES)),
+    "l": (_frac, "strip width as an exact rational, e.g. 1/8"),
+    "n": (int, "window length / step count"),
+    "ensemble": (int, "sample count (particles / points)"),
+    "transient": (int, None),
+    "seed": (_seed, None),
+    "mode": (_choice(*_MODES), " | ".join(_MODES)),
+    "x_tilde": (_frac, "perturbation strip start (composite family)"),
+    "eps": (_frac, "perturbation strip width (composite family)"),
+    "b_values": (lambda text: tuple(_frac(b) for b in text.split(",")),
+                 "comma-separated bias list for the response sweep"),
+    "delta": (_frac, "window half-width for interval-binned ratio checks (fr, exact mode)"),
 }
 
 
@@ -341,20 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--family", help=" | ".join(_FAMILIES))
-        p.add_argument("--l", help="strip width as an exact rational, e.g. 1/8")
-        p.add_argument("--n", help="window length / step count")
-        p.add_argument("--ensemble", help="sample count (particles / points)")
-        p.add_argument("--transient")
-        p.add_argument("--seed")
-        p.add_argument("--mode", help=" | ".join(_MODES))
-        p.add_argument("--x-tilde", dest="x_tilde",
-                       help="perturbation strip start (composite family)")
-        p.add_argument("--eps", help="perturbation strip width (composite family)")
-        p.add_argument("--b-values", dest="b_values",
-                       help="comma-separated bias list for the response sweep")
-        p.add_argument("--delta", help="window half-width for interval-binned "
-                                       "ratio checks (fr, exact mode)")
+        for key, (_parse, text) in _KEYS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
         p.add_argument("--out", help="output file prefix")
         p.add_argument("--sweep", help="key=value file; comma lists fan out")
     return parser
@@ -363,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _configs_from_args(args) -> tuple[list[ExperimentConfig], Path]:
     """One config per point of the sweep (one without a sweep file).  A
     flag or sweep key that a config's run would not read is refused."""
-    given = {key: parse(getattr(args, key)) for key, parse in _PARSERS.items()
+    given = {key: parse(getattr(args, key)) for key, (parse, _text) in _KEYS.items()
              if getattr(args, key) is not None}
     cfg = ExperimentConfig(command=args.command, **{**_DEFAULTS[args.command], **given})
     out = Path(args.out) if args.out else Path(f"bakerfr_{args.command}")
@@ -377,9 +372,9 @@ def _configs_from_args(args) -> tuple[list[ExperimentConfig], Path]:
             continue
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _PARSERS or key in ("b_values", "delta"):
+        if key not in _KEYS or key in ("b_values", "delta"):
             raise ValueError(f"sweep file cannot set {key!r}")
-        lists[key] = [_PARSERS[key](v.strip()) for v in value.split(",")]
+        lists[key] = [_KEYS[key][0](v.strip()) for v in value.split(",")]
     keys = sorted(lists)
     configs = [replace(cfg, **dict(zip(keys, combo)))
                for combo in itertools.product(*(lists[k] for k in keys))]

@@ -15,11 +15,13 @@ The first `family(name, l)` call for a given (name, l) builds and
 projects the map once and, for both families, compares the closed forms
 with that geometry: the branch strips, the inverse slopes of the
 projected strips (against `col`), `transfer.transition_matrix` and
-`transfer.region_measures` of `x_factor`.  For map2 it also compares
-`multibaker.analytic_current` with psi = sum(mu * g) over those
-measures.  It raises `ConsistencyError` on any disagreement; later calls
-return the same record from the cache.  Its mappings are read-only, so
-no caller can alter the cached facts.
+`transfer.region_measures` of `x_factor`.  That derives the strip chain
+twice: once labelled for the transitions, once inside the stationary
+solve of `transfer.invariant_density`, which the measures read.  For
+map2 it also compares `multibaker.analytic_current` with psi =
+sum(mu * g) over those measures.  It raises `ConsistencyError` on any
+disagreement; later calls return the same record from the cache.  Its
+mappings are read-only, so no caller can alter the cached facts.
 """
 
 from __future__ import annotations

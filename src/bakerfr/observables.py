@@ -15,8 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from bakerfr import families
-from bakerfr.maps import PhasePoint, PiecewiseAffineMap, RegionLabel, build_involution
-from bakerfr.transfer import StepDensity
+from bakerfr.maps import PhasePoint, PiecewiseAffineMap, RegionLabel
 
 #: exact iteration guard: the denominators of rational coordinates grow
 #: geometrically with the step count
@@ -125,22 +124,3 @@ def reversed_symbol_sequence(seq: SymbolSequence) -> SymbolSequence:
     conj = families.symbols(seq.family).conjugacy
     return SymbolSequence(tuple(conj[lab] for lab in reversed(seq.labels)),
                           seq.family)
-
-
-def dissipation_function(m: PiecewiseAffineMap, rho: Optional[StepDensity],
-                         p: PhasePoint) -> float:
-    """ln(rho(p) / rho(reversed image of p)) plus the local contraction,
-    with the involution of `m`'s family.
-
-    `rho` is the projected x-density (None means uniform, for which the
-    output equals the local contraction rate)."""
-    gmp = build_involution(m.family).apply(m.apply(p))
-    lam = lambda_at(m, p)
-    if rho is None:
-        return lam
-    rho_here = rho.value_at(p.x)
-    rho_there = rho.value_at(gmp.x)
-    if rho_here == 0 or rho_there == 0:
-        raise UndefinedValueError(
-            f"density vanishes at x={p.x} or x={gmp.x}; dissipation undefined")
-    return math.log(rho_here / rho_there) + lam

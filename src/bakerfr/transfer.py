@@ -4,10 +4,11 @@ The vertical coordinate never enters the contraction statistics, so the
 invariant measure only matters through its projection on the x axis.  That
 projection is piecewise constant for both map families, and the projected
 Frobenius-Perron operator acts exactly on step densities with rational
-breakpoints.  On a map whose branches are its Markov cells, that operator
-is the strip chain written on densities: `invariant_density` checks the
-pushed-indicator matrix against the chain entry by entry, then solves the
-chain's stationary law once, in rationals.
+breakpoints.  On a map whose strips are a Markov partition (checked by
+`cell_transfer_matrix`), that operator is the strip chain written on
+densities: `invariant_density` checks the pushed-indicator matrix against
+the chain entry by entry, then solves the chain's stationary law once, in
+rationals.
 
 `project_unstable` reads the x-action of a map, merging pieces that share
 one x-action, so the irreversible composite, whose fold cuts strip B in x
@@ -15,14 +16,15 @@ and in y, projects onto the four labelled strips of its base map.
 `verify_x_factor` checks exactly that for any map: its projection must
 equal its family's `x_factor` (the projection the record holds), strip
 for strip.  `verify_composite` adds the rest of the composite's claim: it
-equals fold-then-map exactly.  The region chain (`transition_matrix`,
-`region_measures`) is derived from the projected strips by the same
-overlap rule; like `invariant_density`, both take a projection, and
-`families.family` checks them against the closed forms of both
-families."""
+equals fold-then-map exactly.  `transition_matrix` labels the same strip
+chain, and `region_measures` is the stationary density times the strip
+widths, stationary under that chain by what `invariant_density` proves.
+Like `invariant_density`, both take a projection, and `families.family`
+checks them against the closed forms of both families."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -71,12 +73,6 @@ class Branch1D:
 class Map1D:
     name: str
     branches: tuple[Branch1D, ...]
-
-    def breakpoints(self) -> list[Fraction]:
-        pts = {_ZERO, _ONE}
-        for b in self.branches:
-            pts.update((b.lo, b.hi))
-        return sorted(pts)
 
     def apply(self, x):
         for b in self.branches:
@@ -296,37 +292,30 @@ def _nullspace_vector(mat: list[list[Fraction]]) -> list[Fraction]:
     return v
 
 
-def markov_cells(map1d: Map1D) -> list[Fraction]:
-    """Branch-domain breakpoints, verified to be a Markov partition
-    (every branch image is a union of cells)."""
-    edges = map1d.breakpoints()
-    edge_set = set(edges)
-    for br in map1d.branches:
+def cell_transfer_matrix(map1d: Map1D) -> list[list[Fraction]]:
+    """k x k matrix of the projected operator on strip-wise constant
+    densities, built by pushing each strip indicator through one exact
+    Frobenius-Perron step.
+
+    The strips must be a Markov partition: they tile [0, 1] in order, and
+    every branch image ends on a strip edge (`MapConstructionError`
+    otherwise).  Then branch j maps strip j onto a union of strips, so
+    its pushed indicator is 1/|slope_j| there and 0 elsewhere, constant
+    on every strip: each strip's value is read at its left edge."""
+    strips = map1d.branches
+    edges = sorted({_ZERO, _ONE}.union(*((b.lo, b.hi) for b in strips)))
+    if [(b.lo, b.hi) for b in strips] != list(zip(edges, edges[1:])):
+        raise MapConstructionError(f"{map1d.name}: branches must tile [0, 1] in order")
+    for br in strips:
         lo, hi = br.image()
-        if lo not in edge_set or hi not in edge_set:
+        if lo not in edges or hi not in edges:
             raise MapConstructionError(
                 f"branch image ({lo}, {hi}) does not align with the partition")
-    return edges
-
-
-def cell_transfer_matrix(map1d: Map1D) -> list[list[Fraction]]:
-    """k x k matrix of the projected operator on cell-wise constant
-    densities, built by pushing each cell indicator through one exact
-    Frobenius-Perron step."""
-    edges = markov_cells(map1d)
-    k = len(edges) - 1
+    k = len(strips)
     cols = []
     for j in range(k):
-        vals = [_ONE if i == j else _ZERO for i in range(k)]
-        bp, pushed = _push(map1d, edges, vals)
-        col = []
-        for a, b in zip(edges, edges[1:]):
-            cell_vals = {v for za, zb, v in zip(bp, bp[1:], pushed) if max(a, za) < min(b, zb)}
-            if len(cell_vals) != 1:
-                raise MapConstructionError(
-                    "pushed indicator is not constant per cell; partition not Markov")
-            col.append(cell_vals.pop())
-        cols.append(col)
+        bp, pushed = _push(map1d, edges, [_ONE if i == j else _ZERO for i in range(k)])
+        cols.append([pushed[bisect_right(bp, a) - 1] for a in edges[:-1]])
     return [[cols[j][i] for j in range(k)] for i in range(k)]
 
 
@@ -343,22 +332,18 @@ def _strip_chain(strips: Sequence[Branch1D]) -> list[list[Fraction]]:
 def invariant_density(map1d: Map1D) -> StepDensity:
     """Exact stationary density of the projected operator.
 
-    The branches must tile [0, 1] in order, so the strips are the cells of
-    `markov_cells` (`MapConstructionError` otherwise).  With w the strip
-    widths and p the strip chain, the pushed-indicator matrix t of
-    `cell_transfer_matrix` must satisfy t[i][j] == p[j][i] w[j] / w[i] for
+    `cell_transfer_matrix` checks that the strips are a Markov partition
+    and gives the pushed-indicator matrix t.  With w the strip widths and
+    p the strip chain, t must satisfy t[i][j] == p[j][i] w[j] / w[i] for
     every entry: the Frobenius-Perron operator of a Markov map written in
     the chain's coordinates.  So t is similar to the transpose of p, and
     the chain's stationary law mu, one rational solve whose nullity must
     be 1, gives the density mu[i] / w[i].  Raises `ConsistencyError` on a
     differing entry, a stationary vector of mixed signs, or a density that
     is not an exact fixed point of `frobenius_perron_step`."""
-    edges = map1d.breakpoints()
-    strips = map1d.branches
-    if [(b.lo, b.hi) for b in strips] != list(zip(edges, edges[1:])):
-        raise MapConstructionError(f"{map1d.name}: branches must tile [0, 1] in order")
-    w = [b.hi - b.lo for b in strips]
     t = cell_transfer_matrix(map1d)
+    strips = map1d.branches
+    w = [b.hi - b.lo for b in strips]
     p = _strip_chain(strips)
     k = len(w)
     for i in range(k):
@@ -372,7 +357,8 @@ def invariant_density(map1d: Map1D) -> StepDensity:
     total = sum(mu)  # nonzero for a vector of one sign, and fixes that sign
     if total == 0 or any(x * total < 0 for x in mu):
         raise ConsistencyError(f"stationary vector has mixed signs: {mu}")
-    rho = StepDensity(tuple(edges), tuple(x / (total * wi) for x, wi in zip(mu, w))).simplify()
+    edges = (strips[0].lo,) + tuple(b.hi for b in strips)
+    rho = StepDensity(edges, tuple(x / (total * wi) for x, wi in zip(mu, w))).simplify()
     if frobenius_perron_step(map1d, rho).simplify() != rho:
         raise ConsistencyError("stationary density is not a fixed point of the operator")
     return rho
@@ -383,17 +369,22 @@ def invariant_density(map1d: Map1D) -> StepDensity:
 # ---------------------------------------------------------------------------
 
 
+def _labels(map1d: Map1D) -> list[RegionLabel]:
+    labels = [b.label for b in map1d.branches]
+    if None in labels or len(set(labels)) != len(labels):
+        raise MapConstructionError(f"{map1d.name}: needs one labelled branch per strip")
+    return labels
+
+
 def transition_matrix(map1d: Map1D) -> dict[tuple[RegionLabel, RegionLabel], Fraction]:
     """Region-to-region probabilities {(i, j): p} of a projection made of
     labelled strips, from the geometry: the share of the x-image of strip
     i that falls in strip j.  Checked here: every row sums to 1, and the
     nonzero entries of each column are equal.  `families.family` compares
     the result with the closed form."""
-    strips = map1d.branches
-    labels = [b.label for b in strips]
-    if None in labels or len(set(labels)) != len(labels):
-        raise MapConstructionError(f"{map1d.name}: needs one labelled branch per strip")
-    p = {(i, j): x for i, row in zip(labels, _strip_chain(strips)) for j, x in zip(labels, row)}
+    labels = _labels(map1d)
+    p = {(i, j): x for i, row in zip(labels, _strip_chain(map1d.branches))
+         for j, x in zip(labels, row)}
     if any(sum(p[i, j] for j in labels) != 1 for i in labels):
         raise ConsistencyError("transition rows must sum to 1")
     for j in labels:
@@ -405,15 +396,17 @@ def transition_matrix(map1d: Map1D) -> dict[tuple[RegionLabel, RegionLabel], Fra
 def region_measures(map1d: Map1D) -> dict[RegionLabel, Fraction]:
     """Invariant region probabilities {label: mu} of a projection made of
     labelled strips: the stationary density of `invariant_density` times
-    the strip widths, checked stationary under `transition_matrix(map1d)`.
-    `families.family` compares them with the closed form."""
-    p = transition_matrix(map1d)
+    the strip widths.  `families.family` compares them with the closed
+    form.
+
+    They are stationary under the chain of `transition_matrix(map1d)`
+    without a check here.  `invariant_density` proves t[i][j] == p[j][i]
+    w[j] / w[i] for the strip chain p of these strips and the exact fixed
+    point t rho = rho; together they give sum_j p[j][i] w[j] rho[j] =
+    w[i] rho[i], the stationarity of mu = w rho under p."""
+    _labels(map1d)
     rho = invariant_density(map1d)
-    mu = {b.label: rho.value_at(b.lo) * (b.hi - b.lo) for b in map1d.branches}
-    for j in mu:
-        if sum(mu[i] * p[i, j] for i in mu) != mu[j]:
-            raise ConsistencyError(f"measures not stationary at {j}")
-    return mu
+    return {b.label: rho.value_at(b.lo) * (b.hi - b.lo) for b in map1d.branches}
 
 
 def write_density_csv(rho: StepDensity, path) -> None:

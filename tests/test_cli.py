@@ -1,6 +1,11 @@
 import dataclasses
+import importlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -384,3 +389,32 @@ class TestErrorHandling:
         assert lines[0].startswith("fr [INCONSISTENT] measures ")
         assert lines[1].startswith("fr [pass]")
         assert (tmp_path / "fr-001.json").exists()
+
+
+class TestProcessExitStatus:
+    """The exit status a shell sees, from a real interpreter process."""
+
+    @pytest.mark.parametrize("args,code", [
+        (["density", "--family", "map2", "--l", "1/8"], 0),
+        (["fr", "--family", "map2", "--mode", "montecarlo", "--ensemble", "10",
+          "--n", "10"], 1),
+        (["density", "--l", "1/3"], 2),
+        (["nosuchcommand"], 2),
+    ])
+    def test_module_exit_status(self, tmp_path, args, code):
+        import bakerfr
+
+        # outputs go to the default prefix in the working directory
+        src = str(Path(bakerfr.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "bakerfr.cli", *args], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True)
+        assert proc.returncode == code, proc.stdout + proc.stderr
+
+    def test_console_script_is_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        module, _, attr = target["bakerfr"].partition(":")
+        assert getattr(importlib.import_module(module), attr) is main

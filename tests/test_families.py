@@ -82,6 +82,24 @@ def test_one_build_and_one_projection_per_record(monkeypatch, name, l):
     families._family.cache_clear()
 
 
+@pytest.mark.parametrize("name,l", [("map1", F(2, 3)), ("map2", F(3, 37))])
+def test_one_chain_per_consumer(monkeypatch, name, l):
+    # one labelled chain for the transitions, one inside the stationary solve
+    counts = {"_strip_chain": 0, "transition_matrix": 0}
+    for attr in counts:
+        real = getattr(transfer, attr)
+
+        def counting(arg, real=real, attr=attr):
+            counts[attr] += 1
+            return real(arg)
+
+        monkeypatch.setattr(transfer, attr, counting)
+    families._family.cache_clear()
+    family(name, l)
+    assert counts == {"_strip_chain": 2, "transition_matrix": 1}
+    families._family.cache_clear()
+
+
 def test_consumers_build_no_family_map(monkeypatch):
     from bakerfr.periodic_orbits import enumerate_orbits
 

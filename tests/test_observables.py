@@ -17,17 +17,13 @@ from bakerfr.maps import (
 )
 from bakerfr.observables import (
     SymbolSequence,
-    UndefinedValueError,
     average_contraction,
-    dissipation_function,
     lambda_at,
     mean_g_per_step,
     reversed_initial,
     reversed_symbol_sequence,
     trajectory_segment,
 )
-from bakerfr.families import family
-from bakerfr.transfer import StepDensity
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
@@ -233,31 +229,6 @@ class TestReversedSymbols:
         conj = symbols("map2").conjugacy
         for p in random_rational_points(100, seed=15):
             assert k.region_of(g.apply(k.apply(p))) == conj[k.region_of(p)]
-
-
-class TestDissipationFunction:
-    def test_uniform_density_reduces_to_contraction(self):
-        m = build_generalized_baker(F(1, 8))
-        p = PhasePoint(F(1, 3), F(2, 7))
-        assert dissipation_function(m, None, p) == lambda_at(m, p)
-
-    def test_vanishes_on_area_preserving_region(self):
-        m = build_generalized_baker(F(1, 8))
-        rho = family("map2", F(1, 8)).density
-        p = PhasePoint(F(1, 16), F(2, 7))  # region A maps back into A
-        assert dissipation_function(m, rho, p) == 0.0
-
-    def test_equilibrium_vanishes_everywhere(self):
-        m = build_generalized_baker(F(1, 4))
-        rho = family("map2", F(1, 4)).density
-        for p in random_rational_points(10, seed=21):
-            assert dissipation_function(m, rho, p) == 0.0
-
-    def test_zero_density_rejected(self):
-        m = build_generalized_baker(F(1, 8))
-        rho = StepDensity((F(0), F(1, 2), F(1)), (F(2), F(0)))
-        with pytest.raises(UndefinedValueError):
-            dissipation_function(m, rho, PhasePoint(F(3, 5), F(1, 3)))
 
 
 def test_contraction_unit_bases():

@@ -19,7 +19,9 @@ from bakerfr import families, transfer
 from bakerfr.cli import main
 from bakerfr.families import family
 from bakerfr.transfer import (
+    Branch1D,
     ConsistencyError,
+    Map1D,
     StepDensity,
     frobenius_perron_step,
     invariant_density,
@@ -283,6 +285,64 @@ class TestChainEquality:
         assert capsys.readouterr().out.startswith("density [INCONSISTENT] ")
 
 
+def _strips(*rows):
+    """A projection from (lo, hi, slope, intercept, label) rows."""
+    return Map1D("toy_x", tuple(Branch1D(F(lo), F(hi), F(s), F(c), lab)
+                                for lo, hi, s, c, lab in rows))
+
+
+def _scale_first_entry(monkeypatch, factor):
+    real = transfer._nullspace_vector
+
+    def scaled(mat):
+        v = real(mat)
+        v[0] *= factor
+        return v
+
+    monkeypatch.setattr(transfer, "_nullspace_vector", scaled)
+
+
+class TestChainRefusals:
+    """Every refusal of the strip chain and the stationary solve."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_records(self):
+        families._family.cache_clear()
+        yield
+        families._family.cache_clear()
+
+    def test_image_off_a_strip_edge(self):
+        m = _strips((0, F(1, 2), 2, 0, A), (F(1, 2), 1, 1, -F(1, 4), B))
+        with pytest.raises(MapConstructionError,
+                           match=r"branch image \(1/4, 3/4\) does not align"):
+            invariant_density(m)
+
+    def test_two_stationary_laws(self):
+        identity = _strips((0, F(1, 2), 1, 0, A), (F(1, 2), 1, 1, 0, B))
+        with pytest.raises(ConsistencyError,
+                           match="expected a one-dimensional nullspace, got 2"):
+            invariant_density(identity)
+
+    def test_wrong_solve_is_not_a_fixed_point(self, monkeypatch, tmp_path, capsys):
+        _scale_first_entry(monkeypatch, 2)
+        with pytest.raises(ConsistencyError, match="not a fixed point"):
+            invariant_density(project_unstable(build_generalized_baker(F(3, 37))))
+        rc = main(["density", "--family", "map2", "--l", "3/37", "--out", str(tmp_path / "d")])
+        assert rc == 3
+        assert capsys.readouterr().out.startswith("density [INCONSISTENT] stationary density "
+                                                  "is not a fixed point")
+
+    def test_mixed_signs(self, monkeypatch):
+        _scale_first_entry(monkeypatch, -1)
+        with pytest.raises(ConsistencyError, match="mixed signs"):
+            invariant_density(project_unstable(build_generalized_baker(F(3, 37))))
+
+    def test_unequal_column(self):
+        m = _strips((0, F(1, 2), 2, 0, A), (F(1, 2), 1, 1, -F(1, 2), B))
+        with pytest.raises(ConsistencyError, match="column A has unequal entries"):
+            transition_matrix(m)
+
+
 class TestTransitionMatrix:
     def test_values(self):
         p = transition_matrix(project_unstable(build_generalized_baker(F(1, 8))))
@@ -340,8 +400,9 @@ class TestRegionMeasures:
     @given(l=l_map2)
     def test_routes_agree_any_l(self, l):
         # inside invariant_density the pushed-indicator matrix must equal the
-        # strip chain entry by entry, and region_measures checks the measures
-        # stationary under the chain; here just confirm normalization
+        # strip chain entry by entry, which with the exact fixed point makes
+        # the measures stationary under the chain; here just confirm
+        # normalization
         mu = region_measures(project_unstable(build_generalized_baker(l)))
         assert sum(mu.values()) == 1
 
