@@ -6,12 +6,13 @@ integers only, each region's generating polynomial in z packed into one
 Python int (see `exact_distribution`), enumeration of every admissible
 symbol sequence (the oracle, n <= 12), and Monte-Carlo sampling.  The
 oracles walk the symbol tree depth first and carry each exact quantity
-along the prefix, so every sequence costs O(1) `Fraction` operations;
-`admissible_sequences` and `sequence_measure` stay as the per-sequence
-definitions that the tests check the walks against.  The
-fluctuation ratio P(g)/P(-g) is compared against base^g with the
-multiplicative correction confined to [4l, 1/(4l)] for the four-branch
-family, and required to be exactly base^g for the two-branch family.
+along the prefix as an integer over a common denominator, so every
+sequence costs O(1) integer operations; `admissible_sequences` and
+`sequence_measure` stay as the per-sequence definitions that the tests
+check the walks against.  The fluctuation ratio P(g)/P(-g) is compared
+against base^g with the multiplicative correction confined to
+[4l, 1/(4l)] for the four-branch family, and required to be exactly
+base^g for the two-branch family.
 The per-g report decides by rational comparisons; the interval-binned
 report compares float logarithms with a slack of 1e-12 (see
 `binned_fr_report`).  The irreversible composite needs no function of
@@ -36,20 +37,21 @@ from bakerfr.maps import (
     PiecewiseAffineMap,
     RegionLabel,
     as_fraction,
+    common_denominator,
 )
 from bakerfr.observables import UndefinedValueError
 from bakerfr.transfer import ConsistencyError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # The packed DP costs about n^2 log2(D) bit operations.  Measured for map2
 # at l = 1/8, 1/6, 1/5 (2-CPU Xeon container, Python 3.11): 0.003-0.01 s at
 # n = 120, 1.0-2.0 s at n = 1000 and 9-18 s at n = 2000.
 MAX_DP_STEPS = 2000
 # The prefix-shared oracles at n = 12 (same machine): brute_force_distribution
-# 0.08 s for map2 (8192 sequences) and 0.03 s for map1 at l = 1/8 and 2/3,
-# alpha_bounds_check 0.17-0.24 s at l = 1/8; about 2x per extra symbol.
+# 0.007-0.01 s for map2 at l = 1/8, 1/6, 1/5 (8192 sequences) and 0.003 s
+# for map1 at l = 1/8 and 2/3, alpha_bounds_check 0.015-0.026 s at the
+# same three l; about 2x per extra symbol.
 MAX_BRUTE_FORCE = 12
 
 # Monte-Carlo ratio test: a +/-g pair is tested when both sides hold at
@@ -186,6 +188,12 @@ def exact_distribution(family: str, l, n: int,
     return SymbolDistribution(family, spec.fam.l, n, probs)
 
 
+def _scaled(weights: Mapping) -> tuple[int, dict]:
+    """`common_denominator` of the values of a mapping, keyed alike."""
+    den, nums = common_denominator(weights.values())
+    return den, dict(zip(weights, nums))
+
+
 def sequence_measure(spec: ChainSpec, labels) -> Fraction:
     """Steady-state cylinder measure of an explicit symbol sequence;
     zero when any transition is forbidden.  With `admissible_sequences`
@@ -221,27 +229,33 @@ def brute_force_distribution(family: str, l, n: int,
                              start: str = "stationary") -> SymbolDistribution:
     """Oracle: accumulate the cylinder measure of every admissible symbol
     sequence individually.  The symbol tree is walked depth first, in the
-    order of `admissible_sequences`, and each node carries its prefix's
-    measure and g, so a sequence costs one multiplication and one
-    addition.  Exponential in n; guarded accordingly."""
+    order of `admissible_sequences`, and each node carries g and its
+    prefix's measure times E D^(k-1), an integer (D and E as in
+    `exact_distribution`, computed here on their own), so a sequence
+    costs one integer multiplication and one integer addition, and each g
+    one `Fraction`.  Exponential in n; guarded accordingly."""
     if not 1 <= n <= MAX_BRUTE_FORCE:
         raise ValueError(f"brute force supports 1 <= n <= {MAX_BRUTE_FORCE}")
     spec = chain_spec(family, l, start)
     fam = spec.fam
-    probs: dict[int, Fraction] = {}
+    d, trans = _scaled(spec.trans)
+    e, initial = _scaled(spec.initial)
+    sums: dict[int, int] = {}
 
-    def walk(k: int, last: RegionLabel, g: int, w: Fraction) -> None:
+    def walk(k: int, last: RegionLabel, g: int, w: int) -> None:
         if k == n:
-            probs[g] = probs.get(g, _ZERO) + w
+            sums[g] = sums.get(g, 0) + w
             return
         for s in fam.successors[last]:
-            walk(k + 1, s, g + fam.g[s], w * fam.trans[last, s])
+            walk(k + 1, s, g + fam.g[s], w * trans[last, s])
 
     for lab in fam.labels:
-        w = spec.initial.get(lab, _ZERO)
+        w = initial.get(lab, 0)
         if w > 0:
             walk(1, lab, fam.g[lab], w)
-    return SymbolDistribution(family, fam.l, n, probs)
+    total = e * d ** (n - 1)
+    return SymbolDistribution(family, fam.l, n,
+                              {g: Fraction(c, total) for g, c in sums.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -478,28 +492,36 @@ def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
     The symbol tree is walked depth first, in the order of
     `admissible_sequences`.  Each node carries g, the forward measure of
     its prefix s_1..s_k and the product of the reversed conjugate
-    transitions p(conj s_{i+1}, conj s_i), i < k; a leaf multiplies in
-    mu[conj s_n] to get the reversal's measure.  base^g and the boundary
-    formula of each (first, last) pair are read from tables, so a
-    sequence costs O(1) `Fraction` operations."""
+    transitions p(conj s_{i+1}, conj s_i), i < k, both as integers scaled
+    by E D^(k-1) and D^(k-1) (D and E as in `brute_force_distribution`);
+    a leaf multiplies in E mu[conj s_n] to get the reversal's measure on
+    the same scale.  base^g and the boundary formula of each (first, last)
+    pair are read from tables as (numerator, denominator), so a sequence
+    costs O(1) integer operations: alpha, the bounds and the formula are
+    compared by cross-multiplication, and a `Fraction` is built only for
+    the attained extremes and the text of a violation."""
     l = as_fraction(l)
     if not 1 <= n <= MAX_BRUTE_FORCE:
         raise ValueError(f"exhaustive check supports 1 <= n <= {MAX_BRUTE_FORCE}")
     spec = chain_spec("map2", l)
-    fam, mu = spec.fam, spec.initial
-    conj, trans = fam.conjugacy, fam.trans
+    fam = spec.fam
+    conj = fam.conjugacy
+    _d, trans = _scaled(spec.trans)
+    _e, mu = _scaled(spec.initial)
     bound_min, bound_max = fam.alpha_bounds
-    power = {g: fam.unit_base ** g for g in range(-n, n + 1)}
-    direct = {(s, t): _alpha_direct(spec, (s, t)) for s in fam.labels for t in fam.labels}
+    (lo_n, lo_d), (hi_n, hi_d) = bound_min.as_integer_ratio(), bound_max.as_integer_ratio()
+    power = {g: (fam.unit_base ** g).as_integer_ratio() for g in range(-n, n + 1)}
+    direct = {(s, t): _alpha_direct(spec, (s, t)).as_integer_ratio()
+              for s in fam.labels for t in fam.labels}
     path: list[RegionLabel] = [fam.labels[0]] * n
-    attained = []
+    attained: list[tuple[int, int]] = []   # [min, max] as (numerator, denominator)
     violations = []
     count = 0
 
     def text() -> str:
         return "".join(s.value for s in path)
 
-    def walk(k: int, g: int, fwd: Fraction, rev: Fraction) -> None:
+    def walk(k: int, g: int, fwd: int, rev: int) -> None:
         nonlocal count
         last = path[k - 1]
         if k == n:
@@ -508,24 +530,32 @@ def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
             if rev == 0:
                 violations.append(text() + ": reversal inadmissible")
                 return
-            alpha = (fwd / rev) / power[g]
-            formula = direct[path[0], last]
-            if alpha != formula:
-                violations.append(text() + f": ratio {alpha} != boundary formula {formula}")
-            if not bound_min <= alpha <= bound_max:
-                violations.append(text() + f": alpha {alpha}")
-            attained.append(alpha)
+            # alpha = (fwd / rev) / base^g = num / den, den > 0
+            p_n, p_d = power[g]
+            num, den = fwd * p_d, rev * p_n
+            f_n, f_d = direct[path[0], last]
+            if num * f_d != f_n * den:
+                violations.append(text() + f": ratio {Fraction(num, den)} != "
+                                  f"boundary formula {Fraction(f_n, f_d)}")
+            if not (lo_n * den <= num * lo_d and num * hi_d <= hi_n * den):
+                violations.append(text() + f": alpha {Fraction(num, den)}")
+            if not attained:
+                attained.extend([(num, den)] * 2)
+            elif num * attained[0][1] < attained[0][0] * den:
+                attained[0] = (num, den)
+            elif num * attained[1][1] > attained[1][0] * den:
+                attained[1] = (num, den)
             return
         for s in fam.successors[last]:
             path[k] = s
             walk(k + 1, g + fam.g[s], fwd * trans[last, s], rev * trans[conj[s], conj[last]])
 
     for lab in fam.labels:
-        if mu.get(lab, _ZERO) > 0:
+        if mu.get(lab, 0) > 0:
             path[0] = lab
-            walk(1, fam.g[lab], mu[lab], _ONE)
-    return AlphaBoundsReport(l, n, count, min(attained), max(attained),
-                             bound_min, bound_max, tuple(violations))
+            walk(1, fam.g[lab], mu[lab], 1)
+    low, high = (Fraction(*a) for a in attained)
+    return AlphaBoundsReport(l, n, count, low, high, bound_min, bound_max, tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,16 @@ rectangle: `compose` is exact on the common refinement, and
 Coefficients and `PhasePoint` coordinates are ``Fraction``s only; the
 float sampler is `bakerfr.ensembles`.  Branch domains follow the
 half-open convention ``[lo, hi)`` with the top edge of the square closed
-(`in_interval`), which makes region membership total and deterministic.
+(`_within` on integers, `in_interval` on ``Fraction``s), which makes
+region membership total and deterministic.  A branch's action is
+written once, on integers (`AffineBranch._act`); `AffineBranch.apply`
+is its ``Fraction`` form.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -71,14 +75,44 @@ class PhasePoint:
             raise TypeError(
                 f"PhasePoint needs Fraction coordinates, got {self.x!r}, {self.y!r}")
 
-    def in_unit_square(self) -> bool:
-        return 0 <= self.x <= 1 and 0 <= self.y <= 1
+
+def _within(n: int, d: int, lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> bool:
+    """Half-open membership n/d in [lo_n/lo_d, hi_n/hi_d), closed at the
+    top edge 1 of the square, by cross-multiplication; every denominator
+    is positive, and no pair need be in lowest terms."""
+    return (lo_n * d <= n * lo_d and n * hi_d < hi_n * d) or (n == d and hi_n == hi_d)
 
 
 def in_interval(v: Fraction, lo: Fraction, hi: Fraction) -> bool:
     """Half-open membership v in [lo, hi), closed at the top edge 1 of
     the square."""
-    return (lo <= v < hi) or (v == hi == 1)
+    return _within(v.numerator, v.denominator, lo.numerator, lo.denominator,
+                   hi.numerator, hi.denominator)
+
+
+#: a point (x, y) as the integers (x_num, x_den, y_num, y_den), both
+#: denominators positive and neither pair necessarily in lowest terms
+IntPoint = tuple[int, int, int, int]
+
+
+def _int_point(p: PhasePoint) -> IntPoint:
+    return (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
+
+
+def _phase_point(xn: int, xd: int, yn: int, yd: int) -> PhasePoint:
+    return PhasePoint(Fraction(xn, xd), Fraction(yn, yd))
+
+
+def _same_point(a: IntPoint, b: IntPoint) -> bool:
+    return a[0] * b[1] == b[0] * a[1] and a[2] * b[3] == b[2] * a[3]
+
+
+def common_denominator(values) -> tuple[int, list[int]]:
+    """The least common denominator L of the rationals `values`, and each
+    value times L, an integer."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 Vector2 = tuple[Fraction, Fraction]
@@ -145,7 +179,17 @@ class AffineBranch:
         return (self.swap, self.scale, self.offset)
 
     def contains(self, p: PhasePoint) -> bool:
-        return in_interval(p.x, self.x_lo, self.x_hi) and in_interval(p.y, self.y_lo, self.y_hi)
+        return self._holds(_int_point(p))
+
+    @cached_property
+    def _box(self) -> tuple[int, ...]:
+        """The domain edges x_lo, x_hi, y_lo, y_hi as numerator, denominator."""
+        return tuple(i for c in self.domain for i in (c.numerator, c.denominator))
+
+    def _holds(self, pt: IntPoint) -> bool:
+        b = self._box
+        return (_within(pt[0], pt[1], b[0], b[1], b[2], b[3])
+                and _within(pt[2], pt[3], b[4], b[5], b[6], b[7]))
 
     @cached_property
     def image_rect(self) -> Rect:
@@ -165,10 +209,25 @@ class AffineBranch:
 
     # -- action ------------------------------------------------------------
 
+    @cached_property
+    def _coeffs(self) -> tuple[int, ...]:
+        """(a, c, q) per output: scale a/q and offset c/q over one
+        denominator."""
+        out = []
+        for pair in zip(self.scale, self.offset):
+            q, (a, c) = common_denominator(pair)
+            out += [a, c, q]
+        return tuple(out)
+
+    def _act(self, pt: IntPoint) -> IntPoint:
+        """The action on an integer point, in no lowest terms: an input
+        u/w goes to (a u + c w) / (q w)."""
+        un, ud, vn, vd = (pt[2], pt[3], pt[0], pt[1]) if self.swap else pt
+        ax, cx, qx, ay, cy, qy = self._coeffs
+        return (ax * un + cx * ud, qx * ud, ay * vn + cy * vd, qy * vd)
+
     def apply(self, p: PhasePoint) -> PhasePoint:
-        u, v = (p.y, p.x) if self.swap else (p.x, p.y)
-        return PhasePoint(self.scale[0] * u + self.offset[0],
-                          self.scale[1] * v + self.offset[1])
+        return _phase_point(*self._act(_int_point(p)))
 
 
 _IDENTITY = (False, (_ONE, _ONE), (_ZERO, _ZERO))
@@ -228,27 +287,37 @@ class PiecewiseAffineMap:
     # -- operations ----------------------------------------------------------
 
     def branch_at(self, p: PhasePoint) -> AffineBranch:
-        if not p.in_unit_square():
-            raise ValueError(f"point {p} outside the unit square")
+        return self._branch_of(_int_point(p))
+
+    def _branch_of(self, pt: IntPoint) -> AffineBranch:
+        xn, xd, yn, yd = pt
+        if not (0 <= xn <= xd and 0 <= yn <= yd):
+            raise ValueError(f"point {_phase_point(*pt)} outside the unit square")
         for b in self.branches:
-            if b.contains(p):
+            if b._holds(pt):
                 return b
-        raise ValueError(f"point {p} not covered by any branch of {self.name}")
+        raise ValueError(f"point {_phase_point(*pt)} not covered by any branch of {self.name}")
 
     def apply(self, p: PhasePoint) -> PhasePoint:
         return self.branch_at(p).apply(p)
+
+    def _apply_ints(self, pt: IntPoint) -> IntPoint:
+        return self._branch_of(pt)._act(pt)
 
     def jacobian_at(self, p: PhasePoint) -> Fraction:
         return self.branch_at(p).jacobian
 
     def region_of(self, p: PhasePoint) -> RegionLabel:
+        return self._region_at(p.x.numerator, p.x.denominator)
+
+    def _region_at(self, n: int, d: int) -> RegionLabel:
         part = self.partition
         if part is None:
             raise ValueError(f"{self.name} carries no region partition")
         for lo, hi, label in part:
-            if in_interval(p.x, lo, hi):
+            if _within(n, d, lo.numerator, lo.denominator, hi.numerator, hi.denominator):
                 return label
-        raise ValueError(f"x={p.x} not covered by the region partition")
+        raise ValueError(f"x={Fraction(n, d)} not covered by the region partition")
 
     def iterate(self, p: PhasePoint, n: int) -> list[PhasePoint]:
         """Orbit [p, M p, ..., M^n p] (length n+1)."""
@@ -489,7 +558,10 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
     M.  The samples check each identity at exact rational points, plus
     region corners shrunk into each region (exact corners sit on branch
     boundaries, where the half-open convention is arbitrary); a point
-    outside the unit square raises `ValueError`."""
+    outside the unit square raises `ValueError`.  They run on the
+    integers of each point (`IntPoint`): branches and regions are found
+    and images compared by cross-multiplication, without reducing to
+    lowest terms, and a `PhasePoint` is built only for a failure."""
     from bakerfr.families import symbols
 
     conj = symbols(m.family).conjugacy if m.partition is not None else None
@@ -521,24 +593,30 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
     checks = dict.fromkeys(proofs, 0)
     failures: list[IdentityFailure] = []
     for p in points:
-        gg = involution.apply(involution.apply(p))
-        at_p = m.branch_at(p)
-        gmp = involution.apply(at_p.apply(p))
-        at_gmp = m.branch_at(gmp)
-        back = involution.apply(at_gmp.apply(gmp))
-        jac = at_p.jacobian * at_gmp.jacobian
-        # (identity, holds, detail template, value shown on failure)
-        outcomes = [("involution_squares_to_identity", gg == p, "G(G(p)) = {}", gg),
-                    ("conjugation_inverts_map", back == p, "G(M(G(M(p)))) = {}", back),
-                    ("jacobian_reciprocity", jac == 1, "J(p)*J(GMp) = {}", jac)]
+        pt = _int_point(p)
+        gg = involution._apply_ints(involution._apply_ints(pt))
+        at_p = m._branch_of(pt)
+        gmp = involution._apply_ints(at_p._act(pt))
+        at_gmp = m._branch_of(gmp)
+        back = involution._apply_ints(at_gmp._act(gmp))
+        j_p, j_gmp = at_p.jacobian, at_gmp.jacobian
+        jac = (j_p.numerator * j_gmp.numerator, j_p.denominator * j_gmp.denominator)
+        # (identity, holds, detail template, and the function and arguments
+        # that build the value shown on failure)
+        outcomes = [("involution_squares_to_identity", _same_point(gg, pt),
+                     "G(G(p)) = {}", _phase_point, gg),
+                    ("conjugation_inverts_map", _same_point(back, pt),
+                     "G(M(G(M(p)))) = {}", _phase_point, back),
+                    ("jacobian_reciprocity", jac[0] == jac[1], "J(p)*J(GMp) = {}", Fraction, jac)]
         if conj is not None:
-            want, got = conj[m.region_of(p)], m.region_of(gmp)
-            outcomes.append(("region_conjugacy", got == want, f"expected {want}, got {{}}", got))
-        for name, holds, detail, value in outcomes:
+            want, got = conj[m._region_at(pt[0], pt[1])], m._region_at(gmp[0], gmp[1])
+            outcomes.append(("region_conjugacy", got == want, f"expected {want}, got {{}}",
+                             RegionLabel, (got,)))
+        for name, holds, detail, build, value in outcomes:
             if holds:
                 checks[name] += 1
             else:
-                failures.append(IdentityFailure(p, name, detail.format(value)))
+                failures.append(IdentityFailure(p, name, detail.format(build(*value))))
     return ReversibilityReport(m.name, len(points), checks, failures, proofs)
 
 

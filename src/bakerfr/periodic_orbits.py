@@ -13,20 +13,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from bakerfr.maps import SCHEMA_VERSION, RegionLabel, as_fraction, in_interval
-from bakerfr.fluctuation import SymbolDistribution, chain_spec, exact_distribution
+from bakerfr.maps import (
+    SCHEMA_VERSION,
+    RegionLabel,
+    as_fraction,
+    common_denominator,
+    in_interval,
+)
+from bakerfr.fluctuation import SymbolDistribution, _scaled, chain_spec, exact_distribution
 from bakerfr.families import family
 from bakerfr.transfer import ConsistencyError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # enumerate_orbits keeps all 2^n orbits, about 470 bytes each at n = 18.
 # Measured at l = 2/3 (2-CPU Xeon container, Python 3.11), time and peak
-# RSS of the process: 0.57 s and 24 MB at n = 14, 2.5 s and 46 MB at
-# n = 16, 10 s and 140 MB at n = 18; about 4x per two steps, so about
-# 40 s and 0.5 GB at n = 20 (not run).  generalized_upo_diagnostic keeps
-# no orbits: 0.79 s at n = 16 and l = 1/8, so about 13 s at n = 20.
+# RSS of the process: 0.16-0.22 s and 24 MB at n = 14, 0.8-1.0 s and
+# 46 MB at n = 16, 3.5-4.3 s and 140 MB at n = 18; about 4x per two
+# steps, so about 15 s and 0.5 GB at n = 20 (not run).
+# generalized_upo_diagnostic keeps no orbits: 0.07 s at n = 16 and 1.7 s
+# at n = 20 (l = 1/8).
 MAX_ORBIT_LENGTH = 20
 
 
@@ -52,36 +58,41 @@ def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
     """All 2^n fixed points of the n-fold map, one per symbol string, in
     the lexicographic order of the codes.
 
-    The code tree is walked depth first; each node carries the composed
-    affine branch x -> a x + b of its prefix, the weight (the product of
-    the inverse slopes) and the count of left-strip visits, so a leaf
-    solves its fixed point x_c = b / (1 - a) with O(1) `Fraction` work.
-    Then one step per code checks the orbits: x_c must lie in the strip of
-    c[0], and f_{c[0]}(x_c) must equal x_{rot(c)}, the fixed point of the
-    code rotated left by one symbol.  By induction over the rotations,
-    every orbit then follows its code and closes up after n steps;
-    otherwise `ConsistencyError` is raised."""
+    The code tree is walked depth first on integers.  Each branch is
+    read once as x -> (s x + t) / r, and each node carries the composed
+    affine branch x -> (a x + b) / q of its prefix, the weight (the
+    product of the inverse slopes r / s) as a numerator and a denominator,
+    and the count of left-strip visits.  A leaf builds two `Fraction`s:
+    its fixed point x_c = b / (q - a) and its weight (for l = p/q, the
+    integers p^alpha (q-p)^beta over q^n).  Then one step per code checks
+    the orbits: x_c must lie in the strip of c[0], and f_{c[0]}(x_c) must
+    equal x_{rot(c)}, the fixed point of the code rotated left by one
+    symbol (compared by cross-multiplication).  By induction over the
+    rotations, every orbit then follows its code and closes up after n
+    steps; otherwise `ConsistencyError` is raised."""
     l = as_fraction(l)
     if not 1 <= n <= MAX_ORBIT_LENGTH:
         raise ValueError(f"supported orbit lengths are 1..{MAX_ORBIT_LENGTH}")
     fam = family("map1", l)
     by_label = {b.label: b for b in fam.x_factor.branches}
-    inv_slope = {lab: 1 / br.slope for lab, br in by_label.items()}
+    # label -> (r, (s, t)): slope s / r and intercept t / r over one denominator
+    ints = {lab: common_denominator((br.slope, br.intercept)) for lab, br in by_label.items()}
     orbits = []
 
-    def walk(code: tuple[RegionLabel, ...], alpha: int, a: Fraction, b: Fraction,
-             w: Fraction) -> None:
+    def walk(code: tuple[RegionLabel, ...], alpha: int, a: int, b: int, q: int,
+             w_n: int, w_d: int) -> None:
         if len(code) == n:
-            if a == 1:
+            if a == q:
                 raise ValueError("composed branch is not expanding; no unique fixed point")
-            orbits.append(PeriodicOrbit(code, alpha, n - alpha, b / (1 - a), w))
+            orbits.append(PeriodicOrbit(code, alpha, n - alpha, Fraction(b, q - a),
+                                        Fraction(w_n, w_d)))
             return
         for lab in fam.labels:
-            br = by_label[lab]
-            walk(code + (lab,), alpha + (fam.g[lab] == 1), br.slope * a,
-                 br.slope * b + br.intercept, w * inv_slope[lab])
+            r, (s, t) = ints[lab]
+            walk(code + (lab,), alpha + (fam.g[lab] == 1), s * a, s * b + t * q, r * q,
+                 w_n * r, w_d * s)
 
-    walk((), 0, _ONE, _ZERO, _ONE)
+    walk((), 0, 1, 0, 1, 1, 1)
     # orbits[i] has the code whose digits in base k are those of i, first
     # symbol most significant, so rotating a code left by one symbol takes
     # index i to (i k) mod k^n + i div k^(n-1)
@@ -92,10 +103,11 @@ def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
             raise ConsistencyError(f"code {o.code} not realized at x={o.x_point}")
         image = br(o.x_point)
         rotated = orbits[i * k % k ** n + i // k ** (n - 1)]
-        if image != rotated.x_point:
+        x = rotated.x_point
+        if image.numerator * x.denominator != x.numerator * image.denominator:
             raise ConsistencyError(
                 f"orbit {o.code} does not close: f_{o.code[0]}(x) = {image} != "
-                f"{rotated.x_point}, the point of {rotated.code}")
+                f"{x}, the point of {rotated.code}")
     return orbits
 
 
@@ -103,16 +115,18 @@ def upo_distribution(l, orbits: list[PeriodicOrbit]) -> SymbolDistribution:
     """Law of g from the weights of `orbits` (all orbits of one length, as
     `enumerate_orbits(l, n)` gives them) grouped by alpha - beta.  The
     weights already sum to one, (l + r)^n, so no extra normalization
-    enters."""
+    enters.  The weights are summed as integers over their least common
+    denominator, with one `Fraction` per g."""
     l = as_fraction(l)
     n = len(orbits[0].code)
-    total = sum(o.weight for o in orbits)
-    if total != 1:
-        raise ConsistencyError(f"orbit weights sum to {total}, not 1")
-    probs: dict[int, Fraction] = {}
-    for o in orbits:
-        probs[o.g] = probs.get(o.g, _ZERO) + o.weight
-    return SymbolDistribution("map1", l, n, probs)
+    den, weights = common_denominator(o.weight for o in orbits)
+    sums: dict[int, int] = {}
+    for o, w in zip(orbits, weights):
+        sums[o.g] = sums.get(o.g, 0) + w
+    total = sum(sums.values())
+    if total != den:
+        raise ConsistencyError(f"orbit weights sum to {Fraction(total, den)}, not 1")
+    return SymbolDistribution("map1", l, n, {g: Fraction(c, den) for g, c in sums.items()})
 
 
 @dataclass(frozen=True)
@@ -144,22 +158,24 @@ def generalized_upo_diagnostic(l, n: int) -> UPODiagnostic:
     The cycles are the admissible n-sequences whose first symbol may
     follow their last.  They are walked depth first, in the order of
     `admissible_sequences`, and each node carries g and the product of
-    the inverse projected slopes `Family.col` of its prefix."""
+    the inverse projected slopes `Family.col` of its prefix, as an
+    integer scaled by C^k with C the least common denominator of `col`;
+    the scale cancels when the weights are normalized."""
     l = as_fraction(l)
     if not 1 <= n <= MAX_ORBIT_LENGTH:
         raise ValueError(f"supported cycle lengths are 1..{MAX_ORBIT_LENGTH}")
     spec = chain_spec("map2", l)
     fam = spec.fam
-    inv_slope = fam.col
+    _c, inv_slope = _scaled(fam.col)
     cycles = 0
-    weights: dict[int, Fraction] = {}
+    weights: dict[int, int] = {}
 
-    def walk(k: int, first: RegionLabel, last: RegionLabel, g: int, w: Fraction) -> None:
+    def walk(k: int, first: RegionLabel, last: RegionLabel, g: int, w: int) -> None:
         nonlocal cycles
         if k == n:
             if first in fam.successors[last]:
                 cycles += 1
-                weights[g] = weights.get(g, _ZERO) + w
+                weights[g] = weights.get(g, 0) + w
             return
         for s in fam.successors[last]:
             walk(k + 1, first, s, g + fam.g[s], w * inv_slope[s])
@@ -168,7 +184,7 @@ def generalized_upo_diagnostic(l, n: int) -> UPODiagnostic:
         if spec.initial[lab] > 0:
             walk(1, lab, lab, fam.g[lab], inv_slope[lab])
     total = sum(weights.values())
-    upo_probs = {g: w / total for g, w in weights.items()}
+    upo_probs = {g: Fraction(w, total) for g, w in weights.items()}
     chain = exact_distribution("map2", l, n)
     support = set(upo_probs) | set(chain.probs)
     tv = sum(abs(upo_probs.get(g, _ZERO) - chain.prob(g)) for g in support) / 2

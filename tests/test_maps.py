@@ -1,17 +1,21 @@
 import copy
 import dataclasses
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from bakerfr.families import family
+from bakerfr import maps
+from bakerfr.families import family, symbols
 from bakerfr.maps import (
     AffineBranch,
+    IdentityFailure,
     MapConstructionError,
     PhasePoint,
     RegionLabel,
+    ReversibilityReport,
     build_composite,
     build_generalized_baker,
     build_involution,
@@ -19,6 +23,7 @@ from bakerfr.maps import (
     build_simple_baker,
     compose,
     default_strip,
+    in_interval,
     map_from_dict,
     map_to_dict,
     random_rational_points,
@@ -188,7 +193,8 @@ def test_rational_orbits_stay_rational():
     m = build_generalized_baker(F(1, 8))
     p = PhasePoint(F(3, 7), F(2, 9))
     for q in m.iterate(p, 20):
-        assert isinstance(q.x, F) and isinstance(q.y, F) and q.in_unit_square()
+        assert isinstance(q.x, F) and isinstance(q.y, F)
+        assert 0 <= q.x <= 1 and 0 <= q.y <= 1
 
 
 @settings(max_examples=40)
@@ -250,11 +256,16 @@ class TestVerifyReversibility:
             assert (details.get(p) == f"J(p)*J(GMp) = {jac}") == (jac != 1)
 
     @pytest.mark.parametrize("p", [PhasePoint(F(3, 2), F(1, 2)),
-                                   PhasePoint(F(1, 2), F(-1, 3))])
+                                   PhasePoint(F(1, 2), F(-1, 3)),
+                                   PhasePoint(F(-1, 10**6), F(0)),
+                                   PhasePoint(F(1), F(10**6 + 1, 10**6))])
     def test_point_outside_the_square_is_refused(self, p):
-        with pytest.raises(ValueError, match="outside the unit square"):
-            verify_reversibility(build_generalized_baker(F(1, 8)),
-                                 build_involution("map2"), [p])
+        for m in (build_generalized_baker(F(1, 8)), build_composite(F(1, 8))):
+            with pytest.raises(ValueError,
+                               match=f"point {re.escape(str(p))} outside the unit square"):
+                m.branch_at(p)
+            with pytest.raises(ValueError, match="outside the unit square"):
+                verify_reversibility(m, build_involution("map2"), [p])
 
 
 # involution2 as a map saved by an earlier version writes it: the JSON
@@ -386,6 +397,15 @@ def proofs(m, g):
     return verify_reversibility(m, g, []).proofs
 
 
+def shifted_involution2(piece, shift):
+    """map2's involution with the x-offset of one piece moved by `shift`."""
+    g = build_involution("map2")
+    b = g.branches[piece]
+    return dataclasses.replace(g, branches=tuple(
+        dataclasses.replace(c, offset=(c.offset[0] + shift, c.offset[1])) if c is b else c
+        for c in g.branches))
+
+
 class TestPieceProofs:
     @pytest.mark.parametrize("l", ["1/3", "2/3", "3/7"])
     def test_simple_map_passes(self, l):
@@ -412,12 +432,7 @@ class TestPieceProofs:
     def test_shifted_involution_fails_the_involution_proof(self, piece, shift):
         # one x-offset of map2's involution moved by 1/1000, towards the
         # inside of the square, so that G o G is still defined
-        g = build_involution("map2")
-        b = g.branches[piece]
-        bad = dataclasses.replace(g, branches=tuple(
-            dataclasses.replace(c, offset=(c.offset[0] + shift, c.offset[1])) if c is b else c
-            for c in g.branches))
-        res = proofs(build_generalized_baker(F(1, 8)), bad)
+        res = proofs(build_generalized_baker(F(1, 8)), shifted_involution2(piece, shift))
         assert res["involution_squares_to_identity"].failed_area > 0
         assert res["involution_squares_to_identity"].failed_pieces > 0
 
@@ -441,3 +456,154 @@ class TestPieceProofs:
         rep = verify_reversibility(build_simple_baker(F(2, 3)), build_involution("map2"), [])
         assert rep.proofs["jacobian_reciprocity"].failed_area > 0
         assert "jacobian_reciprocity" in rep.failed_identities() and not rep.ok
+
+
+# ---------------------------------------------------------------------------
+# the sampled route on integers, against its Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def reference_sampled_route(m, g, samples):
+    """The per-point loop of `verify_reversibility` in `Fraction`
+    arithmetic, with its own half-open membership and branch action, as
+    the report it gives beside the proofs of `verify_reversibility`."""
+
+    def inside(v, lo, hi):
+        return (lo <= v < hi) or (v == hi == 1)
+
+    def branch(f, p):
+        if not (0 <= p.x <= 1 and 0 <= p.y <= 1):
+            raise ValueError(f"point {p} outside the unit square")
+        for b in f.branches:
+            if inside(p.x, b.x_lo, b.x_hi) and inside(p.y, b.y_lo, b.y_hi):
+                return b
+        raise ValueError(f"point {p} not covered by any branch of {f.name}")
+
+    def act(b, p):
+        u, v = (p.y, p.x) if b.swap else (p.x, p.y)
+        return PhasePoint(b.scale[0] * u + b.offset[0], b.scale[1] * v + b.offset[1])
+
+    def apply(f, p):
+        return act(branch(f, p), p)
+
+    def region(p):
+        return next(label for lo, hi, label in m.partition if inside(p.x, lo, hi))
+
+    proofs = verify_reversibility(m, g, []).proofs
+    conj = symbols(m.family).conjugacy if m.partition is not None else None
+    points = list(samples)
+    if conj is not None:
+        inset = (F(1, 4096), F(4095, 4096))
+        points += [PhasePoint(lo + (hi - lo) * t, s) for lo, hi, _label in m.partition
+                   for t in inset for s in inset]
+    checks = dict.fromkeys(proofs, 0)
+    failures = []
+    for p in points:
+        gg = apply(g, apply(g, p))
+        at_p = branch(m, p)
+        gmp = apply(g, act(at_p, p))
+        at_gmp = branch(m, gmp)
+        back = apply(g, act(at_gmp, gmp))
+        jac = at_p.jacobian * at_gmp.jacobian
+        outcomes = [("involution_squares_to_identity", gg == p, "G(G(p)) = {}", gg),
+                    ("conjugation_inverts_map", back == p, "G(M(G(M(p)))) = {}", back),
+                    ("jacobian_reciprocity", jac == 1, "J(p)*J(GMp) = {}", jac)]
+        if conj is not None:
+            want, got = conj[region(p)], region(gmp)
+            outcomes.append(("region_conjugacy", got == want, f"expected {want}, got {{}}", got))
+        for name, holds, detail, value in outcomes:
+            if holds:
+                checks[name] += 1
+            else:
+                failures.append(IdentityFailure(p, name, detail.format(value)))
+    return ReversibilityReport(m.name, len(points), checks, failures, proofs)
+
+
+# small denominators: every strip edge, fold edge and corner of the square
+edge_coords = st.fractions(min_value=F(0), max_value=F(1), max_denominator=40)
+
+
+class TestSampledRoute:
+    @settings(max_examples=40, deadline=None)
+    @given(named=named_maps(), seed=st.integers(min_value=0, max_value=2**16),
+           edges=st.lists(st.builds(PhasePoint, edge_coords, edge_coords), max_size=10))
+    def test_matches_the_fraction_reference(self, named, seed, edges):
+        kind, m = named
+        g = build_involution("map1" if kind == "map1" else "map2")
+        pts = random_rational_points(30, seed) + edges
+        rep = verify_reversibility(m, g, pts)
+        ref = reference_sampled_route(m, g, pts)
+        assert rep.to_dict() == ref.to_dict()
+        assert rep.failures == ref.failures
+
+    @settings(max_examples=10, deadline=None)
+    @given(l=l_map2, seed=st.integers(min_value=0, max_value=2**16))
+    def test_composite_failures_match_entry_for_entry(self, l, seed):
+        m, g = build_composite(l), build_involution("map2")
+        pts = random_rational_points(200, seed)
+        rep = verify_reversibility(m, g, pts)
+        assert rep.failures == reference_sampled_route(m, g, pts).failures
+        assert {f.identity for f in rep.failures} == {"conjugation_inverts_map"}
+
+    @pytest.mark.parametrize("piece,shift", [(0, F(-1, 1000)), (1, F(1, 1000))])
+    @settings(max_examples=10, deadline=None)
+    @given(l=l_map2, seed=st.integers(min_value=0, max_value=2**16))
+    def test_shifted_involution_failures_match_entry_for_entry(self, piece, shift, l, seed):
+        m, g = build_generalized_baker(l), shifted_involution2(piece, shift)
+        pts = random_rational_points(100, seed)
+        rep = verify_reversibility(m, g, pts)
+        assert rep.failures == reference_sampled_route(m, g, pts).failures
+        assert "involution_squares_to_identity" in {f.identity for f in rep.failures}
+
+    def test_samples_build_no_points(self, monkeypatch):
+        # the samples run on integers: only the proofs and the region
+        # corners build points, so 300 samples build as many as 10
+        m, g = build_generalized_baker(F(7, 40)), build_involution("map2")
+        samples = {k: random_rational_points(k, seed=1) for k in (10, 300)}
+        real, built = maps.PhasePoint, []
+
+        def counting(*args, **kwargs):
+            built.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(maps, "PhasePoint", counting)
+        counts = {}
+        for k, pts in samples.items():
+            built.clear()
+            assert verify_reversibility(m, g, pts).ok
+            counts[k] = len(built)
+        assert counts[10] == counts[300]
+
+
+class TestHalfOpenMembership:
+    @pytest.mark.parametrize("l", [F(1, 8), F(3, 37), F(1, 4)])
+    def test_integer_membership_at_exact_edges(self, l):
+        # every strip edge, the fold's x- and y-cuts, 0 and 1, each also as
+        # a pair out of lowest terms, against every interval of the composite
+        k = build_composite(l)
+        cuts = ({c for b in k.branches for c in b.domain}
+                | {e for lo, hi, _label in k.partition for e in (lo, hi)} | {F(0), F(1)})
+        intervals = ({(b.x_lo, b.x_hi) for b in k.branches}
+                     | {(b.y_lo, b.y_hi) for b in k.branches}
+                     | {(lo, hi) for lo, hi, _label in k.partition})
+        for v in cuts:
+            for lo, hi in intervals:
+                want = (lo <= v < hi) or (v == hi == 1)
+                assert in_interval(v, lo, hi) == want
+                for i in (1, 2, 3):
+                    for j in (1, 2):
+                        assert maps._within(i * v.numerator, i * v.denominator,
+                                            j * lo.numerator, j * lo.denominator,
+                                            j * hi.numerator, j * hi.denominator) == want
+        for b in k.branches:
+            for x in cuts:
+                for y in cuts:
+                    assert b.contains(PhasePoint(x, y)) == (
+                        ((b.x_lo <= x < b.x_hi) or (x == b.x_hi == 1))
+                        and ((b.y_lo <= y < b.y_hi) or (y == b.y_hi == 1)))
+
+    def test_unnormalized_pair_on_an_edge(self):
+        # (2, 4) is 1/2: the left edge of strip C, outside strip B
+        assert maps._within(2, 4, 1, 2, 3, 4)
+        assert not maps._within(2, 4, 1, 8, 1, 2)
+        assert maps._within(4, 4, 3, 4, 1, 1) and maps._within(4, 4, 6, 8, 2, 2)
