@@ -13,6 +13,7 @@ strings, `num/den` or `str(Fraction)` (an integer without `/1`).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -341,7 +342,9 @@ def _reads(cfg: ExperimentConfig) -> set[str]:
     return keys
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="bakerfr",
         description="verification experiments for dissipative baker maps")

@@ -46,7 +46,10 @@ _ZERO = Fraction(0)
 
 # The packed DP costs about n^2 log2(D) bit operations.  Measured for map2
 # at l = 1/8, 1/6, 1/5 (2-CPU Xeon container, Python 3.11): 0.003-0.01 s at
-# n = 120, 1.0-2.0 s at n = 1000 and 9-18 s at n = 2000.
+# n = 120, 1.0-2.0 s at n = 1000 and 9-18 s at n = 2000.  Larger
+# denominators cost more: the worst of l in {1/8, 7/40, 3/37} is 3/37,
+# 5.6-5.7 s and 39 MB peak RSS at n = 1000 and 48 s and 109 MB at the cap
+# (7/40: 3.5-4.0 s and 33 s).
 MAX_DP_STEPS = 2000
 # The prefix-shared oracles at n = 12 (same machine): brute_force_distribution
 # 0.007-0.01 s for map2 at l = 1/8, 1/6, 1/5 (8192 sequences) and 0.003 s

@@ -10,6 +10,7 @@ expanding direction, and the orbit weights need not reproduce the law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,32 +27,43 @@ from bakerfr.transfer import ConsistencyError
 
 _ZERO = Fraction(0)
 
-# enumerate_orbits keeps all 2^n orbits, about 470 bytes each at n = 18.
-# Measured at l = 2/3 (2-CPU Xeon container, Python 3.11), time and peak
-# RSS of the process: 0.16-0.22 s and 24 MB at n = 14, 0.8-1.0 s and
-# 46 MB at n = 16, 3.5-4.3 s and 140 MB at n = 18; about 4x per two
-# steps, so about 15 s and 0.5 GB at n = 20 (not run).
+# enumerate_orbits keeps all 2^n orbit rows, about 340 bytes each.
+# Measured with upo_distribution at l = 2/3 (2-CPU Xeon container,
+# Python 3.11), time and peak RSS of the process: 0.23 s and 21 MB at
+# n = 14, 0.7-0.85 s and 37 MB at n = 16, 3.4-3.5 s and 100 MB at n = 18;
+# about 4x per two steps, so about 14 s and 0.35 GB at n = 20 (not run).
 # generalized_upo_diagnostic keeps no orbits: 0.07 s at n = 16 and 1.7 s
-# at n = 20 (l = 1/8).
+# at n = 20 (l = 1/8).  The cap stays at 20: both fit a batch run, and it
+# also bounds the diagnostic, whose walk is the only route to its law.
 MAX_ORBIT_LENGTH = 20
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PeriodicOrbit:
-    """A length-n cyclic code with its exact periodic point."""
+    """A length-n cyclic code with its exact periodic point, as a light
+    row: the code as its label string and the weight as two integers."""
 
-    code: tuple[RegionLabel, ...]
+    label: str            # the code as its label string, e.g. "ABB"
     alpha: int            # visits to the left (expanding-weight l) strip
     beta: int             # visits to the right strip
     x_point: Fraction     # fixed point of the composed horizontal branches
-    weight: Fraction      # inverse unstable jacobian l^alpha * r^beta
+    weight_num: int       # inverse unstable jacobian l^alpha * r^beta,
+    weight_den: int       # in lowest terms
+
+    @property
+    def code(self) -> tuple[RegionLabel, ...]:
+        return tuple(map(RegionLabel, self.label))
+
+    @property
+    def weight(self) -> Fraction:
+        return Fraction(self.weight_num, self.weight_den)
 
     @property
     def g(self) -> int:
         return self.alpha - self.beta
 
     def text(self) -> str:
-        return "".join(lab.value for lab in self.code)
+        return self.label
 
 
 def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
@@ -62,52 +74,57 @@ def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
     read once as x -> (s x + t) / r, and each node carries the composed
     affine branch x -> (a x + b) / q of its prefix, the weight (the
     product of the inverse slopes r / s) as a numerator and a denominator,
-    and the count of left-strip visits.  A leaf builds two `Fraction`s:
-    its fixed point x_c = b / (q - a) and its weight (for l = p/q, the
-    integers p^alpha (q-p)^beta over q^n).  Then one step per code checks
-    the orbits: x_c must lie in the strip of c[0], and f_{c[0]}(x_c) must
-    equal x_{rot(c)}, the fixed point of the code rotated left by one
-    symbol (compared by cross-multiplication).  By induction over the
-    rotations, every orbit then follows its code and closes up after n
-    steps; otherwise `ConsistencyError` is raised."""
+    and the count of left-strip visits.  A leaf builds one row: its label
+    string, its fixed point x_c = b / (q - a), the one `Fraction`, and its
+    weight reduced by one gcd (for l = p/q, the integers p^alpha
+    (q-p)^beta and q^n).  Then one step per code checks the orbits: x_c
+    must lie in the strip of c[0], and f_{c[0]}(x_c) must equal
+    x_{rot(c)}, the fixed point of the code rotated left by one symbol
+    (compared by cross-multiplication).  By induction over the rotations,
+    every orbit then follows its code and closes up after n steps;
+    otherwise `ConsistencyError` is raised."""
     l = as_fraction(l)
     if not 1 <= n <= MAX_ORBIT_LENGTH:
         raise ValueError(f"supported orbit lengths are 1..{MAX_ORBIT_LENGTH}")
     fam = family("map1", l)
-    by_label = {b.label: b for b in fam.x_factor.branches}
-    # label -> (r, (s, t)): slope s / r and intercept t / r over one denominator
-    ints = {lab: common_denominator((br.slope, br.intercept)) for lab, br in by_label.items()}
+    by_label = {b.label.value: b for b in fam.x_factor.branches}
+    # (label, r, (s, t), left): slope s / r and intercept t / r over one
+    # denominator, and whether the strip counts towards alpha
+    steps = []
+    for lab in fam.labels:
+        br = by_label[lab.value]
+        steps.append((lab.value, *common_denominator((br.slope, br.intercept)),
+                      fam.g[lab] == 1))
     orbits = []
 
-    def walk(code: tuple[RegionLabel, ...], alpha: int, a: int, b: int, q: int,
-             w_n: int, w_d: int) -> None:
-        if len(code) == n:
+    def walk(label: str, alpha: int, a: int, b: int, q: int, w_n: int, w_d: int) -> None:
+        if len(label) == n:
             if a == q:
                 raise ValueError("composed branch is not expanding; no unique fixed point")
-            orbits.append(PeriodicOrbit(code, alpha, n - alpha, Fraction(b, q - a),
-                                        Fraction(w_n, w_d)))
+            c = math.gcd(w_n, w_d)
+            orbits.append(PeriodicOrbit(label, alpha, n - alpha, Fraction(b, q - a),
+                                        w_n // c, w_d // c))
             return
-        for lab in fam.labels:
-            r, (s, t) = ints[lab]
-            walk(code + (lab,), alpha + (fam.g[lab] == 1), s * a, s * b + t * q, r * q,
-                 w_n * r, w_d * s)
+        for lab, r, (s, t), left in steps:
+            walk(label + lab, alpha + left, s * a, s * b + t * q, r * q, w_n * r, w_d * s)
 
-    walk((), 0, 1, 0, 1, 1, 1)
+    walk("", 0, 1, 0, 1, 1, 1)
     # orbits[i] has the code whose digits in base k are those of i, first
     # symbol most significant, so rotating a code left by one symbol takes
     # index i to (i k) mod k^n + i div k^(n-1)
     k = len(fam.labels)
+    size, top = k ** n, k ** (n - 1)
     for i, o in enumerate(orbits):
-        br = by_label[o.code[0]]
+        br = by_label[o.label[0]]
         if not in_interval(o.x_point, br.lo, br.hi):
-            raise ConsistencyError(f"code {o.code} not realized at x={o.x_point}")
+            raise ConsistencyError(f"code {o.label} not realized at x={o.x_point}")
         image = br(o.x_point)
-        rotated = orbits[i * k % k ** n + i // k ** (n - 1)]
+        rotated = orbits[i * k % size + i // top]
         x = rotated.x_point
         if image.numerator * x.denominator != x.numerator * image.denominator:
             raise ConsistencyError(
-                f"orbit {o.code} does not close: f_{o.code[0]}(x) = {image} != "
-                f"{x}, the point of {rotated.code}")
+                f"orbit {o.label} does not close: f_{o.label[0]}(x) = {image} != "
+                f"{x}, the point of {rotated.label}")
     return orbits
 
 
@@ -115,14 +132,14 @@ def upo_distribution(l, orbits: list[PeriodicOrbit]) -> SymbolDistribution:
     """Law of g from the weights of `orbits` (all orbits of one length, as
     `enumerate_orbits(l, n)` gives them) grouped by alpha - beta.  The
     weights already sum to one, (l + r)^n, so no extra normalization
-    enters.  The weights are summed as integers over their least common
-    denominator, with one `Fraction` per g."""
+    enters.  The integer weights are summed over the lcm of their
+    denominators, with one `Fraction` per g."""
     l = as_fraction(l)
-    n = len(orbits[0].code)
-    den, weights = common_denominator(o.weight for o in orbits)
+    n = len(orbits[0].label)
+    den = math.lcm(*{o.weight_den for o in orbits})
     sums: dict[int, int] = {}
-    for o, w in zip(orbits, weights):
-        sums[o.g] = sums.get(o.g, 0) + w
+    for o in orbits:
+        sums[o.g] = sums.get(o.g, 0) + o.weight_num * (den // o.weight_den)
     total = sum(sums.values())
     if total != den:
         raise ConsistencyError(f"orbit weights sum to {Fraction(total, den)}, not 1")
@@ -196,6 +213,5 @@ def write_orbits_csv(orbits, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("code,alpha,beta,weight_num,weight_den,x_point\n")
         for o in orbits:
-            fh.write(f"{o.text()},{o.alpha},{o.beta},"
-                     f"{o.weight.numerator},{o.weight.denominator},"
+            fh.write(f"{o.label},{o.alpha},{o.beta},{o.weight_num},{o.weight_den},"
                      f"{o.x_point.numerator}/{o.x_point.denominator}\n")

@@ -180,6 +180,26 @@ class TestDeterminism:
                 assert content_a == content_b
 
 
+class TestCachedParser:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_refused_calls_leave_the_parser_as_it_was(self, tmp_path, capsys):
+        from test_output_digests import RUNS, _digest
+        [(args, code, json_sha, csv_sha)] = [r for r in RUNS
+                                             if r[0][:3] == ["upo", "--family", "map1"]]
+        assert run(["fr", "--mode", "exact", "--seed", "3",
+                    "--out", str(tmp_path / "bad")]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["upo", "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert run(args + ["--out", str(out)]) == code
+        assert _digest(out.with_suffix(".json"), out) == json_sha
+        assert _digest(out.with_suffix(".csv"), out) == csv_sha
+
+
 # pieces of the composite's strip B (the full-height piece right of the
 # fold, and the lower fold piece, which shares its x-interval with the
 # upper), the offset a corruption adds to one of them, and how the

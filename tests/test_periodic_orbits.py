@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from bakerfr.periodic_orbits import (
     enumerate_orbits,
     generalized_upo_diagnostic,
     upo_distribution,
+    write_orbits_csv,
 )
 from bakerfr.transfer import Branch1D, ConsistencyError, project_unstable
 
@@ -147,6 +149,46 @@ class TestUPODistribution:
     def test_symmetric_at_half(self):
         d = upo_distribution(F(1, 2), enumerate_orbits(F(1, 2), 6))
         assert all(d.prob(g) == d.prob(-g) for g in d.support())
+
+    @settings(max_examples=15, deadline=None)
+    @given(l=l_values, n=st.integers(min_value=1, max_value=8))
+    def test_matches_symbol_law_at_random_l(self, l, n):
+        assert (upo_distribution(l, enumerate_orbits(l, n)).probs
+                == exact_distribution("map1", l, n).probs)
+
+
+def reference_orbits_csv(l, n) -> str:
+    """The orbit table built from `Fraction`s: each code's fixed point of
+    the composed branches, and its weight as the product of the inverse
+    slopes."""
+    by_label = {b.label: b for b in project_unstable(build_simple_baker(l)).branches}
+    lines = ["code,alpha,beta,weight_num,weight_den,x_point\n"]
+    for code in itertools.product((A, B), repeat=n):
+        a, b = F(1), F(0)        # x -> a x + b, the branches of the prefix
+        for lab in code:
+            br = by_label[lab]
+            a, b = br.slope * a, br.slope * b + br.intercept
+        x = b / (1 - a)
+        w = math.prod(1 / by_label[lab].slope for lab in code)
+        alpha = code.count(A)
+        lines.append(f"{''.join(lab.value for lab in code)},{alpha},{n - alpha},"
+                     f"{w.numerator},{w.denominator},{x.numerator}/{x.denominator}\n")
+    return "".join(lines)
+
+
+class TestOrbitRows:
+    @settings(max_examples=15, deadline=None)
+    @given(l=l_values, n=st.integers(min_value=1, max_value=8))
+    def test_csv_equals_the_fraction_reference(self, tmp_path_factory, l, n):
+        path = tmp_path_factory.mktemp("orbits") / "orbits.csv"
+        write_orbits_csv(enumerate_orbits(l, n), path)
+        assert path.read_bytes() == reference_orbits_csv(l, n).encode()
+
+    def test_derived_fields(self):
+        o = enumerate_orbits(F(2, 3), 3)[3]
+        assert (o.label, o.code, o.text()) == ("ABB", (A, B, B), "ABB")
+        assert (o.alpha, o.beta, o.g) == (1, 2, -1)
+        assert (o.weight_num, o.weight_den, o.weight) == (2, 27, F(2, 27))
 
 
 class TestGeneralizedDiagnostic:
