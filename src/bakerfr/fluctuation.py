@@ -1,18 +1,17 @@
 """Finite-time fluctuation statistics of the contraction observable.
 
 The distribution of the net expanding-visit count g over an n-symbol
-window is computed three ways: an exact forward DP over the regions on
-integers only, each region's generating polynomial in z packed into one
-Python int (see `exact_distribution`), enumeration of every admissible
-symbol sequence (the oracle, n <= 12), and Monte-Carlo sampling.  The
-oracles walk the symbol tree depth first and carry each exact quantity
-along the prefix as an integer over a common denominator, so every
-sequence costs O(1) integer operations; `admissible_sequences` and
-`sequence_measure` stay as the per-sequence definitions that the tests
-check the walks against.  The fluctuation ratio P(g)/P(-g) is compared
-against base^g with the multiplicative correction confined to
-[4l, 1/(4l)] for the four-branch family, and required to be exactly
-base^g for the two-branch family.
+window is computed three ways: an exact forward DP, `_tilted_steps`,
+on each region's generating polynomial in z packed into one Python int
+(see `exact_distribution`; the map2 orbit diagnostic is its trace),
+enumeration of every admissible symbol sequence (the oracle, n <= 12,
+sharing no code with the DP), and Monte-Carlo sampling.  The oracles
+walk the symbol tree depth first on integers over a common denominator,
+O(1) integer operations per sequence; `admissible_sequences` and
+`sequence_measure` are the per-sequence definitions that the tests check
+the walks against.  The ratio P(g)/P(-g) is compared against base^g,
+exactly for the two-branch family and with the multiplicative
+correction confined to [4l, 1/(4l)] for the four-branch family.
 The per-g report decides by rational comparisons; the interval-binned
 report compares float logarithms with a slack of 1e-12 (see
 `binned_fr_report`).  The irreversible composite needs no function of
@@ -49,7 +48,8 @@ _ZERO = Fraction(0)
 # n = 120, 1.0-2.0 s at n = 1000 and 9-18 s at n = 2000.  Larger
 # denominators cost more: the worst of l in {1/8, 7/40, 3/37} is 3/37,
 # 5.6-5.7 s and 39 MB peak RSS at n = 1000 and 48 s and 109 MB at the cap
-# (7/40: 3.5-4.0 s and 33 s).
+# (7/40: 3.5-4.0 s and 33 s).  The map2 orbit trace: 4.8-5.9 s at n = 1000
+# for l = 1/8, 20-22 s and 41 MB for 3/37, and 167 s and 113 MB at the cap.
 MAX_DP_STEPS = 2000
 # The prefix-shared oracles at n = 12 (same machine): brute_force_distribution
 # 0.007-0.01 s for map2 at l = 1/8, 1/6, 1/5 (8192 sequences) and 0.003 s
@@ -135,60 +135,69 @@ class SymbolDistribution:
         return sum(Fraction(g) * p for g, p in self.probs.items())
 
 
+def _tilted_steps(fam: Family, d: int, v: dict[RegionLabel, int], steps: int,
+                  width: int) -> dict[RegionLabel, int]:
+    """Run `steps` steps of the chain weighted by z^g.  v holds one
+    polynomial per region, packed into an int with slot k at bit k W,
+    W = `width` (the caller makes W wide enough that no slot overflows),
+    and one step is v[s] <- (sum_r D p(r, s) v[r]) << ((g_s + 1) W)."""
+    shift = {lab: (fam.g[lab] + 1) * width for lab in fam.labels}
+    # predecessors of each region grouped by integer coefficient: a group
+    # costs one multiply, and a group shared by several regions one sum
+    into: dict[RegionLabel, dict[int, tuple]] = {s: {} for s in fam.labels}
+    for (r, s), p in fam.trans.items():
+        if p:
+            c = p.numerator * (d // p.denominator)
+            into[s][c] = into[s].get(c, ()) + (r,)
+    pools = {rs for groups in into.values() for rs in groups.values()}
+    for _ in range(steps):
+        pooled = {rs: reduce(add, [v[r] for r in rs]) for rs in pools}
+        v = {s: reduce(add, [c * pooled[rs] for c, rs in into[s].items()]) << shift[s]
+             for s in fam.labels}
+    return v
+
+
+def _slots(packed: int, count: int, nbytes: int) -> list[int]:
+    """The first `count` slots of a packed polynomial, `nbytes` bytes each."""
+    raw = packed.to_bytes(count * nbytes, "little")
+    return [int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little")
+            for k in range(count)]
+
+
 def exact_distribution(family: str, l, n: int,
                        start: str = "stationary") -> SymbolDistribution:
     """Exact law of g over an n-symbol window by a forward DP over regions.
 
     Let D be the least common denominator of the transition probabilities
-    and E that of the initial weights, so c(r, s) = D p(r, s) and E w(r)
-    are non-negative integers.  After k symbols, region s carries the
-    polynomial sum_g c_g z^(g+k) whose integer coefficient c_g is
-    E D^(k-1) times the probability of ending in s with count g.  Each
-    polynomial is packed into one Python int with slot g+k at bit
-    (g+k) W, so one DP step is a few big-int multiply-adds and shifts:
-
-        v[s] <- (sum_r c(r, s) v[r]) << ((g_s + 1) W)
-
-    All coefficients over all regions sum to E D^(k-1) <= E D^(n-1), so
-    with W at least one bit wider than that bound no slot can overflow
-    into its neighbour (W is rounded up to whole bytes so the final
-    unpacking is a byte slice per slot).  The coefficients are unpacked
-    once and divided by E D^(n-1); if they do not sum to it exactly,
-    `ConsistencyError` is raised."""
+    and E that of the initial weights, so D p(r, s) and E w(r) are
+    non-negative integers.  Region r starts at E w(r) z^(g_r + 1), and
+    after k symbols, k - 1 steps of `_tilted_steps`, the slot g+k of
+    region s holds E D^(k-1) times the probability of ending in s with
+    count g.  All slots sum to E D^(k-1) <= E D^(n-1), so with W at least
+    one bit wider than that bound no slot can overflow into its neighbour
+    (W is rounded up to whole bytes so the final unpacking is a byte slice
+    per slot).  The coefficients are unpacked once and divided by E D^(n-1);
+    if they do not sum to it exactly, `ConsistencyError` is raised."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n > MAX_DP_STEPS:
         raise ValueError(f"n={n} exceeds the DP guard {MAX_DP_STEPS}")
     spec = chain_spec(family, l, start)
+    fam = spec.fam
     d = math.lcm(*(p.denominator for p in spec.trans.values()))
     e = math.lcm(*(w.denominator for w in spec.initial.values()))
     total = e * d ** (n - 1)
     nbytes = total.bit_length() // 8 + 1
     width = 8 * nbytes
-    shift = {lab: (spec.delta(lab) + 1) * width for lab in spec.labels}
-    # predecessors of each region grouped by integer coefficient: a group
-    # costs one multiply, and a group shared by several regions one sum
-    into: dict[RegionLabel, dict[int, tuple[RegionLabel, ...]]] = {
-        s: {} for s in spec.labels}
-    for (r, s), p in spec.trans.items():
-        if p:
-            c = p.numerator * (d // p.denominator)
-            into[s][c] = into[s].get(c, ()) + (r,)
-    pools = {rs for groups in into.values() for rs in groups.values()}
-    v = {lab: (w.numerator * (e // w.denominator)) << shift[lab]
+    v = {lab: (w.numerator * (e // w.denominator)) << ((fam.g[lab] + 1) * width)
          for lab, w in spec.initial.items()}
-    for _ in range(n - 1):
-        pooled = {rs: reduce(add, [v[r] for r in rs]) for rs in pools}
-        v = {s: reduce(add, [c * pooled[rs] for c, rs in into[s].items()]) << shift[s]
-             for s in spec.labels}
-    raw = sum(v.values()).to_bytes((2 * n + 1) * nbytes, "little")
-    coeffs = [int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little")
-              for k in range(2 * n + 1)]
+    v = _tilted_steps(fam, d, v, n - 1, width)
+    coeffs = _slots(sum(v.values()), 2 * n + 1, nbytes)
     if sum(coeffs) != total:
         raise ConsistencyError(
             f"packed DP coefficients sum to {sum(coeffs)}, not E*D^(n-1) = {total}")
     probs = {k - n: Fraction(c, total) for k, c in enumerate(coeffs) if c}
-    return SymbolDistribution(family, spec.fam.l, n, probs)
+    return SymbolDistribution(family, fam.l, n, probs)
 
 
 def _scaled(weights: Mapping) -> tuple[int, dict]:

@@ -3,9 +3,9 @@
 For the two-branch map every length-n symbol string closes into exactly
 one periodic point of the n-fold horizontal map, and the orbit weights
 (inverse unstable jacobians) reproduce the symbol-process law of g
-exactly.  For the four-branch map the same construction is exposed only
-as a diagnostic: its stationary density is discontinuous along the
-expanding direction, and the orbit weights need not reproduce the law.
+exactly.  For the four-branch map the orbit sum is only a diagnostic,
+the trace of the exact law's kernel: every cycle has g = n (mod 2), and
+the law does not keep to that lattice.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from bakerfr.maps import (
     common_denominator,
     in_interval,
 )
-from bakerfr.fluctuation import SymbolDistribution, _scaled, chain_spec, exact_distribution
+from bakerfr.fluctuation import SymbolDistribution, _slots, _tilted_steps, exact_distribution
 from bakerfr.families import family
 from bakerfr.transfer import ConsistencyError
 
@@ -32,9 +32,7 @@ _ZERO = Fraction(0)
 # Python 3.11), time and peak RSS of the process: 0.23 s and 21 MB at
 # n = 14, 0.7-0.85 s and 37 MB at n = 16, 3.4-3.5 s and 100 MB at n = 18;
 # about 4x per two steps, so about 14 s and 0.35 GB at n = 20 (not run).
-# generalized_upo_diagnostic keeps no orbits: 0.07 s at n = 16 and 1.7 s
-# at n = 20 (l = 1/8).  The cap stays at 20: both fit a batch run, and it
-# also bounds the diagnostic, whose walk is the only route to its law.
+# The cap of 20 keeps that within a batch run.
 MAX_ORBIT_LENGTH = 20
 
 
@@ -172,37 +170,30 @@ def generalized_upo_diagnostic(l, n: int) -> UPODiagnostic:
     four-branch map.  Exploratory output only: no agreement is asserted,
     the interesting quantity is how large the discrepancy gets.
 
-    The cycles are the admissible n-sequences whose first symbol may
-    follow their last.  They are walked depth first, in the order of
-    `admissible_sequences`, and each node carries g and the product of
-    the inverse projected slopes `Family.col` of its prefix, as an
-    integer scaled by C^k with C the least common denominator of `col`;
-    the scale cancels when the weights are normalized."""
+    A cycle's weight is the product of the inverse projected slopes of
+    its regions.  The record build checks that they equal `Family.col`
+    and builds the transitions from `col`, so the weight is the product
+    of the cycle's transition probabilities and the orbit sum is the
+    trace tr P(z)^n of the chain weighted by z^g: n steps of
+    `_tilted_steps` from 1 in region s leave D^n times the weights of the
+    cycles through s in v[s], at most k D^n over k regions.  The cycle
+    count is tr A^n, A the 0/1 successor matrix; the guard is the law's."""
     l = as_fraction(l)
-    if not 1 <= n <= MAX_ORBIT_LENGTH:
-        raise ValueError(f"supported cycle lengths are 1..{MAX_ORBIT_LENGTH}")
-    spec = chain_spec("map2", l)
-    fam = spec.fam
-    _c, inv_slope = _scaled(fam.col)
-    cycles = 0
-    weights: dict[int, int] = {}
-
-    def walk(k: int, first: RegionLabel, last: RegionLabel, g: int, w: int) -> None:
-        nonlocal cycles
-        if k == n:
-            if first in fam.successors[last]:
-                cycles += 1
-                weights[g] = weights.get(g, 0) + w
-            return
-        for s in fam.successors[last]:
-            walk(k + 1, first, s, g + fam.g[s], w * inv_slope[s])
-
-    for lab in fam.labels:
-        if spec.initial[lab] > 0:
-            walk(1, lab, lab, fam.g[lab], inv_slope[lab])
-    total = sum(weights.values())
-    upo_probs = {g: Fraction(w, total) for g, w in weights.items()}
     chain = exact_distribution("map2", l, n)
+    fam = family("map2", l)
+    d = math.lcm(*(p.denominator for p in fam.trans.values()))
+    nbytes = (len(fam.labels) * d ** n).bit_length() // 8 + 1
+    trace = cycles = 0
+    for s in fam.labels:
+        walks = unit = {r: int(r == s) for r in fam.labels}
+        trace += _tilted_steps(fam, d, unit, n, 8 * nbytes)[s]
+        for _ in range(n):
+            walks = {t: sum(walks[r] for r in fam.labels if t in fam.successors[r])
+                     for t in fam.labels}
+        cycles += walks[s]
+    weights = _slots(trace, 2 * n + 1, nbytes)
+    total = sum(weights)
+    upo_probs = {k - n: Fraction(w, total) for k, w in enumerate(weights) if w}
     support = set(upo_probs) | set(chain.probs)
     tv = sum(abs(upo_probs.get(g, _ZERO) - chain.prob(g)) for g in support) / 2
     return UPODiagnostic(l, n, cycles, upo_probs, dict(chain.probs), tv)

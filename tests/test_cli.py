@@ -109,6 +109,12 @@ class TestOtherCommands:
         assert run(["upo", "--family", "map2", "--l", "1/8", "--n", "6",
                     "--out", str(out)]) == 0
 
+    def test_upo_generalized_diagnostic_past_the_cycle_walk(self, tmp_path):
+        out = tmp_path / "u21"
+        assert run(["upo", "--family", "map2", "--l", "1/8", "--n", "21",
+                    "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "u21.json").read_text())["cycles"] == 2 ** 21
+
     def test_multibaker(self, tmp_path):
         out = tmp_path / "mb"
         assert run(["multibaker", "--l", "1/8", "--ensemble", "20000",

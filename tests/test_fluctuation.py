@@ -141,6 +141,23 @@ class TestBruteForceOracle:
         assert (brute_force_distribution(name, l, n, start).probs
                 == {g: p for g, p in probs.items() if p})
 
+    def test_oracles_share_no_code_with_the_dp_kernel(self, monkeypatch):
+        # the brute-force law and the alpha check must stay independent of
+        # the packed DP that they check
+        law = brute_force_distribution("map2", F(1, 8), 8)
+        alpha = alpha_bounds_check(F(1, 8), 6)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("an oracle ran the DP kernel")
+
+        monkeypatch.setattr(fluctuation, "_tilted_steps", fail)
+        with pytest.raises(AssertionError, match="ran the DP kernel"):
+            exact_distribution("map2", F(1, 8), 8)
+        assert brute_force_distribution("map2", F(1, 8), 8) == law
+        assert alpha_bounds_check(F(1, 8), 6) == alpha
+        spec = chain_spec("map2", F(1, 8))
+        assert sum(sequence_measure(spec, seq) for seq in admissible_sequences(spec, 6)) == 1
+
 
 class TestFRReport:
     def test_simple_map_exact_equality(self):

@@ -9,7 +9,12 @@ import hypothesis.strategies as st
 
 from bakerfr import periodic_orbits
 from bakerfr.families import family
-from bakerfr.fluctuation import admissible_sequences, chain_spec, exact_distribution
+from bakerfr.fluctuation import (
+    MAX_DP_STEPS,
+    admissible_sequences,
+    chain_spec,
+    exact_distribution,
+)
 from bakerfr.maps import RegionLabel, build_generalized_baker, build_simple_baker
 from bakerfr.periodic_orbits import (
     enumerate_orbits,
@@ -203,7 +208,7 @@ class TestGeneralizedDiagnostic:
 
     @settings(max_examples=15, deadline=None)
     @given(l=st.fractions(F(1, 60), F(1, 4), max_denominator=60),
-           n=st.integers(min_value=1, max_value=8))
+           n=st.integers(min_value=1, max_value=12))
     def test_walk_equals_per_sequence_sum(self, l, n):
         spec = chain_spec("map2", l)
         inv_slope = {b.label: 1 / b.slope
@@ -218,6 +223,25 @@ class TestGeneralizedDiagnostic:
         diag = generalized_upo_diagnostic(l, n)
         assert diag.cycles == cycles
         assert diag.upo_probs == {g: w / total for g, w in weights.items()}
+
+    @pytest.mark.parametrize("l", [F(1, 8), F(3, 37), F(1, 5)])
+    @pytest.mark.parametrize("n", [21, 200])
+    def test_trace_past_the_cycle_walk(self, l, n):
+        # every cycle has as many A as D visits (A is entered from {B, D},
+        # D from {A, C}), so g = #B - #C has the parity of n; the orbit sum
+        # lives on that lattice and the chain's mass off it bounds the gap
+        diag = generalized_upo_diagnostic(l, n)
+        assert diag.cycles == 2 ** n
+        assert sum(diag.upo_probs.values()) == 1
+        assert all((g - n) % 2 == 0 for g in diag.upo_probs)
+        off_lattice = sum(p for g, p in diag.chain_probs.items() if (g - n) % 2)
+        assert diag.total_variation >= off_lattice
+        if l == F(1, 8):
+            assert round(float(off_lattice), 4) == 0.4444
+
+    def test_guard_is_the_law_guard(self):
+        with pytest.raises(ValueError, match="exceeds the DP guard"):
+            generalized_upo_diagnostic(F(1, 8), MAX_DP_STEPS + 1)
 
     def test_equilibrium_diagnostic_is_symmetric(self):
         diag = generalized_upo_diagnostic(F(1, 4), 5)
