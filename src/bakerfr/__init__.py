@@ -43,16 +43,7 @@ from bakerfr.transfer import (
     verify_x_factor,
 )
 from bakerfr.families import Family, Symbols, family, symbols
-from bakerfr.observables import (
-    ContractionStats,
-    SymbolSequence,
-    TrajectorySegment,
-    average_contraction,
-    lambda_at,
-    reversed_initial,
-    reversed_symbol_sequence,
-    trajectory_segment,
-)
+from bakerfr.observables import lambda_at, reversed_initial
 from bakerfr.fluctuation import (
     EmpiricalDistribution,
     FRReport,

@@ -1,6 +1,6 @@
 """Command-line front end: every verification as a reproducible experiment.
 
-Each subcommand reads a config (flags, optionally expanded by a sweep
+Each command reads a config (flags, optionally expanded by a sweep
 file of key=value lines with comma-separated value lists), runs the
 corresponding check, writes machine-readable outputs (a JSON report and,
 where natural, a CSV table) under the --out prefix, and exits 0 exactly
@@ -18,10 +18,9 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from bakerfr.fluctuation import (
     binned_fr_report,
@@ -71,8 +70,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     command: str
     family: str = "map2"
     l: Fraction = Fraction(1, 8)
@@ -88,12 +86,11 @@ class ExperimentConfig:
 
     def to_text(self) -> str:
         lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in zip(self._fields, self):
             if isinstance(value, tuple):
                 value = ",".join(_fmt(b) for b in value)
             if value is not None:
-                lines.append(f"{f.name}={_fmt(value)}")
+                lines.append(f"{name}={_fmt(value)}")
         return "\n".join(lines) + "\n"
 
 
@@ -344,17 +341,17 @@ def _reads(cfg: ExperimentConfig) -> set[str]:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process: parsing leaves it as it is."""
+    """The CLI parser, built once per process: parsing leaves it as it is.
+    Every command takes the same flags; `_reads` refuses those its run
+    would not read."""
     parser = argparse.ArgumentParser(
         prog="bakerfr",
         description="verification experiments for dissipative baker maps")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        for key, (_parse, text) in _KEYS.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
-        p.add_argument("--out", help="output file prefix")
-        p.add_argument("--sweep", help="key=value file; comma lists fan out")
+    parser.add_argument("command", choices=_COMMANDS)
+    for key, (_parse, text) in _KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
+    parser.add_argument("--out", help="output file prefix")
+    parser.add_argument("--sweep", help="key=value file; comma lists fan out")
     return parser
 
 
@@ -379,7 +376,7 @@ def _configs_from_args(args) -> tuple[list[ExperimentConfig], Path]:
             raise ValueError(f"sweep file cannot set {key!r}")
         lists[key] = [_KEYS[key][0](v.strip()) for v in value.split(",")]
     keys = sorted(lists)
-    configs = [replace(cfg, **dict(zip(keys, combo)))
+    configs = [cfg._replace(**dict(zip(keys, combo)))
                for combo in itertools.product(*(lists[k] for k in keys))]
     for c in configs:
         reads = _reads(c)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ DEFAULT_SHARD = 50_000  # ~1.3 MB of scratch per worker: fits a 2 MB L2
 DITHER = 2.0 ** -52
 
 
-@dataclass(frozen=True)
-class CompiledMap:
+class CompiledMap(NamedTuple):
     """Float x-action of a strip map; its strips are its regions."""
 
     strip_edges: np.ndarray   # inner x-edges separating the branches

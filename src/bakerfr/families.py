@@ -26,11 +26,10 @@ mappings are read-only, so no caller can alter the cached facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from bakerfr import maps, transfer
 from bakerfr.maps import PiecewiseAffineMap, RegionLabel, as_fraction
@@ -43,8 +42,7 @@ _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class Symbols:
+class Symbols(NamedTuple):
     """Symbolic dynamics of a family, independent of the strip width."""
 
     name: str
@@ -78,10 +76,16 @@ def symbols(name: str) -> Symbols:
         raise ValueError(f"unknown family {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Family(Symbols):
-    """Every per-parameter fact of one family at one strip width l."""
+class Family(NamedTuple):
+    """Every per-parameter fact of one family at one strip width l: the
+    fields of its `Symbols`, then those that depend on l."""
 
+    name: str
+    labels: tuple[RegionLabel, ...]
+    g: Mapping[RegionLabel, int]
+    conjugacy: Mapping[RegionLabel, RegionLabel]
+    successors: Mapping[RegionLabel, tuple[RegionLabel, ...]]
+    builder: str
     l: Fraction
     partition: tuple[tuple[Fraction, Fraction, RegionLabel], ...]
     trans: Mapping[tuple[RegionLabel, RegionLabel], Fraction]
@@ -142,7 +146,7 @@ def _family(name: str, l: Fraction) -> Family:
     widths = {lab: hi - lo for lo, hi, lab in partition}
     m = getattr(maps, sym.builder)(l)
     fam = Family(
-        **vars(sym), l=l, partition=partition,
+        *sym, l=l, partition=partition,
         trans=MappingProxyType(trans), col=MappingProxyType(column),
         initial=MappingProxyType({"stationary": MappingProxyType(stationary),
                                   "uniform": MappingProxyType(widths)}),

@@ -23,16 +23,16 @@ map2's, and its Monte-Carlo histogram goes through the same
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from bakerfr import families
 from bakerfr.families import Family
 from bakerfr.maps import (
     SCHEMA_VERSION,
+    CheckedRecord,
     PiecewiseAffineMap,
     RegionLabel,
     as_fraction,
@@ -43,13 +43,14 @@ from bakerfr.transfer import ConsistencyError
 
 _ZERO = Fraction(0)
 
-# The packed DP costs about n^2 log2(D) bit operations.  Measured for map2
-# at l = 1/8, 1/6, 1/5 (2-CPU Xeon container, Python 3.11): 0.003-0.01 s at
-# n = 120, 1.0-2.0 s at n = 1000 and 9-18 s at n = 2000.  Larger
-# denominators cost more: the worst of l in {1/8, 7/40, 3/37} is 3/37,
-# 5.6-5.7 s and 39 MB peak RSS at n = 1000 and 48 s and 109 MB at the cap
-# (7/40: 3.5-4.0 s and 33 s).  The map2 orbit trace: 4.8-5.9 s at n = 1000
-# for l = 1/8, 20-22 s and 41 MB for 3/37, and 167 s and 113 MB at the cap.
+# The packed DP costs about n^2 log2(D) bit operations; the law keeps its
+# integer counts.  Measured for map2 at l = 1/8, 1/6, 1/5 (2-CPU Xeon
+# container, Python 3.11): 0.006 s at n = 120, 1.3-2.1 s at n = 1000, and
+# 12 s at n = 2000 for l = 1/8.  Larger denominators cost more: the worst
+# of l in {1/8, 7/40, 3/37} is 3/37, 4.7 s and 39 MB peak RSS at n = 1000
+# and 48 s and 113 MB at the cap (7/40: 2.9 s at n = 1000).  The map2
+# orbit trace: 4.8-5.9 s at n = 1000 for l = 1/8, 20-22 s and 41 MB for
+# 3/37, and 167 s and 113 MB at the cap.
 MAX_DP_STEPS = 2000
 # The prefix-shared oracles at n = 12 (same machine): brute_force_distribution
 # 0.007-0.01 s for map2 at l = 1/8, 1/6, 1/5 (8192 sequences) and 0.003 s
@@ -68,8 +69,7 @@ MIN_COUNT = 25
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(NamedTuple):
     """The family's symbol process started from one initial law."""
 
     fam: Family
@@ -105,34 +105,43 @@ def chain_spec(family: str, l, start: str = "stationary") -> ChainSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymbolDistribution:
-    """Exact law of g over an n-symbol window."""
-
+class _SymbolDistribution(NamedTuple):
     family: str
     l: Fraction
     n: int
-    probs: dict[int, Fraction]
+    counts: dict[int, int]
+    total: int
 
-    def __post_init__(self):
-        nonzero = {g: p for g, p in self.probs.items() if p != 0}
-        object.__setattr__(self, "probs", nonzero)
-        total = sum(nonzero.values())
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        if any(not -self.n <= g <= self.n for g in nonzero):
+
+class SymbolDistribution(CheckedRecord, _SymbolDistribution):
+    """Exact law of g over an n-symbol window, P(g) = counts[g] / total:
+    integer counts over the one denominator their producer works on.  Two
+    records of one law over different totals differ; `probs` compares
+    the laws."""
+
+    def __new__(cls, family: str, l: Fraction, n: int, counts: Mapping[int, int],
+                total: int):
+        counts = {g: c for g, c in counts.items() if c}
+        if total < 1 or sum(counts.values()) != total:
+            raise ValueError(f"counts sum to {sum(counts.values())}, not the total {total}")
+        if any(not -n <= g <= n for g in counts):
             raise ValueError("support escapes [-n, n]")
-        if any(-g not in nonzero for g in nonzero):
+        if any(-g not in counts for g in counts):
             raise ValueError("support is not symmetric around 0")
+        return super().__new__(cls, family, l, n, counts, total)
+
+    @cached_property
+    def probs(self) -> dict[int, Fraction]:
+        return {g: Fraction(c, self.total) for g, c in self.counts.items()}
 
     def prob(self, g: int) -> Fraction:
         return self.probs.get(g, _ZERO)
 
     def support(self) -> list[int]:
-        return sorted(self.probs)
+        return sorted(self.counts)
 
     def mean_g(self) -> Fraction:
-        return sum(Fraction(g) * p for g, p in self.probs.items())
+        return Fraction(sum(g * c for g, c in self.counts.items()), self.total)
 
 
 def _tilted_steps(fam: Family, d: int, v: dict[RegionLabel, int], steps: int,
@@ -176,8 +185,9 @@ def exact_distribution(family: str, l, n: int,
     count g.  All slots sum to E D^(k-1) <= E D^(n-1), so with W at least
     one bit wider than that bound no slot can overflow into its neighbour
     (W is rounded up to whole bytes so the final unpacking is a byte slice
-    per slot).  The coefficients are unpacked once and divided by E D^(n-1);
-    if they do not sum to it exactly, `ConsistencyError` is raised."""
+    per slot).  The coefficients are unpacked once and are the law's counts
+    over E D^(n-1); if they do not sum to it exactly, `ConsistencyError`
+    is raised."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n > MAX_DP_STEPS:
@@ -196,8 +206,8 @@ def exact_distribution(family: str, l, n: int,
     if sum(coeffs) != total:
         raise ConsistencyError(
             f"packed DP coefficients sum to {sum(coeffs)}, not E*D^(n-1) = {total}")
-    probs = {k - n: Fraction(c, total) for k, c in enumerate(coeffs) if c}
-    return SymbolDistribution(family, fam.l, n, probs)
+    return SymbolDistribution(family, fam.l, n, {k - n: c for k, c in enumerate(coeffs)},
+                              total)
 
 
 def _scaled(weights: Mapping) -> tuple[int, dict]:
@@ -244,8 +254,9 @@ def brute_force_distribution(family: str, l, n: int,
     order of `admissible_sequences`, and each node carries g and its
     prefix's measure times E D^(k-1), an integer (D and E as in
     `exact_distribution`, computed here on their own), so a sequence
-    costs one integer multiplication and one integer addition, and each g
-    one `Fraction`.  Exponential in n; guarded accordingly."""
+    costs one integer multiplication and one integer addition; the sums
+    are the law's counts over E D^(n-1).  Exponential in n; guarded
+    accordingly."""
     if not 1 <= n <= MAX_BRUTE_FORCE:
         raise ValueError(f"brute force supports 1 <= n <= {MAX_BRUTE_FORCE}")
     spec = chain_spec(family, l, start)
@@ -265,9 +276,7 @@ def brute_force_distribution(family: str, l, n: int,
         w = initial.get(lab, 0)
         if w > 0:
             walk(1, lab, fam.g[lab], w)
-    total = e * d ** (n - 1)
-    return SymbolDistribution(family, fam.l, n,
-                              {g: Fraction(c, total) for g, c in sums.items()})
+    return SymbolDistribution(family, fam.l, n, sums, e * d ** (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +284,7 @@ def brute_force_distribution(family: str, l, n: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FRRow:
+class FRRow(NamedTuple):
     g: int
     p_plus: Fraction
     p_minus: Fraction
@@ -288,8 +296,7 @@ class FRRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class FRReport:
+class FRReport(NamedTuple):
     family: str
     l: Fraction
     n: int
@@ -344,7 +351,8 @@ def fr_report(dist: SymbolDistribution) -> FRReport:
     """Check the ratio P(g)/P(-g) against base^g for every attainable
     positive g.  The two-branch family must satisfy the identity exactly;
     the four-branch family must have its multiplicative correction within
-    [4l, 1/(4l)].  Exact rational comparisons throughout."""
+    [4l, 1/(4l)].  Exact rational comparisons throughout; the ratio is
+    read from the law's integer counts."""
     fam = families.family(dist.family, dist.l)
     psi, base = fam.psi, fam.unit_base
     if psi == 0:
@@ -356,12 +364,12 @@ def fr_report(dist: SymbolDistribution) -> FRReport:
     for g in dist.support():
         if g <= 0:
             continue
-        p_plus, p_minus = dist.prob(g), dist.prob(-g)
-        alpha = (p_plus / p_minus) / base ** g
+        ratio = Fraction(dist.counts[g], dist.counts[-g])
+        alpha = ratio / base ** g
         passed = a_min <= alpha <= a_max
         rows.append(FRRow(
-            g=g, p_plus=p_plus, p_minus=p_minus, alpha=alpha,
-            lhs=log_ratio(p_plus / p_minus), target=g * math.log(base),
+            g=g, p_plus=dist.prob(g), p_minus=dist.prob(-g), alpha=alpha,
+            lhs=log_ratio(ratio), target=g * math.log(base),
             bound=math.log(a_max),
             e_n=Fraction(g, dist.n) / psi, passed=passed,
         ))
@@ -369,8 +377,7 @@ def fr_report(dist: SymbolDistribution) -> FRReport:
                     mean_lambda, tuple(rows))
 
 
-@dataclass(frozen=True)
-class BinnedFRRow:
+class BinnedFRRow(NamedTuple):
     p: Fraction               # bin center on the normalized-contraction axis
     prob_plus: Fraction
     prob_minus: Fraction
@@ -379,8 +386,7 @@ class BinnedFRRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class BinnedFRReport:
+class BinnedFRReport(NamedTuple):
     family: str
     l: Fraction
     n: int
@@ -417,8 +423,8 @@ def binned_fr_report(dist: SymbolDistribution, delta) -> BinnedFRReport:
 
     On the lattice, |g/(n psi) - g0/(n psi)| < delta is the integer window
     |g - g0| <= k with k = ceil(delta n |psi|) - 1, so each window's
-    probability is a difference of integer prefix sums of the law over its
-    common denominator.
+    probability is a difference of integer prefix sums of the law's counts
+    over its total.
 
     The window probabilities are exact; the pass test compares float
     logarithms, and the 1e-12 added to both edges absorbs their rounding
@@ -438,16 +444,14 @@ def binned_fr_report(dist: SymbolDistribution, delta) -> BinnedFRReport:
     n = dist.n
     n_lambda = n * float(psi) * math.log(base)
     k = math.ceil(delta * n * abs(psi)) - 1
-    den = math.lcm(*(p.denominator for p in dist.probs.values()))
-    # below[i] = den * P(g < i - n)
+    # below[i] = total * P(g < i - n)
     below = [0]
     for g in range(-n, n + 1):
-        p = dist.prob(g)
-        below.append(below[-1] + p.numerator * (den // p.denominator))
+        below.append(below[-1] + dist.counts.get(g, 0))
 
     def window(center: int) -> Fraction:
         lo, hi = max(center - k, -n), min(center + k, n)
-        return Fraction(below[hi + n + 1] - below[lo + n], den)
+        return Fraction(below[hi + n + 1] - below[lo + n], dist.total)
 
     rows = []
     for g0 in dist.support():
@@ -467,8 +471,7 @@ def binned_fr_report(dist: SymbolDistribution, delta) -> BinnedFRReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlphaBoundsReport:
+class AlphaBoundsReport(NamedTuple):
     l: Fraction
     n: int
     sequences: int
@@ -575,8 +578,7 @@ def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
+class EmpiricalDistribution(NamedTuple):
     family: str
     l: Fraction
     n: int
@@ -613,8 +615,7 @@ def monte_carlo_distribution(m: PiecewiseAffineMap, n: int, ensemble: int,
                                  ensemble, seed)
 
 
-@dataclass(frozen=True)
-class EmpiricalFRRow:
+class EmpiricalFRRow(NamedTuple):
     g: int
     count_plus: int
     count_minus: int
@@ -625,8 +626,7 @@ class EmpiricalFRRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class EmpiricalFRReport:
+class EmpiricalFRReport(NamedTuple):
     family: str
     l: Fraction
     n: int

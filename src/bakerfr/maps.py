@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -63,17 +62,32 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point of the unit square with exact rational coordinates."""
+class CheckedRecord:
+    """Base of a record (a NamedTuple subclass) whose `__new__` checks its
+    fields: `_replace` goes through that constructor, which namedtuple's
+    own `_replace` skips.  A subclass sets ``__slots__ = ()`` unless it has
+    a `cached_property`, which needs the instance ``__dict__``."""
 
+    __slots__ = ()
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class _PhasePoint(NamedTuple):
     x: Fraction
     y: Fraction
 
-    def __post_init__(self):
-        if not (isinstance(self.x, Fraction) and isinstance(self.y, Fraction)):
-            raise TypeError(
-                f"PhasePoint needs Fraction coordinates, got {self.x!r}, {self.y!r}")
+
+class PhasePoint(CheckedRecord, _PhasePoint):
+    """A point of the unit square with exact rational coordinates."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: Fraction, y: Fraction):
+        if not (isinstance(x, Fraction) and isinstance(y, Fraction)):
+            raise TypeError(f"PhasePoint needs Fraction coordinates, got {x!r}, {y!r}")
+        return super().__new__(cls, x, y)
 
 
 def _within(n: int, d: int, lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> bool:
@@ -136,15 +150,7 @@ def _affine_interval(lo, hi, s, t) -> tuple[Fraction, Fraction]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
-class AffineBranch:
-    """One affine piece: a domain rectangle and the monomial action
-
-        x' = sx (y if swap else x) + tx,    y' = sy (x if swap else y) + ty,
-
-    with ``scale = (sx, sy)`` and ``offset = (tx, ty)``; the jacobian
-    |sx sy| is derived, and a zero scale raises `MapConstructionError`."""
-
+class _AffineBranch(NamedTuple):
     x_lo: Fraction
     x_hi: Fraction
     y_lo: Fraction
@@ -153,19 +159,30 @@ class AffineBranch:
     offset: Vector2
     swap: bool = False
     label: Optional[RegionLabel] = None
-    jacobian: Fraction = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        for name in ("x_lo", "x_hi", "y_lo", "y_hi"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        object.__setattr__(self, "scale", tuple(as_fraction(c) for c in self.scale))
-        object.__setattr__(self, "offset", tuple(as_fraction(c) for c in self.offset))
-        if not (0 <= self.x_lo < self.x_hi <= 1 and 0 <= self.y_lo < self.y_hi <= 1):
-            raise MapConstructionError(f"degenerate or out-of-square domain: {self}")
-        sx, sy = self.scale
+
+class AffineBranch(CheckedRecord, _AffineBranch):
+    """One affine piece: a domain rectangle and the monomial action
+
+        x' = sx (y if swap else x) + tx,    y' = sy (x if swap else y) + ty,
+
+    with ``scale = (sx, sy)`` and ``offset = (tx, ty)``; the jacobian
+    |sx sy| is derived, and a zero scale raises `MapConstructionError`."""
+
+    def __new__(cls, x_lo, x_hi, y_lo, y_hi, scale, offset, swap=False, label=None):
+        x_lo, x_hi, y_lo, y_hi = map(as_fraction, (x_lo, x_hi, y_lo, y_hi))
+        (sx, sy), offset = map(as_fraction, scale), tuple(map(as_fraction, offset))
+        if not (0 <= x_lo < x_hi <= 1 and 0 <= y_lo < y_hi <= 1):
+            raise MapConstructionError(
+                f"degenerate or out-of-square domain [{x_lo}, {x_hi}) x [{y_lo}, {y_hi})")
         if sx == 0 or sy == 0:
-            raise MapConstructionError(f"zero scale: {self}")
-        object.__setattr__(self, "jacobian", abs(sx * sy))
+            raise MapConstructionError(f"zero scale ({sx}, {sy})")
+        return super().__new__(cls, x_lo, x_hi, y_lo, y_hi, (sx, sy), offset, swap, label)
+
+    @cached_property
+    def jacobian(self) -> Fraction:
+        sx, sy = self.scale
+        return abs(sx * sy)
 
     # -- geometry ---------------------------------------------------------
 
@@ -244,10 +261,7 @@ def _after(outer: AffineBranch, inner: AffineBranch, domain: Rect) -> AffineBran
     return AffineBranch(*domain, scale, offset, outer.swap != inner.swap, outer.label)
 
 
-@dataclass(frozen=True)
-class PiecewiseAffineMap:
-    """A finite list of affine branches whose domains tile the unit square."""
-
+class _PiecewiseAffineMap(NamedTuple):
     name: str
     branches: tuple[AffineBranch, ...]
     family: Optional[str] = None  # "map1" | "map2" region conventions
@@ -255,16 +269,21 @@ class PiecewiseAffineMap:
     x_tilde: Optional[Fraction] = None
     eps: Optional[Fraction] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
-        if not self.branches:
+
+class PiecewiseAffineMap(CheckedRecord, _PiecewiseAffineMap):
+    """A finite list of affine branches whose domains tile the unit square."""
+
+    def __new__(cls, name, branches, family=None, l=None, x_tilde=None, eps=None):
+        branches = tuple(branches)
+        if not branches:
             raise MapConstructionError("map needs at least one branch")
-        total = sum(_area(b.domain) for b in self.branches)
+        total = sum(_area(b.domain) for b in branches)
         if total != 1:
             raise MapConstructionError(f"branch domains have total area {total} != 1")
-        for (i, a), (j, b) in combinations(enumerate(self.branches), 2):
+        for (i, a), (j, b) in combinations(enumerate(branches), 2):
             if _meet(a.domain, b.domain):
-                raise MapConstructionError(f"branch domains {i} and {j} overlap in {self.name}")
+                raise MapConstructionError(f"branch domains {i} and {j} overlap in {name}")
+        return super().__new__(cls, name, branches, family, l, x_tilde, eps)
 
     # -- structural properties ----------------------------------------------
 
@@ -485,8 +504,7 @@ def build_composite(l, x_tilde=None, eps=None) -> PiecewiseAffineMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityFailure:
+class IdentityFailure(NamedTuple):
     point: PhasePoint
     identity: str
     detail: str
@@ -501,13 +519,12 @@ class PieceProof(NamedTuple):
     failed_area: Fraction
 
 
-@dataclass
-class ReversibilityReport:
+class ReversibilityReport(NamedTuple):
     map_name: str
     samples: int
     checks: dict[str, int]
-    failures: list[IdentityFailure] = field(default_factory=list)
-    proofs: dict[str, PieceProof] = field(default_factory=dict)
+    failures: list[IdentityFailure]
+    proofs: dict[str, PieceProof]
 
     @property
     def ok(self) -> bool:

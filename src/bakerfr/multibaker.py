@@ -9,9 +9,8 @@ parameter b = 2 - 1/(1-2l) controls the steady current."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-
+from typing import NamedTuple
 
 from bakerfr.families import family, symbols
 from bakerfr.maps import PhasePoint, PiecewiseAffineMap, as_fraction
@@ -20,14 +19,12 @@ from bakerfr.transfer import ConsistencyError
 DEFAULT_TRANSIENT = 100
 
 
-@dataclass(frozen=True)
-class ChainState:
+class ChainState(NamedTuple):
     cell: int
     local: PhasePoint
 
 
-@dataclass(frozen=True)
-class CurrentEstimate:
+class CurrentEstimate(NamedTuple):
     psi_hat: float
     stderr: float
     steps: int
@@ -94,8 +91,7 @@ def simulate_current(l, particles: int, steps: int, seed: int,
     return CurrentEstimate(psi_hat, stderr, steps, particles)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     b: Fraction
     l: Fraction
     psi_analytic: Fraction

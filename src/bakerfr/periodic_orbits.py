@@ -11,8 +11,8 @@ the law does not keep to that lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from bakerfr.maps import (
     SCHEMA_VERSION,
@@ -36,8 +36,7 @@ _ZERO = Fraction(0)
 MAX_ORBIT_LENGTH = 20
 
 
-@dataclass(slots=True)
-class PeriodicOrbit:
+class PeriodicOrbit(NamedTuple):
     """A length-n cyclic code with its exact periodic point, as a light
     row: the code as its label string and the weight as two integers."""
 
@@ -112,16 +111,16 @@ def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
     # index i to (i k) mod k^n + i div k^(n-1)
     k = len(fam.labels)
     size, top = k ** n, k ** (n - 1)
-    for i, o in enumerate(orbits):
-        br = by_label[o.label[0]]
-        if not in_interval(o.x_point, br.lo, br.hi):
-            raise ConsistencyError(f"code {o.label} not realized at x={o.x_point}")
-        image = br(o.x_point)
+    for i, (label, _alpha, _beta, x_c, _w_n, _w_d) in enumerate(orbits):
+        br = by_label[label[0]]
+        if not in_interval(x_c, br.lo, br.hi):
+            raise ConsistencyError(f"code {label} not realized at x={x_c}")
+        image = br(x_c)
         rotated = orbits[i * k % size + i // top]
         x = rotated.x_point
         if image.numerator * x.denominator != x.numerator * image.denominator:
             raise ConsistencyError(
-                f"orbit {o.label} does not close: f_{o.label[0]}(x) = {image} != "
+                f"orbit {label} does not close: f_{label[0]}(x) = {image} != "
                 f"{x}, the point of {rotated.label}")
     return orbits
 
@@ -131,21 +130,20 @@ def upo_distribution(l, orbits: list[PeriodicOrbit]) -> SymbolDistribution:
     `enumerate_orbits(l, n)` gives them) grouped by alpha - beta.  The
     weights already sum to one, (l + r)^n, so no extra normalization
     enters.  The integer weights are summed over the lcm of their
-    denominators, with one `Fraction` per g."""
+    denominators: the law's counts over that lcm."""
     l = as_fraction(l)
     n = len(orbits[0].label)
     den = math.lcm(*{o.weight_den for o in orbits})
     sums: dict[int, int] = {}
-    for o in orbits:
-        sums[o.g] = sums.get(o.g, 0) + o.weight_num * (den // o.weight_den)
+    for _label, alpha, beta, _x, w_n, w_d in orbits:
+        sums[alpha - beta] = sums.get(alpha - beta, 0) + w_n * (den // w_d)
     total = sum(sums.values())
     if total != den:
         raise ConsistencyError(f"orbit weights sum to {Fraction(total, den)}, not 1")
-    return SymbolDistribution("map1", l, n, {g: Fraction(c, den) for g, c in sums.items()})
+    return SymbolDistribution("map1", l, n, sums, den)
 
 
-@dataclass(frozen=True)
-class UPODiagnostic:
+class UPODiagnostic(NamedTuple):
     l: Fraction
     n: int
     cycles: int
@@ -203,6 +201,5 @@ def write_orbits_csv(orbits, path) -> None:
     """Rows (code, alpha, beta, weight_num, weight_den, x_point)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("code,alpha,beta,weight_num,weight_den,x_point\n")
-        for o in orbits:
-            fh.write(f"{o.label},{o.alpha},{o.beta},{o.weight_num},{o.weight_den},"
-                     f"{o.x_point.numerator}/{o.x_point.denominator}\n")
+        for label, alpha, beta, x, w_n, w_d in orbits:
+            fh.write(f"{label},{alpha},{beta},{w_n},{w_d},{x.numerator}/{x.denominator}\n")

@@ -25,13 +25,13 @@ checks them against the closed forms of both families."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from bakerfr.maps import (
     MapConstructionError,
     AffineBranch,
+    CheckedRecord,
     PiecewiseAffineMap,
     RegionLabel,
     build_perturbation,
@@ -53,8 +53,7 @@ class ConsistencyError(AssertionError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Branch1D:
+class Branch1D(NamedTuple):
     lo: Fraction
     hi: Fraction
     slope: Fraction
@@ -69,8 +68,7 @@ class Branch1D:
         return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
-class Map1D:
+class Map1D(NamedTuple):
     name: str
     branches: tuple[Branch1D, ...]
 
@@ -168,17 +166,19 @@ def verify_composite(k: PiecewiseAffineMap) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepDensity:
-    """Piecewise-constant probability density on [0, 1]."""
-
+class _StepDensity(NamedTuple):
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        bp, vals = tuple(self.breakpoints), tuple(self.values)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
+
+class StepDensity(CheckedRecord, _StepDensity):
+    """Piecewise-constant probability density on [0, 1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, breakpoints, values):
+        self = super().__new__(cls, tuple(breakpoints), tuple(values))
+        bp, vals = self
         if len(bp) < 2 or len(vals) != len(bp) - 1:
             raise ValueError("need k+1 breakpoints for k values")
         if bp[0] != 0 or bp[-1] != 1 or any(a >= b for a, b in zip(bp, bp[1:])):
@@ -188,6 +188,7 @@ class StepDensity:
         total = self.integral()
         if total != 1:
             raise ValueError(f"density integrates to {total}, not 1")
+        return self
 
     def integral(self):
         return sum(v * (b - a)

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 import os
@@ -236,8 +235,8 @@ def corrupt_composite(monkeypatch, piece):
     def corrupted(*args):
         k = real(*args)
         assert sum(hit(k, b) for b in k.branches) == 1
-        return dataclasses.replace(k, branches=tuple(
-            dataclasses.replace(b, offset=(b.offset[0] + dx, b.offset[1] + dy))
+        return k._replace(branches=tuple(
+            b._replace(offset=(b.offset[0] + dx, b.offset[1] + dy))
             if hit(k, b) else b
             for b in k.branches))
 

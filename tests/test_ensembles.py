@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import os
 import sys
@@ -209,10 +208,9 @@ def test_refuses_regions_that_are_not_the_strips():
     # differently on x: two strips, but one region B
     m = build_generalized_baker(F(1, 8))
     a, b, c, d = sorted(m.branches, key=lambda br: br.x_lo)
-    halves = (dataclasses.replace(b, x_hi=F(1, 4)),
-              dataclasses.replace(b, x_lo=F(1, 4), offset=(b.offset[0] + F(1, 100),
-                                                           b.offset[1])))
-    split = dataclasses.replace(m, branches=(a, *halves, c, d))
+    halves = (b._replace(x_hi=F(1, 4)),
+              b._replace(x_lo=F(1, 4), offset=(b.offset[0] + F(1, 100), b.offset[1])))
+    split = m._replace(branches=(a, *halves, c, d))
     with pytest.raises(ValueError, match="region edges"):
         compile_map(split)
 
@@ -222,6 +220,6 @@ def test_refuses_strips_labelled_unlike_the_regions():
     # labels would count g with the wrong sign
     m = build_generalized_baker(F(1, 8))
     a, b, c, d = sorted(m.branches, key=lambda br: br.x_lo)
-    swapped = (dataclasses.replace(b, label=c.label), dataclasses.replace(c, label=b.label))
+    swapped = (b._replace(label=c.label), c._replace(label=b.label))
     with pytest.raises(ValueError, match="region edges"):
-        compile_map(dataclasses.replace(m, branches=(a, *swapped, d)))
+        compile_map(m._replace(branches=(a, *swapped, d)))

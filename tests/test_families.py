@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as F
 from types import MappingProxyType
 
@@ -126,14 +125,14 @@ def test_record_mappings_reject_assignment():
                          (fam.conjugacy, A), (fam.successors, A)):
         with pytest.raises(TypeError):
             mapping[key] = 0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         fam.psi = F(0)
 
 
 @pytest.mark.parametrize("name,l", [("map2", F(3, 37)), ("map1", F(2, 3))])
 def test_strip_slope_that_disagrees_with_the_column_weight_raises(name, l):
     fam = family(name, l)
-    bad = dataclasses.replace(fam, col=MappingProxyType({**fam.col, A: fam.col[A] * 2}))
+    bad = fam._replace(col=MappingProxyType({**fam.col, A: fam.col[A] * 2}))
     with pytest.raises(ConsistencyError, match="inverse strip slopes .* != column weights"):
         families._verify(bad)
     families._verify(fam)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 from fractions import Fraction as F
@@ -254,7 +253,7 @@ def corrupt_chain(monkeypatch, l, trans=(), initial=()):
     """Make `fluctuation.chain_spec` return map2's chain at `l` with the
     given transition probabilities and initial weights replaced."""
     spec = chain_spec("map2", l)
-    fam = dataclasses.replace(spec.fam, trans=MappingProxyType({**spec.trans, **dict(trans)}))
+    fam = spec.fam._replace(trans=MappingProxyType({**spec.trans, **dict(trans)}))
     bad = fluctuation.ChainSpec(fam, {**spec.initial, **dict(initial)})
     monkeypatch.setattr(fluctuation, "chain_spec", lambda *args: bad)
 

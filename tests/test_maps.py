@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import re
 from fractions import Fraction as F
 
@@ -387,8 +386,8 @@ class TestCompose:
     def test_image_leaving_the_square_is_refused(self):
         m = build_simple_baker(F(2, 3))
         a, b = m.branches
-        out = dataclasses.replace(m, branches=(a, dataclasses.replace(
-            b, offset=(b.offset[0] + F(1, 1000), b.offset[1]))))
+        out = m._replace(branches=(a, b._replace(
+            offset=(b.offset[0] + F(1, 1000), b.offset[1]))))
         with pytest.raises(MapConstructionError, match="total area"):
             compose(m, out)
 
@@ -401,8 +400,8 @@ def shifted_involution2(piece, shift):
     """map2's involution with the x-offset of one piece moved by `shift`."""
     g = build_involution("map2")
     b = g.branches[piece]
-    return dataclasses.replace(g, branches=tuple(
-        dataclasses.replace(c, offset=(c.offset[0] + shift, c.offset[1])) if c is b else c
+    return g._replace(branches=tuple(
+        c._replace(offset=(c.offset[0] + shift, c.offset[1])) if c is b else c
         for c in g.branches))
 
 

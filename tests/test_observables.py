@@ -15,21 +15,36 @@ from bakerfr.maps import (
     build_simple_baker,
     random_rational_points,
 )
-from bakerfr.observables import (
-    SymbolSequence,
-    average_contraction,
-    lambda_at,
-    mean_g_per_step,
-    reversed_initial,
-    reversed_symbol_sequence,
-    trajectory_segment,
-)
+from bakerfr.observables import lambda_at, mean_g_per_step, reversed_initial
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
 coords = st.integers(min_value=1, max_value=1_000_002).map(
     lambda k: F(k, 1_000_003))
 points = st.builds(PhasePoint, coords, coords)
+
+
+def orbit_labels(m, p, n):
+    """The regions of x_0 .. x_n."""
+    return tuple(m.region_of(q) for q in m.iterate(p, n))
+
+
+def g_count(m, p, n):
+    """Net count g of expanding-region visits over the regions of x_0 .. x_{n-1}."""
+    g = symbols(m.family).g
+    return sum(g[lab] for lab in orbit_labels(m, p, n - 1))
+
+
+def admissible(name, labels):
+    succ = symbols(name).successors
+    return all(b in succ[a] for a, b in zip(labels, labels[1:]))
+
+
+def reversed_labels(name, labels):
+    """Symbols of the time-reversed segment: read backwards with the
+    expanding and contracting regions swapped (A, D fixed)."""
+    conj = symbols(name).conjugacy
+    return tuple(conj[lab] for lab in reversed(labels))
 
 
 class TestLambdaAt:
@@ -49,79 +64,73 @@ class TestLambdaAt:
 class TestTrajectorySegment:
     def test_symbol_count(self):
         m = build_generalized_baker(F(1, 8))
-        seg = trajectory_segment(m, PhasePoint(F(3, 7), F(2, 9)), 10)
-        assert len(seg.symbols) == 11
+        assert len(orbit_labels(m, PhasePoint(F(3, 7), F(2, 9)), 10)) == 11
 
     def test_symbols_match_orbit_regions(self):
+        # the strip partition labels each orbit point as its branch does
         m = build_generalized_baker(F(1, 8))
-        p = PhasePoint(F(3, 7), F(2, 9))
-        seg = trajectory_segment(m, p, 8)
-        assert seg.symbols.labels == tuple(m.region_of(q) for q in m.iterate(p, 8))
+        orbit = m.iterate(PhasePoint(F(3, 7), F(2, 9)), 8)
+        assert orbit_labels(m, orbit[0], 8) == tuple(m.branch_at(q).label for q in orbit)
 
     def test_exact_step_cap(self):
         m = build_generalized_baker(F(1, 8))
+        g = build_involution("map2")
         with pytest.raises(ValueError):
-            trajectory_segment(m, PhasePoint(F(1, 3), F(1, 3)), 65)
-        trajectory_segment(m, PhasePoint(F(1, 3), F(1, 3)), 64)
+            reversed_initial(m, g, PhasePoint(F(1, 3), F(1, 3)), 65)
+        reversed_initial(m, g, PhasePoint(F(1, 3), F(1, 3)), 64)
 
     @settings(max_examples=25)
     @given(p=points)
     def test_simulated_symbols_admissible(self, p):
         m = build_generalized_baker(F(1, 8))
-        assert trajectory_segment(m, p, 12).symbols.admissible
+        assert admissible("map2", orbit_labels(m, p, 12))
 
 
 class TestSymbolSequence:
     def test_forbidden_transition_flagged(self):
-        seq = SymbolSequence((A, A), "map2")
-        assert not seq.admissible
+        assert not admissible("map2", (A, A))
 
     def test_g_counts(self):
-        seq = SymbolSequence((B, B, A, C, D), "map2")
-        assert seq.g() == 1
-        assert SymbolSequence(seq.labels[:2], "map2").g() == 2
+        g = symbols("map2").g
+        assert sum(g[lab] for lab in (B, B, A, C, D)) == 1
+        assert g[B] + g[B] == 2
 
     def test_map1_counts(self):
-        seq = SymbolSequence((A, B, A), "map1")
-        assert seq.admissible and seq.g() == 1
+        g = symbols("map1").g
+        assert admissible("map1", (A, B, A)) and g[A] + g[B] + g[A] == 1
 
 
 class TestAverageContraction:
     def test_single_step_in_quiet_region(self):
         m = build_generalized_baker(F(1, 8))
-        stats = average_contraction(m, PhasePoint(F(1, 16), F(1, 2)), 1)
-        phi = math.log(family(stats.family, stats.l).unit_base)
-        assert stats.g == 0 and stats.g * phi / stats.steps == 0.0
+        assert g_count(m, PhasePoint(F(1, 16), F(1, 2)), 1) == 0
 
     def test_simple_map_count_relation(self):
         m = build_simple_baker(F(2, 3))
         p = PhasePoint(F(3, 7), F(2, 9))
         n = 12
-        stats = average_contraction(m, p, n)
-        seg = trajectory_segment(m, p, n - 1)
-        alpha = sum(1 for lab in seg.symbols.labels if lab == A)
+        alpha = sum(1 for lab in orbit_labels(m, p, n - 1) if lab == A)
         beta = n - alpha
-        assert stats.g == alpha - beta
-        phi = math.log(family(stats.family, stats.l).unit_base)
-        assert stats.g * phi == pytest.approx((alpha - beta) * math.log(2))
+        assert g_count(m, p, n) == alpha - beta
+        phi = math.log(family("map1", F(2, 3)).unit_base)
+        assert g_count(m, p, n) * phi == pytest.approx((alpha - beta) * math.log(2))
 
     def test_e_n_rational_form(self):
+        # e_n = g / (n psi), with psi = 1/3 at l = 1/8
         m = build_generalized_baker(F(1, 8))
-        stats = average_contraction(m, PhasePoint(F(3, 7), F(2, 9)), 10)
-        assert stats.e_n == F(stats.g, 10) / F(1, 3)
+        g = g_count(m, PhasePoint(F(3, 7), F(2, 9)), 10)
+        assert F(g, 10) / family("map2", F(1, 8)).psi == F(3 * g, 10)
 
     def test_e_n_undefined_at_equilibrium(self):
-        m = build_generalized_baker(F(1, 4))
-        stats = average_contraction(m, PhasePoint(F(3, 7), F(2, 9)), 5)
-        assert family("map2", stats.l).psi == 0 and stats.e_n is None
+        assert family("map2", F(1, 4)).psi == 0
 
     def test_e_n_bounded_by_domain_edge(self):
         # |e_n| <= (max contraction per step)/(mean contraction)
         m = build_generalized_baker(F(1, 8))
+        psi = family("map2", F(1, 8)).psi
         p_star = 1 / mean_g_per_step("map2", F(1, 8))
         for p in random_rational_points(25, seed=8):
-            stats = average_contraction(m, p, 7)
-            assert abs(stats.e_n) <= p_star
+            assert abs(F(g_count(m, p, 7), 7) / psi) <= p_star
 
 
 class TestMeanLambda:
@@ -174,42 +183,36 @@ class TestReversedInitial:
         m = build_generalized_baker(F(1, 8))
         g = build_involution("map2")
         p = PhasePoint(F(1, 3), F(1, 5))
-        fwd = average_contraction(m, p, 5)
-        rev = average_contraction(m, reversed_initial(m, g, p, 5), 5)
-        assert rev.g == -fwd.g
+        assert g_count(m, reversed_initial(m, g, p, 5), 5) == -g_count(m, p, 5)
 
     @settings(max_examples=20)
     @given(p=points, n=st.integers(min_value=1, max_value=20))
     def test_antisymmetry_property(self, p, n):
         m = build_generalized_baker(F(1, 8))
         g = build_involution("map2")
-        fwd = average_contraction(m, p, n)
-        rev = average_contraction(m, reversed_initial(m, g, p, n), n)
-        assert rev.g == -fwd.g
+        fwd = g_count(m, p, n)
+        rev = g_count(m, reversed_initial(m, g, p, n), n)
+        assert rev == -fwd
         phi = math.log(family("map2", F(1, 8)).unit_base)
-        assert rev.g * phi / rev.steps == -(fwd.g * phi / fwd.steps)
+        assert rev * phi / n == -(fwd * phi / n)
 
 
 class TestReversedSymbols:
     def test_reverse_and_swap(self):
-        seq = SymbolSequence((B, B, A, C), "map2")
-        assert reversed_symbol_sequence(seq).labels == (B, A, C, C)
+        assert reversed_labels("map2", (B, B, A, C)) == (B, A, C, C)
 
     def test_reversal_preserves_admissibility(self):
         for p in random_rational_points(20, seed=14):
             m = build_generalized_baker(F(1, 8))
-            seq = trajectory_segment(m, p, 9).symbols
-            assert reversed_symbol_sequence(seq).admissible
+            assert admissible("map2", reversed_labels("map2", orbit_labels(m, p, 9)))
 
     def test_exact_for_reversible_map(self):
         m = build_generalized_baker(F(1, 8))
         g = build_involution("map2")
         n = 12
         for p in random_rational_points(20, seed=13):
-            fwd = trajectory_segment(m, p, n - 1).symbols
-            rev0 = reversed_initial(m, g, p, n)
-            rev = trajectory_segment(m, rev0, n - 1).symbols
-            assert rev.labels == reversed_symbol_sequence(fwd).labels
+            rev = orbit_labels(m, reversed_initial(m, g, p, n), n - 1)
+            assert rev == reversed_labels("map2", orbit_labels(m, p, n - 1))
 
     def test_composite_keeps_only_the_coarse_grained_version(self):
         # pointwise reversal breaks on the composite (the involution reads
@@ -220,10 +223,8 @@ class TestReversedSymbols:
         n = 12
         mismatch = 0
         for p in random_rational_points(40, seed=13):
-            fwd = trajectory_segment(k, p, n - 1).symbols
-            rev0 = reversed_initial(k, g, p, n)
-            rev = trajectory_segment(k, rev0, n - 1).symbols
-            if rev.labels != reversed_symbol_sequence(fwd).labels:
+            rev = orbit_labels(k, reversed_initial(k, g, p, n), n - 1)
+            if rev != reversed_labels("map2", orbit_labels(k, p, n - 1)):
                 mismatch += 1
         assert mismatch > 0
         conj = symbols("map2").conjugacy

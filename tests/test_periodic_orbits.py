@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from fractions import Fraction as F
@@ -80,15 +79,16 @@ def patch_branch(monkeypatch, label, replace):
     def patched(name, l):
         fam = family(name, l)
         proj = fam.x_factor
-        return dataclasses.replace(fam, x_factor=dataclasses.replace(proj, branches=tuple(
+        return fam._replace(x_factor=proj._replace(branches=tuple(
             replace(b) if b.label == label else b for b in proj.branches)))
 
     monkeypatch.setattr(periodic_orbits, "family", patched)
 
 
-@dataclasses.dataclass(frozen=True)
 class DriftingBranch(Branch1D):
     """A branch whose action is off by 1/1000 from its slope and intercept."""
+
+    __slots__ = ()
 
     def __call__(self, x):
         return super().__call__(x) + F(1, 1000)
@@ -100,7 +100,7 @@ class TestOrbitChecks:
     def test_shifted_intercept_is_inconsistent(self, monkeypatch, label, shift, n):
         # the fixed point of the constant code leaves its strip
         patch_branch(monkeypatch, label,
-                     lambda b: dataclasses.replace(b, intercept=b.intercept + shift))
+                     lambda b: b._replace(intercept=b.intercept + shift))
         with pytest.raises(ConsistencyError, match="not realized"):
             enumerate_orbits(F(2, 3), n)
 
@@ -110,7 +110,7 @@ class TestOrbitChecks:
                                                                     label, n):
         # the walk composes slope and intercept; the one-step check applies
         # the branch, whose action here drifts away from them
-        patch_branch(monkeypatch, label, lambda b: DriftingBranch(**vars(b)))
+        patch_branch(monkeypatch, label, lambda b: DriftingBranch(*b))
         with pytest.raises(ConsistencyError, match="does not close"):
             enumerate_orbits(F(2, 3), n)
 

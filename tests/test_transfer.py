@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -68,9 +67,9 @@ class TestProjection:
         # a y-split whose two pieces act differently on x does not project
         m = build_simple_baker(F(2, 3))
         a, b = m.branches
-        lower = dataclasses.replace(a, y_hi=F(1, 2))
-        upper = dataclasses.replace(a, y_lo=F(1, 2), offset=(F(1, 9), a.offset[1]))
-        split = dataclasses.replace(m, branches=(lower, upper, b))
+        lower = a._replace(y_hi=F(1, 2))
+        upper = a._replace(y_lo=F(1, 2), offset=(F(1, 9), a.offset[1]))
+        split = m._replace(branches=(lower, upper, b))
         with pytest.raises(MapConstructionError, match="differ in their x-action"):
             project_unstable(split)
 
@@ -80,11 +79,11 @@ class TestProjection:
         # x-interval cover only half of y, which the merge rule refuses
         m = build_simple_baker(F(2, 3))
         a, b = m.branches
-        pieces = (dataclasses.replace(a, y_hi=F(1, 2)),
-                  dataclasses.replace(a, x_hi=F(1, 3), y_lo=F(1, 2)),
-                  dataclasses.replace(a, x_lo=F(1, 3), y_lo=F(1, 2)))
+        pieces = (a._replace(y_hi=F(1, 2)),
+                  a._replace(x_hi=F(1, 3), y_lo=F(1, 2)),
+                  a._replace(x_lo=F(1, 3), y_lo=F(1, 2)))
         with pytest.raises(MapConstructionError, match="leave y uncovered"):
-            project_unstable(dataclasses.replace(m, branches=(*pieces, b)))
+            project_unstable(m._replace(branches=(*pieces, b)))
 
     @settings(max_examples=40, deadline=None)
     @given(strip=composite_strips())
@@ -100,9 +99,8 @@ class TestProjection:
         # one of the two y-pieces of the fold with a different x-offset
         k = build_composite(F(1, 8))
         fold = next(b for b in k.branches if b.x_lo == k.x_tilde and b.y_lo == 0)
-        bad = dataclasses.replace(fold, offset=(fold.offset[0] + F(1, 1000), fold.offset[1]))
-        corrupted = dataclasses.replace(
-            k, branches=tuple(bad if b is fold else b for b in k.branches))
+        bad = fold._replace(offset=(fold.offset[0] + F(1, 1000), fold.offset[1]))
+        corrupted = k._replace(branches=tuple(bad if b is fold else b for b in k.branches))
         with pytest.raises(MapConstructionError, match="differ in their x-action"):
             project_unstable(corrupted)
 
@@ -112,10 +110,8 @@ class TestProjection:
         k = build_composite(F(1, 8))
         piece = next(b for b in k.branches
                      if b.x_lo == k.x_tilde + k.eps and b.label == B)
-        bad = dataclasses.replace(piece, offset=(piece.offset[0] + F(1, 1000),
-                                                 piece.offset[1]))
-        corrupted = dataclasses.replace(
-            k, branches=tuple(bad if b is piece else b for b in k.branches))
+        bad = piece._replace(offset=(piece.offset[0] + F(1, 1000), piece.offset[1]))
+        corrupted = k._replace(branches=tuple(bad if b is piece else b for b in k.branches))
         assert len(project_unstable(corrupted).branches) == 5
         with pytest.raises(ConsistencyError, match="x-factor"):
             verify_x_factor(corrupted)
@@ -135,9 +131,8 @@ class TestVerifyComposite:
         # the x-factor holds, but fold-then-map differs on the piece
         k = build_composite(F(1, 8))
         fold = next(b for b in k.branches if b.x_lo == k.x_tilde and b.y_lo == 0)
-        bad = dataclasses.replace(fold, offset=(fold.offset[0], fold.offset[1] + F(1, 1000)))
-        shifted = dataclasses.replace(
-            k, branches=tuple(bad if b is fold else b for b in k.branches))
+        bad = fold._replace(offset=(fold.offset[0], fold.offset[1] + F(1, 1000)))
+        shifted = k._replace(branches=tuple(bad if b is fold else b for b in k.branches))
         verify_x_factor(shifted)
         with pytest.raises(ConsistencyError, match="fold-then-map"):
             verify_composite(shifted)
@@ -163,10 +158,9 @@ class TestVerifyComposite:
             with pytest.raises(MapConstructionError, match="not monomial"):
                 map_from_dict(d)
             return
-        bad = dataclasses.replace(fold, scale=(fold.scale[0], fold.scale[1] + tilt),
-                                  offset=(fold.offset[0], ty))
-        tilted = dataclasses.replace(
-            k, branches=tuple(bad if b is fold else b for b in k.branches))
+        bad = fold._replace(scale=(fold.scale[0], fold.scale[1] + tilt),
+                            offset=(fold.offset[0], ty))
+        tilted = k._replace(branches=tuple(bad if b is fold else b for b in k.branches))
         verify_x_factor(tilted)
         with pytest.raises(ConsistencyError, match="fold-then-map"):
             verify_composite(tilted)
@@ -178,9 +172,9 @@ class TestVerifyComposite:
         k = build_composite(F(1, 8))
         lower, upper = (next(b for b in k.branches if b.x_lo == k.x_tilde and b.y_lo == y)
                         for y in (0, F(1, 2)))
-        moved = dataclasses.replace(k, branches=tuple(
-            dataclasses.replace(b, y_hi=F(5, 8)) if b is lower else
-            dataclasses.replace(b, y_lo=F(5, 8)) if b is upper else b
+        moved = k._replace(branches=tuple(
+            b._replace(y_hi=F(5, 8)) if b is lower else
+            b._replace(y_lo=F(5, 8)) if b is upper else b
             for b in k.branches))
         verify_x_factor(moved)
         with pytest.raises(ConsistencyError, match=r"mapK: piece on \[7/32, 17/64\) x "
@@ -245,7 +239,7 @@ class TestInvariantDensity:
     def test_branches_must_be_the_cells_in_order(self):
         map1d = project_unstable(build_generalized_baker(F(1, 8)))
         with pytest.raises(MapConstructionError, match="must tile"):
-            invariant_density(dataclasses.replace(map1d, branches=map1d.branches[::-1]))
+            invariant_density(map1d._replace(branches=map1d.branches[::-1]))
 
     @settings(max_examples=20)
     @given(l=l_map2)
@@ -367,12 +361,12 @@ class TestTransitionMatrix:
             project_unstable(build_generalized_baker(l)))
         m = build_generalized_baker(l)
         a, b, c, d = m.branches
-        sheared = dataclasses.replace(b, swap=True)
+        sheared = b._replace(swap=True)
         with pytest.raises(MapConstructionError, match="depends on y"):
-            project_unstable(dataclasses.replace(m, branches=(a, sheared, c, d)))
+            project_unstable(m._replace(branches=(a, sheared, c, d)))
         unlabelled = project_unstable(m)
-        unlabelled = dataclasses.replace(unlabelled, branches=tuple(
-            dataclasses.replace(br, label=None) for br in unlabelled.branches))
+        unlabelled = unlabelled._replace(branches=tuple(
+            br._replace(label=None) for br in unlabelled.branches))
         with pytest.raises(MapConstructionError, match="one labelled branch per strip"):
             transition_matrix(unlabelled)
 
