@@ -24,11 +24,7 @@ from bakerfr.maps import (
     build_simple_baker,
     compose,
     default_strip,
-    load_map,
-    map_from_dict,
-    map_to_dict,
     random_rational_points,
-    save_map,
     verify_reversibility,
 )
 from bakerfr.transfer import (
@@ -43,7 +39,6 @@ from bakerfr.transfer import (
     verify_x_factor,
 )
 from bakerfr.families import Family, Symbols, family, symbols
-from bakerfr.observables import lambda_at, reversed_initial
 from bakerfr.fluctuation import (
     EmpiricalDistribution,
     FRReport,

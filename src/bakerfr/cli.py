@@ -6,8 +6,8 @@ corresponding check, writes machine-readable outputs (a JSON report and,
 where natural, a CSV table) under the --out prefix, and exits 0 exactly
 when all asserted checks pass.  A flag or sweep key that the run would
 not read is refused as bad input.  Outputs are byte-identical across
-re-runs of the same config; rationals cross the boundary as exact
-strings, `num/den` or `str(Fraction)` (an integer without `/1`).
+re-runs of the same config.  Every rational is written one way, as
+Python's `str(Fraction)`: an integer as `k`, anything else as `p/q`.
 """
 
 from __future__ import annotations
@@ -64,12 +64,6 @@ def _frac(text) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _fmt(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
-
-
 class ExperimentConfig(NamedTuple):
     command: str
     family: str = "map2"
@@ -88,9 +82,9 @@ class ExperimentConfig(NamedTuple):
         lines = []
         for name, value in zip(self._fields, self):
             if isinstance(value, tuple):
-                value = ",".join(_fmt(b) for b in value)
+                value = ",".join(map(str, value))
             if value is not None:
-                lines.append(f"{name}={_fmt(value)}")
+                lines.append(f"{name}={value}")
         return "\n".join(lines) + "\n"
 
 
@@ -135,9 +129,9 @@ def cmd_density(cfg: ExperimentConfig, out: Path) -> int:
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_text(),
         "family": fam.name,
-        "l": _fmt(cfg.l),
-        "density": [[_fmt(b), _fmt(v)] for b, v in zip(rho.breakpoints, rho.values)],
-        "analytic": [[_fmt(b), _fmt(v)]
+        "l": str(cfg.l),
+        "density": [[str(b), str(v)] for b, v in zip(rho.breakpoints, rho.values)],
+        "analytic": [[str(b), str(v)]
                      for b, v in zip(analytic.breakpoints, analytic.values)],
         "agree": agree,
     })
@@ -177,8 +171,8 @@ def _upo_orbits(cfg: ExperimentConfig, out: Path) -> int:
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_text(),
         "orbits": len(orbits),
-        "distribution": {str(g): _fmt(p) for g, p in sorted(dist.probs.items())},
-        "chain_distribution": {str(g): _fmt(p)
+        "distribution": {str(g): str(p) for g, p in sorted(dist.probs.items())},
+        "chain_distribution": {str(g): str(p)
                                for g, p in sorted(chain.probs.items())},
         "agree": agree,
     })
@@ -196,8 +190,7 @@ def _upo_diagnostic(cfg: ExperimentConfig, out: Path) -> int:
         fh.write("g,upo_prob,chain_prob\n")
         support = sorted(set(diag.upo_probs) | set(diag.chain_probs))
         for g in support:
-            fh.write(f"{g},{_fmt(diag.upo_probs.get(g, Fraction(0)))},"
-                     f"{_fmt(diag.chain_probs.get(g, Fraction(0)))}\n")
+            fh.write(f"{g},{diag.upo_probs.get(g, 0)},{diag.chain_probs.get(g, 0)}\n")
     return 0
 
 
@@ -219,8 +212,8 @@ def cmd_multibaker(cfg: ExperimentConfig, out: Path) -> int:
         _write_json(out.with_suffix(".json"), {
             "schema_version": SCHEMA_VERSION,
             "config": cfg.to_text(),
-            "rows": [{"b": _fmt(r.b), "l": _fmt(r.l),
-                      "psi_analytic": _fmt(r.psi_analytic),
+            "rows": [{"b": str(r.b), "l": str(r.l),
+                      "psi_analytic": str(r.psi_analytic),
                       "psi_hat": r.psi_hat, "stderr": r.stderr,
                       "psi_hat_over_b": r.psi_hat_over_b,
                       "lambda_analytic": r.lambda_analytic,
@@ -237,7 +230,7 @@ def cmd_multibaker(cfg: ExperimentConfig, out: Path) -> int:
     _write_json(out.with_suffix(".json"), {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_text(),
-        "psi_analytic": _fmt(psi),
+        "psi_analytic": str(psi),
         "psi_hat": est.psi_hat,
         "stderr": est.stderr,
         "particles": est.particles,
@@ -247,7 +240,7 @@ def cmd_multibaker(cfg: ExperimentConfig, out: Path) -> int:
     })
     with open(out.with_suffix(".csv"), "w", encoding="utf-8") as fh:
         fh.write("l,psi_analytic,psi_hat,stderr,particles,steps\n")
-        fh.write(f"{_fmt(cfg.l)},{_fmt(psi)},{est.psi_hat!r},{est.stderr!r},"
+        fh.write(f"{cfg.l},{psi},{est.psi_hat!r},{est.stderr!r},"
                  f"{est.particles},{est.steps}\n")
     return 0 if ok else 1
 
@@ -282,10 +275,15 @@ _COMMANDS = {
 _DEFAULTS = {
     "density": {},
     "fr": {},
-    "upo": {"family": "map1", "l": Fraction(2, 3)},
+    "upo": {"family": "map1"},
     "multibaker": {"n": 1000},
     "reversibility": {"ensemble": 1000},
 }
+
+# defaults that also depend on the family, resolved per config once the
+# sweep has expanded: upo runs map1 at l = 2/3, while map2, which needs
+# l <= 1/4, keeps the config default 1/8
+_FAMILY_DEFAULTS = {("upo", "map1"): {"l": Fraction(2, 3)}}
 
 _FAMILIES = ("map1", "map2", "composite")
 _MODES = ("exact", "montecarlo")
@@ -376,8 +374,12 @@ def _configs_from_args(args) -> tuple[list[ExperimentConfig], Path]:
             raise ValueError(f"sweep file cannot set {key!r}")
         lists[key] = [_KEYS[key][0](v.strip()) for v in value.split(",")]
     keys = sorted(lists)
-    configs = [cfg._replace(**dict(zip(keys, combo)))
-               for combo in itertools.product(*(lists[k] for k in keys))]
+    configs = []
+    for combo in itertools.product(*(lists[k] for k in keys)):
+        c = cfg._replace(**dict(zip(keys, combo)))
+        defaults = _FAMILY_DEFAULTS.get((c.command, c.family), {})
+        configs.append(c._replace(**{k: v for k, v in defaults.items()
+                                     if k not in given and k not in lists}))
     for c in configs:
         reads = _reads(c)
         unused = (set(given) | set(lists)) - reads

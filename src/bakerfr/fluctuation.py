@@ -49,8 +49,8 @@ _ZERO = Fraction(0)
 # 12 s at n = 2000 for l = 1/8.  Larger denominators cost more: the worst
 # of l in {1/8, 7/40, 3/37} is 3/37, 4.7 s and 39 MB peak RSS at n = 1000
 # and 48 s and 113 MB at the cap (7/40: 2.9 s at n = 1000).  The map2
-# orbit trace: 4.8-5.9 s at n = 1000 for l = 1/8, 20-22 s and 41 MB for
-# 3/37, and 167 s and 113 MB at the cap.
+# orbit trace with its law, two kernel runs: 2.8-4.4 s at n = 1000 for
+# l = 1/8, 11-12.5 s and 38-40 MB for 3/37, and 114 s and 115 MB at the cap.
 MAX_DP_STEPS = 2000
 # The prefix-shared oracles at n = 12 (same machine): brute_force_distribution
 # 0.007-0.01 s for map2 at l = 1/8, 1/6, 1/5 (8192 sequences) and 0.003 s
@@ -315,7 +315,7 @@ class FRReport(NamedTuple):
         return {
             "schema_version": SCHEMA_VERSION,
             "family": self.family,
-            "l": f"{self.l.numerator}/{self.l.denominator}",
+            "l": str(self.l),
             "n": self.n,
             "alpha_min": str(self.alpha_min),
             "alpha_max": str(self.alpha_max),
@@ -644,7 +644,7 @@ class EmpiricalFRReport(NamedTuple):
         return {
             "schema_version": SCHEMA_VERSION,
             "family": self.family,
-            "l": f"{self.l.numerator}/{self.l.denominator}",
+            "l": str(self.l),
             "n": self.n,
             "samples": self.total,
             "seed": self.seed,

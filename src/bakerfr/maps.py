@@ -15,7 +15,6 @@ is its ``Fraction`` form.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from enum import Enum
@@ -195,9 +194,6 @@ class AffineBranch(CheckedRecord, _AffineBranch):
         """(swap, scale, offset): equal actions are equal affine maps."""
         return (self.swap, self.scale, self.offset)
 
-    def contains(self, p: PhasePoint) -> bool:
-        return self._holds(_int_point(p))
-
     @cached_property
     def _box(self) -> tuple[int, ...]:
         """The domain edges x_lo, x_hi, y_lo, y_hi as numerator, denominator."""
@@ -339,7 +335,9 @@ class PiecewiseAffineMap(CheckedRecord, _PiecewiseAffineMap):
         raise ValueError(f"x={Fraction(n, d)} not covered by the region partition")
 
     def iterate(self, p: PhasePoint, n: int) -> list[PhasePoint]:
-        """Orbit [p, M p, ..., M^n p] (length n+1)."""
+        """Orbit [p, M p, ..., M^n p] (length n+1), in exact rationals.
+        The tests' orbit facts go through it: symbol sequences, the
+        time-reversed segment, which starts at G(M^n p), and the lift."""
         orbit = [p]
         for _ in range(n):
             p = self.apply(p)
@@ -654,78 +652,3 @@ def random_rational_points(count: int, seed: int) -> list[PhasePoint]:
         for _ in range(count)
     ]
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def _frac_pair(v: Optional[Fraction]):
-    return None if v is None else [v.numerator, v.denominator]
-
-
-def _pair_frac(v):
-    return None if v is None else Fraction(v[0], v[1])
-
-
-def _branch_to_dict(b: AffineBranch) -> dict:
-    """One branch in the JSON layout, which stores the 2x2 linear part."""
-    sx, sy = b.scale
-    linear = [[_ZERO, sx], [sy, _ZERO]] if b.swap else [[sx, _ZERO], [_ZERO, sy]]
-    return {"domain": [_frac_pair(c) for c in b.domain],
-            "linear": [[_frac_pair(c) for c in row] for row in linear],
-            "offset": [_frac_pair(c) for c in b.offset],
-            "jacobian": _frac_pair(b.jacobian),
-            "label": b.label.value if b.label else None}
-
-
-def map_to_dict(m: PiecewiseAffineMap) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": m.name,
-        "family": m.family,
-        "l": _frac_pair(m.l),
-        "x_tilde": _frac_pair(m.x_tilde),
-        "eps": _frac_pair(m.eps),
-        "branches": [_branch_to_dict(b) for b in m.branches],
-    }
-
-
-def _branch_from_dict(bd: dict) -> AffineBranch:
-    """One branch of the JSON layout.  Its linear part must be monomial
-    and a stored jacobian must equal |sx sy|, or `MapConstructionError`
-    is raised."""
-    (a, b), (c, d) = ((_pair_frac(e) for e in row) for row in bd["linear"])
-    if b == c == 0:
-        swap, scale = False, (a, d)
-    elif a == d == 0:
-        swap, scale = True, (b, c)
-    else:
-        raise MapConstructionError(f"linear part {bd['linear']} is not monomial")
-    branch = AffineBranch(*(_pair_frac(e) for e in bd["domain"]), scale,
-                          tuple(_pair_frac(e) for e in bd["offset"]), swap,
-                          RegionLabel(bd["label"]) if bd["label"] else None)
-    stored = _pair_frac(bd["jacobian"])
-    if stored is not None and stored != branch.jacobian:
-        raise MapConstructionError(
-            f"stored jacobian {stored} != |sx sy| = {branch.jacobian} of {branch}")
-    return branch
-
-
-def map_from_dict(d: dict) -> PiecewiseAffineMap:
-    return PiecewiseAffineMap(d["name"], tuple(map(_branch_from_dict, d["branches"])),
-                              family=d.get("family"),
-                              l=_pair_frac(d.get("l")),
-                              x_tilde=_pair_frac(d.get("x_tilde")),
-                              eps=_pair_frac(d.get("eps")))
-
-
-def save_map(m: PiecewiseAffineMap, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(map_to_dict(m), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_map(path) -> PiecewiseAffineMap:
-    with open(path, encoding="utf-8") as fh:
-        return map_from_dict(json.load(fh))

@@ -9,15 +9,9 @@ every identity is checked on g rather than on accumulated float logs.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from bakerfr import families
-from bakerfr.maps import PhasePoint, PiecewiseAffineMap
-
-#: exact iteration guard: the denominators of rational coordinates grow
-#: geometrically with the step count
-MAX_EXACT_STEPS = 64
 
 
 class UndefinedValueError(ValueError):
@@ -30,18 +24,3 @@ def mean_g_per_step(family: str, l) -> Fraction:
     (`perfbench/tracer.py`) binds it."""
     return families.family(family, l).psi
 
-
-def lambda_at(m: PiecewiseAffineMap, p: PhasePoint) -> float:
-    """Local contraction rate -ln J at p."""
-    return -math.log(m.jacobian_at(p))
-
-
-def reversed_initial(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
-                     x0: PhasePoint, n: int) -> PhasePoint:
-    """Initial condition of the time-reversed segment: the involution
-    applied to the point one step past the forward segment (n at most
-    MAX_EXACT_STEPS).  For a reversible map, where `verify_reversibility`
-    proves G o M o G = M^-1 on every piece, n steps from it end at G(x0)."""
-    if n > MAX_EXACT_STEPS:
-        raise ValueError(f"{n} exact-rational steps exceed the cap {MAX_EXACT_STEPS}")
-    return involution.apply(m.iterate(x0, n)[-1])

@@ -59,9 +59,6 @@ class PeriodicOrbit(NamedTuple):
     def g(self) -> int:
         return self.alpha - self.beta
 
-    def text(self) -> str:
-        return self.label
-
 
 def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
     """All 2^n fixed points of the n-fold map, one per symbol string, in
@@ -154,7 +151,7 @@ class UPODiagnostic(NamedTuple):
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "l": f"{self.l.numerator}/{self.l.denominator}",
+            "l": str(self.l),
             "n": self.n,
             "cycles": self.cycles,
             "total_variation": str(self.total_variation),
@@ -181,14 +178,20 @@ def generalized_upo_diagnostic(l, n: int) -> UPODiagnostic:
     fam = family("map2", l)
     d = math.lcm(*(p.denominator for p in fam.trans.values()))
     nbytes = (len(fam.labels) * d ** n).bit_length() // 8 + 1
-    trace = cycles = 0
+    # regions with equal transition rows have equal rows of P(z) and of A,
+    # hence of their n-th powers, so a run from one region of such a group
+    # gives the diagonal entry of every region in it (map2: two runs)
+    groups: dict[tuple, list[RegionLabel]] = {}
     for s in fam.labels:
-        walks = unit = {r: int(r == s) for r in fam.labels}
-        trace += _tilted_steps(fam, d, unit, n, 8 * nbytes)[s]
+        groups.setdefault(tuple(fam.trans[s, t] for t in fam.labels), []).append(s)
+    trace = cycles = 0
+    for group in groups.values():
+        walks = unit = {r: int(r == group[0]) for r in fam.labels}
+        trace += sum(map(_tilted_steps(fam, d, unit, n, 8 * nbytes).get, group))
         for _ in range(n):
             walks = {t: sum(walks[r] for r in fam.labels if t in fam.successors[r])
                      for t in fam.labels}
-        cycles += walks[s]
+        cycles += sum(map(walks.get, group))
     weights = _slots(trace, 2 * n + 1, nbytes)
     total = sum(weights)
     upo_probs = {k - n: Fraction(w, total) for k, w in enumerate(weights) if w}
@@ -202,4 +205,4 @@ def write_orbits_csv(orbits, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("code,alpha,beta,weight_num,weight_den,x_point\n")
         for label, alpha, beta, x, w_n, w_d in orbits:
-            fh.write(f"{label},{alpha},{beta},{w_n},{w_d},{x.numerator}/{x.denominator}\n")
+            fh.write(f"{label},{alpha},{beta},{w_n},{w_d},{x}\n")

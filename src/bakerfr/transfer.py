@@ -411,11 +411,8 @@ def region_measures(map1d: Map1D) -> dict[RegionLabel, Fraction]:
 
 
 def write_density_csv(rho: StepDensity, path) -> None:
-    """CSV rows (breakpoint, value) as num/den text."""
-    def fmt(v):
-        return f"{v.numerator}/{v.denominator}"
-
+    """CSV rows (breakpoint, value) as `str(Fraction)` text."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("breakpoint,value\n")
         for bp, val in rho.rows():
-            fh.write(f"{fmt(bp)},{fmt(val)}\n")
+            fh.write(f"{bp},{val}\n")

@@ -48,7 +48,7 @@ class TestDensityCommand:
         assert run(["density", "--family", "map2", "--l", "1/4",
                     "--out", str(out)]) == 0
         payload = json.loads((tmp_path / "d.json").read_text())
-        assert payload["density"] == [["0/1", "1/1"]]
+        assert payload["density"] == [["0", "1"]]
 
     def test_simple_family_uniform(self, tmp_path):
         out = tmp_path / "d"
@@ -107,6 +107,36 @@ class TestOtherCommands:
         out = tmp_path / "u2"
         assert run(["upo", "--family", "map2", "--l", "1/8", "--n", "6",
                     "--out", str(out)]) == 0
+
+    def test_upo_width_defaults_per_family(self, tmp_path):
+        # map1 defaults to l = 2/3, map2 to the config default 1/8
+        from test_output_digests import RUNS, _digest
+        [(_args, _code, json_sha, csv_sha)] = [
+            r for r in RUNS if r[0] == ["upo", "--family", "map1", "--l", "2/3", "--n", "8"]]
+        out = tmp_path / "u1"
+        assert run(["upo", "--n", "8", "--out", str(out)]) == 0
+        assert _digest(out.with_suffix(".json"), out) == json_sha
+        assert _digest(out.with_suffix(".csv"), out) == csv_sha
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["upo", "--family", "map2", "--n", "6", "--out", str(a)]) == 0
+        assert run(["upo", "--family", "map2", "--n", "6", "--l", "1/8",
+                    "--out", str(b)]) == 0
+        for suffix in (".json", ".csv"):
+            assert _digest(a.with_suffix(suffix), a) == _digest(b.with_suffix(suffix), b)
+
+    def test_upo_sweep_resolves_the_width_per_family(self, tmp_path):
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text("family=map1,map2\n")
+        out = tmp_path / "u"
+        assert run(["upo", "--n", "4", "--sweep", str(sweep), "--out", str(out)]) == 0
+        configs = [json.loads((tmp_path / f"u-00{i}.json").read_text())["config"]
+                   for i in (0, 1)]
+        assert ["family=map1" in c and "l=2/3" in c for c in configs] == [True, False]
+        assert "family=map2" in configs[1] and "l=1/8" in configs[1]
+        sweep.write_text("family=map1,map2\nl=1/5\n")
+        assert run(["upo", "--n", "4", "--sweep", str(sweep), "--out", str(out)]) == 0
+        assert all("l=1/5" in json.loads((tmp_path / f"u-00{i}.json").read_text())["config"]
+                   for i in (0, 1))
 
     def test_upo_generalized_diagnostic_past_the_cycle_walk(self, tmp_path):
         out = tmp_path / "u21"

@@ -11,8 +11,6 @@ from bakerfr.maps import (
     build_generalized_baker,
     build_perturbation,
     build_simple_baker,
-    map_from_dict,
-    map_to_dict,
 )
 from bakerfr import families, transfer
 from bakerfr.cli import main
@@ -139,28 +137,25 @@ class TestVerifyComposite:
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_tilt_seen_by_one_point_only_is_inconsistent(self, axis):
-        # the lower fold piece's y-image tilted by 1/1000 along x or y,
-        # about the line y-image = const through the point a quarter into
-        # the piece, where the tilted action still agrees.  Along x the
-        # tilt makes y' depend on x and y: no branch holds such an action,
-        # and loading it is refused.  Along y it changes the y-scale,
-        # which the map equality sees on the whole piece.
+        # the lower fold piece's x- or y-image tilted by 1/1000 along its
+        # own input, about the point a quarter into the piece, where the
+        # tilted action still agrees.  The x-tilt changes the x-action of
+        # one piece of strip B, which the x-factor check sees.  The y-tilt
+        # keeps the x-factor and changes the y-scale, which the map
+        # equality sees on the whole piece.
         k = build_composite(F(1, 8))
-        i, fold = next((i, b) for i, b in enumerate(k.branches)
-                       if b.x_lo == k.x_tilde and b.y_lo == 0)
+        fold = next(b for b in k.branches if b.x_lo == k.x_tilde and b.y_lo == 0)
         lo, hi = ((fold.x_lo, fold.x_hi), (fold.y_lo, fold.y_hi))[axis]
         tilt, pivot = F(1, 1000), lo + (hi - lo) / 4
-        ty = fold.offset[1] - tilt * pivot
-        if axis == 0:
-            d = map_to_dict(k)
-            d["branches"][i].update(linear=[[[1, 1], [0, 1]], [[1, 1000], [-1, 1]]],
-                                    offset=[[0, 1], [ty.numerator, ty.denominator]])
-            with pytest.raises(MapConstructionError, match="not monomial"):
-                map_from_dict(d)
-            return
-        bad = fold._replace(scale=(fold.scale[0], fold.scale[1] + tilt),
-                            offset=(fold.offset[0], ty))
+        scale, offset = list(fold.scale), list(fold.offset)
+        scale[axis] += tilt
+        offset[axis] -= tilt * pivot
+        bad = fold._replace(scale=tuple(scale), offset=tuple(offset))
         tilted = k._replace(branches=tuple(bad if b is fold else b for b in k.branches))
+        if axis == 0:
+            with pytest.raises(ConsistencyError, match="x-factor"):
+                verify_composite(tilted)
+            return
         verify_x_factor(tilted)
         with pytest.raises(ConsistencyError, match="fold-then-map"):
             verify_composite(tilted)
