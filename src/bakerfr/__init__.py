@@ -38,7 +38,7 @@ from bakerfr.transfer import (
     verify_composite,
     verify_x_factor,
 )
-from bakerfr.families import Family, Symbols, family, symbols
+from bakerfr.families import Family, family
 from bakerfr.fluctuation import (
     EmpiricalDistribution,
     FRReport,

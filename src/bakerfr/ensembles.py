@@ -60,14 +60,14 @@ class CompiledMap(NamedTuple):
 
 
 def compile_map(m: PiecewiseAffineMap) -> CompiledMap:
-    from bakerfr.families import symbols
+    from bakerfr.families import family
 
     strips = project_unstable(m).branches
     if m.partition is None:
         raise ValueError(f"{m.name} carries no region partition")
     if [(b.lo, b.hi, b.label) for b in strips] != list(m.partition):
         raise ValueError(f"{m.name}: region edges differ from the strip edges")
-    increment = symbols(m.family).g
+    increment = family(m.family, m.l).g
     return CompiledMap(
         strip_edges=np.array([float(b.hi) for b in strips[:-1]]),
         axx=np.array([float(b.slope) for b in strips]),

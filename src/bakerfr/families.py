@@ -1,27 +1,37 @@
-"""The facts the paper states per map family, defined once and verified
-once per strip width.
+"""The facts of each map family, derived from its map once per strip
+width l.
 
-`symbols(name)` holds what does not depend on the strip width l: the
-region labels in strip order, the g increment of each region, how the
-time-reversal involution permutes the regions, and which region may
-follow which.  `family(name, l)` extends that with every closed form in
-l: the strip partition, the one-step transition probabilities and the
-common nonzero entry `col` of each of their columns, the stationary
-region weights, the contraction unit base, the mean g per step psi,
-the band [4l, 1/(4l)] of the fluctuation-ratio correction, and the map
-at l, `map`, with its projection `x_factor`, which every consumer reads.
+`family(name, l)` builds the family's map at l, projects it once on the
+expanding direction (`x_factor`) and derives the record from that
+geometry: the region labels and strip partition from the branch strips,
+the one-step transition probabilities from
+`transfer.transition_matrix(x_factor)`, the common nonzero entry `col`
+of each of their columns and the successors of each region from the
+nonzero pattern, the contraction unit base from the jacobian of the
+g = -1 region, and the band [min r / max r, max r / min r], r = mu /
+col, of the fluctuation-ratio correction: the extremes of the boundary
+terms of `fluctuation._alpha_direct`.
 
-The first `family(name, l)` call for a given (name, l) builds and
-projects the map once and, for both families, compares the closed forms
-with that geometry: the branch strips, the inverse slopes of the
-projected strips (against `col`), `transfer.transition_matrix` and
-`transfer.region_measures` of `x_factor`.  That derives the strip chain
-twice: once labelled for the transitions, once inside the stationary
-solve of `transfer.invariant_density`, which the measures read.  For
-map2 it also compares `multibaker.analytic_current` with psi =
-sum(mu * g) over those measures.  It raises `ConsistencyError` on any
-disagreement; later calls return the same record from the cache.  Its
-mappings are read-only, so no caller can alter the cached facts.
+`_STATED` holds, per family, only what the geometry cannot give: the
+map builder, the g increment of each region (the observable), how the
+time-reversal involution permutes the regions (which
+`maps.verify_reversibility` proves), and the stationary region weights,
+the paper's discontinuous invariant measure.  The weights stay stated so
+that the build has a second route to check `transfer.region_measures`
+against; derived from it, they would make `bakerfr density` compare
+`invariant_density` with itself.
+
+The first call for a given (name, l) checks the record (`_verify`): the
+inverse strip slopes against `col`, every branch jacobian against
+`unit_base ** -g`, the stay-probability ratio of the g = +1 and g = -1
+regions against the unit base, the stated weights against
+`region_measures(x_factor)`, and for map2 `multibaker.analytic_current`
+against psi = sum(mu * g).  The strip chain is derived twice: once
+labelled for the transitions, once inside the stationary solve of
+`transfer.invariant_density`, which the measures read.  Any disagreement
+raises `ConsistencyError`; later calls return the same record from the
+cache.  Its mappings are read-only, so no caller can alter the cached
+facts.
 """
 
 from __future__ import annotations
@@ -37,13 +47,25 @@ from bakerfr.transfer import ConsistencyError, Map1D, StepDensity
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_HALF = Fraction(1, 2)
+#: per family: the map builder in `bakerfr.maps`, the g increment of each
+#: region, the region of G(M(p)) given the region of p, and the stationary
+#: region weights at l
+_STATED = {
+    # uniform invariant x-density: the weights are the strip widths
+    "map1": ("build_simple_baker", {A: 1, B: -1}, {A: B, B: A},
+             lambda l: {A: l, B: 1 - l}),
+    "map2": ("build_generalized_baker", {A: 0, B: 1, C: -1, D: 0},
+             {A: A, B: C, C: B, D: D},
+             lambda l: {A: 2 * l / (1 + 4 * l), B: (1 - 2 * l) / (1 + 4 * l),
+                        C: 2 * l / (1 + 4 * l), D: 2 * l / (1 + 4 * l)}),
+}
 
 
-class Symbols(NamedTuple):
-    """Symbolic dynamics of a family, independent of the strip width."""
+class Family(NamedTuple):
+    """Every per-parameter fact of one family at one strip width l.
+    `builder`, `g`, `conjugacy` and the stationary weights are stated;
+    `map` and `x_factor` are built, and the other fields are derived
+    from them."""
 
     name: str
     labels: tuple[RegionLabel, ...]
@@ -51,41 +73,6 @@ class Symbols(NamedTuple):
     conjugacy: Mapping[RegionLabel, RegionLabel]      # region of G(M(p)) given region of p
     successors: Mapping[RegionLabel, tuple[RegionLabel, ...]]
     builder: str                                      # map builder in bakerfr.maps
-
-
-_SYMBOLS = {
-    "map1": Symbols(
-        "map1", (A, B),
-        g=MappingProxyType({A: 1, B: -1}),
-        conjugacy=MappingProxyType({A: B, B: A}),
-        successors=MappingProxyType({A: (A, B), B: (A, B)}),
-        builder="build_simple_baker"),
-    "map2": Symbols(
-        "map2", (A, B, C, D),
-        g=MappingProxyType({A: 0, B: 1, C: -1, D: 0}),
-        conjugacy=MappingProxyType({A: A, B: C, C: B, D: D}),
-        successors=MappingProxyType({A: (C, D), B: (A, B), C: (C, D), D: (A, B)}),
-        builder="build_generalized_baker"),
-}
-
-
-def symbols(name: str) -> Symbols:
-    try:
-        return _SYMBOLS[name]
-    except KeyError:
-        raise ValueError(f"unknown family {name!r}") from None
-
-
-class Family(NamedTuple):
-    """Every per-parameter fact of one family at one strip width l: the
-    fields of its `Symbols`, then those that depend on l."""
-
-    name: str
-    labels: tuple[RegionLabel, ...]
-    g: Mapping[RegionLabel, int]
-    conjugacy: Mapping[RegionLabel, RegionLabel]
-    successors: Mapping[RegionLabel, tuple[RegionLabel, ...]]
-    builder: str
     l: Fraction
     partition: tuple[tuple[Fraction, Fraction, RegionLabel], ...]
     trans: Mapping[tuple[RegionLabel, RegionLabel], Fraction]
@@ -112,71 +99,63 @@ class Family(NamedTuple):
 
 def family(name: str, l) -> Family:
     """The verified record of family `name` at strip width `l`, built once
-    per (name, l)."""
-    symbols(name)
+    per (name, l).  An unknown name or an l outside the family's range
+    raises `ValueError`."""
+    if name not in _STATED:
+        raise ValueError(f"unknown family {name!r}")
     return _family(name, as_fraction(l))
 
 
 @lru_cache(maxsize=None)
 def _family(name: str, l: Fraction) -> Family:
-    sym = _SYMBOLS[name]
-    if name == "map1":
-        if not 0 < l < 1:
-            raise ValueError(f"need 0 < l < 1, got {l}")
-        edges = (_ZERO, l, _ONE)
-        # uniform invariant x-density: the stationary weights are the strip
-        # widths and successive symbols are independent draws from them
-        stationary = column = {A: l, B: 1 - l}
-        unit_base = l / (1 - l)
-        alpha_bounds = (_ONE, _ONE)
-    else:
-        if not 0 < l <= Fraction(1, 4):
-            raise ValueError(f"need 0 < l <= 1/4, got {l}")
-        edges = (_ZERO, l, _HALF, Fraction(3, 4), _ONE)
-        # A and C jump to C or D with probability 1/2 each; B and D jump to
-        # A with probability 2l and to B with probability 1-2l
-        column = {A: 2 * l, B: 1 - 2 * l, C: _HALF, D: _HALF}
-        stationary = {A: 2 * l / (1 + 4 * l), B: (1 - 2 * l) / (1 + 4 * l),
-                      C: 2 * l / (1 + 4 * l), D: 2 * l / (1 + 4 * l)}
-        unit_base = 2 * (1 - 2 * l)
-        alpha_bounds = (4 * l, 1 / (4 * l))
-    partition = tuple(zip(edges, edges[1:], sym.labels))
-    trans = {(i, j): column[j] if j in sym.successors[i] else _ZERO
-             for i in sym.labels for j in sym.labels}
-    widths = {lab: hi - lo for lo, hi, lab in partition}
-    m = getattr(maps, sym.builder)(l)
+    builder, g, conjugacy, weights = _STATED[name]
+    m = getattr(maps, builder)(l)
+    x_factor = transfer.project_unstable(m)
+    partition = tuple((b.x_lo, b.x_hi, b.label) for b in m.branches)
+    labels = tuple(lab for _lo, _hi, lab in partition)
+    trans = transfer.transition_matrix(x_factor)
+    # transition_matrix checks that the nonzero entries of each column are
+    # equal, so the largest is that entry
+    col = {j: max(trans[i, j] for i in labels) for j in labels}
+    [unit_base] = {b.jacobian for b in m.branches if g[b.label] == -1}
+    stationary = weights(l)
+    ratios = [stationary[lab] / col[lab] for lab in labels]
     fam = Family(
-        *sym, l=l, partition=partition,
-        trans=MappingProxyType(trans), col=MappingProxyType(column),
-        initial=MappingProxyType({"stationary": MappingProxyType(stationary),
-                                  "uniform": MappingProxyType(widths)}),
+        name, labels, MappingProxyType(g), MappingProxyType(conjugacy),
+        successors=MappingProxyType({i: tuple(j for j in labels if trans[i, j])
+                                     for i in labels}),
+        builder=builder, l=l, partition=partition,
+        trans=MappingProxyType(trans), col=MappingProxyType(col),
+        initial=MappingProxyType({
+            "stationary": MappingProxyType(stationary),
+            "uniform": MappingProxyType({lab: hi - lo for lo, hi, lab in partition})}),
         unit_base=unit_base,
-        psi=sum(stationary[lab] * sym.g[lab] for lab in sym.labels),
-        alpha_bounds=alpha_bounds, map=m, x_factor=transfer.project_unstable(m))
+        psi=sum(stationary[lab] * g[lab] for lab in labels),
+        alpha_bounds=(min(ratios) / max(ratios), max(ratios) / min(ratios)),
+        map=m, x_factor=x_factor)
     _verify(fam)
     return fam
 
 
 def _verify(fam: Family) -> None:
-    """Check the closed forms of `fam` against each other and against the
-    map geometry."""
+    """Check the fields of `fam` derived by one route against a second
+    route, and the stated weights against the geometry."""
     from bakerfr import multibaker
 
     labels, trans, mu = fam.labels, fam.trans, fam.stationary
-    strips = tuple((b.x_lo, b.x_hi, b.label) for b in fam.map.branches)
-    if strips != fam.partition:
-        raise ConsistencyError(f"partition {fam.partition} != branch strips {strips}")
     inverse_slopes = {b.label: 1 / abs(b.slope) for b in fam.x_factor.branches}
     if inverse_slopes != fam.col:
         raise ConsistencyError(
             f"inverse strip slopes {inverse_slopes} != column weights {dict(fam.col)}")
+    jacobians = {b.label: b.jacobian for b in fam.map.branches}
+    powers = {lab: fam.unit_base ** -fam.g[lab] for lab in labels}
+    if jacobians != powers:
+        raise ConsistencyError(
+            f"branch jacobians {jacobians} != unit base {fam.unit_base} "
+            f"to the power -g {powers}")
     up, down = (next(lab for lab in labels if fam.g[lab] == s) for s in (1, -1))
     if trans[(up, up)] / trans[(down, down)] != fam.unit_base:
         raise ConsistencyError("stay-probability ratio must equal the unit base")
-    geo = transfer.transition_matrix(fam.x_factor)
-    if geo != trans:
-        raise ConsistencyError(
-            f"geometric transition rows {geo} != closed form {dict(trans)}")
     measured = transfer.region_measures(fam.x_factor)
     if measured != mu:
         raise ConsistencyError(f"measures {measured} != closed form {dict(mu)}")

@@ -140,9 +140,6 @@ class SymbolDistribution(CheckedRecord, _SymbolDistribution):
     def support(self) -> list[int]:
         return sorted(self.counts)
 
-    def mean_g(self) -> Fraction:
-        return Fraction(sum(g * c for g, c in self.counts.items()), self.total)
-
 
 def _tilted_steps(fam: Family, d: int, v: dict[RegionLabel, int], steps: int,
                   width: int) -> dict[RegionLabel, int]:
@@ -591,9 +588,6 @@ class EmpiricalDistribution(NamedTuple):
 
     def support(self) -> list[int]:
         return sorted(self.counts)
-
-    def mean_g(self) -> float:
-        return sum(g * c for g, c in self.counts.items()) / self.total
 
 
 def monte_carlo_distribution(m: PiecewiseAffineMap, n: int, ensemble: int,

@@ -577,9 +577,9 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
     integers of each point (`IntPoint`): branches and regions are found
     and images compared by cross-multiplication, without reducing to
     lowest terms, and a `PhasePoint` is built only for a failure."""
-    from bakerfr.families import symbols
+    from bakerfr.families import family
 
-    conj = symbols(m.family).conjugacy if m.partition is not None else None
+    conj = family(m.family, m.l).conjugacy if m.partition is not None else None
     gm = compose(involution, m)
 
     def identity(b: AffineBranch):

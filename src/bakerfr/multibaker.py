@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from bakerfr.families import family, symbols
+from bakerfr.families import family
 from bakerfr.maps import PhasePoint, PiecewiseAffineMap, as_fraction
 from bakerfr.transfer import ConsistencyError
 
@@ -39,7 +39,7 @@ def lift_step(m: PiecewiseAffineMap, s: ChainState) -> ChainState:
     `tests/test_multibaker.py` checks that the displacement of this model
     equals g."""
     region = m.region_of(s.local)
-    return ChainState(s.cell + symbols(m.family).g[region], m.apply(s.local))
+    return ChainState(s.cell + family(m.family, m.l).g[region], m.apply(s.local))
 
 
 def bias_of(l) -> Fraction:

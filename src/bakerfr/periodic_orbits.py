@@ -48,14 +48,6 @@ class PeriodicOrbit(NamedTuple):
     weight_den: int       # in lowest terms
 
     @property
-    def code(self) -> tuple[RegionLabel, ...]:
-        return tuple(map(RegionLabel, self.label))
-
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(self.weight_num, self.weight_den)
-
-    @property
     def g(self) -> int:
         return self.alpha - self.beta
 

@@ -19,8 +19,10 @@ for strip.  `verify_composite` adds the rest of the composite's claim: it
 equals fold-then-map exactly.  `transition_matrix` labels the same strip
 chain, and `region_measures` is the stationary density times the strip
 widths, stationary under that chain by what `invariant_density` proves.
-Like `invariant_density`, both take a projection, and `families.family`
-checks them against the closed forms of both families."""
+Like `invariant_density`, both take a projection.  `families.family`
+derives a record's transitions, column weights and successors from
+`transition_matrix`, and checks the record's stated stationary weights
+against `region_measures`."""
 
 from __future__ import annotations
 
@@ -381,8 +383,9 @@ def transition_matrix(map1d: Map1D) -> dict[tuple[RegionLabel, RegionLabel], Fra
     """Region-to-region probabilities {(i, j): p} of a projection made of
     labelled strips, from the geometry: the share of the x-image of strip
     i that falls in strip j.  Checked here: every row sums to 1, and the
-    nonzero entries of each column are equal.  `families.family` compares
-    the result with the closed form."""
+    nonzero entries of each column are equal, so each column has one
+    nonzero entry, which `families.family` takes as the column weight
+    `col` and checks against the inverse strip slope."""
     labels = _labels(map1d)
     p = {(i, j): x for i, row in zip(labels, _strip_chain(map1d.branches))
          for j, x in zip(labels, row)}
@@ -397,8 +400,8 @@ def transition_matrix(map1d: Map1D) -> dict[tuple[RegionLabel, RegionLabel], Fra
 def region_measures(map1d: Map1D) -> dict[RegionLabel, Fraction]:
     """Invariant region probabilities {label: mu} of a projection made of
     labelled strips: the stationary density of `invariant_density` times
-    the strip widths.  `families.family` compares them with the closed
-    form.
+    the strip widths.  `families.family` checks a family's stated
+    stationary weights against them.
 
     They are stationary under the chain of `transition_matrix(map1d)`
     without a check here.  `invariant_density` proves t[i][j] == p[j][i]

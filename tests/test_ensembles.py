@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 
 from bakerfr import ensembles
 from bakerfr.ensembles import DEFAULT_SHARD, DITHER, compile_map, region_index, sample_g
-from bakerfr.families import symbols
+from bakerfr.families import family
 from bakerfr.maps import build_composite, build_generalized_baker, build_simple_baker
 
 
@@ -39,7 +39,7 @@ def reference_sample_g(m, n, ensemble, transient, seed):
     ayy = np.array([float(b.scale[1]) for b in branches])
     ty = np.array([float(b.offset[1]) for b in branches])
     region_edges = np.array([float(hi) for _lo, hi, _lab in m.partition[:-1]])
-    increment = symbols(m.family).g
+    increment = family(m.family, m.l).g
     g_delta = np.array([increment[lab] for *_, lab in m.partition], dtype=np.int64)
 
     def step(x, y):

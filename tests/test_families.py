@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from bakerfr import cli, families, maps, multibaker, transfer
-from bakerfr.families import family, symbols
+from bakerfr.families import family
 from bakerfr.fluctuation import exact_distribution, fr_report
 from bakerfr.maps import RegionLabel
 from bakerfr.transfer import ConsistencyError
@@ -56,7 +56,7 @@ def test_region_measures_run_once_per_parameter(monkeypatch):
 
 @pytest.mark.parametrize("name,l", [("map1", F(2, 3)), ("map2", F(3, 37))])
 def test_one_build_and_one_projection_per_record(monkeypatch, name, l):
-    builder = symbols(name).builder
+    builder = family(name, l).builder
     built, projected = [], []
     real_build, real_project = getattr(maps, builder), transfer.project_unstable
 
@@ -138,21 +138,10 @@ def test_strip_slope_that_disagrees_with_the_column_weight_raises(name, l):
     families._verify(fam)
 
 
-def test_closed_forms():
-    fam = family("map2", F(1, 8))
-    assert fam.partition == ((0, F(1, 8), A), (F(1, 8), F(1, 2), B),
-                             (F(1, 2), F(3, 4), C), (F(3, 4), 1, D))
-    assert fam.col == {A: F(1, 4), B: F(3, 4), C: F(1, 2), D: F(1, 2)}
-    assert fam.stationary == {A: F(1, 6), B: F(1, 2), C: F(1, 6), D: F(1, 6)}
-    assert fam.initial["uniform"] == {A: F(1, 8), B: F(3, 8), C: F(1, 4), D: F(1, 4)}
-    assert (fam.psi, fam.unit_base, fam.alpha_bounds) == (F(1, 3), F(3, 2), (F(1, 2), 2))
-    simple = family("map1", F(2, 3))
-    assert simple.trans == {(i, j): simple.stationary[j] for i in (A, B) for j in (A, B)}
-    assert (simple.psi, simple.unit_base, simple.alpha_bounds) == (F(1, 3), 2, (1, 1))
-
-
 @pytest.mark.parametrize("route,message", [
-    ("transition_matrix", "geometric transition rows"),
+    # a corrupted column of the transitions gives a column weight that
+    # disagrees with the strip slope
+    ("transition_matrix", "inverse strip slopes .* != column weights"),
     ("region_measures", "measures .* != closed form"),
     ("analytic_current", "current route"),
 ])
@@ -185,22 +174,113 @@ def test_geometric_disagreement_raises(monkeypatch, route, message):
 
 def test_bad_input_is_a_value_error():
     with pytest.raises(ValueError):
-        symbols("map3")
+        family("map3", F(1, 8))
     with pytest.raises(ValueError):
         family("map2", F(1, 3))
     with pytest.raises(ValueError):
         family("map1", 1)
 
 
-@settings(max_examples=20, deadline=None)
-@given(name=st.sampled_from(["map1", "map2"]),
-       l=st.fractions(min_value=F(1, 40), max_value=F(39, 40), max_denominator=40))
-@example(name="map1", l=F(1, 2))
-def test_record_builds_for_random_l(name, l):
-    # the record build runs the geometric cross-check for both families
-    if name == "map2":
-        l /= 4
+def map1_oracle(l):
+    """The closed forms of map1 at l: the weights are the strip widths,
+    and successive symbols are independent draws from them."""
+    col = {A: l, B: 1 - l}
+    return {"labels": (A, B), "g": {A: 1, B: -1}, "conjugacy": {A: B, B: A},
+            "successors": {A: (A, B), B: (A, B)}, "builder": "build_simple_baker",
+            "partition": ((0, l, A), (l, 1, B)),
+            "trans": {(i, j): col[j] for i in (A, B) for j in (A, B)}, "col": col,
+            "initial": {"stationary": col, "uniform": col},
+            "unit_base": l / (1 - l), "psi": 2 * l - 1, "alpha_bounds": (1, 1)}
+
+
+def map2_oracle(l):
+    """The closed forms of map2 at l: A and C jump to C or D with
+    probability 1/2 each; B and D jump to A with probability 2l and to B
+    with probability 1 - 2l."""
+    labels = (A, B, C, D)
+    successors = {A: (C, D), B: (A, B), C: (C, D), D: (A, B)}
+    col = {A: 2 * l, B: 1 - 2 * l, C: F(1, 2), D: F(1, 2)}
+    z = 1 + 4 * l
+    return {"labels": labels, "g": {A: 0, B: 1, C: -1, D: 0},
+            "conjugacy": {A: A, B: C, C: B, D: D}, "successors": successors,
+            "builder": "build_generalized_baker",
+            "partition": ((0, l, A), (l, F(1, 2), B), (F(1, 2), F(3, 4), C),
+                          (F(3, 4), 1, D)),
+            "trans": {(i, j): col[j] if j in successors[i] else 0
+                      for i in labels for j in labels},
+            "col": col,
+            "initial": {"stationary": {A: 2 * l / z, B: (1 - 2 * l) / z,
+                                       C: 2 * l / z, D: 2 * l / z},
+                        "uniform": {A: l, B: F(1, 2) - l, C: F(1, 4), D: F(1, 4)}},
+            "unit_base": 2 * (1 - 2 * l), "psi": (1 - 4 * l) / z,
+            "alpha_bounds": (4 * l, 1 / (4 * l))}
+
+
+ORACLES = {"map1": map1_oracle, "map2": map2_oracle}
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.just("map1"),
+              st.fractions(min_value=F(1, 60), max_value=F(59, 60), max_denominator=60)),
+    st.tuples(st.just("map2"),
+              st.fractions(min_value=F(1, 60), max_value=F(1, 4), max_denominator=60))))
+@example(case=("map2", F(1, 4)))    # equilibrium: every jacobian is 1
+@example(case=("map1", F(1, 2)))    # equilibrium
+@example(case=("map2", F(1, 8)))
+@example(case=("map1", F(1, 8)))
+@example(case=("map2", F(3, 37)))
+@example(case=("map1", F(3, 37)))
+@example(case=("map1", F(2, 3)))
+def test_derived_record_equals_the_closed_forms(case):
+    name, l = case
     fam = family(name, l)
+    for field, want in ORACLES[name](l).items():
+        got = getattr(fam, field)
+        assert got == want, field
+        if isinstance(want, dict):
+            inner = want.items() if field == "initial" else ()
+            for got_map, want_map in [(got, want)] + [(got[k], v) for k, v in inner]:
+                assert list(got_map) == list(want_map), f"key order of {field}"
+                assert isinstance(got_map, MappingProxyType), field
+    assert fam.l == l and fam.name == name
     fresh = transfer.project_unstable(getattr(maps, fam.builder)(l))
     assert fresh == fam.x_factor
-    assert fam.stationary == transfer.region_measures(fresh)
+
+
+@pytest.mark.parametrize("name,l,g", [
+    ("map2", F(3, 37), {A: 1, B: 0, C: -1, D: 0}),   # A and B swapped
+    ("map1", F(2, 3), {A: 0, B: -1}),
+])
+def test_g_that_disagrees_with_the_jacobians_raises(monkeypatch, name, l, g):
+    builder, _g, conjugacy, weights = families._STATED[name]
+    monkeypatch.setitem(families._STATED, name, (builder, g, conjugacy, weights))
+    families._family.cache_clear()
+    with pytest.raises(ConsistencyError, match="branch jacobians .* to the power -g"):
+        family(name, l)
+    monkeypatch.undo()
+    families._family.cache_clear()
+    assert family(name, l).g != g
+
+
+@pytest.mark.parametrize("name,l,swap", [("map2", F(3, 37), (B, C)),
+                                         ("map1", F(2, 3), (A, B))])
+def test_the_sign_of_g_is_stated(monkeypatch, name, l, swap):
+    # negating g and inverting the unit base leaves every jacobian, stay
+    # ratio and measure as it was: no geometric route can fix the sign of
+    # g.  For map2 the current route does (its closed form counts B as +1);
+    # map1 then builds the mirrored record.
+    builder, g, conjugacy, weights = families._STATED[name]
+    i, j = swap
+    mirrored = {**g, i: g[j], j: g[i]}
+    true = family(name, l)
+    monkeypatch.setitem(families._STATED, name, (builder, mirrored, conjugacy, weights))
+    families._family.cache_clear()
+    if name == "map2":
+        with pytest.raises(ConsistencyError, match="current route"):
+            family(name, l)
+    else:
+        fam = family(name, l)
+        assert (fam.unit_base, fam.psi) == (1 / true.unit_base, -true.psi)
+    monkeypatch.undo()
+    families._family.cache_clear()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from bakerfr import maps
-from bakerfr.families import family, symbols
+from bakerfr.families import family
 from bakerfr.maps import (
     AffineBranch,
     IdentityFailure,
@@ -425,7 +425,7 @@ def reference_sampled_route(m, g, samples):
         return next(label for lo, hi, label in m.partition if inside(p.x, lo, hi))
 
     proofs = verify_reversibility(m, g, []).proofs
-    conj = symbols(m.family).conjugacy if m.partition is not None else None
+    conj = family(m.family, m.l).conjugacy if m.partition is not None else None
     points = list(samples)
     if conj is not None:
         inset = (F(1, 4096), F(4095, 4096))

@@ -14,7 +14,7 @@ from bakerfr.multibaker import (
     linear_response_sweep,
     simulate_current,
 )
-from bakerfr.families import family, symbols
+from bakerfr.families import family
 from bakerfr.transfer import ConsistencyError, project_unstable, region_measures
 from bakerfr.maps import RegionLabel
 
@@ -45,7 +45,7 @@ class TestLiftStep:
             n = 15
             for _ in range(n):
                 s = lift_step(m, s)
-            assert s.cell == sum(symbols("map2").g[m.region_of(q)] for q in m.iterate(p, n - 1))
+            assert s.cell == sum(family("map2", m.l).g[m.region_of(q)] for q in m.iterate(p, n - 1))
 
 
 class TestAnalyticCurrent:

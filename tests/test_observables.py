@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from bakerfr.families import family, symbols
+from bakerfr.families import family
 from bakerfr.maps import (
     PhasePoint,
     RegionLabel,
@@ -31,19 +31,24 @@ def orbit_labels(m, p, n):
 
 def g_count(m, p, n):
     """Net count g of expanding-region visits over the regions of x_0 .. x_{n-1}."""
-    g = symbols(m.family).g
+    g = family(m.family, m.l).g
     return sum(g[lab] for lab in orbit_labels(m, p, n - 1))
 
 
+# the successors, g and the conjugacy of a family do not depend on l
+# (test_families.py checks them against the closed forms at random l)
+L_ANY = F(1, 8)
+
+
 def admissible(name, labels):
-    succ = symbols(name).successors
+    succ = family(name, L_ANY).successors
     return all(b in succ[a] for a, b in zip(labels, labels[1:]))
 
 
 def reversed_labels(name, labels):
     """Symbols of the time-reversed segment: read backwards with the
     expanding and contracting regions swapped (A, D fixed)."""
-    conj = symbols(name).conjugacy
+    conj = family(name, L_ANY).conjugacy
     return tuple(conj[lab] for lab in reversed(labels))
 
 
@@ -85,12 +90,12 @@ class TestSymbolSequence:
         assert not admissible("map2", (A, A))
 
     def test_g_counts(self):
-        g = symbols("map2").g
+        g = family("map2", L_ANY).g
         assert sum(g[lab] for lab in (B, B, A, C, D)) == 1
         assert g[B] + g[B] == 2
 
     def test_map1_counts(self):
-        g = symbols("map1").g
+        g = family("map1", L_ANY).g
         assert admissible("map1", (A, B, A)) and g[A] + g[B] + g[A] == 1
 
 
@@ -222,7 +227,7 @@ class TestReversedSymbols:
             if rev != reversed_labels("map2", orbit_labels(k, p, n - 1)):
                 mismatch += 1
         assert mismatch > 0
-        conj = symbols("map2").conjugacy
+        conj = family("map2", k.l).conjugacy
         for p in random_rational_points(100, seed=15):
             assert k.region_of(g.apply(k.apply(p))) == conj[k.region_of(p)]
 
