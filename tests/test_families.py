@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from types import MappingProxyType
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from bakerfr import cli, families, maps, multibaker, transfer
@@ -219,21 +219,7 @@ def map2_oracle(l):
 ORACLES = {"map1": map1_oracle, "map2": map2_oracle}
 
 
-@settings(max_examples=30, deadline=None)
-@given(case=st.one_of(
-    st.tuples(st.just("map1"),
-              st.fractions(min_value=F(1, 60), max_value=F(59, 60), max_denominator=60)),
-    st.tuples(st.just("map2"),
-              st.fractions(min_value=F(1, 60), max_value=F(1, 4), max_denominator=60))))
-@example(case=("map2", F(1, 4)))    # equilibrium: every jacobian is 1
-@example(case=("map1", F(1, 2)))    # equilibrium
-@example(case=("map2", F(1, 8)))
-@example(case=("map1", F(1, 8)))
-@example(case=("map2", F(3, 37)))
-@example(case=("map1", F(3, 37)))
-@example(case=("map1", F(2, 3)))
-def test_derived_record_equals_the_closed_forms(case):
-    name, l = case
+def check_against_oracle(name, l):
     fam = family(name, l)
     for field, want in ORACLES[name](l).items():
         got = getattr(fam, field)
@@ -244,6 +230,33 @@ def test_derived_record_equals_the_closed_forms(case):
                 assert list(got_map) == list(want_map), f"key order of {field}"
                 assert isinstance(got_map, MappingProxyType), field
     assert fam.l == l and fam.name == name
+    return fam
+
+
+def test_closed_forms():
+    # the oracles against numbers worked by hand
+    assert map2_oracle(F(1, 8))["initial"]["stationary"] == {
+        A: F(1, 6), B: F(1, 2), C: F(1, 6), D: F(1, 6)}
+    assert (map2_oracle(F(1, 8))["unit_base"], map2_oracle(F(1, 8))["psi"],
+            map2_oracle(F(1, 8))["alpha_bounds"]) == (F(3, 2), F(1, 3), (F(1, 2), 2))
+    assert (map1_oracle(F(2, 3))["unit_base"], map1_oracle(F(2, 3))["psi"]) == (2, F(1, 3))
+    # the derived record against the oracles, at the two equilibria (every
+    # jacobian is 1) and at fixed points away from them
+    for name, l in [("map2", F(1, 4)), ("map1", F(1, 2)), ("map2", F(1, 8)),
+                    ("map1", F(1, 8)), ("map2", F(3, 37)), ("map1", F(3, 37)),
+                    ("map1", F(2, 3))]:
+        check_against_oracle(name, l)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.just("map1"),
+              st.fractions(min_value=F(1, 60), max_value=F(59, 60), max_denominator=60)),
+    st.tuples(st.just("map2"),
+              st.fractions(min_value=F(1, 60), max_value=F(1, 4), max_denominator=60))))
+def test_record_builds_for_random_l(case):
+    name, l = case
+    fam = check_against_oracle(name, l)
     fresh = transfer.project_unstable(getattr(maps, fam.builder)(l))
     assert fresh == fam.x_factor
 
