@@ -79,11 +79,13 @@ class ExperimentConfig(NamedTuple):
     b_values: Optional[tuple[Fraction, ...]] = None
 
     def to_text(self) -> str:
+        """`command=`, then `key=value` for each key the run reads."""
+        reads = {"command", *_reads(self)}
         lines = []
         for name, value in zip(self._fields, self):
             if isinstance(value, tuple):
                 value = ",".join(map(str, value))
-            if value is not None:
+            if value is not None and name in reads:
                 lines.append(f"{name}={value}")
         return "\n".join(lines) + "\n"
 

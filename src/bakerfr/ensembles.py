@@ -9,7 +9,7 @@ histograms equal the base map's bit for bit.  The sampler integrates x
 only.  The regions are the projected strips, so one strip index per
 iteration, by a compare and an add per inner edge, serves both the g
 increment and the map application; arrays are updated in place in
-scratch buffers that each worker allocates once.
+scratch buffers that each chunk allocates once.
 
 Every random number sits at a fixed position of one PCG64 stream seeded
 from `SeedSequence(seed)`: particle p draws its start x at position p and
@@ -20,10 +20,11 @@ to a and, after each draw, skips the ensemble's other particles.  So the
 histogram depends on the seed alone: the chunk size (`shard`) and the
 number of worker threads only set how the work is split.  Chunks run on a
 thread pool of min(CPUs, chunks) workers, since numpy releases the GIL in
-`take`, in the ufuncs and in `Generator.random(out=)`; each chunk writes
-its own slice of the output, so the order in which chunks run cannot
-change it.  Branch dispatch mirrors the exact backend's half-open
-convention with the top edges of the square closed.
+`take`, in the ufuncs and in `Generator.random(out=)`; each worker bins
+its chunks into a g histogram of its own, so the order in which chunks
+run cannot change the sum, and memory grows with workers * shard + n,
+not with the ensemble.  Branch dispatch mirrors the exact backend's
+half-open convention with the top edges of the square closed.
 
 Sampling applies one ulp of seed-deterministic dither to x after every
 iteration.  Without it, parameter choices whose expanding slopes are
@@ -46,7 +47,7 @@ import numpy as np
 from bakerfr.maps import PiecewiseAffineMap
 from bakerfr.transfer import project_unstable
 
-DEFAULT_SHARD = 50_000  # ~1.3 MB of scratch per worker: fits a 2 MB L2
+DEFAULT_SHARD = 50_000  # 34 bytes a particle: ~1.7 MB of scratch per worker fits a 2 MB L2
 DITHER = 2.0 ** -52
 
 
@@ -116,52 +117,63 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _chunk_g(cm: CompiledMap, n: int, ensemble: int, transient: int, seeded: dict,
+             start: int, size: int) -> np.ndarray:
+    """The g of particles [start, start + size), in scratch buffers of the
+    chunk's own.  `seeded` is the state of the seed's PCG64 stream at
+    position 0."""
+    bits = np.random.PCG64()
+    bits.state = seeded
+    rng = np.random.Generator(bits)
+    x, buf, g = np.empty(size), np.empty(size), np.zeros(size, dtype=np.int64)
+    idx, hits = np.empty(size, dtype=np.intp), np.empty((2, size), dtype=np.int8)
+    bits.advance(start)
+    rng.random(out=x)
+    for t in range(transient + n):
+        bits.advance(ensemble - size)  # to position (t + 1) * ensemble + start
+        region_index(cm, x, idx, hits)
+        if t >= transient:
+            # buf is free until the step; read it as int64 scratch
+            np.take(cm.g_delta, idx, out=buf.view(np.int64), mode="clip")
+            g += buf.view(np.int64)
+        step(cm, x, idx, rng, buf)
+    return g
+
+
 def sample_g(m: PiecewiseAffineMap, n: int, ensemble: int, transient: int,
              seed: int, shard: int = DEFAULT_SHARD) -> np.ndarray:
-    """Net expanding-visit count over n iterations for each of `ensemble`
-    particles started uniformly on the unit square (only x is drawn: g
-    does not depend on y) and relaxed for `transient` iterations.
-    Particle p draws x at position p of the PCG64 stream of
+    """Histogram of the net expanding-visit count g over n iterations of
+    `ensemble` particles started uniformly on the unit square (only x is
+    drawn: g does not depend on y) and relaxed for `transient` iterations:
+    entry g + n of the int64 array of length 2n + 1 counts the particles
+    at g.  Particle p draws x at position p of the PCG64 stream of
     `SeedSequence(seed)` and the dither of step t at position
     (t + 1) * ensemble + p, so the result depends on the seed alone, not
     on the chunk size `shard` or on the worker count.  Chunks of `shard`
-    particles run on min(CPUs, chunks) threads; no process is started."""
+    particles run on min(CPUs, chunks) threads; no process is started.
+    Memory grows with min(CPUs, chunks) * shard + n, not with the ensemble."""
     if n < 0 or transient < 0:
         raise ValueError(f"need n >= 0 and transient >= 0, got n={n}, transient={transient}")
     if shard < 1:
         raise ValueError(f"need shard >= 1, got shard={shard}")
     cm = compile_map(m)
     seeded = np.random.PCG64(np.random.SeedSequence(seed)).state
-    out = np.zeros(ensemble, dtype=np.int64)
+    counts = np.zeros(2 * n + 1, dtype=np.int64)
     starts = iter(range(0, ensemble, shard))
-    width = min(shard, ensemble)
 
-    def work() -> None:
-        bits = np.random.PCG64()
-        rng = np.random.Generator(bits)
-        xs, bufs = np.empty(width), np.empty(width)
-        idxs, hit_rows = np.empty(width, dtype=np.intp), np.empty((2, width), dtype=np.int8)
+    def work() -> np.ndarray:
+        hist = np.zeros_like(counts)
         # threads share `starts`; next() on a range iterator is one C call
         # under the GIL, so each chunk start goes to exactly one worker
         for start in starts:
-            size = min(shard, ensemble - start)
-            x, buf, idx, hits = xs[:size], bufs[:size], idxs[:size], hit_rows[:, :size]
-            g = out[start:start + size]
-            bits.state = seeded
-            bits.advance(start)
-            rng.random(out=x)
-            for t in range(transient + n):
-                bits.advance(ensemble - size)  # to position (t + 1) * ensemble + start
-                region_index(cm, x, idx, hits)
-                if t >= transient:
-                    # buf is free until the step; read it as int64 scratch
-                    np.take(cm.g_delta, idx, out=buf.view(np.int64), mode="clip")
-                    g += buf.view(np.int64)
-                step(cm, x, idx, rng, buf)
+            g = _chunk_g(cm, n, ensemble, transient, seeded, start, min(shard, ensemble - start))
+            g += n
+            hist += np.bincount(g, minlength=2 * n + 1)
+        return hist
 
     workers = min(_cpu_count(), -(-ensemble // shard))
     if workers:
         with ThreadPoolExecutor(workers) as pool:
             for future in [pool.submit(work) for _ in range(workers)]:
-                future.result()
-    return out
+                counts += future.result()
+    return counts

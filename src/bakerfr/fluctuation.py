@@ -593,19 +593,18 @@ class EmpiricalDistribution(NamedTuple):
 def monte_carlo_distribution(m: PiecewiseAffineMap, n: int, ensemble: int,
                              transient: int, seed: int) -> EmpiricalDistribution:
     """Histogram of g over `ensemble` independent trajectories started
-    uniformly on the square and relaxed for `transient` steps."""
-    import numpy as np
-
+    uniformly on the square and relaxed for `transient` steps: the
+    nonzero bins of the sampler's histogram, so memory does not grow
+    with the ensemble."""
     from bakerfr.ensembles import sample_g
 
     if ensemble < 1:
         raise ValueError(f"need at least one trajectory, got ensemble={ensemble}")
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    values, counts = np.unique(sample_g(m, n, ensemble, transient, seed),
-                               return_counts=True)
+    counts = sample_g(m, n, ensemble, transient, seed).tolist()
     return EmpiricalDistribution(m.family, m.l, n,
-                                 {int(v): int(c) for v, c in zip(values, counts)},
+                                 {g - n: c for g, c in enumerate(counts) if c},
                                  ensemble, seed)
 
 

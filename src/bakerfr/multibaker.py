@@ -77,18 +77,20 @@ def simulate_current(l, particles: int, steps: int, seed: int,
     """Empirical current from independent particles of the record's map
     `family("map2", l).map`, started uniformly in cell zero.  The
     displacement of each particle is its g count, so the sampling backend
-    is shared with the fluctuation histograms."""
+    is shared with the fluctuation histograms.  The mean and the standard
+    error are exact moments of the g histogram rounded once, in O(steps) memory."""
     from bakerfr.ensembles import sample_g
 
     if particles < 2:
         raise ValueError(f"a standard error needs at least 2 particles, got {particles}")
     if steps < 1:
         raise ValueError(f"need n >= 1 steps, got n={steps}")
-    g = sample_g(family("map2", l).map, steps, particles, transient, seed)
-    per_particle = g / steps
-    psi_hat = float(per_particle.mean())
-    stderr = float(per_particle.std(ddof=1) / math.sqrt(particles))
-    return CurrentEstimate(psi_hat, stderr, steps, particles)
+    counts = sample_g(family("map2", l).map, steps, particles, transient, seed).tolist()
+    s1, s2 = (sum(c * g ** k for g, c in enumerate(counts, -steps)) for k in (1, 2))
+    # the sample variance (ddof=1) of g / steps, over the particle count
+    var_mean = Fraction(particles * s2 - s1 * s1, particles ** 2 * (particles - 1) * steps ** 2)
+    return CurrentEstimate(float(Fraction(s1, particles * steps)), math.sqrt(var_mean),
+                           steps, particles)
 
 
 class SweepRow(NamedTuple):

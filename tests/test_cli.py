@@ -18,13 +18,19 @@ def run(args):
 
 class TestConfig:
     def test_round_trip(self):
+        # only the keys the run reads, in field order: fr in exact mode
+        # reads no ensemble, transient or seed, map2 no strip, fr no biases
         cfg = ExperimentConfig(command="fr", family="map2", l=F(1, 8), n=15,
                                ensemble=1000, transient=50, seed=7, mode="exact",
                                x_tilde=F(7, 32), eps=F(3, 64),
                                b_values=(F(1, 100), F(1, 10)), delta=F(1, 3))
         assert cfg.to_text() == (
-            "command=fr\nfamily=map2\nl=1/8\nn=15\nensemble=1000\ntransient=50\n"
-            "seed=7\nmode=exact\nx_tilde=7/32\neps=3/64\ndelta=1/3\n"
+            "command=fr\nfamily=map2\nl=1/8\nn=15\nmode=exact\ndelta=1/3\n")
+        assert cfg._replace(family="composite").to_text() == (
+            "command=fr\nfamily=composite\nl=1/8\nn=15\nmode=exact\n"
+            "x_tilde=7/32\neps=3/64\ndelta=1/3\n")
+        assert cfg._replace(command="multibaker").to_text() == (
+            "command=multibaker\nn=15\nensemble=1000\ntransient=50\nseed=7\n"
             "b_values=1/100,1/10\n")
 
     def test_rational_parsing_is_exact(self, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from bakerfr import ensembles
-from bakerfr.ensembles import DEFAULT_SHARD, DITHER, compile_map, region_index, sample_g
+from bakerfr.ensembles import (
+    DEFAULT_SHARD, DITHER, _chunk_g, compile_map, region_index, sample_g)
 from bakerfr.families import family
 from bakerfr.maps import build_composite, build_generalized_baker, build_simple_baker
 
@@ -73,6 +75,21 @@ def reference_sample_g(m, n, ensemble, transient, seed):
     return g
 
 
+def kernel_g(m, n, ensemble, transient, seed, shard):
+    """The g of every particle from the sampler's per-chunk kernel: the
+    chunks of `shard` particles, run in order and concatenated."""
+    cm = compile_map(m)
+    seeded = np.random.PCG64(np.random.SeedSequence(seed)).state
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        _chunk_g(cm, n, ensemble, transient, seeded, start, min(shard, ensemble - start))
+        for start in range(0, ensemble, shard)])
+
+
+def histogram(g, n):
+    """What `sample_g` returns for the per-particle counts g."""
+    return np.bincount(g + n, minlength=2 * n + 1)
+
+
 @st.composite
 def maps(draw):
     kind = draw(st.sampled_from(["map1", "map2", "composite"]))
@@ -94,14 +111,18 @@ def maps(draw):
 def test_equals_reference_sampler(m, n, transient, ensemble, shard, seed):
     # the kernel splits the ensemble into chunks of `shard`; the reference
     # has no chunks at all
-    got = sample_g(m, n, ensemble, transient, seed, shard)
+    got = kernel_g(m, n, ensemble, transient, seed, shard)
     want = reference_sample_g(m, n, ensemble, transient, seed)
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
+    counts = sample_g(m, n, ensemble, transient, seed, shard)
+    assert counts.dtype == np.int64 and counts.shape == (2 * n + 1,)
+    assert np.array_equal(counts, histogram(want, n))
+    assert counts.sum() == ensemble
 
 
-# sha256 of the little-endian int64 bytes, taken with `reference_sample_g`;
-# the shard column only sets the kernel's chunks
+# sha256 of the little-endian int64 bytes of the per-particle g, taken with
+# `reference_sample_g`; the shard column only sets the kernel's chunks
 PINNED = [
     (build_simple_baker(F(2, 3)), 20, 5000, 10, 1, 777,
      "2dcd0ae6423e21735aeefa8cdbf68d930256bac78eab738d6e584f10d395b3c2"),
@@ -117,8 +138,9 @@ PINNED = [
 @pytest.mark.parametrize("m,n,ensemble,transient,seed,shard,digest", PINNED,
                          ids=["map1", "map2", "map2-equilibrium", "composite"])
 def test_pinned_digests(m, n, ensemble, transient, seed, shard, digest):
-    g = sample_g(m, n, ensemble, transient, seed, shard)
+    g = kernel_g(m, n, ensemble, transient, seed, shard)
     assert hashlib.sha256(g.astype("<i8").tobytes()).hexdigest() == digest
+    assert np.array_equal(sample_g(m, n, ensemble, transient, seed, shard), histogram(g, n))
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -131,13 +153,16 @@ def test_same_histograms_for_every_shard_and_worker_count(monkeypatch, cpus):
     ensemble = DEFAULT_SHARD + 777
     want = reference_sample_g(m, 60, ensemble, 5, 21)
     for shard in (1000, 300, DEFAULT_SHARD):
-        assert np.array_equal(sample_g(m, 60, ensemble, 5, 21, shard), want)
+        assert np.array_equal(kernel_g(m, 60, ensemble, 5, 21, shard), want)
+        counts = sample_g(m, 60, ensemble, 5, 21, shard)
+        assert np.array_equal(counts, histogram(want, 60)) and counts.sum() == ensemble
 
 
 def test_many_workers_with_frequent_switches_lose_no_chunk(monkeypatch):
     # more workers than cores, each switching threads every microsecond:
-    # a chunk start that no worker took from the shared iterator would
-    # leave zeros and break the equality with the serial reference
+    # a chunk start that no worker took from the shared iterator, or that
+    # two workers took, would change the total and the histogram of the
+    # serial reference
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     m = build_generalized_baker(F(1, 8))
     interval = sys.getswitchinterval()
@@ -146,7 +171,27 @@ def test_many_workers_with_frequent_switches_lose_no_chunk(monkeypatch):
         got = sample_g(m, 20, 6000, 3, 5, shard=97)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(got, reference_sample_g(m, 20, 6000, 3, 5))
+    want = reference_sample_g(m, 20, 6000, 3, 5)
+    assert np.array_equal(kernel_g(m, 20, 6000, 3, 5, shard=97), want)
+    assert got.sum() == 6000 and np.array_equal(got, histogram(want, 20))
+
+
+def test_memory_does_not_grow_with_the_ensemble(monkeypatch):
+    # tracemalloc sees numpy's buffers; a per-particle result array would
+    # add 8 bytes a particle, about 1.5 MB between these two ensembles
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2)))
+    m = build_generalized_baker(F(1, 8))
+    sample_g(m, 5, 4000, 2, 0, shard=1000)  # builds the family record
+
+    def peak(ensemble):
+        tracemalloc.start()
+        try:
+            sample_g(m, 5, ensemble, 2, 0, shard=1000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert abs(peak(200_000) - peak(4000)) <= 64 * 1024
 
 
 @pytest.fixture
@@ -192,6 +237,8 @@ def test_composite_samples_the_base_map_x_marginal(l):
     a = sample_g(build_composite(l), 12, 5000, 7, seed=9, shard=1234)
     b = sample_g(build_generalized_baker(l), 12, 5000, 7, seed=9, shard=1234)
     assert np.array_equal(a, b)
+    assert np.array_equal(kernel_g(build_composite(l), 12, 5000, 7, 9, 1234),
+                          kernel_g(build_generalized_baker(l), 12, 5000, 7, 9, 1234))
 
 
 def test_region_index_equals_searchsorted():

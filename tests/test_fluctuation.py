@@ -336,13 +336,34 @@ class TestMonteCarlo:
         assert a.counts == b.counts
 
     def test_same_result_for_every_shard(self):
-        from bakerfr.ensembles import sample_g
+        from bakerfr.ensembles import DEFAULT_SHARD, sample_g
+        from test_ensembles import kernel_g
 
         m = build_generalized_baker(F(1, 8))
         a = sample_g(m, 10, 3000, 20, seed=7, shard=300)
         b = sample_g(m, 10, 3000, 20, seed=7, shard=1001)
         c = sample_g(m, 10, 3000, 20, seed=7)
-        assert len(a) == 3000 and (a == b).all() and (a == c).all()
+        assert len(a) == 21 and a.sum() == 3000 and (a == b).all() and (a == c).all()
+        ga, gb, gc = (kernel_g(m, 10, 3000, 20, 7, shard) for shard in (300, 1001, DEFAULT_SHARD))
+        assert len(ga) == 3000 and (ga == gb).all() and (ga == gc).all()
+
+    @pytest.mark.parametrize("m,seed", [
+        (build_generalized_baker(F(1, 8)), 3),
+        (build_generalized_baker(F(3, 17)), 4),
+        (build_composite(F(1, 8)), 5),
+    ], ids=["map2", "map2-3/17", "composite"])
+    def test_counts_equal_the_unique_route(self, m, seed):
+        # the histogram's nonzero bins are np.unique of the per-particle g
+        import numpy as np
+
+        from bakerfr.ensembles import DEFAULT_SHARD
+        from test_ensembles import kernel_g
+
+        values, counts = np.unique(kernel_g(m, 8, 20_000, 30, seed, DEFAULT_SHARD),
+                                   return_counts=True)
+        emp = monte_carlo_distribution(m, 8, 20_000, 30, seed)
+        assert emp.counts == {int(v): int(c) for v, c in zip(values, counts)}
+        assert list(emp.counts) == emp.support()
 
     def test_simple_family_matches_exact_law(self):
         from bakerfr.maps import build_simple_baker

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -85,6 +86,22 @@ class TestSimulateCurrent:
         a = simulate_current(F(1, 8), 5_000, 200, seed=43)
         b = simulate_current(F(1, 8), 5_000, 200, seed=43)
         assert a == b
+
+    @pytest.mark.parametrize("l,seed", [(F(1, 8), 45), (F(1, 4), 46), (F(3, 17), 47)])
+    def test_moments_of_the_histogram(self, l, seed):
+        # psi_hat is the exact mean rounded once; stderr stays within a few
+        # ulp of numpy's float route on the per-particle g
+        from bakerfr.ensembles import DEFAULT_SHARD
+        from bakerfr.multibaker import DEFAULT_TRANSIENT
+        from test_ensembles import kernel_g
+
+        particles, steps = 5_000, 200
+        est = simulate_current(l, particles, steps, seed)
+        g = kernel_g(family("map2", l).map, steps, particles, DEFAULT_TRANSIENT, seed,
+                     DEFAULT_SHARD)
+        assert est.psi_hat == float(F(int(g.sum()), particles * steps))
+        numpy_route = float((g / steps).std(ddof=1) / math.sqrt(particles))
+        assert abs(est.stderr - numpy_route) <= 4 * math.ulp(numpy_route)
 
 
 class TestLinearResponse:
