@@ -7,10 +7,20 @@ geometry: the region labels and strip partition from the branch strips,
 the one-step transition probabilities from
 `transfer.transition_matrix(x_factor)`, the common nonzero entry `col`
 of each of their columns and the successors of each region from the
-nonzero pattern, the contraction unit base from the jacobian of the
-g = -1 region, and the band [min r / max r, max r / min r], r = mu /
-col, of the fluctuation-ratio correction: the extremes of the boundary
-terms of `fluctuation._alpha_direct`.
+nonzero pattern, the class chain (below), the contraction unit base
+from the jacobian of the g = -1 region, and the band
+[min r / max r, max r / min r], r = mu / col, of the fluctuation-ratio
+correction: the extremes of the boundary terms of
+`fluctuation._alpha_direct`.
+
+The class chain groups the regions with equal successor sets.  If every
+region of a class has the same transition row (checked), the z^g-tilted
+region chain, g counted on arrival, factors as P(z) = L R, L the 0/1
+region-to-class matrix and R[x, s] = p(x, s) z^(g_s); the class chain
+M(z) = R L has the same law of g, and tr P(z)^n = tr M(z)^n.  Map2
+lumps to {A, C}, {B, D} with M(z) = [[1/(2z), 1/2], [2l, (1-2l) z]],
+map1 to one class.  `into[y]` holds one term (x, D p(x, s), g_s) per
+region s of class y entered from class x, D = `den`.
 
 `_STATED` holds, per family, only what the geometry cannot give: the
 map builder, the g increment of each region (the observable), how the
@@ -22,11 +32,12 @@ against; derived from it, they would make `bakerfr density` compare
 `invariant_density` with itself.
 
 The first call for a given (name, l) checks the record (`_verify`): the
-inverse strip slopes against `col`, every branch jacobian against
-`unit_base ** -g`, the stay-probability ratio of the g = +1 and g = -1
-regions against the unit base, the stated weights against
-`region_measures(x_factor)`, and for map2 `multibaker.analytic_current`
-against psi = sum(mu * g).  The strip chain is derived twice: once
+inverse strip slopes against `col`, every region of a class against the
+transition row of the class's first region (the lumping condition),
+every branch jacobian against `unit_base ** -g`, the stay-probability
+ratio of the g = +1 and g = -1 regions against the unit base, the
+stated weights against `region_measures(x_factor)`, and for map2
+`multibaker.analytic_current` against psi = sum(mu * g).  The strip chain is derived twice: once
 labelled for the transitions, once inside the stationary solve of
 `transfer.invariant_density`, which the measures read.  Any disagreement
 raises `ConsistencyError`; later calls return the same record from the
@@ -36,6 +47,7 @@ facts.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -81,6 +93,9 @@ class Family(NamedTuple):
     unit_base: Fraction          # log of it is the contraction per unit of g
     psi: Fraction                # steady-state mean g per step
     alpha_bounds: tuple[Fraction, Fraction]
+    classes: tuple[tuple[RegionLabel, ...], ...]  # regions with equal successors
+    den: int                     # lcm D of the transition denominators
+    into: tuple[tuple[tuple[int, int, int], ...], ...]  # per class y: (x, D p(x, s), g_s)
     map: PiecewiseAffineMap      # the family's map at l, as checked by the build
     x_factor: Map1D              # its projection on the expanding direction
 
@@ -120,10 +135,17 @@ def _family(name: str, l: Fraction) -> Family:
     [unit_base] = {b.jacobian for b in m.branches if g[b.label] == -1}
     stationary = weights(l)
     ratios = [stationary[lab] / col[lab] for lab in labels]
+    successors = {i: tuple(j for j in labels if trans[i, j]) for i in labels}
+    classes = tuple(tuple(r for r in labels if successors[r] == key)
+                    for key in dict.fromkeys(successors.values()))
+    den = math.lcm(*(p.denominator for p in trans.values()))
+    into = tuple(
+        tuple((x, (trans[cls[0], s] * den).numerator, g[s])
+              for s in target for x, cls in enumerate(classes) if trans[cls[0], s])
+        for target in classes)
     fam = Family(
         name, labels, MappingProxyType(g), MappingProxyType(conjugacy),
-        successors=MappingProxyType({i: tuple(j for j in labels if trans[i, j])
-                                     for i in labels}),
+        successors=MappingProxyType(successors),
         builder=builder, l=l, partition=partition,
         trans=MappingProxyType(trans), col=MappingProxyType(col),
         initial=MappingProxyType({
@@ -132,7 +154,7 @@ def _family(name: str, l: Fraction) -> Family:
         unit_base=unit_base,
         psi=sum(stationary[lab] * g[lab] for lab in labels),
         alpha_bounds=(min(ratios) / max(ratios), max(ratios) / min(ratios)),
-        map=m, x_factor=x_factor)
+        classes=classes, den=den, into=into, map=m, x_factor=x_factor)
     _verify(fam)
     return fam
 
@@ -147,6 +169,11 @@ def _verify(fam: Family) -> None:
     if inverse_slopes != fam.col:
         raise ConsistencyError(
             f"inverse strip slopes {inverse_slopes} != column weights {dict(fam.col)}")
+    for cls in fam.classes:
+        for lab in cls[1:]:
+            if any(trans[lab, t] != trans[cls[0], t] for t in labels):
+                raise ConsistencyError(f"region {lab.value} has another transition row "
+                                       f"than {cls[0].value}, the first of its class")
     jacobians = {b.label: b.jacobian for b in fam.map.branches}
     powers = {lab: fam.unit_base ** -fam.g[lab] for lab in labels}
     if jacobians != powers:

@@ -2,10 +2,13 @@
 
 The distribution of the net expanding-visit count g over an n-symbol
 window is computed three ways: an exact forward DP, `_tilted_steps`,
-on each region's generating polynomial in z packed into one Python int
-(see `exact_distribution`; the map2 orbit diagnostic is its trace),
+on the class chain M(z) of the family record (regions with equal
+transition rows lumped into one class, see `families`), each class's
+generating polynomial in z packed into one Python int (see
+`exact_distribution`; the map2 orbit diagnostic is its trace),
 enumeration of every admissible symbol sequence (the oracle, n <= 12,
-sharing no code with the DP), and Monte-Carlo sampling.  The oracles
+on the full region chain, sharing no code with the DP and reading no
+class field), and Monte-Carlo sampling.  The oracles
 walk the symbol tree depth first on integers over a common denominator,
 O(1) integer operations per sequence; `admissible_sequences` and
 `sequence_measure` are the per-sequence definitions that the tests check
@@ -38,19 +41,23 @@ from bakerfr.maps import (
     as_fraction,
     common_denominator,
 )
-from bakerfr.observables import UndefinedValueError
 from bakerfr.transfer import ConsistencyError
 
 _ZERO = Fraction(0)
 
+
+class UndefinedValueError(ValueError):
+    """A requested observable is undefined at this point or parameter."""
+
+
 # The packed DP costs about n^2 log2(D) bit operations; the law keeps its
-# integer counts.  Measured for map2 at l = 1/8, 1/6, 1/5 (2-CPU Xeon
-# container, Python 3.11): 0.006 s at n = 120, 1.3-2.1 s at n = 1000, and
-# 12 s at n = 2000 for l = 1/8.  Larger denominators cost more: the worst
-# of l in {1/8, 7/40, 3/37} is 3/37, 4.7 s and 39 MB peak RSS at n = 1000
-# and 48 s and 113 MB at the cap (7/40: 2.9 s at n = 1000).  The map2
-# orbit trace with its law, two kernel runs: 2.8-4.4 s at n = 1000 for
-# l = 1/8, 11-12.5 s and 38-40 MB for 3/37, and 114 s and 115 MB at the cap.
+# integer counts.  Measured for map2 (2-CPU Xeon container, Python 3.11.7,
+# one fresh process per run, wall time after the record build): under
+# 0.01 s at n = 120; at n = 1000, 1.0-1.4 s for l = 1/8, 1.8-2.3 s for 1/5,
+# 3.0-3.3 s for 7/40, and for 3/37, the worst of these, 3.4-3.8 s and 30 MB
+# peak RSS; at the cap, 11 s for 1/8 and 35 s and 73 MB for 3/37.  The map2
+# orbit trace with its law at l = 3/37: 9-13 s and 32 MB at n = 1000, 92 s
+# and 85 MB at the cap.
 MAX_DP_STEPS = 2000
 # The prefix-shared oracles at n = 12 (same machine): brute_force_distribution
 # 0.007-0.01 s for map2 at l = 1/8, 1/6, 1/5 (8192 sequences) and 0.003 s
@@ -141,25 +148,16 @@ class SymbolDistribution(CheckedRecord, _SymbolDistribution):
         return sorted(self.counts)
 
 
-def _tilted_steps(fam: Family, d: int, v: dict[RegionLabel, int], steps: int,
-                  width: int) -> dict[RegionLabel, int]:
-    """Run `steps` steps of the chain weighted by z^g.  v holds one
-    polynomial per region, packed into an int with slot k at bit k W,
-    W = `width` (the caller makes W wide enough that no slot overflows),
-    and one step is v[s] <- (sum_r D p(r, s) v[r]) << ((g_s + 1) W)."""
-    shift = {lab: (fam.g[lab] + 1) * width for lab in fam.labels}
-    # predecessors of each region grouped by integer coefficient: a group
-    # costs one multiply, and a group shared by several regions one sum
-    into: dict[RegionLabel, dict[int, tuple]] = {s: {} for s in fam.labels}
-    for (r, s), p in fam.trans.items():
-        if p:
-            c = p.numerator * (d // p.denominator)
-            into[s][c] = into[s].get(c, ()) + (r,)
-    pools = {rs for groups in into.values() for rs in groups.values()}
+def _tilted_steps(fam: Family, v: list[int], steps: int, width: int) -> list[int]:
+    """Run `steps` steps of the class chain M(z) of `fam` (see
+    `families`), weighted by z^g on arrival.  v holds one polynomial per
+    class, packed into an int with slot k at bit k W, W = `width` (the
+    caller makes W wide enough that no slot overflows), and one step is
+    v[y] <- sum (c v[x]) << ((g + 1) W) over the terms (x, c, g) of
+    `fam.into[y]`, c = D p(x, s) for a region s of y."""
+    into = [[(x, c, (g + 1) * width) for x, c, g in terms] for terms in fam.into]
     for _ in range(steps):
-        pooled = {rs: reduce(add, [v[r] for r in rs]) for rs in pools}
-        v = {s: reduce(add, [c * pooled[rs] for c, rs in into[s].items()]) << shift[s]
-             for s in fam.labels}
+        v = [reduce(add, [(c * v[x]) << shift for x, c, shift in terms]) for terms in into]
     return v
 
 
@@ -172,34 +170,35 @@ def _slots(packed: int, count: int, nbytes: int) -> list[int]:
 
 def exact_distribution(family: str, l, n: int,
                        start: str = "stationary") -> SymbolDistribution:
-    """Exact law of g over an n-symbol window by a forward DP over regions.
+    """Exact law of g over an n-symbol window by a forward DP on the
+    class chain of the family record.
 
-    Let D be the least common denominator of the transition probabilities
-    and E that of the initial weights, so D p(r, s) and E w(r) are
-    non-negative integers.  Region r starts at E w(r) z^(g_r + 1), and
-    after k symbols, k - 1 steps of `_tilted_steps`, the slot g+k of
-    region s holds E D^(k-1) times the probability of ending in s with
-    count g.  All slots sum to E D^(k-1) <= E D^(n-1), so with W at least
-    one bit wider than that bound no slot can overflow into its neighbour
-    (W is rounded up to whole bytes so the final unpacking is a byte slice
-    per slot).  The coefficients are unpacked once and are the law's counts
-    over E D^(n-1); if they do not sum to it exactly, `ConsistencyError`
-    is raised."""
+    Let D = `fam.den` be the least common denominator of the transition
+    probabilities and E that of the initial weights, so D p(x, s) and
+    E w(r) are non-negative integers.  Class X starts at
+    sum_{r in X} E w(r) z^(g_r + 1), and after k symbols, k - 1 steps of
+    `_tilted_steps`, the slot g+k of class Y holds E D^(k-1) times the
+    probability of ending in a region of Y with count g.  All slots sum
+    to E D^(k-1) <= E D^(n-1), so with W at least one bit wider than that
+    bound no slot can overflow into its neighbour (W is rounded up to
+    whole bytes so the final unpacking is a byte slice per slot).  The
+    coefficients are unpacked once and are the law's counts over
+    E D^(n-1); if they do not sum to it exactly, `ConsistencyError` is
+    raised."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n > MAX_DP_STEPS:
         raise ValueError(f"n={n} exceeds the DP guard {MAX_DP_STEPS}")
     spec = chain_spec(family, l, start)
     fam = spec.fam
-    d = math.lcm(*(p.denominator for p in spec.trans.values()))
     e = math.lcm(*(w.denominator for w in spec.initial.values()))
-    total = e * d ** (n - 1)
+    total = e * fam.den ** (n - 1)
     nbytes = total.bit_length() // 8 + 1
     width = 8 * nbytes
-    v = {lab: (w.numerator * (e // w.denominator)) << ((fam.g[lab] + 1) * width)
-         for lab, w in spec.initial.items()}
-    v = _tilted_steps(fam, d, v, n - 1, width)
-    coeffs = _slots(sum(v.values()), 2 * n + 1, nbytes)
+    v = [sum((spec.initial[r] * e).numerator << ((fam.g[r] + 1) * width) for r in cls)
+         for cls in fam.classes]
+    v = _tilted_steps(fam, v, n - 1, width)
+    coeffs = _slots(sum(v), 2 * n + 1, nbytes)
     if sum(coeffs) != total:
         raise ConsistencyError(
             f"packed DP coefficients sum to {sum(coeffs)}, not E*D^(n-1) = {total}")

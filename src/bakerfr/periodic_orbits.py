@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from bakerfr.maps import (
     SCHEMA_VERSION,
-    RegionLabel,
     as_fraction,
     common_denominator,
     in_interval,
@@ -30,9 +29,9 @@ _ZERO = Fraction(0)
 # enumerate_orbits keeps all 2^n orbit rows, about 340 bytes each.
 # Measured with upo_distribution at l = 2/3 (2-CPU Xeon container,
 # Python 3.11), time and peak RSS of the process: 0.23 s and 21 MB at
-# n = 14, 0.7-0.85 s and 37 MB at n = 16, 3.4-3.5 s and 100 MB at n = 18;
-# about 4x per two steps, so about 14 s and 0.35 GB at n = 20 (not run).
-# The cap of 20 keeps that within a batch run.
+# n = 14, 0.7-0.85 s and 37 MB at n = 16, 3.4-3.5 s and 100 MB at n = 18,
+# and at the cap n = 20 (Python 3.11.7, fresh process, VmHWM) 13.6-14.4 s
+# and 369 MB.  The cap keeps that within a batch run.
 MAX_ORBIT_LENGTH = 20
 
 
@@ -161,29 +160,25 @@ def generalized_upo_diagnostic(l, n: int) -> UPODiagnostic:
     its regions.  The record build checks that they equal `Family.col`
     and builds the transitions from `col`, so the weight is the product
     of the cycle's transition probabilities and the orbit sum is the
-    trace tr P(z)^n of the chain weighted by z^g: n steps of
-    `_tilted_steps` from 1 in region s leave D^n times the weights of the
-    cycles through s in v[s], at most k D^n over k regions.  The cycle
-    count is tr A^n, A the 0/1 successor matrix; the guard is the law's."""
+    trace tr P(z)^n of the region chain weighted by z^g.  The record
+    checks that P(z) = L R lumps to the class chain M(z) = R L (see
+    `families`), so the sum is tr M(z)^n: n steps of `_tilted_steps`
+    from 1 in class x leave D^n times the diagonal entry of x in v[x],
+    at most k D^n over k classes.  The cycle count is the trace of the
+    n-th power of the class count matrix, whose entry (x, y) is the
+    number of terms of y from x; the guard is the law's."""
     l = as_fraction(l)
     chain = exact_distribution("map2", l, n)
     fam = family("map2", l)
-    d = math.lcm(*(p.denominator for p in fam.trans.values()))
-    nbytes = (len(fam.labels) * d ** n).bit_length() // 8 + 1
-    # regions with equal transition rows have equal rows of P(z) and of A,
-    # hence of their n-th powers, so a run from one region of such a group
-    # gives the diagonal entry of every region in it (map2: two runs)
-    groups: dict[tuple, list[RegionLabel]] = {}
-    for s in fam.labels:
-        groups.setdefault(tuple(fam.trans[s, t] for t in fam.labels), []).append(s)
+    size = len(fam.classes)
+    nbytes = (size * fam.den ** n).bit_length() // 8 + 1
     trace = cycles = 0
-    for group in groups.values():
-        walks = unit = {r: int(r == group[0]) for r in fam.labels}
-        trace += sum(map(_tilted_steps(fam, d, unit, n, 8 * nbytes).get, group))
+    for x in range(size):
+        walks = unit = [int(y == x) for y in range(size)]
+        trace += _tilted_steps(fam, unit, n, 8 * nbytes)[x]
         for _ in range(n):
-            walks = {t: sum(walks[r] for r in fam.labels if t in fam.successors[r])
-                     for t in fam.labels}
-        cycles += sum(map(walks.get, group))
+            walks = [sum(walks[src] for src, _c, _g in terms) for terms in fam.into]
+        cycles += walks[x]
     weights = _slots(trace, 2 * n + 1, nbytes)
     total = sum(weights)
     upo_probs = {k - n: Fraction(w, total) for k, w in enumerate(weights) if w}

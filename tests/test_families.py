@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 from types import MappingProxyType
 
@@ -172,6 +173,28 @@ def test_geometric_disagreement_raises(monkeypatch, route, message):
         assert family(name, l).l == l  # the failure was not cached
 
 
+@pytest.mark.parametrize("name,l,entry", [
+    # the second region of the first class, its last successor: the column
+    # keeps its largest entry, so only the class check can see it
+    ("map2", F(3, 37), (C, D)),
+    ("map1", F(2, 3), (B, B)),
+])
+def test_a_class_with_two_rows_raises(monkeypatch, name, l, entry):
+    real = transfer.transition_matrix
+
+    def corrupted(map1d):
+        good = real(map1d)
+        return {**good, entry: good[entry] / 2}
+
+    monkeypatch.setattr(transfer, "transition_matrix", corrupted)
+    families._family.cache_clear()
+    with pytest.raises(ConsistencyError, match="another transition row than"):
+        family(name, l)
+    monkeypatch.undo()
+    families._family.cache_clear()
+    assert family(name, l).classes == ORACLES[name](l)["classes"]
+
+
 def test_bad_input_is_a_value_error():
     with pytest.raises(ValueError):
         family("map3", F(1, 8))
@@ -185,22 +208,28 @@ def map1_oracle(l):
     """The closed forms of map1 at l: the weights are the strip widths,
     and successive symbols are independent draws from them."""
     col = {A: l, B: 1 - l}
+    den = l.denominator
     return {"labels": (A, B), "g": {A: 1, B: -1}, "conjugacy": {A: B, B: A},
             "successors": {A: (A, B), B: (A, B)}, "builder": "build_simple_baker",
             "partition": ((0, l, A), (l, 1, B)),
             "trans": {(i, j): col[j] for i in (A, B) for j in (A, B)}, "col": col,
             "initial": {"stationary": col, "uniform": col},
-            "unit_base": l / (1 - l), "psi": 2 * l - 1, "alpha_bounds": (1, 1)}
+            "unit_base": l / (1 - l), "psi": 2 * l - 1, "alpha_bounds": (1, 1),
+            # one class: an iid chain, M(z) = l z + (1-l) / z
+            "classes": ((A, B),), "den": den,
+            "into": (((0, den * l, 1), (0, den * (1 - l), -1)),)}
 
 
 def map2_oracle(l):
     """The closed forms of map2 at l: A and C jump to C or D with
     probability 1/2 each; B and D jump to A with probability 2l and to B
-    with probability 1 - 2l."""
+    with probability 1 - 2l.  So {A, C} and {B, D} lump to the class
+    chain M(z) = [[1/(2z), 1/2], [2l, (1-2l) z]], g counted on arrival."""
     labels = (A, B, C, D)
     successors = {A: (C, D), B: (A, B), C: (C, D), D: (A, B)}
     col = {A: 2 * l, B: 1 - 2 * l, C: F(1, 2), D: F(1, 2)}
     z = 1 + 4 * l
+    den = math.lcm((2 * l).denominator, 2)
     return {"labels": labels, "g": {A: 0, B: 1, C: -1, D: 0},
             "conjugacy": {A: A, B: C, C: B, D: D}, "successors": successors,
             "builder": "build_generalized_baker",
@@ -213,7 +242,12 @@ def map2_oracle(l):
                                        C: 2 * l / z, D: 2 * l / z},
                         "uniform": {A: l, B: F(1, 2) - l, C: F(1, 4), D: F(1, 4)}},
             "unit_base": 2 * (1 - 2 * l), "psi": (1 - 4 * l) / z,
-            "alpha_bounds": (4 * l, 1 / (4 * l))}
+            "alpha_bounds": (4 * l, 1 / (4 * l)),
+            "classes": ((A, C), (B, D)), "den": den,
+            # into {A, C}: A from {B, D} with 2l, C from {A, C} with 1/2;
+            # into {B, D}: B from {B, D} with 1 - 2l, D from {A, C} with 1/2
+            "into": (((1, den * 2 * l, 0), (0, den // 2, -1)),
+                     ((1, den * (1 - 2 * l), 1), (0, den // 2, 0)))}
 
 
 ORACLES = {"map1": map1_oracle, "map2": map2_oracle}

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from bakerfr import fluctuation
+from bakerfr import families, fluctuation
 from bakerfr.fluctuation import (
     MAX_DP_STEPS,
     BinnedFRRow,
+    UndefinedValueError,
     admissible_sequences,
     alpha_bounds_check,
     binned_fr_report,
@@ -29,7 +30,6 @@ from bakerfr.maps import (
     build_composite,
     build_generalized_baker,
 )
-from bakerfr.observables import UndefinedValueError, mean_g_per_step
 from bakerfr.transfer import verify_composite
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
@@ -46,6 +46,28 @@ family_l = st.one_of(
 @functools.lru_cache(maxsize=None)
 def map2_law(l, n):
     return exact_distribution("map2", l, n)
+
+
+def region_dp(name, l, n, start):
+    """The law of g by an integer DP over (region, g) cells, on the full
+    region chain of the record: no class field is read."""
+    fam = family(name, l)
+    initial = fam.initial[start]
+    d = math.lcm(*(p.denominator for p in fam.trans.values()))
+    e = math.lcm(*(w.denominator for w in initial.values()))
+    cells = {(r, fam.g[r]): int(e * w) for r, w in initial.items() if w}
+    for _ in range(n - 1):
+        nxt = {}
+        for (r, g), c in cells.items():
+            for s in fam.labels:
+                if fam.trans[r, s]:
+                    key = (s, g + fam.g[s])
+                    nxt[key] = nxt.get(key, 0) + c * int(d * fam.trans[r, s])
+        cells = nxt
+    counts = {}
+    for (_r, g), c in cells.items():
+        counts[g] = counts.get(g, 0) + c
+    return fluctuation.SymbolDistribution(name, fam.l, n, counts, e * d ** (n - 1))
 
 
 class TestExactDistribution:
@@ -86,6 +108,14 @@ class TestExactDistribution:
         assert sum(d.probs.values()) == 1
         assert all(-g in d.probs for g in d.probs)
 
+    @settings(max_examples=12, deadline=None)
+    @given(family_l=family_l,
+           start=st.sampled_from(["stationary", "uniform"]),
+           n=st.integers(min_value=1, max_value=200))
+    def test_class_chain_equals_the_region_dp(self, family_l, start, n):
+        name, l = family_l
+        assert exact_distribution(name, l, n, start) == region_dp(name, l, n, start)
+
     def test_simple_matches_binomial(self):
         l, n = F(2, 3), 9
         d = exact_distribution("map1", l, n)
@@ -98,9 +128,10 @@ class TestExactDistribution:
 class TestBruteForceOracle:
     @pytest.mark.parametrize("family,l", [("map1", F(2, 3)), ("map2", F(1, 8))])
     def test_matches_dp_small_n(self, family, l):
-        for n in range(1, 9):
-            assert (brute_force_distribution(family, l, n).probs
-                    == exact_distribution(family, l, n).probs)
+        for start in ("stationary", "uniform"):
+            for n in range(1, fluctuation.MAX_BRUTE_FORCE + 1):
+                assert (brute_force_distribution(family, l, n, start)
+                        == exact_distribution(family, l, n, start))
 
     def test_uniform_start_matches_too(self):
         for n in range(1, 7):
@@ -152,6 +183,22 @@ class TestBruteForceOracle:
         monkeypatch.setattr(fluctuation, "_tilted_steps", fail)
         with pytest.raises(AssertionError, match="ran the DP kernel"):
             exact_distribution("map2", F(1, 8), 8)
+        assert brute_force_distribution("map2", F(1, 8), 8) == law
+        assert alpha_bounds_check(F(1, 8), 6) == alpha
+        monkeypatch.undo()
+
+        # a record whose class chain counts g with the wrong sign: the DP
+        # changes, the oracles read no class field
+        dp = exact_distribution("map2", F(1, 8), 8)
+        real = families.family
+
+        def corrupted(name, l):
+            fam = real(name, l)
+            return fam._replace(into=tuple(tuple((x, c, -g) for x, c, g in terms)
+                                           for terms in fam.into))
+
+        monkeypatch.setattr(families, "family", corrupted)
+        assert exact_distribution("map2", F(1, 8), 8) != dp
         assert brute_force_distribution("map2", F(1, 8), 8) == law
         assert alpha_bounds_check(F(1, 8), 6) == alpha
         spec = chain_spec("map2", F(1, 8))
@@ -212,7 +259,7 @@ class TestFRReport:
 
     def test_e_n_lattice(self):
         rep = fr_report(exact_distribution("map2", F(1, 8), 6))
-        psi = mean_g_per_step("map2", F(1, 8))
+        psi = family("map2", F(1, 8)).psi
         for r in rep.rows:
             assert r.e_n == F(r.g, 6) / psi
 

@@ -15,7 +15,6 @@ from bakerfr.maps import (
     build_simple_baker,
     random_rational_points,
 )
-from bakerfr.observables import mean_g_per_step
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
@@ -54,7 +53,7 @@ def reversed_labels(name, labels):
 
 class TestLambdaAt:
     # the local contraction rate -ln J is 0 or +/-u, u = ln(unit_base), as
-    # the module docstring of `observables` states
+    # the README's contraction-statistics bullet states
     def test_generalized_values(self):
         m = build_generalized_baker(F(1, 8))
         u = math.log(family("map2", F(1, 8)).unit_base)
@@ -127,7 +126,7 @@ class TestAverageContraction:
         # |e_n| <= (max contraction per step)/(mean contraction)
         m = build_generalized_baker(F(1, 8))
         psi = family("map2", F(1, 8)).psi
-        p_star = 1 / mean_g_per_step("map2", F(1, 8))
+        p_star = 1 / family("map2", F(1, 8)).psi
         for p in random_rational_points(25, seed=8):
             assert abs(F(g_count(m, p, 7), 7) / psi) <= p_star
 

@@ -199,6 +199,15 @@ class TestOrbitRows:
         assert (o.weight_num, o.weight_den) == (2, 27)
 
 
+def mass_off_the_lattice(l, n):
+    """The map2 chain's mass off g = n (mod 2), (1 - psi^2)(1 - (1/2 - 2l)^n) / 2.
+    It is (1 - E (-1)^(g-n)) / 2, and E (-1)^g is the class chain's
+    generating function at z = -1: a sum of n-th powers of the
+    eigenvalues -1 and -(1/2 - 2l) of M(-1)."""
+    psi = family("map2", l).psi
+    return (1 - psi ** 2) * (1 - (F(1, 2) - 2 * l) ** n) / 2
+
+
 class TestGeneralizedDiagnostic:
     def test_runs_and_reports_discrepancy(self):
         diag = generalized_upo_diagnostic(F(1, 8), 6)
@@ -238,9 +247,15 @@ class TestGeneralizedDiagnostic:
         assert sum(diag.upo_probs.values()) == 1
         assert all((g - n) % 2 == 0 for g in diag.upo_probs)
         off_lattice = sum(p for g, p in diag.chain_probs.items() if (g - n) % 2)
+        assert off_lattice == mass_off_the_lattice(l, n)
         assert diag.total_variation >= off_lattice
-        if l == F(1, 8):
-            assert round(float(off_lattice), 4) == 0.4444
+
+    def test_mass_off_the_lattice_at_every_n(self):
+        l = F(3, 37)
+        for n in range(1, 41):
+            law = exact_distribution("map2", l, n)
+            assert (sum(p for g, p in law.probs.items() if (g - n) % 2)
+                    == mass_off_the_lattice(l, n))
 
     def test_guard_is_the_law_guard(self):
         with pytest.raises(ValueError, match="exceeds the DP guard"):
