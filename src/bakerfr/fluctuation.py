@@ -8,13 +8,13 @@ generating polynomial in z packed into one Python int (see
 `exact_distribution`; the map2 orbit diagnostic is its trace),
 enumeration of every admissible symbol sequence (the oracle, n <= 12,
 on the full region chain, sharing no code with the DP and reading no
-class field), and Monte-Carlo sampling.  The oracles
-walk the symbol tree depth first on integers over a common denominator,
-O(1) integer operations per sequence; `admissible_sequences` and
-`sequence_measure` are the per-sequence definitions that the tests check
-the walks against.  The ratio P(g)/P(-g) is compared against base^g,
-exactly for the two-branch family and with the multiplicative
-correction confined to [4l, 1/(4l)] for the four-branch family.
+class field), and Monte-Carlo sampling.  The oracles expand the symbol
+tree level by level on integers over a common denominator, one tuple per
+sequence; `admissible_sequences` and `sequence_measure` are the
+per-sequence definitions that the tests check them against.  The ratio
+P(g)/P(-g) is compared against base^g, exactly for the two-branch family
+and with the multiplicative correction confined to [4l, 1/(4l)] for the
+four-branch family.
 The per-g report decides by rational comparisons; the interval-binned
 report compares float logarithms with a slack of 1e-12 (see
 `binned_fr_report`).  The irreversible composite needs no function of
@@ -59,10 +59,10 @@ class UndefinedValueError(ValueError):
 # orbit trace with its law at l = 3/37: 9-13 s and 32 MB at n = 1000, 92 s
 # and 85 MB at the cap.
 MAX_DP_STEPS = 2000
-# The prefix-shared oracles at n = 12 (same machine): brute_force_distribution
-# 0.007-0.01 s for map2 at l = 1/8, 1/6, 1/5 (8192 sequences) and 0.003 s
-# for map1 at l = 1/8 and 2/3, alpha_bounds_check 0.015-0.026 s at the
-# same three l; about 2x per extra symbol.
+# The level-wise oracles at n = 12 (same machine, fresh process, after the
+# record build): brute_force_distribution 0.004-0.006 s for map2 at l = 1/8,
+# 1/6, 1/5 (8192 sequences) and 0.002-0.003 s for map1 at l = 1/8 and 2/3,
+# alpha_bounds_check 0.010-0.019 s at the same three l; 2x per extra symbol.
 MAX_BRUTE_FORCE = 12
 
 # Monte-Carlo ratio test: a +/-g pair is tested when both sides hold at
@@ -227,8 +227,8 @@ def sequence_measure(spec: ChainSpec, labels) -> Fraction:
 
 
 def admissible_sequences(spec: ChainSpec, n: int) -> Iterator[tuple[RegionLabel, ...]]:
-    """All positive-measure symbol sequences of length n, depth first.
-    The exact oracles walk the same tree in the same order without
+    """All positive-measure symbol sequences of length n, in lexicographic
+    order.  The exact oracles reach the same leaves in the same order without
     building the sequences; the tests check them against this list."""
 
     def extend(prefix: tuple[RegionLabel, ...]) -> Iterator[tuple[RegionLabel, ...]]:
@@ -246,32 +246,29 @@ def admissible_sequences(spec: ChainSpec, n: int) -> Iterator[tuple[RegionLabel,
 def brute_force_distribution(family: str, l, n: int,
                              start: str = "stationary") -> SymbolDistribution:
     """Oracle: accumulate the cylinder measure of every admissible symbol
-    sequence individually.  The symbol tree is walked depth first, in the
-    order of `admissible_sequences`, and each node carries g and its
-    prefix's measure times E D^(k-1), an integer (D and E as in
-    `exact_distribution`, computed here on their own), so a sequence
-    costs one integer multiplication and one integer addition; the sums
-    are the law's counts over E D^(n-1).  Exponential in n; guarded
-    accordingly."""
+    sequence individually.  The symbol tree is expanded level by level,
+    one list comprehension over a successor table per level: level k holds
+    each admissible k-symbol prefix, in the order of `admissible_sequences`,
+    as one tuple of its last region's index, g and its measure times
+    E D^(k-1), an integer (D and E as in `exact_distribution`, computed
+    here on their own).  The sums are the law's counts over E D^(n-1).
+    Exponential in n (8192 tuples for map2 at the cap); guarded."""
     if not 1 <= n <= MAX_BRUTE_FORCE:
         raise ValueError(f"brute force supports 1 <= n <= {MAX_BRUTE_FORCE}")
     spec = chain_spec(family, l, start)
     fam = spec.fam
     d, trans = _scaled(spec.trans)
     e, initial = _scaled(spec.initial)
+    # table[i]: (index, g, D p(r, s)) of each successor s of r = fam.labels[i]
+    table = [[(fam.labels.index(s), fam.g[s], trans[r, s]) for s in fam.successors[r]]
+             for r in fam.labels]
+    level = [(i, fam.g[r], initial[r]) for i, r in enumerate(fam.labels)
+             if initial.get(r, 0) > 0]
+    for _ in range(n - 1):
+        level = [(s, g + dg, w * p) for r, g, w in level for s, dg, p in table[r]]
     sums: dict[int, int] = {}
-
-    def walk(k: int, last: RegionLabel, g: int, w: int) -> None:
-        if k == n:
-            sums[g] = sums.get(g, 0) + w
-            return
-        for s in fam.successors[last]:
-            walk(k + 1, s, g + fam.g[s], w * trans[last, s])
-
-    for lab in fam.labels:
-        w = initial.get(lab, 0)
-        if w > 0:
-            walk(1, lab, fam.g[lab], w)
+    for _r, g, w in level:
+        sums[g] = sums.get(g, 0) + w
     return SymbolDistribution(family, fam.l, n, sums, e * d ** (n - 1))
 
 
@@ -329,16 +326,20 @@ class FRReport(NamedTuple):
         }
 
 
-def log_ratio(r: Fraction) -> float:
-    """math.log(r) for a positive rational r, also where float(r) is 0 or
-    inf: there ln r = k ln 2 + ln(r / 2^k), with k from the bit lengths so
-    that r / 2^k lies within a factor 2 of 1."""
+def log_ratio(num, den: int = 1) -> float:
+    """math.log(r) for the positive rational r = num / den (num a `Fraction`
+    or an int, den an int), also where float(r) is 0 or inf: there
+    ln r = k ln 2 + ln(r / 2^k), with k from the bit lengths so that r / 2^k
+    lies within a factor 2 of 1.  float(r) is the correctly rounded integer
+    quotient, so it takes no gcd."""
+    num, den = num.numerator, num.denominator * den
     try:
-        f = float(r)
+        f = num / den
     except OverflowError:
         f = math.inf
     if 0 < f < math.inf:
         return math.log(f)
+    r = Fraction(num, den)
     k = r.numerator.bit_length() - r.denominator.bit_length()
     return k * math.log(2) + math.log(r / Fraction(2) ** k)
 
@@ -347,30 +348,33 @@ def fr_report(dist: SymbolDistribution) -> FRReport:
     """Check the ratio P(g)/P(-g) against base^g for every attainable
     positive g.  The two-branch family must satisfy the identity exactly;
     the four-branch family must have its multiplicative correction within
-    [4l, 1/(4l)].  Exact rational comparisons throughout; the ratio is
-    read from the law's integer counts."""
+    [4l, 1/(4l)].  Exact rational comparisons throughout; a row is read
+    from the law's counts c(g) and base = bn / bd: alpha is the one
+    `Fraction` c(g) bd^g / (c(-g) bn^g), its powers carried over g."""
     fam = families.family(dist.family, dist.l)
     psi, base = fam.psi, fam.unit_base
     if psi == 0:
         raise UndefinedValueError(
             f"mean contraction vanishes at l={dist.l}; the ratio test is undefined")
     a_min, a_max = fam.alpha_bounds
-    mean_lambda = float(psi) * math.log(base)
+    log_base, bound = math.log(base), math.log(a_max)
+    (psi_n, psi_d), (bn, bd) = psi.as_integer_ratio(), base.as_integer_ratio()
+    pow_n = pow_d = 1      # base^g = pow_n / pow_d
     rows = []
     for g in dist.support():
         if g <= 0:
             continue
-        ratio = Fraction(dist.counts[g], dist.counts[-g])
-        alpha = ratio / base ** g
-        passed = a_min <= alpha <= a_max
+        step = g - rows[-1].g if rows else g
+        pow_n, pow_d = pow_n * bn ** step, pow_d * bd ** step
+        c_plus, c_minus = dist.counts[g], dist.counts[-g]
+        alpha = Fraction(c_plus * pow_d, c_minus * pow_n)
         rows.append(FRRow(
             g=g, p_plus=dist.prob(g), p_minus=dist.prob(-g), alpha=alpha,
-            lhs=log_ratio(ratio), target=g * math.log(base),
-            bound=math.log(a_max),
-            e_n=Fraction(g, dist.n) / psi, passed=passed,
+            lhs=log_ratio(c_plus, c_minus), target=g * log_base, bound=bound,
+            e_n=Fraction(g * psi_d, dist.n * psi_n), passed=a_min <= alpha <= a_max,
         ))
     return FRReport(dist.family, dist.l, dist.n, base, a_min, a_max,
-                    mean_lambda, tuple(rows))
+                    float(psi) * log_base, tuple(rows))
 
 
 class BinnedFRRow(NamedTuple):
@@ -420,7 +424,8 @@ def binned_fr_report(dist: SymbolDistribution, delta) -> BinnedFRReport:
     On the lattice, |g/(n psi) - g0/(n psi)| < delta is the integer window
     |g - g0| <= k with k = ceil(delta n |psi|) - 1, so each window's
     probability is a difference of integer prefix sums of the law's counts
-    over its total.
+    over its total.  The log-ratio is read from the two integer sums; a
+    `Fraction` is built only for each printed value.
 
     The window probabilities are exact; the pass test compares float
     logarithms, and the 1e-12 added to both edges absorbs their rounding
@@ -439,26 +444,27 @@ def binned_fr_report(dist: SymbolDistribution, delta) -> BinnedFRReport:
     _a_min, a_max = fam.alpha_bounds
     n = dist.n
     n_lambda = n * float(psi) * math.log(base)
+    slack = float(delta) + math.log(a_max) / n_lambda
+    psi_n, psi_d = psi.as_integer_ratio()
     k = math.ceil(delta * n * abs(psi)) - 1
     # below[i] = total * P(g < i - n)
     below = [0]
     for g in range(-n, n + 1):
         below.append(below[-1] + dist.counts.get(g, 0))
 
-    def window(center: int) -> Fraction:
-        lo, hi = max(center - k, -n), min(center + k, n)
-        return Fraction(below[hi + n + 1] - below[lo + n], dist.total)
+    def window(center: int) -> int:
+        return below[min(center + k, n) + n + 1] - below[max(center - k, -n) + n]
 
     rows = []
     for g0 in dist.support():
         if g0 <= 0:
             continue
-        p = Fraction(g0, n) / psi
+        p = Fraction(g0 * psi_d, n * psi_n)
         plus, minus = window(g0), window(-g0)
-        lhs = log_ratio(plus / minus) / n_lambda
-        slack = float(delta) + math.log(a_max) / n_lambda
-        passed = float(p) - slack - 1e-12 <= lhs <= float(p) + slack + 1e-12
-        rows.append(BinnedFRRow(p, plus, minus, lhs, slack, passed))
+        lhs, center = log_ratio(plus, minus) / n_lambda, float(p)
+        passed = center - slack - 1e-12 <= lhs <= center + slack + 1e-12
+        rows.append(BinnedFRRow(p, Fraction(plus, dist.total), Fraction(minus, dist.total),
+                                lhs, slack, passed))
     return BinnedFRReport(dist.family, dist.l, n, delta, tuple(rows))
 
 
@@ -500,17 +506,16 @@ def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
     by base^g stays within [4l, 1/(4l)].  The ratio must also equal the
     boundary-term formula `_alpha_direct` of the sequence's two ends.
 
-    The symbol tree is walked depth first, in the order of
-    `admissible_sequences`.  Each node carries g, the forward measure of
-    its prefix s_1..s_k and the product of the reversed conjugate
-    transitions p(conj s_{i+1}, conj s_i), i < k, both as integers scaled
-    by E D^(k-1) and D^(k-1) (D and E as in `brute_force_distribution`);
-    a leaf multiplies in E mu[conj s_n] to get the reversal's measure on
-    the same scale.  base^g and the boundary formula of each (first, last)
-    pair are read from tables as (numerator, denominator), so a sequence
-    costs O(1) integer operations: alpha, the bounds and the formula are
-    compared by cross-multiplication, and a `Fraction` is built only for
-    the attained extremes and the text of a violation."""
+    The tree is expanded level by level as in `brute_force_distribution`;
+    a node is one tuple: the last region's index, g, the forward measure of
+    s_1..s_k and the product of the reversed conjugate transitions
+    p(conj s_{i+1}, conj s_i), i < k, as integers scaled by E D^(k-1) and
+    D^(k-1), and the label text.  A leaf multiplies in E mu[conj s_n] for
+    the reversal's measure on the same scale.  base^g, from the unit base's
+    integer pair, and the boundary formula of each (first, last) pair are
+    read from tables as (numerator, denominator): alpha, the bounds and the
+    formula are compared by cross-multiplication, and a `Fraction` is built
+    only for the attained extremes and the text of a violation."""
     l = as_fraction(l)
     if not 1 <= n <= MAX_BRUTE_FORCE:
         raise ValueError(f"exhaustive check supports 1 <= n <= {MAX_BRUTE_FORCE}")
@@ -521,52 +526,44 @@ def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
     _e, mu = _scaled(spec.initial)
     bound_min, bound_max = fam.alpha_bounds
     (lo_n, lo_d), (hi_n, hi_d) = bound_min.as_integer_ratio(), bound_max.as_integer_ratio()
-    power = {g: (fam.unit_base ** g).as_integer_ratio() for g in range(-n, n + 1)}
-    direct = {(s, t): _alpha_direct(spec, (s, t)).as_integer_ratio()
-              for s in fam.labels for t in fam.labels}
-    path: list[RegionLabel] = [fam.labels[0]] * n
-    attained: list[tuple[int, int]] = []   # [min, max] as (numerator, denominator)
-    violations = []
-    count = 0
-
-    def text() -> str:
-        return "".join(s.value for s in path)
-
-    def walk(k: int, g: int, fwd: int, rev: int) -> None:
-        nonlocal count
-        last = path[k - 1]
-        if k == n:
-            count += 1
-            rev *= mu[conj[last]]
-            if rev == 0:
-                violations.append(text() + ": reversal inadmissible")
-                return
-            # alpha = (fwd / rev) / base^g = num / den, den > 0
-            p_n, p_d = power[g]
-            num, den = fwd * p_d, rev * p_n
-            f_n, f_d = direct[path[0], last]
-            if num * f_d != f_n * den:
-                violations.append(text() + f": ratio {Fraction(num, den)} != "
-                                  f"boundary formula {Fraction(f_n, f_d)}")
-            if not (lo_n * den <= num * lo_d and num * hi_d <= hi_n * den):
-                violations.append(text() + f": alpha {Fraction(num, den)}")
-            if not attained:
-                attained.extend([(num, den)] * 2)
-            elif num * attained[0][1] < attained[0][0] * den:
-                attained[0] = (num, den)
-            elif num * attained[1][1] > attained[1][0] * den:
-                attained[1] = (num, den)
-            return
-        for s in fam.successors[last]:
-            path[k] = s
-            walk(k + 1, g + fam.g[s], fwd * trans[last, s], rev * trans[conj[s], conj[last]])
-
-    for lab in fam.labels:
-        if mu.get(lab, 0) > 0:
-            path[0] = lab
-            walk(1, fam.g[lab], mu[lab], 1)
+    bn, bd = fam.unit_base.as_integer_ratio()
+    power = {g: (bn ** g, bd ** g) if g >= 0 else (bd ** -g, bn ** -g) for g in range(-n, n + 1)}
+    # `_alpha_direct` of (s, t) is ratio[s] / ratio[conj t], ratio = mu / col
+    ratio = {lab: (spec.initial[lab] / fam.col[lab]).as_integer_ratio() for lab in fam.labels}
+    direct = {(s.value, i): (a * ratio[conj[t]][1], b * ratio[conj[t]][0])
+              for s, (a, b) in ratio.items() for i, t in enumerate(fam.labels)}
+    end = [mu[conj[lab]] for lab in fam.labels]
+    # table[i]: (index, g, D p(r, s), D p(conj s, conj r), label) of each successor s
+    table = [[(fam.labels.index(s), fam.g[s], trans[r, s], trans[conj[s], conj[r]], s.value)
+              for s in fam.successors[r]] for r in fam.labels]
+    level = [(i, fam.g[r], mu[r], 1, r.value) for i, r in enumerate(fam.labels)
+             if mu.get(r, 0) > 0]
+    for _ in range(n - 1):
+        level = [(s, g + dg, fwd * p, rev * q, text + c)
+                 for r, g, fwd, rev, text in level for s, dg, p, q, c in table[r]]
+    attained, violations = [], []   # attained: [min, max] of alpha as (num, den)
+    for r, g, fwd, rev, text in level:
+        rev *= end[r]
+        if rev == 0:
+            violations.append(text + ": reversal inadmissible")
+            continue
+        # alpha = (fwd / rev) / base^g = num / den, den > 0
+        p_n, p_d = power[g]
+        num, den = fwd * p_d, rev * p_n
+        f_n, f_d = direct[text[0], r]
+        if num * f_d != f_n * den:
+            violations.append(text + f": ratio {Fraction(num, den)} != "
+                              f"boundary formula {Fraction(f_n, f_d)}")
+        if not (lo_n * den <= num * lo_d and num * hi_d <= hi_n * den):
+            violations.append(text + f": alpha {Fraction(num, den)}")
+        if not attained:
+            attained.extend([(num, den)] * 2)
+        elif num * attained[0][1] < attained[0][0] * den:
+            attained[0] = (num, den)
+        elif num * attained[1][1] > attained[1][0] * den:
+            attained[1] = (num, den)
     low, high = (Fraction(*a) for a in attained)
-    return AlphaBoundsReport(l, n, count, low, high, bound_min, bound_max, tuple(violations))
+    return AlphaBoundsReport(l, n, len(level), low, high, bound_min, bound_max, tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,9 @@ def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
                       fam.g[lab] == 1))
     orbits = []
 
+    # Depth first on purpose, unlike the level-wise oracles of `fluctuation`:
+    # a frontier at MAX_ORBIT_LENGTH would hold 2^20 nodes beside the 2^20
+    # rows, which already take 369 MB.
     def walk(label: str, alpha: int, a: int, b: int, q: int, w_n: int, w_d: int) -> None:
         if len(label) == n:
             if a == q:

@@ -4,13 +4,14 @@ from fractions import Fraction as F
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from bakerfr import families, fluctuation
 from bakerfr.fluctuation import (
     MAX_DP_STEPS,
     BinnedFRRow,
+    FRRow,
     UndefinedValueError,
     admissible_sequences,
     alpha_bounds_check,
@@ -262,6 +263,33 @@ class TestFRReport:
         psi = family("map2", F(1, 8)).psi
         for r in rep.rows:
             assert r.e_n == F(r.g, 6) / psi
+
+    @settings(max_examples=30, deadline=None)
+    @given(family_l=family_l,
+           start=st.sampled_from(["stationary", "uniform"]),
+           n=st.integers(min_value=1, max_value=40))
+    def test_rows_equal_the_definition(self, family_l, start, n):
+        name, l = family_l
+        fam = family(name, l)
+        assume(fam.psi != 0)
+        dist = exact_distribution(name, l, n, start)
+        base, (a_min, a_max) = fam.unit_base, fam.alpha_bounds
+        expected = []
+        for g in dist.support():
+            if g > 0:
+                ratio = F(dist.counts[g], dist.counts[-g])
+                alpha = ratio / base ** g
+                expected.append(FRRow(
+                    g, dist.prob(g), dist.prob(-g), alpha, log_ratio(ratio),
+                    g * math.log(base), math.log(a_max), F(g, n) / fam.psi,
+                    a_min <= alpha <= a_max))
+        assert fr_report(dist).rows == tuple(expected)
+
+    def test_log_ratio_of_an_integer_pair(self):
+        # the pair form takes no gcd on the float path and must agree with
+        # the reduced fraction on both paths, inside and outside the float range
+        for num, den in ((6, 14), (3 * 10 ** 400, 7 * 10 ** 80), (7 * 2 ** 90, 3 * 2 ** 1200)):
+            assert log_ratio(num, den) == log_ratio(F(num, den))
 
 
 def reference_alpha_bounds(l, n):
