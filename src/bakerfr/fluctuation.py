@@ -39,7 +39,6 @@ from bakerfr.maps import (
     PiecewiseAffineMap,
     RegionLabel,
     as_fraction,
-    common_denominator,
 )
 from bakerfr.transfer import ConsistencyError
 
@@ -62,7 +61,7 @@ MAX_DP_STEPS = 2000
 # The level-wise oracles at n = 12 (same machine, fresh process, after the
 # record build): brute_force_distribution 0.004-0.006 s for map2 at l = 1/8,
 # 1/6, 1/5 (8192 sequences) and 0.002-0.003 s for map1 at l = 1/8 and 2/3,
-# alpha_bounds_check 0.010-0.019 s at the same three l; 2x per extra symbol.
+# alpha_bounds_check 0.007-0.014 s at the same three l; 2x per extra symbol.
 MAX_BRUTE_FORCE = 12
 
 # Monte-Carlo ratio test: a +/-g pair is tested when both sides hold at
@@ -207,9 +206,12 @@ def exact_distribution(family: str, l, n: int,
 
 
 def _scaled(weights: Mapping) -> tuple[int, dict]:
-    """`common_denominator` of the values of a mapping, keyed alike."""
-    den, nums = common_denominator(weights.values())
-    return den, dict(zip(weights, nums))
+    """The least common denominator L of the nonzero values of a mapping,
+    and each nonzero value times L, an integer, keyed alike; the keys of
+    zero values are left out."""
+    pairs = {k: v.as_integer_ratio() for k, v in weights.items() if v}
+    den = math.lcm(*(d for _n, d in pairs.values()))
+    return den, {k: n * (den // d) for k, (n, d) in pairs.items()}
 
 
 def sequence_measure(spec: ChainSpec, labels) -> Fraction:
@@ -260,8 +262,8 @@ def brute_force_distribution(family: str, l, n: int,
     d, trans = _scaled(spec.trans)
     e, initial = _scaled(spec.initial)
     # table[i]: (index, g, D p(r, s)) of each successor s of r = fam.labels[i]
-    table = [[(fam.labels.index(s), fam.g[s], trans[r, s]) for s in fam.successors[r]]
-             for r in fam.labels]
+    table = [[(fam.labels.index(s), fam.g[s], trans.get((r, s), 0))
+              for s in fam.successors[r]] for r in fam.labels]
     level = [(i, fam.g[r], initial[r]) for i, r in enumerate(fam.labels)
              if initial.get(r, 0) > 0]
     for _ in range(n - 1):
@@ -513,9 +515,12 @@ def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
     D^(k-1), and the label text.  A leaf multiplies in E mu[conj s_n] for
     the reversal's measure on the same scale.  base^g, from the unit base's
     integer pair, and the boundary formula of each (first, last) pair are
-    read from tables as (numerator, denominator): alpha, the bounds and the
-    formula are compared by cross-multiplication, and a `Fraction` is built
-    only for the attained extremes and the text of a violation."""
+    read from tables as (numerator, denominator), and every leaf's alpha is
+    compared with its pair's formula by cross-multiplication.  Where they
+    agree, alpha is the formula, so the band and the attained extremes are
+    decided once per pair; only a leaf that breaks the formula is checked
+    against the band and the extremes on its own alpha.  A `Fraction` is
+    built only for the attained extremes and the text of a violation."""
     l = as_fraction(l)
     if not 1 <= n <= MAX_BRUTE_FORCE:
         raise ValueError(f"exhaustive check supports 1 <= n <= {MAX_BRUTE_FORCE}")
@@ -526,22 +531,38 @@ def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
     _e, mu = _scaled(spec.initial)
     bound_min, bound_max = fam.alpha_bounds
     (lo_n, lo_d), (hi_n, hi_d) = bound_min.as_integer_ratio(), bound_max.as_integer_ratio()
+
+    def outside(num: int, den: int) -> bool:
+        return not (lo_n * den <= num * lo_d and num * hi_d <= hi_n * den)
+
     bn, bd = fam.unit_base.as_integer_ratio()
     power = {g: (bn ** g, bd ** g) if g >= 0 else (bd ** -g, bn ** -g) for g in range(-n, n + 1)}
-    # `_alpha_direct` of (s, t) is ratio[s] / ratio[conj t], ratio = mu / col
-    ratio = {lab: (spec.initial[lab] / fam.col[lab]).as_integer_ratio() for lab in fam.labels}
-    direct = {(s.value, i): (a * ratio[conj[t]][1], b * ratio[conj[t]][0])
-              for s, (a, b) in ratio.items() for i, t in enumerate(fam.labels)}
-    end = [mu[conj[lab]] for lab in fam.labels]
+    labels, names = fam.labels, [lab.value for lab in fam.labels]
+    # `_alpha_direct` of (s, t) is ratio[s] / ratio[conj t], ratio = mu / col,
+    # here E mu / col as an integer pair (E cancels)
+    ratio = {}
+    for lab in labels:
+        c_n, c_d = fam.col[lab].as_integer_ratio()
+        ratio[lab] = (mu.get(lab, 0) * c_d, c_n)
+    direct = {(names[j], i): (a * ratio[conj[t]][1], b * ratio[conj[t]][0])
+              for j, (a, b) in enumerate(ratio.values()) for i, t in enumerate(labels)}
+    # the violation text of each pair whose formula leaves the band; a zero
+    # denominator belongs to a pair whose every reversal is inadmissible
+    off_band = {key: f": alpha {Fraction(f_n, f_d)}" for key, (f_n, f_d) in direct.items()
+                if f_d and outside(f_n, f_d)}
+    end = [mu.get(conj[lab], 0) for lab in labels]
     # table[i]: (index, g, D p(r, s), D p(conj s, conj r), label) of each successor s
-    table = [[(fam.labels.index(s), fam.g[s], trans[r, s], trans[conj[s], conj[r]], s.value)
-              for s in fam.successors[r]] for r in fam.labels]
-    level = [(i, fam.g[r], mu[r], 1, r.value) for i, r in enumerate(fam.labels)
+    index = {lab: i for i, lab in enumerate(labels)}
+    table = [[(index[s], fam.g[s], trans.get((r, s), 0), trans.get((conj[s], conj[r]), 0),
+               names[index[s]]) for s in fam.successors[r]] for r in labels]
+    level = [(i, fam.g[r], mu[r], 1, names[i]) for i, r in enumerate(labels)
              if mu.get(r, 0) > 0]
     for _ in range(n - 1):
         level = [(s, g + dg, fwd * p, rev * q, text + c)
                  for r, g, fwd, rev, text in level for s, dg, p, q, c in table[r]]
-    attained, violations = [], []   # attained: [min, max] of alpha as (num, den)
+    # held: the pairs whose formula some leaf's alpha equals; broken: the
+    # alpha, as (num, den), of each leaf that breaks its pair's formula
+    held, broken, violations = set(), [], []
     for r, g, fwd, rev, text in level:
         rev *= end[r]
         if rev == 0:
@@ -550,12 +571,20 @@ def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
         # alpha = (fwd / rev) / base^g = num / den, den > 0
         p_n, p_d = power[g]
         num, den = fwd * p_d, rev * p_n
-        f_n, f_d = direct[text[0], r]
-        if num * f_d != f_n * den:
-            violations.append(text + f": ratio {Fraction(num, den)} != "
-                              f"boundary formula {Fraction(f_n, f_d)}")
-        if not (lo_n * den <= num * lo_d and num * hi_d <= hi_n * den):
+        key = text[0], r
+        f_n, f_d = direct[key]
+        if num * f_d == f_n * den:
+            held.add(key)
+            if key in off_band:
+                violations.append(text + off_band[key])
+            continue
+        violations.append(text + f": ratio {Fraction(num, den)} != "
+                          f"boundary formula {Fraction(f_n, f_d)}")
+        if outside(num, den):
             violations.append(text + f": alpha {Fraction(num, den)}")
+        broken.append((num, den))
+    attained = []   # [min, max] of alpha as (num, den)
+    for num, den in [direct[key] for key in held] + broken:
         if not attained:
             attained.extend([(num, den)] * 2)
         elif num * attained[0][1] < attained[0][0] * den:

@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 from bakerfr.maps import (
     SCHEMA_VERSION,
+    _within,
     as_fraction,
     common_denominator,
-    in_interval,
 )
 from bakerfr.fluctuation import SymbolDistribution, _slots, _tilted_steps, exact_distribution
 from bakerfr.families import family
@@ -26,29 +26,37 @@ from bakerfr.transfer import ConsistencyError
 
 _ZERO = Fraction(0)
 
-# enumerate_orbits keeps all 2^n orbit rows, about 340 bytes each.
-# Measured with upo_distribution at l = 2/3 (2-CPU Xeon container,
-# Python 3.11), time and peak RSS of the process: 0.23 s and 21 MB at
-# n = 14, 0.7-0.85 s and 37 MB at n = 16, 3.4-3.5 s and 100 MB at n = 18,
-# and at the cap n = 20 (Python 3.11.7, fresh process, VmHWM) 13.6-14.4 s
-# and 369 MB.  The cap keeps that within a batch run.
+# enumerate_orbits keeps all 2^n orbit rows of integers, about 320 bytes
+# each at n = 20 (VmHWM over 2^20 rows).  Measured with upo_distribution at
+# l = 2/3 (2-CPU Xeon container, Python 3.11.7, fresh process, wall time
+# after the record build, VmHWM of the process, two runs each): 0.05-0.07 s
+# and 20 MB at n = 14, 0.16-0.27 s and 35 MB at n = 16, 0.75-0.78 s and
+# 95 MB at n = 18, and at the cap n = 20, 3.7-3.8 s and 338 MB.  Each
+# symbol doubles both, so n = 21 would take about 0.7 GB; 20 stays as the
+# largest length whose rows fit a batch run beside other jobs.
 MAX_ORBIT_LENGTH = 20
 
 
 class PeriodicOrbit(NamedTuple):
     """A length-n cyclic code with its exact periodic point, as a light
-    row: the code as its label string and the weight as two integers."""
+    row of integers: the code as its label string, the point and the
+    weight each as a reduced pair."""
 
     label: str            # the code as its label string, e.g. "ABB"
     alpha: int            # visits to the left (expanding-weight l) strip
     beta: int             # visits to the right strip
-    x_point: Fraction     # fixed point of the composed horizontal branches
+    x_num: int            # fixed point x_num / x_den of the composed
+    x_den: int            # horizontal branches, in lowest terms, x_den > 0
     weight_num: int       # inverse unstable jacobian l^alpha * r^beta,
     weight_den: int       # in lowest terms
 
     @property
     def g(self) -> int:
         return self.alpha - self.beta
+
+    @property
+    def x_point(self) -> Fraction:
+        return Fraction(self.x_num, self.x_den)
 
 
 def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
@@ -59,15 +67,17 @@ def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
     read once as x -> (s x + t) / r, and each node carries the composed
     affine branch x -> (a x + b) / q of its prefix, the weight (the
     product of the inverse slopes r / s) as a numerator and a denominator,
-    and the count of left-strip visits.  A leaf builds one row: its label
-    string, its fixed point x_c = b / (q - a), the one `Fraction`, and its
-    weight reduced by one gcd (for l = p/q, the integers p^alpha
-    (q-p)^beta and q^n).  Then one step per code checks the orbits: x_c
-    must lie in the strip of c[0], and f_{c[0]}(x_c) must equal
-    x_{rot(c)}, the fixed point of the code rotated left by one symbol
-    (compared by cross-multiplication).  By induction over the rotations,
-    every orbit then follows its code and closes up after n steps;
-    otherwise `ConsistencyError` is raised."""
+    and the count of left-strip visits.  A leaf builds one row of
+    integers: its label string, its fixed point x_c = b / (q - a) and its
+    weight (for l = p/q, p^alpha (q-p)^beta over q^n), each reduced by
+    one gcd.  Then one step per code checks the orbits on integers: x_c
+    must lie in the strip of c[0] (`_within`), and f_{c[0]}(x_c) must
+    equal x_{rot(c)}, the fixed point of the code rotated left by one
+    symbol (by cross-multiplication).  That step reads the action of each
+    branch from the branch itself, at the two edges of its strip, not
+    from the slope and intercept that the walk composed.  By induction
+    over the rotations, every orbit then follows its code and closes up
+    after n steps; otherwise `ConsistencyError` is raised."""
     l = as_fraction(l)
     if not 1 <= n <= MAX_ORBIT_LENGTH:
         raise ValueError(f"supported orbit lengths are 1..{MAX_ORBIT_LENGTH}")
@@ -76,22 +86,31 @@ def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
     # (label, r, (s, t), left): slope s / r and intercept t / r over one
     # denominator, and whether the strip counts towards alpha
     steps = []
+    # check[label]: the strip [lo, hi) as two integer pairs, and the
+    # branch's action x -> (u x + v) / w, read from its values at lo and hi
+    check = {}
     for lab in fam.labels:
         br = by_label[lab.value]
         steps.append((lab.value, *common_denominator((br.slope, br.intercept)),
                       fam.g[lab] == 1))
+        slope = (br(br.hi) - br(br.lo)) / (br.hi - br.lo)
+        w, (u, v) = common_denominator((slope, br(br.lo) - slope * br.lo))
+        check[lab.value] = (*br.lo.as_integer_ratio(), *br.hi.as_integer_ratio(), u, v, w)
     orbits = []
+    row = PeriodicOrbit._make
 
     # Depth first on purpose, unlike the level-wise oracles of `fluctuation`:
     # a frontier at MAX_ORBIT_LENGTH would hold 2^20 nodes beside the 2^20
-    # rows, which already take 369 MB.
+    # rows.
     def walk(label: str, alpha: int, a: int, b: int, q: int, w_n: int, w_d: int) -> None:
         if len(label) == n:
-            if a == q:
+            d = q - a
+            if d == 0:
                 raise ValueError("composed branch is not expanding; no unique fixed point")
-            c = math.gcd(w_n, w_d)
-            orbits.append(PeriodicOrbit(label, alpha, n - alpha, Fraction(b, q - a),
-                                        w_n // c, w_d // c))
+            if d < 0:
+                b, d = -b, -d
+            c, e = math.gcd(b, d), math.gcd(w_n, w_d)
+            orbits.append(row((label, alpha, n - alpha, b // c, d // c, w_n // e, w_d // e)))
             return
         for lab, r, (s, t), left in steps:
             walk(label + lab, alpha + left, s * a, s * b + t * q, r * q, w_n * r, w_d * s)
@@ -102,17 +121,17 @@ def enumerate_orbits(l, n: int) -> list[PeriodicOrbit]:
     # index i to (i k) mod k^n + i div k^(n-1)
     k = len(fam.labels)
     size, top = k ** n, k ** (n - 1)
-    for i, (label, _alpha, _beta, x_c, _w_n, _w_d) in enumerate(orbits):
-        br = by_label[label[0]]
-        if not in_interval(x_c, br.lo, br.hi):
-            raise ConsistencyError(f"code {label} not realized at x={x_c}")
-        image = br(x_c)
+    for i, (label, _alpha, _beta, x_n, x_d, _w_n, _w_d) in enumerate(orbits):
+        lo_n, lo_d, hi_n, hi_d, u, v, w = check[label[0]]
+        if not _within(x_n, x_d, lo_n, lo_d, hi_n, hi_d):
+            raise ConsistencyError(f"code {label} not realized at x={Fraction(x_n, x_d)}")
         rotated = orbits[i * k % size + i // top]
-        x = rotated.x_point
-        if image.numerator * x.denominator != x.numerator * image.denominator:
+        # f(x_c) = (u x_n + v x_d) / (w x_d)
+        if (u * x_n + v * x_d) * rotated.x_den != rotated.x_num * w * x_d:
             raise ConsistencyError(
-                f"orbit {label} does not close: f_{label[0]}(x) = {image} != "
-                f"{x}, the point of {rotated.label}")
+                f"orbit {label} does not close: f_{label[0]}(x) = "
+                f"{Fraction(u * x_n + v * x_d, w * x_d)} != {rotated.x_point}, "
+                f"the point of {rotated.label}")
     return orbits
 
 
@@ -126,7 +145,7 @@ def upo_distribution(l, orbits: list[PeriodicOrbit]) -> SymbolDistribution:
     n = len(orbits[0].label)
     den = math.lcm(*{o.weight_den for o in orbits})
     sums: dict[int, int] = {}
-    for _label, alpha, beta, _x, w_n, w_d in orbits:
+    for _label, alpha, beta, _x_n, _x_d, w_n, w_d in orbits:
         sums[alpha - beta] = sums.get(alpha - beta, 0) + w_n * (den // w_d)
     total = sum(sums.values())
     if total != den:
@@ -191,8 +210,11 @@ def generalized_upo_diagnostic(l, n: int) -> UPODiagnostic:
 
 
 def write_orbits_csv(orbits, path) -> None:
-    """Rows (code, alpha, beta, weight_num, weight_den, x_point)."""
+    """Rows (code, alpha, beta, weight_num, weight_den, x_point), the point
+    printed from its integer pair as `str(Fraction)` prints it: "k" when
+    x_den is 1, "x_num/x_den" otherwise."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("code,alpha,beta,weight_num,weight_den,x_point\n")
-        for label, alpha, beta, x, w_n, w_d in orbits:
+        for label, alpha, beta, x_n, x_d, w_n, w_d in orbits:
+            x = x_n if x_d == 1 else f"{x_n}/{x_d}"
             fh.write(f"{label},{alpha},{beta},{w_n},{w_d},{x}\n")

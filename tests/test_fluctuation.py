@@ -30,6 +30,7 @@ from bakerfr.maps import (
     RegionLabel,
     build_composite,
     build_generalized_baker,
+    common_denominator,
 )
 from bakerfr.transfer import verify_composite
 
@@ -320,15 +321,70 @@ def reference_alpha_bounds(l, n):
     return count, min(attained), max(attained), tuple(violations)
 
 
+def leaf_by_leaf_alpha_bounds(l, n):
+    """The level-wise alpha check with the band and the attained extremes
+    decided on every leaf's own alpha, as `alpha_bounds_check` did before
+    it decided them once per (first, last) pair; the tables are scaled over
+    every entry, zeros included."""
+    def scaled(weights):
+        den, nums = common_denominator(weights.values())
+        return den, dict(zip(weights, nums))
+
+    spec = fluctuation.chain_spec("map2", l)
+    fam = spec.fam
+    conj = fam.conjugacy
+    _d, trans = scaled(spec.trans)
+    _e, mu = scaled(spec.initial)
+    bound_min, bound_max = fam.alpha_bounds
+    (lo_n, lo_d), (hi_n, hi_d) = bound_min.as_integer_ratio(), bound_max.as_integer_ratio()
+    bn, bd = fam.unit_base.as_integer_ratio()
+    power = {g: (bn ** g, bd ** g) if g >= 0 else (bd ** -g, bn ** -g) for g in range(-n, n + 1)}
+    ratio = {lab: (spec.initial[lab] / fam.col[lab]).as_integer_ratio() for lab in fam.labels}
+    direct = {(s.value, i): (a * ratio[conj[t]][1], b * ratio[conj[t]][0])
+              for s, (a, b) in ratio.items() for i, t in enumerate(fam.labels)}
+    end = [mu[conj[lab]] for lab in fam.labels]
+    table = [[(fam.labels.index(s), fam.g[s], trans[r, s], trans[conj[s], conj[r]], s.value)
+              for s in fam.successors[r]] for r in fam.labels]
+    level = [(i, fam.g[r], mu[r], 1, r.value) for i, r in enumerate(fam.labels)
+             if mu.get(r, 0) > 0]
+    for _ in range(n - 1):
+        level = [(s, g + dg, fwd * p, rev * q, text + c)
+                 for r, g, fwd, rev, text in level for s, dg, p, q, c in table[r]]
+    attained, violations = [], []
+    for r, g, fwd, rev, text in level:
+        rev *= end[r]
+        if rev == 0:
+            violations.append(text + ": reversal inadmissible")
+            continue
+        p_n, p_d = power[g]
+        num, den = fwd * p_d, rev * p_n
+        f_n, f_d = direct[text[0], r]
+        if num * f_d != f_n * den:
+            violations.append(text + f": ratio {F(num, den)} != "
+                              f"boundary formula {F(f_n, f_d)}")
+        if not (lo_n * den <= num * lo_d and num * hi_d <= hi_n * den):
+            violations.append(text + f": alpha {F(num, den)}")
+        if not attained:
+            attained.extend([(num, den)] * 2)
+        elif num * attained[0][1] < attained[0][0] * den:
+            attained[0] = (num, den)
+        elif num * attained[1][1] > attained[1][0] * den:
+            attained[1] = (num, den)
+    low, high = (F(*a) for a in attained)
+    return fluctuation.AlphaBoundsReport(l, n, len(level), low, high, bound_min, bound_max,
+                                         tuple(violations))
+
+
 def alpha_fields(rep):
     return rep.sequences, rep.attained_min, rep.attained_max, rep.violations
 
 
-def corrupt_chain(monkeypatch, l, trans=(), initial=()):
+def corrupt_chain(monkeypatch, l, trans=(), initial=(), **fields):
     """Make `fluctuation.chain_spec` return map2's chain at `l` with the
-    given transition probabilities and initial weights replaced."""
+    given transition probabilities and initial weights replaced, and the
+    record's other `fields`."""
     spec = chain_spec("map2", l)
-    fam = spec.fam._replace(trans=MappingProxyType({**spec.trans, **dict(trans)}))
+    fam = spec.fam._replace(trans=MappingProxyType({**spec.trans, **dict(trans)}), **fields)
     bad = fluctuation.ChainSpec(fam, {**spec.initial, **dict(initial)})
     monkeypatch.setattr(fluctuation, "chain_spec", lambda *args: bad)
 
@@ -361,6 +417,32 @@ class TestAlphaBounds:
            n=st.integers(min_value=1, max_value=9))
     def test_walk_equals_per_sequence_loop(self, l, n):
         assert alpha_fields(alpha_bounds_check(l, n)) == reference_alpha_bounds(l, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(l=st.fractions(F(1, 60), F(1, 4), max_denominator=60),
+           n=st.integers(min_value=1, max_value=9))
+    def test_per_pair_decisions_equal_the_leaf_by_leaf_loop(self, l, n):
+        assert alpha_bounds_check(l, n) == leaf_by_leaf_alpha_bounds(l, n)
+
+    def test_a_wrong_formula_is_reported_leaf_by_leaf(self, monkeypatch):
+        # col[B] three times too large makes the formula wrong for every pair
+        # that starts at B or ends at C = conj B, but not for (B, C); alpha
+        # itself is unchanged.  The band (1, 1) puts most alphas outside it,
+        # so the broken leaves are checked on their own alpha and the held
+        # pairs once each.
+        l, n = F(1, 8), 5
+        spec = chain_spec("map2", l)
+        col = {**spec.fam.col, B: 3 * spec.fam.col[B]}
+        corrupt_chain(monkeypatch, l, col=MappingProxyType(col), alpha_bounds=(F(1), F(1)))
+        rep = alpha_bounds_check(l, n)
+        assert rep == leaf_by_leaf_alpha_bounds(l, n)
+        assert alpha_fields(rep) == reference_alpha_bounds(l, n)
+        wrong = [seq for seq in admissible_sequences(spec, n) if (seq[0] == B) != (seq[-1] == C)]
+        assert wrong
+        assert ([v.split(":")[0] for v in rep.violations if "boundary formula" in v]
+                == ["".join(lab.value for lab in seq) for seq in wrong])
+        # the extremes are the true alphas of the unpatched chain
+        assert (rep.attained_min, rep.attained_max) == (F(1, 2), 2)
 
     def test_column_that_is_not_constant_breaks_the_boundary_formula(self, monkeypatch):
         # A -> C at 1/3 while D -> ... -> C keeps 1/2: the column of C is no

@@ -16,6 +16,7 @@ from bakerfr.fluctuation import (
 )
 from bakerfr.maps import RegionLabel, build_generalized_baker, build_simple_baker
 from bakerfr.periodic_orbits import (
+    PeriodicOrbit,
     enumerate_orbits,
     generalized_upo_diagnostic,
     upo_distribution,
@@ -98,7 +99,31 @@ class DriftingBranch(Branch1D):
         return super().__call__(x) + F(1, 1000)
 
 
+def bump_point(monkeypatch, code):
+    """Make `enumerate_orbits` build the row of `code` with its point
+    numerator one too large."""
+    make = PeriodicOrbit._make
+
+    def bumped(fields):
+        row = make(fields)
+        return make((*row[:3], row.x_num + 1, *row[4:])) if row.label == code else row
+
+    monkeypatch.setattr(PeriodicOrbit, "_make", bumped)
+
+
 class TestOrbitChecks:
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_point_off_by_one_does_not_close(self, monkeypatch, n):
+        # the first code whose bumped point stays in the strip of its first
+        # symbol, so that only the closure check can see it
+        l = F(2, 3)
+        code = next(o.label for o in enumerate_orbits(l, n)
+                    if (F(o.x_num + 1, o.x_den) < l) == (o.label[0] == "A")
+                    and o.x_num < o.x_den)
+        bump_point(monkeypatch, code)
+        with pytest.raises(ConsistencyError, match="does not close"):
+            enumerate_orbits(l, n)
+
     @pytest.mark.parametrize("label,shift", [(A, F(1, 1000)), (B, F(-1, 1000))])
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_shifted_intercept_is_inconsistent(self, monkeypatch, label, shift, n):
@@ -166,26 +191,51 @@ class TestUPODistribution:
                 == exact_distribution("map1", l, n).probs)
 
 
-def reference_orbits_csv(l, n) -> str:
-    """The orbit table built from `Fraction`s: each code's fixed point of
-    the composed branches, and its weight as the product of the inverse
-    slopes."""
+def reference_points(l, n):
+    """(code, point) of every length-n code in lexicographic order, from
+    `Fraction`s: the fixed point of the code's composed branches."""
     by_label = {b.label: b for b in project_unstable(build_simple_baker(l)).branches}
-    lines = ["code,alpha,beta,weight_num,weight_den,x_point\n"]
     for code in itertools.product((A, B), repeat=n):
         a, b = F(1), F(0)        # x -> a x + b, the branches of the prefix
         for lab in code:
             br = by_label[lab]
             a, b = br.slope * a, br.slope * b + br.intercept
-        x = b / (1 - a)
-        w = math.prod(1 / by_label[lab].slope for lab in code)
-        alpha = code.count(A)
-        lines.append(f"{''.join(lab.value for lab in code)},{alpha},{n - alpha},"
-                     f"{w.numerator},{w.denominator},{x}\n")
+        yield "".join(lab.value for lab in code), b / (1 - a)
+
+
+def reference_orbits_csv(l, n) -> str:
+    """The orbit table built from `Fraction`s: each code's fixed point of
+    the composed branches, and its weight as the product of the inverse
+    slopes."""
+    inv_slope = {b.label.value: 1 / b.slope
+                 for b in project_unstable(build_simple_baker(l)).branches}
+    lines = ["code,alpha,beta,weight_num,weight_den,x_point\n"]
+    for code, x in reference_points(l, n):
+        w = math.prod(inv_slope[lab] for lab in code)
+        alpha = code.count("A")
+        lines.append(f"{code},{alpha},{n - alpha},{w.numerator},{w.denominator},{x}\n")
     return "".join(lines)
 
 
 class TestOrbitRows:
+    @settings(max_examples=15, deadline=None)
+    @given(l=l_values, n=st.integers(min_value=1, max_value=8))
+    def test_points_are_reduced_integer_pairs(self, l, n):
+        orbits = enumerate_orbits(l, n)
+        assert [(o.label, F(o.x_num, o.x_den)) for o in orbits] == list(reference_points(l, n))
+        for o in orbits:
+            assert o.x_den > 0 and math.gcd(o.x_num, o.x_den) == 1
+            assert o.x_point == F(o.x_num, o.x_den)
+
+    def test_csv_prints_each_point_as_its_fraction(self, tmp_path):
+        # the constant codes have the points 0 and 1, printed as "0" and "1"
+        orbits = enumerate_orbits(F(2, 3), 3)
+        path = tmp_path / "orbits.csv"
+        write_orbits_csv(orbits, path)
+        rows = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == [str(o.x_point) for o in orbits]
+        assert (rows[0], rows[-1]) == ("AAA,3,0,8,27,0", "BBB,0,3,1,27,1")
+
     @settings(max_examples=15, deadline=None)
     @given(l=l_values, n=st.integers(min_value=1, max_value=8))
     def test_csv_equals_the_fraction_reference(self, tmp_path_factory, l, n):
