@@ -10,7 +10,8 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from bakerfr.fluctuation import exact_distribution, fr_report, write_fr_csv
+from bakerfr.cli import fr_table, write_csv
+from bakerfr.fluctuation import exact_distribution, fr_report
 
 
 def main() -> None:
@@ -36,7 +37,8 @@ def main() -> None:
             for row in rep.rows:
                 lo, hi = min(lo, row.alpha), max(hi, row.alpha)
             if out_dir:
-                write_fr_csv(rep, out_dir / f"fr_l{l.numerator}_{l.denominator}_n{n}.csv")
+                write_csv(out_dir / f"fr_l{l.numerator}_{l.denominator}_n{n}.csv",
+                          *fr_table(rep))
         print(f"{str(l):>6} {band:8.4f} {f'[{lo}, {hi}]':>34} {str(ok):>6}")
 
 

@@ -8,7 +8,8 @@ Usage: python scripts/linear_response.py [--particles 100000] [--steps 1000]
 import argparse
 from fractions import Fraction
 
-from bakerfr.multibaker import linear_response_sweep, write_sweep_csv
+from bakerfr.cli import sweep_table, write_csv
+from bakerfr.multibaker import linear_response_sweep
 
 
 def main() -> None:
@@ -30,7 +31,7 @@ def main() -> None:
               f"{r.lambda_hat_over_b2:12.5f}")
     print("limits: psi/b -> 1/4 = 0.25, lambda/b^2 -> 1/8 = 0.125 as b -> 0")
     if args.out:
-        write_sweep_csv(rows, args.out)
+        write_csv(args.out, *sweep_table(rows))
 
 
 if __name__ == "__main__":

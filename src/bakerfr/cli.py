@@ -2,12 +2,17 @@
 
 Each command reads a config (flags, optionally expanded by a sweep
 file of key=value lines with comma-separated value lists), runs the
-corresponding check, writes machine-readable outputs (a JSON report and,
-where natural, a CSV table) under the --out prefix, and exits 0 exactly
-when all asserted checks pass.  A flag or sweep key that the run would
-not read is refused as bad input.  Outputs are byte-identical across
-re-runs of the same config.  Every rational is written one way, as
-Python's `str(Fraction)`: an integer as `k`, anything else as `p/q`.
+corresponding check and returns its result: whether the asserted checks
+passed, a JSON payload and, where natural, a CSV table.  This module is
+the one writer of bakerfr's outputs: `_write_json` puts the payload,
+with the schema version and the config, in `<out>.json`, and
+`write_csv` puts a header and lines already formatted, one per row, in
+`<out>.csv`.  The library returns records and writes no file.  A run
+exits 0 exactly when all asserted checks pass.  A flag or sweep key that
+the run would not read is refused as bad input.  Outputs are
+byte-identical across re-runs of the same config.  Every rational is
+written one way, as Python's `str(Fraction)`: an integer as `k`,
+anything else as `p/q`.
 """
 
 from __future__ import annotations
@@ -20,41 +25,44 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from bakerfr.fluctuation import (
+    MIN_COUNT,
+    Z_SCORE,
+    FRReport,
     binned_fr_report,
     empirical_fr_report,
     exact_distribution,
     fr_report,
     monte_carlo_distribution,
-    write_fr_csv,
 )
 from bakerfr.families import family
 from bakerfr.maps import (
-    SCHEMA_VERSION,
     build_composite,
     build_involution,
     random_rational_points,
     verify_reversibility,
 )
 from bakerfr.multibaker import (
+    SweepRow,
     linear_response_sweep,
     simulate_current,
-    write_sweep_csv,
 )
 from bakerfr.periodic_orbits import (
+    PeriodicOrbit,
     enumerate_orbits,
     generalized_upo_diagnostic,
     upo_distribution,
-    write_orbits_csv,
 )
 from bakerfr.transfer import (
     ConsistencyError,
     invariant_density,
     verify_composite,
-    write_density_csv,
 )
+
+#: version of the layout of every JSON document bakerfr writes
+SCHEMA_VERSION = 1
 
 
 def _frac(text) -> Fraction:
@@ -90,9 +98,59 @@ class ExperimentConfig(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+# ---------------------------------------------------------------------------
+# output
+# ---------------------------------------------------------------------------
+
+# a CSV table: its header and its lines, each already formatted and ending
+# in a newline; one f-string per row keeps the orbit table cheap at large n
+Table = tuple[str, Iterable[str]]
+# what a command returns: whether its checks passed, its JSON payload and
+# its CSV table, if it writes one
+Result = tuple[bool, dict, Optional[Table]]
+
+
+def _write_json(out: Path, cfg: ExperimentConfig, payload: dict) -> None:
+    """`<out>.json`: the payload with the schema version and the config,
+    keys sorted, indented by 2."""
+    doc = {**payload, "schema_version": SCHEMA_VERSION, "config": cfg.to_text()}
+    Path(f"{out}.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
+                                   encoding="utf-8")
+
+
+def write_csv(path, header: str, lines: Iterable[str]) -> None:
+    """The one CSV writer: the header line, then the formatted lines."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(lines)
+
+
+_FR_HEADER = "g,p_plus,p_minus,lhs,target,bound,pass"
+
+
+def fr_table(report: FRReport) -> Table:
+    """The exact ratio rows, probabilities as exact rationals."""
+    return (_FR_HEADER, (f"{r.g},{r.p_plus},{r.p_minus},{r.lhs!r},{r.target!r},"
+                         f"{r.bound!r},{r.passed}\n" for r in report.rows))
+
+
+def orbit_table(orbits: list[PeriodicOrbit]) -> Table:
+    """One row per map1 orbit; the point printed from its integer pair as
+    `str(Fraction)` prints it: "k" when x_den is 1, "x_num/x_den" otherwise."""
+    return ("code,alpha,beta,weight_num,weight_den,x_point",
+            (f"{label},{alpha},{beta},{w_n},{w_d},{x_n if x_d == 1 else f'{x_n}/{x_d}'}\n"
+             for label, alpha, beta, x_n, x_d, w_n, w_d in orbits))
+
+
+def sweep_table(rows: list[SweepRow]) -> Table:
+    """One row per bias of the linear-response sweep."""
+    return ("b,l,psi_analytic,psi_hat,stderr,lambda_analytic,lambda_hat",
+            (f"{r.b},{r.l},{r.psi_analytic},{r.psi_hat!r},{r.stderr!r},"
+             f"{r.lambda_analytic!r},{r.lambda_hat!r}\n" for r in rows))
+
+
+def _law(probs: dict) -> dict[str, str]:
+    return {str(g): str(p) for g, p in probs.items()}
 
 
 def _base_map(cfg: ExperimentConfig):
@@ -119,101 +177,124 @@ _COMPOSITE_NOTES = {
 # ---------------------------------------------------------------------------
 
 
-def cmd_density(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_density(cfg: ExperimentConfig) -> Result:
     m = _base_map(cfg)
     fam = family(m.family, cfg.l)
     # a composite's projection was checked equal to fam.x_factor, strip for strip
     rho = invariant_density(fam.x_factor)
     analytic = fam.density
     agree = rho == analytic
-    write_density_csv(rho, out.with_suffix(".csv"))
-    _write_json(out.with_suffix(".json"), {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_text(),
+    steps = list(zip(rho.breakpoints, rho.values))
+    payload = {
         "family": fam.name,
         "l": str(cfg.l),
-        "density": [[str(b), str(v)] for b, v in zip(rho.breakpoints, rho.values)],
+        "density": [[str(b), str(v)] for b, v in steps],
         "analytic": [[str(b), str(v)]
                      for b, v in zip(analytic.breakpoints, analytic.values)],
         "agree": agree,
-    })
-    return 0 if agree else 1
+    }
+    # the final breakpoint 1 repeats the last value so step plots close
+    steps.append((rho.breakpoints[-1], rho.values[-1]))
+    return agree, payload, ("breakpoint,value", (f"{b},{v}\n" for b, v in steps))
 
 
-def cmd_fr(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_fr(cfg: ExperimentConfig) -> Result:
     m = _base_map(cfg)
-    notes = (_COMPOSITE_NOTES[cfg.mode],) if cfg.family == "composite" else ()
-    binned = None
+    notes = [_COMPOSITE_NOTES[cfg.mode]] if cfg.family == "composite" else []
+    binned_pass = True
     if cfg.mode == "montecarlo":
         emp = monte_carlo_distribution(m, cfg.n, cfg.ensemble, cfg.transient, cfg.seed)
-        report = empirical_fr_report(emp, notes)
+        report = empirical_fr_report(emp)
+        total = report.total
+        payload = {
+            "samples": total, "seed": report.seed, "z": Z_SCORE,
+            "min_count": MIN_COUNT, "notes": notes,
+            "rows": [{"g": r.g, "count_plus": r.count_plus,
+                      "count_minus": r.count_minus, "lhs": r.lhs,
+                      "target": r.target, "bound": r.bound, "sigma": r.sigma,
+                      "pass": r.passed} for r in report.rows],
+        }
+        table = (_FR_HEADER, (f"{r.g},{r.count_plus / total!r},{r.count_minus / total!r},"
+                              f"{r.lhs!r},{r.target!r},{r.bound!r},{r.passed}\n"
+                              for r in report.rows))
     else:
         dist = exact_distribution(m.family, cfg.l, cfg.n)
         report = fr_report(dist)
+        n_lambda = report.n * report.mean_lambda
+        payload = {
+            "alpha_min": str(report.alpha_min), "alpha_max": str(report.alpha_max),
+            "rows": [{"g": r.g, "p_plus": str(r.p_plus), "p_minus": str(r.p_minus),
+                      "alpha": str(r.alpha), "lhs": r.lhs, "target": r.target,
+                      "bound": r.bound, "lhs_over_n_mean": r.lhs / n_lambda,
+                      "bound_over_n_mean": r.bound / n_lambda,
+                      "e_n": None if r.e_n is None else str(r.e_n),
+                      "pass": r.passed} for r in report.rows],
+        }
+        if notes:
+            payload["notes"] = notes
+        table = fr_table(report)
         if cfg.delta is not None:
             binned = binned_fr_report(dist, cfg.delta)
-    payload = report.to_dict()
-    if binned is not None:
-        payload["binned"] = binned.to_dict()
-    if notes:
-        payload["notes"] = list(notes)
-    payload["config"] = cfg.to_text()
-    _write_json(out.with_suffix(".json"), payload)
-    write_fr_csv(report, out.with_suffix(".csv"))
-    return 0 if report.all_pass and (binned is None or binned.all_pass) else 1
+            payload["binned"] = {
+                "delta": str(binned.delta), "all_pass": binned.all_pass,
+                "rows": [{"p": str(r.p), "prob_plus": str(r.prob_plus),
+                          "prob_minus": str(r.prob_minus),
+                          "lhs_normalized": r.lhs_normalized, "slack": r.slack,
+                          "pass": r.passed} for r in binned.rows],
+            }
+            binned_pass = binned.all_pass
+    payload.update(family=report.family, l=str(report.l), n=report.n,
+                   all_pass=report.all_pass)
+    return report.all_pass and binned_pass, payload, table
 
 
-def _upo_orbits(cfg: ExperimentConfig, out: Path) -> int:
+def _upo_orbits(cfg: ExperimentConfig) -> Result:
     orbits = enumerate_orbits(cfg.l, cfg.n)
     dist = upo_distribution(cfg.l, orbits)
     chain = exact_distribution("map1", cfg.l, cfg.n)
     agree = dist.probs == chain.probs
-    write_orbits_csv(orbits, out.with_suffix(".csv"))
-    _write_json(out.with_suffix(".json"), {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_text(),
+    payload = {
         "orbits": len(orbits),
-        "distribution": {str(g): str(p) for g, p in sorted(dist.probs.items())},
-        "chain_distribution": {str(g): str(p)
-                               for g, p in sorted(chain.probs.items())},
+        "distribution": _law(dist.probs),
+        "chain_distribution": _law(chain.probs),
         "agree": agree,
-    })
-    return 0 if agree else 1
+    }
+    return agree, payload, orbit_table(orbits)
 
 
-def _upo_diagnostic(cfg: ExperimentConfig, out: Path) -> int:
+def _upo_diagnostic(cfg: ExperimentConfig) -> Result:
     diag = generalized_upo_diagnostic(cfg.l, cfg.n)
-    payload = diag.to_dict()
-    payload["config"] = cfg.to_text()
-    payload["note"] = ("diagnostic only: orbit weights are not a trusted "
-                       "estimator for this family")
-    _write_json(out.with_suffix(".json"), payload)
-    with open(out.with_suffix(".csv"), "w", encoding="utf-8") as fh:
-        fh.write("g,upo_prob,chain_prob\n")
-        support = sorted(set(diag.upo_probs) | set(diag.chain_probs))
-        for g in support:
-            fh.write(f"{g},{diag.upo_probs.get(g, 0)},{diag.chain_probs.get(g, 0)}\n")
-    return 0
+    payload = {
+        "l": str(diag.l),
+        "n": diag.n,
+        "cycles": diag.cycles,
+        "total_variation": str(diag.total_variation),
+        "upo": _law(diag.upo_probs),
+        "chain": _law(diag.chain_probs),
+        "note": "diagnostic only: orbit weights are not a trusted estimator "
+                "for this family",
+    }
+    support = sorted(set(diag.upo_probs) | set(diag.chain_probs))
+    return True, payload, ("g,upo_prob,chain_prob", (
+        f"{g},{diag.upo_probs.get(g, 0)},{diag.chain_probs.get(g, 0)}\n"
+        for g in support))
 
 
 _UPO = {"map1": _upo_orbits, "map2": _upo_diagnostic}
 
 
-def cmd_upo(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_upo(cfg: ExperimentConfig) -> Result:
     if cfg.family not in _UPO:
         raise ValueError("upo supports families map1 and map2")
-    return _UPO[cfg.family](cfg, out)
+    return _UPO[cfg.family](cfg)
 
 
-def cmd_multibaker(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_multibaker(cfg: ExperimentConfig) -> Result:
     if cfg.b_values:
         rows = linear_response_sweep(cfg.b_values, cfg.ensemble, cfg.n, cfg.seed,
                                      cfg.transient)
         ok = all(abs(r.psi_hat - float(r.psi_analytic)) <= 4 * r.stderr for r in rows)
-        write_sweep_csv(rows, out.with_suffix(".csv"))
-        _write_json(out.with_suffix(".json"), {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg.to_text(),
+        payload = {
             "rows": [{"b": str(r.b), "l": str(r.l),
                       "psi_analytic": str(r.psi_analytic),
                       "psi_hat": r.psi_hat, "stderr": r.stderr,
@@ -223,15 +304,13 @@ def cmd_multibaker(cfg: ExperimentConfig, out: Path) -> int:
                       "lambda_hat_over_b2": r.lambda_hat_over_b2}
                      for r in rows],
             "all_within_4_stderr": ok,
-        })
-        return 0 if ok else 1
+        }
+        return ok, payload, sweep_table(rows)
     est = simulate_current(cfg.l, cfg.ensemble, cfg.n, cfg.seed, cfg.transient)
     fam = family("map2", cfg.l)
     psi = fam.psi
     ok = abs(est.psi_hat - float(psi)) <= 4 * est.stderr
-    _write_json(out.with_suffix(".json"), {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_text(),
+    payload = {
         "psi_analytic": str(psi),
         "psi_hat": est.psi_hat,
         "stderr": est.stderr,
@@ -239,21 +318,27 @@ def cmd_multibaker(cfg: ExperimentConfig, out: Path) -> int:
         "steps": est.steps,
         "mean_lambda_analytic": float(psi) * math.log(fam.unit_base),
         "within_4_stderr": ok,
-    })
-    with open(out.with_suffix(".csv"), "w", encoding="utf-8") as fh:
-        fh.write("l,psi_analytic,psi_hat,stderr,particles,steps\n")
-        fh.write(f"{cfg.l},{psi},{est.psi_hat!r},{est.stderr!r},"
-                 f"{est.particles},{est.steps}\n")
-    return 0 if ok else 1
+    }
+    return ok, payload, ("l,psi_analytic,psi_hat,stderr,particles,steps", [
+        f"{cfg.l},{psi},{est.psi_hat!r},{est.stderr!r},{est.particles},{est.steps}\n"])
 
 
-def cmd_reversibility(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_reversibility(cfg: ExperimentConfig) -> Result:
     m = _base_map(cfg)
     involution = build_involution(m.family)
     points = random_rational_points(cfg.ensemble, cfg.seed)
     report = verify_reversibility(m, involution, points)
-    payload = report.to_dict()
-    payload["config"] = cfg.to_text()
+    payload = {
+        "map": report.map_name,
+        "samples": report.samples,
+        "checks": report.checks,
+        "ok": report.ok,
+        "failures": [{"identity": f.identity, "x": str(f.point.x),
+                      "y": str(f.point.y), "detail": f.detail}
+                     for f in report.failures],
+        "proofs": {name: {**proof._asdict(), "failed_area": str(proof.failed_area)}
+                   for name, proof in report.proofs.items()},
+    }
     ok = report.ok
     if cfg.family == "composite":
         # a composite with a non-trivial strip must break the pointwise inverse,
@@ -262,8 +347,7 @@ def cmd_reversibility(cfg: ExperimentConfig, out: Path) -> int:
             ok = (report.failed_identities() == {"conjugation_inverts_map"}
                   and report.proofs["conjugation_inverts_map"].failed_area > 0)
         payload["irreversible_as_expected"] = ok
-    _write_json(out.with_suffix(".json"), payload)
-    return 0 if ok else 1
+    return ok, payload, None
 
 
 _COMMANDS = {
@@ -403,7 +487,7 @@ def main(argv=None) -> int:
     for idx, cfg in enumerate(configs):
         prefix = out if len(configs) == 1 else out.with_name(f"{out.name}-{idx:03d}")
         try:
-            rc = _COMMANDS[cfg.command](cfg, prefix)
+            passed, payload, table = _COMMANDS[cfg.command](cfg)
         except ValueError as exc:
             print(f"{cfg.command} [ERROR] {exc}")
             worst = max(worst, 2)
@@ -412,9 +496,12 @@ def main(argv=None) -> int:
             print(f"{cfg.command} [INCONSISTENT] {exc}")
             worst = max(worst, 3)
             continue
-        status = "pass" if rc == 0 else "FAIL"
-        print(f"{cfg.command} [{status}] -> {prefix}.json")
-        worst = max(worst, rc)
+        # the suffixes are appended, so a prefix may hold a dot
+        _write_json(prefix, cfg, payload)
+        if table is not None:
+            write_csv(f"{prefix}.csv", *table)
+        print(f"{cfg.command} [{'pass' if passed else 'FAIL'}] -> {prefix}.json")
+        worst = max(worst, 0 if passed else 1)
     return worst
 
 

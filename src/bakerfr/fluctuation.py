@@ -34,7 +34,6 @@ from typing import Iterator, Mapping, NamedTuple, Optional
 from bakerfr import families
 from bakerfr.families import Family
 from bakerfr.maps import (
-    SCHEMA_VERSION,
     CheckedRecord,
     PiecewiseAffineMap,
     RegionLabel,
@@ -305,28 +304,6 @@ class FRReport(NamedTuple):
     def all_pass(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def to_dict(self) -> dict:
-        n_lambda = self.n * self.mean_lambda
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "family": self.family,
-            "l": str(self.l),
-            "n": self.n,
-            "alpha_min": str(self.alpha_min),
-            "alpha_max": str(self.alpha_max),
-            "all_pass": self.all_pass,
-            "rows": [
-                {"g": r.g, "p_plus": str(r.p_plus), "p_minus": str(r.p_minus),
-                 "alpha": str(r.alpha), "lhs": r.lhs, "target": r.target,
-                 "bound": r.bound,
-                 "lhs_over_n_mean": r.lhs / n_lambda,
-                 "bound_over_n_mean": r.bound / n_lambda,
-                 "e_n": None if r.e_n is None else str(r.e_n),
-                 "pass": r.passed}
-                for r in self.rows
-            ],
-        }
-
 
 def log_ratio(num, den: int = 1) -> float:
     """math.log(r) for the positive rational r = num / den (num a `Fraction`
@@ -398,19 +375,6 @@ class BinnedFRReport(NamedTuple):
     @property
     def all_pass(self) -> bool:
         return all(r.passed for r in self.rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": str(self.delta),
-            "all_pass": self.all_pass,
-            "rows": [
-                {"p": str(r.p), "prob_plus": str(r.prob_plus),
-                 "prob_minus": str(r.prob_minus),
-                 "lhs_normalized": r.lhs_normalized, "slack": r.slack,
-                 "pass": r.passed}
-                for r in self.rows
-            ],
-        }
 
 
 def binned_fr_report(dist: SymbolDistribution, delta) -> BinnedFRReport:
@@ -608,9 +572,6 @@ class EmpiricalDistribution(NamedTuple):
     total: int
     seed: int
 
-    def prob(self, g: int) -> float:
-        return self.counts.get(g, 0) / self.total
-
     def support(self) -> list[int]:
         return sorted(self.counts)
 
@@ -651,36 +612,14 @@ class EmpiricalFRReport(NamedTuple):
     total: int
     seed: int
     rows: tuple[EmpiricalFRRow, ...]
-    notes: tuple[str, ...] = ()
 
     @property
     def all_pass(self) -> bool:
         """Every tested pair passed, and there was at least one."""
         return bool(self.rows) and all(r.passed for r in self.rows)
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "family": self.family,
-            "l": str(self.l),
-            "n": self.n,
-            "samples": self.total,
-            "seed": self.seed,
-            "z": Z_SCORE,
-            "min_count": MIN_COUNT,
-            "all_pass": self.all_pass,
-            "notes": list(self.notes),
-            "rows": [
-                {"g": r.g, "count_plus": r.count_plus, "count_minus": r.count_minus,
-                 "lhs": r.lhs, "target": r.target, "bound": r.bound,
-                 "sigma": r.sigma, "pass": r.passed}
-                for r in self.rows
-            ],
-        }
 
-
-def empirical_fr_report(emp: EmpiricalDistribution,
-                        notes: tuple[str, ...] = ()) -> EmpiricalFRReport:
+def empirical_fr_report(emp: EmpiricalDistribution) -> EmpiricalFRReport:
     """Statistical version of the ratio test: a populated +/-g pair passes
     when |ln ratio - g ln(base)| <= ln(alpha_max) + Z_SCORE standard errors
     of the log ratio.  Pairs with fewer than MIN_COUNT counts on either
@@ -704,19 +643,4 @@ def empirical_fr_report(emp: EmpiricalDistribution,
         rows.append(EmpiricalFRRow(g, k_plus, k_minus, lhs, g * log_base,
                                    bound, sigma, passed))
     return EmpiricalFRReport(emp.family, emp.l, emp.n, emp.total, emp.seed,
-                             tuple(rows), notes)
-
-
-def write_fr_csv(report, path) -> None:
-    """Flat CSV (g, p_plus, p_minus, lhs, target, bound, pass) for either
-    the exact report (exact rationals) or the empirical one (proportions)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("g,p_plus,p_minus,lhs,target,bound,pass\n")
-        for r in report.rows:
-            if isinstance(r, FRRow):
-                plus, minus = str(r.p_plus), str(r.p_minus)
-            else:
-                plus = repr(r.count_plus / report.total)
-                minus = repr(r.count_minus / report.total)
-            fh.write(f"{r.g},{plus},{minus},{r.lhs!r},{r.target!r},"
-                     f"{r.bound!r},{r.passed}\n")
+                             tuple(rows))

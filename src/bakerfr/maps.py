@@ -32,9 +32,6 @@ _HALF = Fraction(1, 2)
 #: boundaries of the map families.
 SAMPLE_DENOMINATOR = 1_000_003
 
-#: version of the layout of every JSON document bakerfr writes
-SCHEMA_VERSION = 1
-
 
 class MapConstructionError(ValueError):
     """Raised when map parameters or branch data are invalid."""
@@ -532,22 +529,6 @@ class ReversibilityReport(NamedTuple):
         """Identities that fail at a sample point or on a piece."""
         return ({f.identity for f in self.failures}
                 | {name for name, proof in self.proofs.items() if proof.failed_pieces})
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "map": self.map_name,
-            "samples": self.samples,
-            "checks": dict(sorted(self.checks.items())),
-            "ok": self.ok,
-            "failures": [
-                {"identity": f.identity, "x": str(f.point.x), "y": str(f.point.y),
-                 "detail": f.detail}
-                for f in self.failures
-            ],
-            "proofs": {name: {**proof._asdict(), "failed_area": str(proof.failed_area)}
-                       for name, proof in sorted(self.proofs.items())},
-        }
 
 
 def _proof(cells) -> PieceProof:

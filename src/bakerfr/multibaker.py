@@ -135,11 +135,3 @@ def linear_response_sweep(b_values, particles: int, steps: int, seed: int,
         rows.append(SweepRow(b, l, psi, est.psi_hat, est.stderr, lam,
                              est.psi_hat * phi))
     return rows
-
-
-def write_sweep_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("b,l,psi_analytic,psi_hat,stderr,lambda_analytic,lambda_hat\n")
-        for r in rows:
-            fh.write(f"{r.b},{r.l},{r.psi_analytic},{r.psi_hat!r},{r.stderr!r},"
-                     f"{r.lambda_analytic!r},{r.lambda_hat!r}\n")

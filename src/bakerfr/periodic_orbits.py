@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from bakerfr.maps import (
-    SCHEMA_VERSION,
     _within,
     as_fraction,
     common_denominator,
@@ -161,17 +160,6 @@ class UPODiagnostic(NamedTuple):
     chain_probs: dict[int, Fraction]
     total_variation: Fraction
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "l": str(self.l),
-            "n": self.n,
-            "cycles": self.cycles,
-            "total_variation": str(self.total_variation),
-            "upo": {str(g): str(p) for g, p in sorted(self.upo_probs.items())},
-            "chain": {str(g): str(p) for g, p in sorted(self.chain_probs.items())},
-        }
-
 
 def generalized_upo_diagnostic(l, n: int) -> UPODiagnostic:
     """Compare orbit-weight estimates with the exact symbol law for the
@@ -207,14 +195,3 @@ def generalized_upo_diagnostic(l, n: int) -> UPODiagnostic:
     support = set(upo_probs) | set(chain.probs)
     tv = sum(abs(upo_probs.get(g, _ZERO) - chain.prob(g)) for g in support) / 2
     return UPODiagnostic(l, n, cycles, upo_probs, dict(chain.probs), tv)
-
-
-def write_orbits_csv(orbits, path) -> None:
-    """Rows (code, alpha, beta, weight_num, weight_den, x_point), the point
-    printed from its integer pair as `str(Fraction)` prints it: "k" when
-    x_den is 1, "x_num/x_den" otherwise."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("code,alpha,beta,weight_num,weight_den,x_point\n")
-        for label, alpha, beta, x_n, x_d, w_n, w_d in orbits:
-            x = x_n if x_d == 1 else f"{x_n}/{x_d}"
-            fh.write(f"{label},{alpha},{beta},{w_n},{w_d},{x}\n")

@@ -74,12 +74,6 @@ class Map1D(NamedTuple):
     name: str
     branches: tuple[Branch1D, ...]
 
-    def apply(self, x):
-        for b in self.branches:
-            if in_interval(x, b.lo, b.hi):
-                return b(x)
-        raise ValueError(f"x={x} not in any branch of {self.name}")
-
 
 def project_unstable(m: PiecewiseAffineMap) -> Map1D:
     """Project a map onto its expanding direction.
@@ -215,13 +209,6 @@ class StepDensity(CheckedRecord, _StepDensity):
                 vals.append(v)
                 bp.append(b)
         return StepDensity(tuple(bp), tuple(vals))
-
-    def rows(self) -> list[tuple[Fraction, Fraction]]:
-        """(breakpoint, value) rows for CSV output; the final breakpoint 1
-        repeats the last value so step plots close."""
-        out = list(zip(self.breakpoints, self.values))
-        out.append((self.breakpoints[-1], self.values[-1]))
-        return out
 
 
 def _push(map1d: Map1D, breakpoints: Sequence, values: Sequence):
@@ -411,11 +398,3 @@ def region_measures(map1d: Map1D) -> dict[RegionLabel, Fraction]:
     _labels(map1d)
     rho = invariant_density(map1d)
     return {b.label: rho.value_at(b.lo) * (b.hi - b.lo) for b in map1d.branches}
-
-
-def write_density_csv(rho: StepDensity, path) -> None:
-    """CSV rows (breakpoint, value) as `str(Fraction)` text."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("breakpoint,value\n")
-        for bp, val in rho.rows():
-            fh.write(f"{bp},{val}\n")

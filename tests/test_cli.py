@@ -196,6 +196,27 @@ class TestSweepFile:
                             "fr-002.json", "fr-003.json"]
 
 
+class TestOutputNames:
+    """The suffixes are appended to the --out prefix, so a dot in it stays."""
+
+    def printed(self, capsys) -> list[Path]:
+        return [Path(line.split(" -> ")[1]) for line in capsys.readouterr().out.splitlines()]
+
+    def test_printed_names_exist(self, tmp_path, capsys):
+        assert run(["density", "--out", str(tmp_path / "res.1")]) == 0
+        assert self.printed(capsys) == [tmp_path / "res.1.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["res.1.csv", "res.1.json"]
+
+    def test_a_sweep_writes_one_file_per_config(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text("n=3,4\n")
+        assert run(["fr", "--sweep", str(sweep), "--out", str(tmp_path / "run.v1")]) == 0
+        printed = self.printed(capsys)
+        assert printed == [tmp_path / "run.v1-000.json", tmp_path / "run.v1-001.json"]
+        assert [json.loads(p.read_text())["n"] for p in printed] == [3, 4]
+        assert sorted(tmp_path.glob("*.csv")) == [p.with_suffix(".csv") for p in printed]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ["density", "--family", "map2", "--l", "1/8"],

@@ -468,8 +468,7 @@ class TestSampledRoute:
         pts = random_rational_points(30, seed) + edges
         rep = verify_reversibility(m, g, pts)
         ref = reference_sampled_route(m, g, pts)
-        assert rep.to_dict() == ref.to_dict()
-        assert rep.failures == ref.failures
+        assert rep == ref
 
     @settings(max_examples=10, deadline=None)
     @given(l=l_map2, seed=st.integers(min_value=0, max_value=2**16))

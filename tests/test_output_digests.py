@@ -4,11 +4,14 @@ A refactor that leaves the program's results alone leaves these bytes
 alone.  The output prefix is replaced by OUT before hashing, as in the
 rerun test of `test_cli.py`.  Every rational is written as `str(Fraction)`,
 so no output holds an integer as `k/1`.  The config line of each JSON
-lists `command` and only the keys the run reads."""
+lists `command` and only the keys the run reads.  `bakerfr.cli` is the
+one module that writes them."""
 
+import ast
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -120,3 +123,20 @@ def test_only_the_config_line_dropped_keys(tmp_path, args, code, json_sha, csv_s
     payload["config"] = every_field
     old = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
     assert hashlib.sha256(old).hexdigest() == ALL_FIELDS_JSON[" ".join(args)]
+
+
+
+def test_only_the_cli_writes_output():
+    # no other module opens or writes a file, names the schema version or
+    # lays out a record as a dict: by name, attribute, definition or string
+    writers = {"open", "write_text", "write_bytes", "schema_version", "SCHEMA_VERSION",
+               "to_dict"}
+    package = Path(__file__).resolve().parents[1] / "src" / "bakerfr"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name", "value")}
+            found += [f"{path.name}:{node.lineno} {name}" for name in names & writers]
+    assert not found

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from bakerfr import periodic_orbits
+from bakerfr.cli import orbit_table, write_csv
 from bakerfr.families import family
 from bakerfr.fluctuation import (
     MAX_DP_STEPS,
@@ -14,13 +15,17 @@ from bakerfr.fluctuation import (
     chain_spec,
     exact_distribution,
 )
-from bakerfr.maps import RegionLabel, build_generalized_baker, build_simple_baker
+from bakerfr.maps import (
+    RegionLabel,
+    build_generalized_baker,
+    build_simple_baker,
+    in_interval,
+)
 from bakerfr.periodic_orbits import (
     PeriodicOrbit,
     enumerate_orbits,
     generalized_upo_diagnostic,
     upo_distribution,
-    write_orbits_csv,
 )
 from bakerfr.transfer import Branch1D, ConsistencyError, project_unstable
 
@@ -54,7 +59,7 @@ class TestEnumerateOrbits:
         for o in enumerate_orbits(F(2, 3), 6):
             x = o.x_point
             for _ in range(6):
-                x = map1d.apply(x)
+                x = next(b for b in map1d.branches if in_interval(x, b.lo, b.hi))(x)
             assert x == o.x_point
 
     def test_guard(self):
@@ -231,7 +236,7 @@ class TestOrbitRows:
         # the constant codes have the points 0 and 1, printed as "0" and "1"
         orbits = enumerate_orbits(F(2, 3), 3)
         path = tmp_path / "orbits.csv"
-        write_orbits_csv(orbits, path)
+        write_csv(path, *orbit_table(orbits))
         rows = path.read_text(encoding="utf-8").splitlines()[1:]
         assert [row.rsplit(",", 1)[1] for row in rows] == [str(o.x_point) for o in orbits]
         assert (rows[0], rows[-1]) == ("AAA,3,0,8,27,0", "BBB,0,3,1,27,1")
@@ -240,7 +245,7 @@ class TestOrbitRows:
     @given(l=l_values, n=st.integers(min_value=1, max_value=8))
     def test_csv_equals_the_fraction_reference(self, tmp_path_factory, l, n):
         path = tmp_path_factory.mktemp("orbits") / "orbits.csv"
-        write_orbits_csv(enumerate_orbits(l, n), path)
+        write_csv(path, *orbit_table(enumerate_orbits(l, n)))
         assert path.read_bytes() == reference_orbits_csv(l, n).encode()
 
     def test_derived_fields(self):
