@@ -49,7 +49,6 @@ from bakerfr.fluctuation import (
     exact_distribution,
     fr_report,
     monte_carlo_distribution,
-    sequence_measure,
 )
 from bakerfr.periodic_orbits import (
     PeriodicOrbit,
@@ -58,12 +57,10 @@ from bakerfr.periodic_orbits import (
     upo_distribution,
 )
 from bakerfr.multibaker import (
-    ChainState,
     CurrentEstimate,
     analytic_current,
     bias_of,
     l_of_bias,
-    lift_step,
     linear_response_sweep,
     simulate_current,
 )

@@ -227,7 +227,7 @@ def cmd_fr(cfg: ExperimentConfig) -> Result:
                       "alpha": str(r.alpha), "lhs": r.lhs, "target": r.target,
                       "bound": r.bound, "lhs_over_n_mean": r.lhs / n_lambda,
                       "bound_over_n_mean": r.bound / n_lambda,
-                      "e_n": None if r.e_n is None else str(r.e_n),
+                      "e_n": str(r.e_n),
                       "pass": r.passed} for r in report.rows],
         }
         if notes:
@@ -483,25 +483,35 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"{args.command} [ERROR] {exc}")
         return 2
-    worst = 0
-    for idx, cfg in enumerate(configs):
-        prefix = out if len(configs) == 1 else out.with_name(f"{out.name}-{idx:03d}")
-        try:
-            passed, payload, table = _COMMANDS[cfg.command](cfg)
-        except ValueError as exc:
-            print(f"{cfg.command} [ERROR] {exc}")
-            worst = max(worst, 2)
-            continue
-        except ConsistencyError as exc:
-            print(f"{cfg.command} [INCONSISTENT] {exc}")
-            worst = max(worst, 3)
-            continue
-        # the suffixes are appended, so a prefix may hold a dot
-        _write_json(prefix, cfg, payload)
-        if table is not None:
-            write_csv(f"{prefix}.csv", *table)
-        print(f"{cfg.command} [{'pass' if passed else 'FAIL'}] -> {prefix}.json")
-        worst = max(worst, 0 if passed else 1)
+    # the exact laws are written as str(Fraction), whose integers outgrow
+    # CPython's default cap of 4300 digits at long windows; 0 lifts the cap
+    # (Python 3.10.7 and later; earlier releases have none)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        worst = 0
+        for idx, cfg in enumerate(configs):
+            prefix = out if len(configs) == 1 else out.with_name(f"{out.name}-{idx:03d}")
+            try:
+                passed, payload, table = _COMMANDS[cfg.command](cfg)
+            except ValueError as exc:
+                print(f"{cfg.command} [ERROR] {exc}")
+                worst = max(worst, 2)
+                continue
+            except ConsistencyError as exc:
+                print(f"{cfg.command} [INCONSISTENT] {exc}")
+                worst = max(worst, 3)
+                continue
+            # the suffixes are appended, so a prefix may hold a dot
+            _write_json(prefix, cfg, payload)
+            if table is not None:
+                write_csv(f"{prefix}.csv", *table)
+            print(f"{cfg.command} [{'pass' if passed else 'FAIL'}] -> {prefix}.json")
+            worst = max(worst, 0 if passed else 1)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return worst
 
 

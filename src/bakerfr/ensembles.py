@@ -64,16 +64,16 @@ def compile_map(m: PiecewiseAffineMap) -> CompiledMap:
     from bakerfr.families import family
 
     strips = project_unstable(m).branches
-    if m.partition is None:
+    if m.family is None or m.l is None:
         raise ValueError(f"{m.name} carries no region partition")
-    if [(b.lo, b.hi, b.label) for b in strips] != list(m.partition):
+    fam = family(m.family, m.l)
+    if [(b.lo, b.hi, b.label) for b in strips] != list(fam.partition):
         raise ValueError(f"{m.name}: region edges differ from the strip edges")
-    increment = family(m.family, m.l).g
     return CompiledMap(
         strip_edges=np.array([float(b.hi) for b in strips[:-1]]),
         axx=np.array([float(b.slope) for b in strips]),
         tx=np.array([float(b.intercept) for b in strips]),
-        g_delta=np.array([increment[b.label] for b in strips], dtype=np.int64),
+        g_delta=np.array([fam.g[b.label] for b in strips], dtype=np.int64),
     )
 
 

@@ -10,8 +10,8 @@ of each of their columns and the successors of each region from the
 nonzero pattern, the class chain (below), the contraction unit base
 from the jacobian of the g = -1 region, and the band
 [min r / max r, max r / min r], r = mu / col, of the fluctuation-ratio
-correction: the extremes of the boundary terms of
-`fluctuation._alpha_direct`.
+correction: the extremes of the boundary terms of the per-sequence
+correction that `fluctuation.alpha_bounds_check` checks.
 
 The class chain groups the regions with equal successor sets.  If every
 region of a class has the same transition row (checked), the z^g-tilted

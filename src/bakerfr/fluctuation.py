@@ -10,11 +10,10 @@ enumeration of every admissible symbol sequence (the oracle, n <= 12,
 on the full region chain, sharing no code with the DP and reading no
 class field), and Monte-Carlo sampling.  The oracles expand the symbol
 tree level by level on integers over a common denominator, one tuple per
-sequence; `admissible_sequences` and `sequence_measure` are the
-per-sequence definitions that the tests check them against.  The ratio
-P(g)/P(-g) is compared against base^g, exactly for the two-branch family
-and with the multiplicative correction confined to [4l, 1/(4l)] for the
-four-branch family.
+sequence; the tests check them against the per-sequence definitions
+in `tests/reference.py`.  The ratio P(g)/P(-g) is compared against
+base^g, exactly for the two-branch family and with the multiplicative
+correction confined to [4l, 1/(4l)] for the four-branch family.
 The per-g report decides by rational comparisons; the interval-binned
 report compares float logarithms with a slack of 1e-12 (see
 `binned_fr_report`).  The irreversible composite needs no function of
@@ -29,7 +28,7 @@ import math
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import add
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple
 
 from bakerfr import families
 from bakerfr.families import Family
@@ -38,6 +37,7 @@ from bakerfr.maps import (
     PiecewiseAffineMap,
     RegionLabel,
     as_fraction,
+    common_denominator,
 )
 from bakerfr.transfer import ConsistencyError
 
@@ -204,52 +204,12 @@ def exact_distribution(family: str, l, n: int,
                               total)
 
 
-def _scaled(weights: Mapping) -> tuple[int, dict]:
-    """The least common denominator L of the nonzero values of a mapping,
-    and each nonzero value times L, an integer, keyed alike; the keys of
-    zero values are left out."""
-    pairs = {k: v.as_integer_ratio() for k, v in weights.items() if v}
-    den = math.lcm(*(d for _n, d in pairs.values()))
-    return den, {k: n * (den // d) for k, (n, d) in pairs.items()}
-
-
-def sequence_measure(spec: ChainSpec, labels) -> Fraction:
-    """Steady-state cylinder measure of an explicit symbol sequence;
-    zero when any transition is forbidden.  With `admissible_sequences`
-    this is the per-sequence definition that the tests check the
-    prefix-shared walks of `brute_force_distribution` and
-    `alpha_bounds_check` against."""
-    w = spec.initial.get(labels[0], _ZERO)
-    for a, b in zip(labels, labels[1:]):
-        w *= spec.trans.get((a, b), _ZERO)
-        if w == 0:
-            return _ZERO
-    return w
-
-
-def admissible_sequences(spec: ChainSpec, n: int) -> Iterator[tuple[RegionLabel, ...]]:
-    """All positive-measure symbol sequences of length n, in lexicographic
-    order.  The exact oracles reach the same leaves in the same order without
-    building the sequences; the tests check them against this list."""
-
-    def extend(prefix: tuple[RegionLabel, ...]) -> Iterator[tuple[RegionLabel, ...]]:
-        if len(prefix) == n:
-            yield prefix
-            return
-        for succ in spec.successors(prefix[-1]):
-            yield from extend(prefix + (succ,))
-
-    for lab in spec.labels:
-        if spec.initial.get(lab, _ZERO) > 0:
-            yield from extend((lab,))
-
-
 def brute_force_distribution(family: str, l, n: int,
                              start: str = "stationary") -> SymbolDistribution:
     """Oracle: accumulate the cylinder measure of every admissible symbol
     sequence individually.  The symbol tree is expanded level by level,
     one list comprehension over a successor table per level: level k holds
-    each admissible k-symbol prefix, in the order of `admissible_sequences`,
+    each admissible k-symbol prefix, in lexicographic order,
     as one tuple of its last region's index, g and its measure times
     E D^(k-1), an integer (D and E as in `exact_distribution`, computed
     here on their own).  The sums are the law's counts over E D^(n-1).
@@ -258,8 +218,9 @@ def brute_force_distribution(family: str, l, n: int,
         raise ValueError(f"brute force supports 1 <= n <= {MAX_BRUTE_FORCE}")
     spec = chain_spec(family, l, start)
     fam = spec.fam
-    d, trans = _scaled(spec.trans)
-    e, initial = _scaled(spec.initial)
+    d, trans = common_denominator(spec.trans.values())
+    e, initial = common_denominator(spec.initial.values())
+    trans, initial = dict(zip(spec.trans, trans)), dict(zip(spec.initial, initial))
     # table[i]: (index, g, D p(r, s)) of each successor s of r = fam.labels[i]
     table = [[(fam.labels.index(s), fam.g[s], trans.get((r, s), 0))
               for s in fam.successors[r]] for r in fam.labels]
@@ -286,7 +247,7 @@ class FRRow(NamedTuple):
     lhs: float               # ln(P(g)/P(-g))
     target: float            # g * ln(base)
     bound: float             # ln(alpha_max)
-    e_n: Optional[Fraction]
+    e_n: Fraction
     passed: bool
 
 
@@ -454,23 +415,15 @@ class AlphaBoundsReport(NamedTuple):
         return not self.violations
 
 
-def _alpha_direct(spec: ChainSpec, seq) -> Fraction:
-    """Per-sequence correction from the boundary terms alone.  Every step
-    into region j has the same probability col[j] (the common nonzero
-    entry of column j, `Family.col`), and col[j] / col[conj j] = base^(g_j),
-    so all but the window ends cancel: alpha = mu[s1] col[conj sn] /
-    (mu[conj sn] col[s1])."""
-    first, last = seq[0], spec.fam.conjugacy[seq[-1]]
-    col = spec.fam.col
-    return spec.initial[first] * col[last] / (spec.initial[last] * col[first])
-
-
 def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
     """Enumerate every admissible n-symbol sequence of the four-branch
     family, pair it with its time reversal (read backwards, expanding and
     contracting regions swapped), and verify that the measure ratio divided
     by base^g stays within [4l, 1/(4l)].  The ratio must also equal the
-    boundary-term formula `_alpha_direct` of the sequence's two ends.
+    boundary-term formula of the sequence's two ends, alpha = mu[s1]
+    col[conj sn] / (mu[conj sn] col[s1]) (`Family.col`; every step into
+    region j has probability col[j], and col[j] / col[conj j] = base^(g_j),
+    so all but the window ends cancel).
 
     The tree is expanded level by level as in `brute_force_distribution`;
     a node is one tuple: the last region's index, g, the forward measure of
@@ -491,8 +444,9 @@ def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
     spec = chain_spec("map2", l)
     fam = spec.fam
     conj = fam.conjugacy
-    _d, trans = _scaled(spec.trans)
-    _e, mu = _scaled(spec.initial)
+    _d, trans = common_denominator(spec.trans.values())
+    _e, mu = common_denominator(spec.initial.values())
+    trans, mu = dict(zip(spec.trans, trans)), dict(zip(spec.initial, mu))
     bound_min, bound_max = fam.alpha_bounds
     (lo_n, lo_d), (hi_n, hi_d) = bound_min.as_integer_ratio(), bound_max.as_integer_ratio()
 
@@ -502,7 +456,7 @@ def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
     bn, bd = fam.unit_base.as_integer_ratio()
     power = {g: (bn ** g, bd ** g) if g >= 0 else (bd ** -g, bn ** -g) for g in range(-n, n + 1)}
     labels, names = fam.labels, [lab.value for lab in fam.labels]
-    # `_alpha_direct` of (s, t) is ratio[s] / ratio[conj t], ratio = mu / col,
+    # the boundary formula of (s, t) is ratio[s] / ratio[conj t], ratio = mu / col,
     # here E mu / col as an integer pair (E cancels)
     ratio = {}
     for lab in labels:

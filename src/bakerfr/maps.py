@@ -287,15 +287,6 @@ class PiecewiseAffineMap(CheckedRecord, _PiecewiseAffineMap):
         return sum(_area(r) for r in rects) == 1 and not any(
             _meet(r, s) for r, s in combinations(rects, 2))
 
-    @cached_property
-    def partition(self) -> Optional[tuple[tuple[Fraction, Fraction, RegionLabel], ...]]:
-        """Vertical-strip region partition of the family, if one applies."""
-        if self.family is None or self.l is None:
-            return None
-        from bakerfr.families import family
-
-        return family(self.family, self.l).partition
-
     # -- operations ----------------------------------------------------------
 
     def branch_at(self, p: PhasePoint) -> AffineBranch:
@@ -318,28 +309,6 @@ class PiecewiseAffineMap(CheckedRecord, _PiecewiseAffineMap):
 
     def jacobian_at(self, p: PhasePoint) -> Fraction:
         return self.branch_at(p).jacobian
-
-    def region_of(self, p: PhasePoint) -> RegionLabel:
-        return self._region_at(p.x.numerator, p.x.denominator)
-
-    def _region_at(self, n: int, d: int) -> RegionLabel:
-        part = self.partition
-        if part is None:
-            raise ValueError(f"{self.name} carries no region partition")
-        for lo, hi, label in part:
-            if _within(n, d, lo.numerator, lo.denominator, hi.numerator, hi.denominator):
-                return label
-        raise ValueError(f"x={Fraction(n, d)} not covered by the region partition")
-
-    def iterate(self, p: PhasePoint, n: int) -> list[PhasePoint]:
-        """Orbit [p, M p, ..., M^n p] (length n+1), in exact rationals.
-        The tests' orbit facts go through it: symbol sequences, the
-        time-reversed segment, which starts at G(M^n p), and the lift."""
-        orbit = [p]
-        for _ in range(n):
-            p = self.apply(p)
-            orbit.append(p)
-        return orbit
 
 
 def compose(outer: PiecewiseAffineMap, inner: PiecewiseAffineMap) -> PiecewiseAffineMap:
@@ -560,7 +529,7 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
     lowest terms, and a `PhasePoint` is built only for a failure."""
     from bakerfr.families import family
 
-    conj = family(m.family, m.l).conjugacy if m.partition is not None else None
+    fam = None if m.family is None or m.l is None else family(m.family, m.l)
     gm = compose(involution, m)
 
     def identity(b: AffineBranch):
@@ -577,15 +546,24 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
         "jacobian_reciprocity": _proof(map(reciprocal, compose(m, gm).branches)),
     }
     points = list(samples)
-    if conj is not None:
+    if fam is not None:
+        conj = fam.conjugacy
         strips = PiecewiseAffineMap("strips", [_identity_branch(lo, hi, label=label)
-                                               for lo, hi, label in m.partition])
+                                               for lo, hi, label in fam.partition])
         proofs["region_conjugacy"] = _proof(
             (rect, after.label == conj[at.label])
             for rect, at, after in overlay(strips, compose(strips, gm)))
         inset = (Fraction(1, 4096), Fraction(4095, 4096))  # region corners, shrunk
-        points += [PhasePoint(lo + (hi - lo) * t, s) for lo, hi, _label in m.partition
+        points += [PhasePoint(lo + (hi - lo) * t, s) for lo, hi, _label in fam.partition
                    for t in inset for s in inset]
+        edges = [(*lo.as_integer_ratio(), *hi.as_integer_ratio(), label)
+                 for lo, hi, label in fam.partition]
+
+        def region(n: int, d: int) -> RegionLabel:
+            for lo_n, lo_d, hi_n, hi_d, label in edges:
+                if _within(n, d, lo_n, lo_d, hi_n, hi_d):
+                    return label
+            raise ValueError(f"x={Fraction(n, d)} not covered by the region partition")
     checks = dict.fromkeys(proofs, 0)
     failures: list[IdentityFailure] = []
     for p in points:
@@ -604,8 +582,8 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
                     ("conjugation_inverts_map", _same_point(back, pt),
                      "G(M(G(M(p)))) = {}", _phase_point, back),
                     ("jacobian_reciprocity", jac[0] == jac[1], "J(p)*J(GMp) = {}", Fraction, jac)]
-        if conj is not None:
-            want, got = conj[m._region_at(pt[0], pt[1])], m._region_at(gmp[0], gmp[1])
+        if fam is not None:
+            want, got = conj[region(pt[0], pt[1])], region(gmp[0], gmp[1])
             outcomes.append(("region_conjugacy", got == want, f"expected {want}, got {{}}",
                              RegionLabel, (got,)))
         for name, holds, detail, build, value in outcomes:

@@ -13,15 +13,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from bakerfr.families import family
-from bakerfr.maps import PhasePoint, PiecewiseAffineMap, as_fraction
+from bakerfr.maps import as_fraction
 from bakerfr.transfer import ConsistencyError
 
 DEFAULT_TRANSIENT = 100
-
-
-class ChainState(NamedTuple):
-    cell: int
-    local: PhasePoint
 
 
 class CurrentEstimate(NamedTuple):
@@ -29,17 +24,6 @@ class CurrentEstimate(NamedTuple):
     stderr: float
     steps: int
     particles: int
-
-
-def lift_step(m: PiecewiseAffineMap, s: ChainState) -> ChainState:
-    """One multibaker step: advance the local coordinates and move the
-    cell index by the g increment of the current region (+1 from strip B,
-    -1 from strip C, 0 otherwise for the four-branch map).  It is the exact
-    reference model of the lift: the sampler only counts g, and
-    `tests/test_multibaker.py` checks that the displacement of this model
-    equals g."""
-    region = m.region_of(s.local)
-    return ChainState(s.cell + family(m.family, m.l).g[region], m.apply(s.local))
 
 
 def bias_of(l) -> Fraction:

@@ -50,10 +50,6 @@ class PeriodicOrbit(NamedTuple):
     weight_den: int       # in lowest terms
 
     @property
-    def g(self) -> int:
-        return self.alpha - self.beta
-
-    @property
     def x_point(self) -> Fraction:
         return Fraction(self.x_num, self.x_den)
 

@@ -37,6 +37,7 @@ from bakerfr.transfer import (
     region_measures,
     verify_composite,
 )
+from reference import g_count, iterate
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -94,15 +95,10 @@ def test_criterion_04_antisymmetry():
              (build_generalized_baker(F(1, 8)), build_involution("map2")))
     checked = 0
     for m, g in cases:
-        increment = family(m.family, m.l).g
-
-        def g_count(p, n):
-            return sum(increment[m.region_of(q)] for q in m.iterate(p, n - 1))
-
         for p in random_rational_points(100, seed=202):
-            fwd = m.iterate(p, 30)
+            fwd = iterate(m, p, 30)
             for n in range(1, 31):
-                assert g_count(g.apply(fwd[n]), n) == -g_count(p, n)
+                assert g_count(m, g.apply(fwd[n]), n) == -g_count(m, p, n)
                 checked += 1
     report(4, checked == 2 * 100 * 30,
            f"reversed-segment contraction negates exactly in {checked} cases")

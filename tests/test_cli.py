@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from bakerfr.cli import ExperimentConfig, _configs_from_args, build_parser, main
+from bakerfr.fluctuation import exact_distribution
 from bakerfr.maps import RegionLabel
 
 
@@ -92,6 +93,25 @@ class TestFRCommand:
         assert run(["fr", "--family", "map1", "--l", "1/1000", "--n", "120",
                     "--mode", "exact", "--out", str(out)]) == 0
         assert json.loads((tmp_path / "fr.json").read_text())["all_pass"] is True
+
+    @pytest.mark.parametrize("delta", [[], ["--delta", "1/2"]])
+    def test_exact_law_past_the_int_digit_cap(self, tmp_path, delta):
+        # the law's integers pass CPython's 4300-digit cap on str(int);
+        # main lifts the cap while it writes and gives the caller its value back
+        l = "1/40000000000000000000000000000000000000007"
+        cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        assert run(["fr", "--family", "map2", "--l", l, "--n", "120", "--mode", "exact",
+                    *delta, "--out", str(tmp_path / "fr")]) == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == cap
+        rows = json.loads((tmp_path / "fr.json").read_text())["rows"]
+        law = exact_distribution("map2", l, 120)
+        if cap:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert [r["p_plus"] for r in rows] == [str(law.prob(r["g"])) for r in rows]
+        finally:
+            if cap:
+                sys.set_int_max_str_digits(cap)
 
     def test_montecarlo_composite(self, tmp_path):
         out = tmp_path / "frmc"

@@ -40,9 +40,9 @@ def reference_sample_g(m, n, ensemble, transient, seed):
     tx = np.array([float(b.offset[0]) for b in branches])
     ayy = np.array([float(b.scale[1]) for b in branches])
     ty = np.array([float(b.offset[1]) for b in branches])
-    region_edges = np.array([float(hi) for _lo, hi, _lab in m.partition[:-1]])
-    increment = family(m.family, m.l).g
-    g_delta = np.array([increment[lab] for *_, lab in m.partition], dtype=np.int64)
+    fam = family(m.family, m.l)
+    region_edges = np.array([float(hi) for _lo, hi, _lab in fam.partition[:-1]])
+    g_delta = np.array([fam.g[lab] for *_, lab in fam.partition], dtype=np.int64)
 
     def step(x, y):
         if fold is not None:
@@ -270,3 +270,10 @@ def test_refuses_strips_labelled_unlike_the_regions():
     swapped = (b._replace(label=c.label), c._replace(label=b.label))
     with pytest.raises(ValueError, match="region edges"):
         compile_map(m._replace(branches=(a, *swapped, d)))
+
+
+def test_refuses_a_map_without_a_family_record():
+    m = build_generalized_baker(F(1, 8))
+    for bare in (m._replace(family=None), m._replace(l=None)):
+        with pytest.raises(ValueError, match="carries no region partition"):
+            compile_map(bare)

@@ -13,7 +13,6 @@ from bakerfr.fluctuation import (
     BinnedFRRow,
     FRRow,
     UndefinedValueError,
-    admissible_sequences,
     alpha_bounds_check,
     binned_fr_report,
     brute_force_distribution,
@@ -23,7 +22,6 @@ from bakerfr.fluctuation import (
     fr_report,
     log_ratio,
     monte_carlo_distribution,
-    sequence_measure,
 )
 from bakerfr.families import family
 from bakerfr.maps import (
@@ -33,6 +31,7 @@ from bakerfr.maps import (
     common_denominator,
 )
 from bakerfr.transfer import verify_composite
+from reference import admissible_sequences, alpha_direct, sequence_measure
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
@@ -312,7 +311,7 @@ def reference_alpha_bounds(l, n):
             continue
         g = sum(spec.delta(lab) for lab in seq)
         alpha = (sequence_measure(spec, seq) / rev) / fam.unit_base ** g
-        direct = fluctuation._alpha_direct(spec, seq)
+        direct = alpha_direct(spec, seq)
         if alpha != direct:
             violations.append(text + f": ratio {alpha} != boundary formula {direct}")
         if not lo <= alpha <= hi:
@@ -479,7 +478,7 @@ class TestAlphaBounds:
                 rev = tuple(fam.conjugacy[lab] for lab in reversed(seq))
                 g = sum(fam.g[lab] for lab in seq)
                 ratio = sequence_measure(spec, seq) / sequence_measure(spec, rev)
-                alpha = fluctuation._alpha_direct(spec, seq)
+                alpha = alpha_direct(spec, seq)
                 assert alpha == ratio / fam.unit_base ** g
                 if name == "map1":
                     assert alpha == 1

@@ -25,6 +25,7 @@ from bakerfr.maps import (
     random_rational_points,
     verify_reversibility,
 )
+from reference import iterate, region_of
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
@@ -89,9 +90,9 @@ class TestGeneralizedBaker:
 
     def test_region_boundaries(self):
         m = build_generalized_baker(F(1, 8))
-        assert m.region_of(PhasePoint(F(1, 8), F(1, 2))) == B
-        assert m.region_of(PhasePoint(F(3, 4), F(1, 2))) == D
-        assert m.region_of(PhasePoint(F(1), F(1, 2))) == D
+        assert region_of(m, PhasePoint(F(1, 8), F(1, 2))) == B
+        assert region_of(m, PhasePoint(F(3, 4), F(1, 2))) == D
+        assert region_of(m, PhasePoint(F(1), F(1, 2))) == D
 
 
 class TestInvolutions:
@@ -188,7 +189,7 @@ def test_float_coordinates_are_rejected(x, y):
 def test_rational_orbits_stay_rational():
     m = build_generalized_baker(F(1, 8))
     p = PhasePoint(F(3, 7), F(2, 9))
-    for q in m.iterate(p, 20):
+    for q in iterate(m, p, 20):
         assert isinstance(q.x, F) and isinstance(q.y, F)
         assert 0 <= q.x <= 1 and 0 <= q.y <= 1
 
@@ -238,6 +239,14 @@ class TestVerifyReversibility:
         assert rep.checks["region_conjugacy"] == rep.samples
         assert rep.checks["jacobian_reciprocity"] == rep.samples
 
+    def test_a_map_without_a_family_record_has_no_region_proof(self):
+        m = build_generalized_baker(F(1, 8))
+        pts = random_rational_points(50, seed=3)
+        for bare in (m._replace(l=None), m._replace(family=None)):
+            rep = verify_reversibility(bare, build_involution("map2"), pts)
+            assert rep.ok and rep.samples == 50
+            assert "region_conjugacy" not in rep.proofs | rep.checks
+
     def test_jacobians_read_from_the_branch_of_each_point(self):
         # the two-branch map under the wrong involution: its jacobians are
         # no longer reciprocal, and the detail holds J(p) * J(G(M(p)))
@@ -274,7 +283,7 @@ def test_branch_jacobian_validated():
 def test_random_points_avoid_boundaries():
     m = build_generalized_baker(F(1, 8))
     for p in random_rational_points(50, seed=9):
-        for q in m.iterate(p, 10):
+        for q in iterate(m, p, 10):
             assert q.x not in (F(1, 8), F(1, 2), F(3, 4))
 
 
@@ -381,7 +390,7 @@ class TestPieceProofs:
         centres = [PhasePoint(F(2 * i + 1, 96), F(2 * j + 1, 96))
                    for i in range(48) for j in range(48)]
         jac = sum(m.jacobian_at(p) * m.jacobian_at(g.apply(m.apply(p))) != 1 for p in centres)
-        reg = sum(conj[m.region_of(p)] != m.region_of(g.apply(m.apply(p))) for p in centres)
+        reg = sum(conj[region_of(m, p)] != region_of(m, g.apply(m.apply(p))) for p in centres)
         assert res["jacobian_reciprocity"].failed_area == F(jac, 48 * 48) == F(35, 48)
         assert res["region_conjugacy"].failed_area == F(reg, 48 * 48) == F(35, 48)
 
@@ -421,15 +430,17 @@ def reference_sampled_route(m, g, samples):
     def apply(f, p):
         return act(branch(f, p), p)
 
-    def region(p):
-        return next(label for lo, hi, label in m.partition if inside(p.x, lo, hi))
-
     proofs = verify_reversibility(m, g, []).proofs
-    conj = family(m.family, m.l).conjugacy if m.partition is not None else None
+    fam = None if m.family is None or m.l is None else family(m.family, m.l)
+    conj = None if fam is None else fam.conjugacy
+
+    def region(p):
+        return next(label for lo, hi, label in fam.partition if inside(p.x, lo, hi))
+
     points = list(samples)
     if conj is not None:
         inset = (F(1, 4096), F(4095, 4096))
-        points += [PhasePoint(lo + (hi - lo) * t, s) for lo, hi, _label in m.partition
+        points += [PhasePoint(lo + (hi - lo) * t, s) for lo, hi, _label in fam.partition
                    for t in inset for s in inset]
     checks = dict.fromkeys(proofs, 0)
     failures = []
@@ -515,11 +526,12 @@ class TestHalfOpenMembership:
         # every strip edge, the fold's x- and y-cuts, 0 and 1, each also as
         # a pair out of lowest terms, against every interval of the composite
         k = build_composite(l)
+        part = family(k.family, k.l).partition
         cuts = ({c for b in k.branches for c in b.domain}
-                | {e for lo, hi, _label in k.partition for e in (lo, hi)} | {F(0), F(1)})
+                | {e for lo, hi, _label in part for e in (lo, hi)} | {F(0), F(1)})
         intervals = ({(b.x_lo, b.x_hi) for b in k.branches}
                      | {(b.y_lo, b.y_hi) for b in k.branches}
-                     | {(lo, hi) for lo, hi, _label in k.partition})
+                     | {(lo, hi) for lo, hi, _label in part})
         for v in cuts:
             for lo, hi in intervals:
                 want = (lo <= v < hi) or (v == hi == 1)

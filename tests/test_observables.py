@@ -15,6 +15,7 @@ from bakerfr.maps import (
     build_simple_baker,
     random_rational_points,
 )
+from reference import g_count, iterate, region_of
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
@@ -25,13 +26,7 @@ points = st.builds(PhasePoint, coords, coords)
 
 def orbit_labels(m, p, n):
     """The regions of x_0 .. x_n."""
-    return tuple(m.region_of(q) for q in m.iterate(p, n))
-
-
-def g_count(m, p, n):
-    """Net count g of expanding-region visits over the regions of x_0 .. x_{n-1}."""
-    g = family(m.family, m.l).g
-    return sum(g[lab] for lab in orbit_labels(m, p, n - 1))
+    return tuple(region_of(m, q) for q in iterate(m, p, n))
 
 
 # the successors, g and the conjugacy of a family do not depend on l
@@ -74,7 +69,7 @@ class TestTrajectorySegment:
     def test_symbols_match_orbit_regions(self):
         # the strip partition labels each orbit point as its branch does
         m = build_generalized_baker(F(1, 8))
-        orbit = m.iterate(PhasePoint(F(3, 7), F(2, 9)), 8)
+        orbit = iterate(m, PhasePoint(F(3, 7), F(2, 9)), 8)
         assert orbit_labels(m, orbit[0], 8) == tuple(m.branch_at(q).label for q in orbit)
 
     @settings(max_examples=25)
@@ -170,19 +165,19 @@ class TestReversedInitial:
         m = build_simple_baker(F(2, 3))
         g = build_involution("map1")
         p = PhasePoint(F(3, 7), F(2, 9))
-        assert m.iterate(g.apply(m.iterate(p, 8)[-1]), 8)[-1] == g.apply(p)
+        assert iterate(m, g.apply(iterate(m, p, 8)[-1]), 8)[-1] == g.apply(p)
 
     def test_zero_steps_gives_involution_image(self):
         m = build_generalized_baker(F(1, 8))
         g = build_involution("map2")
         p = PhasePoint(F(1, 3), F(1, 5))
-        assert g.apply(m.iterate(p, 0)[-1]) == g.apply(p)
+        assert g.apply(iterate(m, p, 0)[-1]) == g.apply(p)
 
     def test_antisymmetry_example(self):
         m = build_generalized_baker(F(1, 8))
         g = build_involution("map2")
         p = PhasePoint(F(1, 3), F(1, 5))
-        assert g_count(m, g.apply(m.iterate(p, 5)[-1]), 5) == -g_count(m, p, 5)
+        assert g_count(m, g.apply(iterate(m, p, 5)[-1]), 5) == -g_count(m, p, 5)
 
     @settings(max_examples=20)
     @given(p=points, n=st.integers(min_value=1, max_value=20))
@@ -190,7 +185,7 @@ class TestReversedInitial:
         m = build_generalized_baker(F(1, 8))
         g = build_involution("map2")
         fwd = g_count(m, p, n)
-        rev = g_count(m, g.apply(m.iterate(p, n)[-1]), n)
+        rev = g_count(m, g.apply(iterate(m, p, n)[-1]), n)
         assert rev == -fwd
         phi = math.log(family("map2", F(1, 8)).unit_base)
         assert rev * phi / n == -(fwd * phi / n)
@@ -210,7 +205,7 @@ class TestReversedSymbols:
         g = build_involution("map2")
         n = 12
         for p in random_rational_points(20, seed=13):
-            rev = orbit_labels(m, g.apply(m.iterate(p, n)[-1]), n - 1)
+            rev = orbit_labels(m, g.apply(iterate(m, p, n)[-1]), n - 1)
             assert rev == reversed_labels("map2", orbit_labels(m, p, n - 1))
 
     def test_composite_keeps_only_the_coarse_grained_version(self):
@@ -222,13 +217,13 @@ class TestReversedSymbols:
         n = 12
         mismatch = 0
         for p in random_rational_points(40, seed=13):
-            rev = orbit_labels(k, g.apply(k.iterate(p, n)[-1]), n - 1)
+            rev = orbit_labels(k, g.apply(iterate(k, p, n)[-1]), n - 1)
             if rev != reversed_labels("map2", orbit_labels(k, p, n - 1)):
                 mismatch += 1
         assert mismatch > 0
         conj = family("map2", k.l).conjugacy
         for p in random_rational_points(100, seed=15):
-            assert k.region_of(g.apply(k.apply(p))) == conj[k.region_of(p)]
+            assert region_of(k, g.apply(k.apply(p))) == conj[region_of(k, p)]
 
 
 def test_contraction_unit_bases():
