@@ -22,6 +22,15 @@ lumps to {A, C}, {B, D} with M(z) = [[1/(2z), 1/2], [2l, (1-2l) z]],
 map1 to one class.  `into[y]` holds one term (x, D p(x, s), g_s) per
 region s of class y entered from class x, D = `den`.
 
+The exact law reads only a few Laurent polynomials of that chain, derived
+from `into` and `initial` once per l, as {power of z: integer}: D T(z) =
+D tr M(z) = a z + b/z, D^2 Delta = D^2 det M(z) (empty where it is 0 and
+for one class, whose law is a z + b/z to a power), and per start, with s
+the row of the classes' start polynomials sum_{r in X} E w(r) z^(g_r)
+and 1 the column of ones, E s 1 and E D s M(z) 1, E the lcm of the
+start weights' denominators (see `fluctuation.exact_distribution`).
+Map2 has a = D (1 - 2l), b = D/2 and Delta = 1/2 - 2l.
+
 `_STATED` holds, per family, only what the geometry cannot give: the
 map builder, the g increment of each region (the observable), how the
 time-reversal involution permutes the regions (which
@@ -39,9 +48,12 @@ ratio of the g = +1 and g = -1 regions against the unit base, the
 stated weights against `region_measures(x_factor)`, and for map2
 `multibaker.analytic_current` against psi = sum(mu * g).  The strip chain is derived twice: once
 labelled for the transitions, once inside the stationary solve of
-`transfer.invariant_density`, which the measures read.  Any disagreement
-raises `ConsistencyError`; later calls return the same record from the
-cache.  Its mappings are read-only, so no caller can alter the cached
+`transfer.invariant_density`, which the measures read.  It also checks
+that the class chain has the shape the exact law's recurrence needs (one
+or two classes, a two-term D T and a z-free D^2 Delta) and that each
+start's E D s M(1) 1 is D times its E s(1) 1, the transition rows summing
+to one.  Any disagreement raises `ConsistencyError`; later calls return
+the same record from the cache.  Its mappings are read-only, so no caller can alter the cached
 facts.
 """
 
@@ -96,6 +108,9 @@ class Family(NamedTuple):
     classes: tuple[tuple[RegionLabel, ...], ...]  # regions with equal successors
     den: int                     # lcm D of the transition denominators
     into: tuple[tuple[tuple[int, int, int], ...], ...]  # per class y: (x, D p(x, s), g_s)
+    trace: Mapping[int, int]     # D tr M(z), {power of z: coefficient}
+    det: Mapping[int, int]       # D^2 det M(z); empty where it is 0 and for one class
+    starts: Mapping[str, tuple[Mapping[int, int], Mapping[int, int]]]  # E s 1, E D s M 1
     map: PiecewiseAffineMap      # the family's map at l, as checked by the build
     x_factor: Map1D              # its projection on the expanding direction
 
@@ -143,20 +158,56 @@ def _family(name: str, l: Fraction) -> Family:
         tuple((x, (trans[cls[0], s] * den).numerator, g[s])
               for s in target for x, cls in enumerate(classes) if trans[cls[0], s])
         for target in classes)
+    initial = {"stationary": stationary,
+               "uniform": {lab: hi - lo for lo, hi, lab in partition}}
+    # dm[x][y] = D M(z)[x, y]
+    dm = [[{} for _ in classes] for _ in classes]
+    for y, terms in enumerate(into):
+        for x, c, gs in terms:
+            dm[x][y][gs] = dm[x][y].get(gs, 0) + c
+    trace = _laurent(*((1, dm[x][x], {0: 1}) for x in range(len(classes))))
+    det = (_laurent((1, dm[0][0], dm[1][1]), (-1, dm[0][1], dm[1][0]))
+           if len(classes) == 2 else {})
     fam = Family(
         name, labels, MappingProxyType(g), MappingProxyType(conjugacy),
         successors=MappingProxyType(successors),
         builder=builder, l=l, partition=partition,
         trans=MappingProxyType(trans), col=MappingProxyType(col),
-        initial=MappingProxyType({
-            "stationary": MappingProxyType(stationary),
-            "uniform": MappingProxyType({lab: hi - lo for lo, hi, lab in partition})}),
+        initial=MappingProxyType({start: MappingProxyType(w) for start, w in initial.items()}),
         unit_base=unit_base,
         psi=sum(stationary[lab] * g[lab] for lab in labels),
         alpha_bounds=(min(ratios) / max(ratios), max(ratios) / min(ratios)),
-        classes=classes, den=den, into=into, map=m, x_factor=x_factor)
+        classes=classes, den=den, into=into,
+        trace=MappingProxyType(trace), det=MappingProxyType(det),
+        starts=MappingProxyType({start: _start_polynomials(classes, g, dm, w)
+                                 for start, w in initial.items()}),
+        map=m, x_factor=x_factor)
     _verify(fam)
     return fam
+
+
+def _laurent(*terms) -> dict[int, int]:
+    """sum of c p(z) q(z) over the terms (c, p, q), each Laurent
+    polynomial as {power of z: coefficient}; the zero terms are dropped and
+    the powers ascend."""
+    out: dict[int, int] = {}
+    for c, p, q in terms:
+        for i, u in p.items():
+            for j, v in q.items():
+                out[i + j] = out.get(i + j, 0) + c * u * v
+    return {k: out[k] for k in sorted(out) if out[k]}
+
+
+def _start_polynomials(classes, g, dm, weights) -> tuple[Mapping[int, int], Mapping[int, int]]:
+    """E s 1 and E D s M(z) 1 for the start `weights`: s[x] = sum of
+    E w(r) z^(g_r) over the regions r of class x, E the lcm of the weights'
+    denominators, and D M(z) = `dm`."""
+    e = math.lcm(*(w.denominator for w in weights.values()))
+    s = [_laurent(*(((e * weights[r]).numerator, {g[r]: 1}, {0: 1}) for r in cls))
+         for cls in classes]
+    s1 = _laurent(*((1, s_x, {0: 1}) for s_x in s))
+    sm1 = _laurent(*((1, s[x], q) for x, row in enumerate(dm) for q in row))
+    return MappingProxyType(s1), MappingProxyType(sm1)
 
 
 def _verify(fam: Family) -> None:
@@ -183,6 +234,15 @@ def _verify(fam: Family) -> None:
     up, down = (next(lab for lab in labels if fam.g[lab] == s) for s in (1, -1))
     if trans[(up, up)] / trans[(down, down)] != fam.unit_base:
         raise ConsistencyError("stay-probability ratio must equal the unit base")
+    if len(fam.classes) > 2 or set(fam.trace) != {1, -1} or set(fam.det) - {0}:
+        raise ConsistencyError(
+            f"class chain of {len(fam.classes)} classes with D T(z) = {dict(fam.trace)} and "
+            f"D^2 det M(z) = {dict(fam.det)}: the exact law needs one or two classes, "
+            f"D T = a z + b/z and a determinant free of z")
+    for start, (s1, sm1) in fam.starts.items():
+        if sum(sm1.values()) != fam.den * sum(s1.values()):
+            raise ConsistencyError(f"E D s M(1) 1 = {sum(sm1.values())} != D E s(1) 1 = "
+                                   f"{fam.den * sum(s1.values())} from the {start} start")
     measured = transfer.region_measures(fam.x_factor)
     if measured != mu:
         raise ConsistencyError(f"measures {measured} != closed form {dict(mu)}")

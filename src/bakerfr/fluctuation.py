@@ -1,19 +1,21 @@
 """Finite-time fluctuation statistics of the contraction observable.
 
 The distribution of the net expanding-visit count g over an n-symbol
-window is computed three ways: an exact forward DP, `_tilted_steps`,
-on the class chain M(z) of the family record (regions with equal
-transition rows lumped into one class, see `families`), each class's
-generating polynomial in z packed into one Python int (see
-`exact_distribution`; the map2 orbit diagnostic is its trace),
-enumeration of every admissible symbol sequence (the oracle, n <= 12,
-on the full region chain, sharing no code with the DP and reading no
-class field), and Monte-Carlo sampling.  The oracles expand the symbol
-tree level by level on integers over a common denominator, one tuple per
-sequence; the tests check them against the per-sequence definitions
-in `tests/reference.py`.  The ratio P(g)/P(-g) is compared against
-base^g, exactly for the two-branch family and with the multiplicative
-correction confined to [4l, 1/(4l)] for the four-branch family.
+window is computed three ways: exactly from the class chain M(z) of the
+family record (regions with equal transition rows lumped into one class,
+see `families`), by Cayley-Hamilton and one pass of a recurrence on the
+coefficients of the chain's Chebyshev polynomials (`_chebyshev_u`, see
+`exact_distribution`; the map2 orbit diagnostic is the trace of the same
+powers), enumeration of every admissible symbol sequence (the oracle,
+n <= 12, on the full region chain, sharing no code with the recurrence
+and reading no class field), and Monte-Carlo sampling.  The oracles
+expand the symbol tree level by level on integers over a common
+denominator, one tuple per sequence; the tests check them against the
+per-sequence definitions in `tests/reference.py`, and the recurrence
+against the packed class-chain DP kept there.  The ratio P(g)/P(-g) is
+compared against base^g, exactly for the two-branch family and with the
+multiplicative correction confined to [4l, 1/(4l)] for the four-branch
+family.
 The per-g report decides by rational comparisons; the interval-binned
 report compares float logarithms with a slack of 1e-12 (see
 `binned_fr_report`).  The irreversible composite needs no function of
@@ -26,8 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import add
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from bakerfr import families
@@ -48,14 +49,18 @@ class UndefinedValueError(ValueError):
     """A requested observable is undefined at this point or parameter."""
 
 
-# The packed DP costs about n^2 log2(D) bit operations; the law keeps its
-# integer counts.  Measured for map2 (2-CPU Xeon container, Python 3.11.7,
-# one fresh process per run, wall time after the record build): under
-# 0.01 s at n = 120; at n = 1000, 1.0-1.4 s for l = 1/8, 1.8-2.3 s for 1/5,
-# 3.0-3.3 s for 7/40, and for 3/37, the worst of these, 3.4-3.8 s and 30 MB
-# peak RSS; at the cap, 11 s for 1/8 and 35 s and 73 MB for 3/37.  The map2
-# orbit trace with its law at l = 3/37: 9-13 s and 32 MB at n = 1000, 92 s
-# and 85 MB at the cap.
+# The law costs about n^2 log2(D) bit operations: two passes over n
+# coefficients of up to n log2(D) bits, each a few products with small
+# integers and one exact division.  Measured for map2 (2-CPU Xeon
+# container, Python 3.11.7, after the record build, 2-3 runs): at
+# n = 120, 1000 and the cap, 0.45-0.51 ms, 5.6-6.0 ms and 19-20 ms for
+# l = 1/8, 0.47-0.51 ms, 7.9-8.0 ms and 26-29 ms for 1/5, and 0.63 ms,
+# 17 ms and 66-67 ms for 3/37 (28 MB peak RSS).  The map2 orbit diagnostic
+# with its law at 3/37: 0.33 s at n = 1000, 2.0 s at the cap.
+# `bakerfr fr --family map2 --mode exact --l 3/37 --n 2000` takes 2.6 s and
+# 83 MB, most of it in fr_report reducing the law's probabilities to
+# `Fraction`s (1.0 s) and in writing their strings (0.9 s).  The cap
+# bounds n, not the work, which grows with the bits of D.
 MAX_DP_STEPS = 2000
 # The level-wise oracles at n = 12 (same machine, fresh process, after the
 # record build): brute_force_distribution 0.004-0.006 s for map2 at l = 1/8,
@@ -146,62 +151,90 @@ class SymbolDistribution(CheckedRecord, _SymbolDistribution):
         return sorted(self.counts)
 
 
-def _tilted_steps(fam: Family, v: list[int], steps: int, width: int) -> list[int]:
-    """Run `steps` steps of the class chain M(z) of `fam` (see
-    `families`), weighted by z^g on arrival.  v holds one polynomial per
-    class, packed into an int with slot k at bit k W, W = `width` (the
-    caller makes W wide enough that no slot overflows), and one step is
-    v[y] <- sum (c v[x]) << ((g + 1) W) over the terms (x, c, g) of
-    `fam.into[y]`, c = D p(x, s) for a region s of y."""
-    into = [[(x, c, (g + 1) * width) for x, c, g in terms] for terms in fam.into]
-    for _ in range(steps):
-        v = [reduce(add, [(c * v[x]) << shift for x, c, shift in terms]) for terms in into]
-    return v
+def _factors(a: int, b: int, c0: int, k: int) -> list[tuple[int, int, int, int]]:
+    """The factors (f0, f2, f4, f6) of the recurrence
+    f0 C_p = -(f2 C_{p+2} + f4 C_{p+4} + f6 C_{p+6}) on the z^p
+    coefficients C of D^k U_k(z) (see `_chebyshev_u`), for p = k - 2,
+    k - 4, ..., -k, with K = k (k + 2) (`kk`)."""
+    kk = k * (k + 2)
+    a3, a2b, ab2, b3, ac0, bc0 = a ** 3, a * a * b, a * b * b, b ** 3, a * c0, b * c0
+    return [(a3 * (k - p) * (k + p + 2),
+             a2b * ((p + 2) ** 2 + 4 * (p + 2) - 3 * kk) + ac0 * (p + 2) * (p + 1),
+             ab2 * (3 * kk + 4 * (p + 4) - (p + 4) ** 2) - bc0 * (p + 4) * (p + 5),
+             b3 * (p + 4 - k) * (p + 6 + k)) for p in range(k - 2, -k - 1, -2)]
 
 
-def _slots(packed: int, count: int, nbytes: int) -> list[int]:
-    """The first `count` slots of a packed polynomial, `nbytes` bytes each."""
-    raw = packed.to_bytes(count * nbytes, "little")
-    return [int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little")
-            for k in range(count)]
+def _chebyshev_u(fam: Family, k: int) -> list[int]:
+    """The coefficients of D^k U_k(z), from z^k down to z^-k in steps of 2,
+    for the class chain of `fam`: U_k = T U_{k-1} - Delta U_{k-2}, U_0 = 1,
+    U_-1 = 0, with D T(z) = a z + b/z and D^2 Delta from the record (see
+    `families`).  U_k is Chebyshev's polynomial of the second kind in
+    T / (2 sqrt Delta), scaled, so D^k U_k solves a linear differential
+    equation in z whose z^p coefficient links C_p to C_{p+2}, C_{p+4} and
+    C_{p+6} (`_factors`, c0 = 4 D^2 Delta - 2 a b).  The factor a^3
+    (k - p)(k + p + 2) on C_p is nonzero below the top, so C_k = a^k and
+    C_{k+2} = C_{k+4} = 0 fix every coefficient, each by one exact integer
+    division; a remainder raises `ConsistencyError`.  Delta = 0 gives
+    (a z + b/z)^k.  Empty for k = -1."""
+    if k < 0:
+        return []
+    a, b = fam.trace[1], fam.trace[-1]
+    c = [0, 0, a ** k]
+    for f0, f2, f4, f6 in _factors(a, b, 4 * fam.det.get(0, 0) - 2 * a * b, k):
+        q, r = divmod(-(f2 * c[-1] + f4 * c[-2] + f6 * c[-3]), f0)
+        if r:
+            raise ConsistencyError(f"the z^{k + 4 - 2 * len(c)} coefficient of D^{k} U_{k} "
+                                   f"leaves the remainder {r} mod {f0}")
+        c.append(q)
+    return c[2:]
+
+
+def _add_product(out: list[int], n: int, poly: Mapping[int, int], coeffs: list[int],
+                 scale: int = 1) -> None:
+    """out[g + n] += scale [z^g] poly(z) V(z), V the polynomial whose
+    coefficients `coeffs` run from z^k down to z^-k in steps of 2."""
+    k = len(coeffs) - 1
+    for g, w in poly.items():
+        w *= scale
+        window = slice(n + g - k, n + g + k + 1, 2)
+        out[window] = [x + w * c for x, c in zip(out[window], reversed(coeffs))]
 
 
 def exact_distribution(family: str, l, n: int,
                        start: str = "stationary") -> SymbolDistribution:
-    """Exact law of g over an n-symbol window by a forward DP on the
-    class chain of the family record.
+    """Exact law of g over an n-symbol window from the class chain M(z) of
+    the family record, by Cayley-Hamilton.
 
     Let D = `fam.den` be the least common denominator of the transition
-    probabilities and E that of the initial weights, so D p(x, s) and
-    E w(r) are non-negative integers.  Class X starts at
-    sum_{r in X} E w(r) z^(g_r + 1), and after k symbols, k - 1 steps of
-    `_tilted_steps`, the slot g+k of class Y holds E D^(k-1) times the
-    probability of ending in a region of Y with count g.  All slots sum
-    to E D^(k-1) <= E D^(n-1), so with W at least one bit wider than that
-    bound no slot can overflow into its neighbour (W is rounded up to
-    whole bytes so the final unpacking is a byte slice per slot).  The
-    coefficients are unpacked once and are the law's counts over
-    E D^(n-1); if they do not sum to it exactly, `ConsistencyError` is
-    raised."""
+    probabilities and E that of the initial weights, s the row of the
+    classes' start polynomials and 1 the column of ones (see `families`).
+    The generating polynomial of the law is s M^(n-1) 1, and
+    M^k = U_(k-1) M - Delta U_(k-2) I with T = tr M and Delta = det M, so
+    E D^(n-1) P(z) = (D^(n-2) U_(n-2)) (E D s M 1)
+                     - D^2 Delta (D^(n-3) U_(n-3)) (E s 1),
+    and E s 1 at n = 1.  The coefficients of D^k U_k come from one pass of
+    `_chebyshev_u`, the start polynomials and D^2 Delta from the record,
+    so every product is a big integer times a small one.  The result is the
+    law's counts over E D^(n-1); if they do not sum to it exactly, or one is
+    negative, `ConsistencyError` is raised.  One class (map1) has
+    Delta = 0."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n > MAX_DP_STEPS:
         raise ValueError(f"n={n} exceeds the DP guard {MAX_DP_STEPS}")
-    spec = chain_spec(family, l, start)
-    fam = spec.fam
-    e = math.lcm(*(w.denominator for w in spec.initial.values()))
-    total = e * fam.den ** (n - 1)
-    nbytes = total.bit_length() // 8 + 1
-    width = 8 * nbytes
-    v = [sum((spec.initial[r] * e).numerator << ((fam.g[r] + 1) * width) for r in cls)
-         for cls in fam.classes]
-    v = _tilted_steps(fam, v, n - 1, width)
-    coeffs = _slots(sum(v), 2 * n + 1, nbytes)
-    if sum(coeffs) != total:
+    fam = chain_spec(family, l, start).fam
+    s1, sm1 = fam.starts[start]
+    law = [0] * (2 * n + 1)
+    if n == 1:
+        _add_product(law, n, s1, [1])
+    else:
+        _add_product(law, n, sm1, _chebyshev_u(fam, n - 2))
+        _add_product(law, n, s1, _chebyshev_u(fam, n - 3), -fam.det.get(0, 0))
+    total = sum(s1.values()) * fam.den ** (n - 1)
+    if sum(law) != total or min(law) < 0:
         raise ConsistencyError(
-            f"packed DP coefficients sum to {sum(coeffs)}, not E*D^(n-1) = {total}")
-    return SymbolDistribution(family, fam.l, n, {k - n: c for k, c in enumerate(coeffs)},
-                              total)
+            f"the law's counts sum to {sum(law)}, least {min(law)}, not to E*D^(n-1) = {total}")
+    return SymbolDistribution(family, fam.l, n, {k - n: c for k, c in enumerate(law)}, total)
 
 
 def brute_force_distribution(family: str, l, n: int,

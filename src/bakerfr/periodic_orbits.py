@@ -4,8 +4,9 @@ For the two-branch map every length-n symbol string closes into exactly
 one periodic point of the n-fold horizontal map, and the orbit weights
 (inverse unstable jacobians) reproduce the symbol-process law of g
 exactly.  For the four-branch map the orbit sum is only a diagnostic,
-the trace of the exact law's kernel: every cycle has g = n (mod 2), and
-the law does not keep to that lattice.
+the trace tr M(z)^n of the exact law's class chain, from the same
+recurrence as the law: every cycle has g = n (mod 2), and the law does
+not keep to that lattice.
 """
 
 from __future__ import annotations
@@ -19,11 +20,15 @@ from bakerfr.maps import (
     as_fraction,
     common_denominator,
 )
-from bakerfr.fluctuation import SymbolDistribution, _slots, _tilted_steps, exact_distribution
+from bakerfr.fluctuation import (
+    SymbolDistribution,
+    _add_product,
+    _chebyshev_u,
+    exact_distribution,
+)
 from bakerfr.families import family
 from bakerfr.transfer import ConsistencyError
 
-_ZERO = Fraction(0)
 
 # enumerate_orbits keeps all 2^n orbit rows of integers, about 320 bytes
 # each at n = 20 (VmHWM over 2^20 rows).  Measured with upo_distribution at
@@ -168,26 +173,28 @@ def generalized_upo_diagnostic(l, n: int) -> UPODiagnostic:
     of the cycle's transition probabilities and the orbit sum is the
     trace tr P(z)^n of the region chain weighted by z^g.  The record
     checks that P(z) = L R lumps to the class chain M(z) = R L (see
-    `families`), so the sum is tr M(z)^n: n steps of `_tilted_steps`
-    from 1 in class x leave D^n times the diagonal entry of x in v[x],
-    at most k D^n over k classes.  The cycle count is the trace of the
-    n-th power of the class count matrix, whose entry (x, y) is the
+    `families`), so the sum is tr M(z)^n, and by Cayley-Hamilton (see
+    `fluctuation.exact_distribution`)
+    D^n tr M^n = (D T)(D^(n-1) U_(n-1)) - 2 D^2 Delta (D^(n-2) U_(n-2)):
+    two passes of the law's recurrence.  The cycle count is the trace of
+    the n-th power of the class count matrix, whose entry (x, y) is the
     number of terms of y from x; the guard is the law's."""
     l = as_fraction(l)
     chain = exact_distribution("map2", l, n)
     fam = family("map2", l)
-    size = len(fam.classes)
-    nbytes = (size * fam.den ** n).bit_length() // 8 + 1
-    trace = cycles = 0
-    for x in range(size):
-        walks = unit = [int(y == x) for y in range(size)]
-        trace += _tilted_steps(fam, unit, n, 8 * nbytes)[x]
+    weights = [0] * (2 * n + 1)
+    _add_product(weights, n, fam.trace, _chebyshev_u(fam, n - 1))
+    _add_product(weights, n, {0: 1}, _chebyshev_u(fam, n - 2), -2 * fam.det.get(0, 0))
+    cycles = 0
+    for x in range(len(fam.classes)):
+        walks = [int(y == x) for y in range(len(fam.classes))]
         for _ in range(n):
             walks = [sum(walks[src] for src, _c, _g in terms) for terms in fam.into]
         cycles += walks[x]
-    weights = _slots(trace, 2 * n + 1, nbytes)
     total = sum(weights)
     upo_probs = {k - n: Fraction(w, total) for k, w in enumerate(weights) if w}
-    support = set(upo_probs) | set(chain.probs)
-    tv = sum(abs(upo_probs.get(g, _ZERO) - chain.prob(g)) for g in support) / 2
+    # both laws over total * chain.total, so the distance is one Fraction
+    gap = sum(abs(w * chain.total - chain.counts.get(k - n, 0) * total)
+              for k, w in enumerate(weights))
+    tv = Fraction(gap, 2 * total * chain.total)
     return UPODiagnostic(l, n, cycles, upo_probs, dict(chain.probs), tv)

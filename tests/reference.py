@@ -1,15 +1,21 @@
-"""Per-sequence and per-point references that the tests check the program
-against: the cylinder measure of one symbol sequence, the boundary formula
-of its fluctuation-ratio correction, the exact orbit of a point with its
-regions and g count, and the multibaker lift.  The program computes these
-facts level by level or on integers; nothing in it calls this module."""
+"""References that the tests check the program against: the cylinder
+measure of one symbol sequence, the boundary formula of its
+fluctuation-ratio correction, the packed class-chain DP of the exact law
+and of the map2 cycle trace, the exact orbit of a point with its regions
+and g count, and the multibaker lift.  The program computes these facts
+level by level, on integers or by a recurrence; nothing in it calls this
+module."""
 
+import math
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Iterator, NamedTuple
 
-from bakerfr.families import family
-from bakerfr.fluctuation import ChainSpec
+from bakerfr.families import Family, family
+from bakerfr.fluctuation import ChainSpec, SymbolDistribution, chain_spec
 from bakerfr.maps import PhasePoint, PiecewiseAffineMap, RegionLabel, in_interval
+from bakerfr.transfer import ConsistencyError
 
 _ZERO = Fraction(0)
 
@@ -54,6 +60,62 @@ def alpha_direct(spec: ChainSpec, seq) -> Fraction:
     first, last = seq[0], spec.fam.conjugacy[seq[-1]]
     col = spec.fam.col
     return spec.initial[first] * col[last] / (spec.initial[last] * col[first])
+
+
+def tilted_steps(fam: Family, v: list[int], steps: int, width: int) -> list[int]:
+    """Run `steps` steps of the class chain M(z) of `fam` (see
+    `families`), weighted by z^g on arrival.  v holds one polynomial per
+    class, packed into an int with slot k at bit k W, W = `width` (the
+    caller makes W wide enough that no slot overflows), and one step is
+    v[y] <- sum (c v[x]) << ((g + 1) W) over the terms (x, c, g) of
+    `fam.into[y]`, c = D p(x, s) for a region s of y."""
+    into = [[(x, c, (g + 1) * width) for x, c, g in terms] for terms in fam.into]
+    for _ in range(steps):
+        v = [reduce(add, [(c * v[x]) << shift for x, c, shift in terms]) for terms in into]
+    return v
+
+
+def slots(packed: int, count: int, nbytes: int) -> list[int]:
+    """The first `count` slots of a packed polynomial, `nbytes` bytes each."""
+    raw = packed.to_bytes(count * nbytes, "little")
+    return [int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little")
+            for k in range(count)]
+
+
+def packed_law(name: str, l, n: int, start: str = "stationary") -> SymbolDistribution:
+    """The law of g by a forward DP on the class chain of the record, n
+    passes over one int per class (O(n^3 log D)).  Class X starts at
+    sum_{r in X} E w(r) z^(g_r + 1), and after k symbols, k - 1 steps of
+    `tilted_steps`, the slot g+k of class Y holds E D^(k-1) times the
+    probability of ending in a region of Y with count g.  All slots sum
+    to E D^(k-1) <= E D^(n-1), so with W at least one bit wider than that
+    bound no slot can overflow into its neighbour (W is rounded up to
+    whole bytes so the final unpacking is a byte slice per slot)."""
+    spec = chain_spec(name, l, start)
+    fam = spec.fam
+    e = math.lcm(*(w.denominator for w in spec.initial.values()))
+    total = e * fam.den ** (n - 1)
+    nbytes = total.bit_length() // 8 + 1
+    width = 8 * nbytes
+    v = [sum((spec.initial[r] * e).numerator << ((fam.g[r] + 1) * width) for r in cls)
+         for cls in fam.classes]
+    coeffs = slots(sum(tilted_steps(fam, v, n - 1, width)), 2 * n + 1, nbytes)
+    if sum(coeffs) != total:
+        raise ConsistencyError(
+            f"packed DP coefficients sum to {sum(coeffs)}, not E*D^(n-1) = {total}")
+    return SymbolDistribution(name, fam.l, n, {k - n: c for k, c in enumerate(coeffs)}, total)
+
+
+def packed_trace(l, n: int) -> dict[int, int]:
+    """D^n tr M(z)^n of map2's class chain as {g: coefficient}: n steps of
+    `tilted_steps` from 1 in class x leave D^n times the diagonal entry of
+    x in v[x], at most k D^n over k classes."""
+    fam = family("map2", l)
+    size = len(fam.classes)
+    nbytes = (size * fam.den ** n).bit_length() // 8 + 1
+    trace = sum(tilted_steps(fam, [int(y == x) for y in range(size)], n, 8 * nbytes)[x]
+                for x in range(size))
+    return {k - n: w for k, w in enumerate(slots(trace, 2 * n + 1, nbytes)) if w}
 
 
 def iterate(m: PiecewiseAffineMap, p: PhasePoint, n: int) -> list[PhasePoint]:

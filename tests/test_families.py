@@ -123,7 +123,9 @@ def test_record_mappings_reject_assignment():
     fam = family("map2", F(1, 8))
     for mapping, key in ((fam.trans, (A, A)), (fam.col, A), (fam.stationary, A),
                          (fam.initial, "uniform"), (fam.g, A),
-                         (fam.conjugacy, A), (fam.successors, A)):
+                         (fam.conjugacy, A), (fam.successors, A), (fam.trace, 1),
+                         (fam.det, 0), (fam.starts, "uniform"),
+                         (fam.starts["uniform"][0], 0), (fam.starts["uniform"][1], 0)):
         with pytest.raises(TypeError):
             mapping[key] = 0
     with pytest.raises(AttributeError):
@@ -195,6 +197,44 @@ def test_a_class_with_two_rows_raises(monkeypatch, name, l, entry):
     assert family(name, l).classes == ORACLES[name](l)["classes"]
 
 
+@pytest.mark.parametrize("change,message", [
+    (lambda fam: {"classes": fam.classes + ((),)}, "3 classes"),
+    (lambda fam: {"trace": MappingProxyType({**fam.trace, 0: 1})}, "the exact law needs"),
+    (lambda fam: {"trace": MappingProxyType({1: fam.trace[1]})}, "the exact law needs"),
+    (lambda fam: {"det": MappingProxyType({**fam.det, 1: 1})}, "determinant free of z"),
+    (lambda fam: {"starts": MappingProxyType({**fam.starts, "uniform": (
+        fam.starts["uniform"][0],
+        MappingProxyType({g: 2 * c for g, c in fam.starts["uniform"][1].items()}))})},
+     "from the uniform start"),
+], ids=["three-classes", "trace-with-z0", "one-term-trace", "det-with-z", "start-rows"])
+def test_a_chain_outside_the_recurrence_raises(change, message):
+    fam = family("map2", F(3, 37))
+    with pytest.raises(ConsistencyError, match=message):
+        families._verify(fam._replace(**change(fam)))
+    families._verify(fam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(l=st.fractions(min_value=F(1, 400), max_value=F(99, 400), max_denominator=400))
+def test_characteristic_polynomial_has_the_gallavotti_cohen_symmetry(l):
+    # x^2 - T(z) x + Delta of the class chain is unchanged under
+    # z -> 1 / (base z): the eigenvalues, and so the long-time cumulant
+    # generating function of g, have the Gallavotti-Cohen symmetry
+    fam = family("map2", l)
+    a, b, delta = fam.trace[1], fam.trace[-1], F(fam.det.get(0, 0), fam.den ** 2)
+
+    def characteristic(a, b):
+        """{(power of x, power of z): coefficient}"""
+        return {key: c for key, c in {(2, 0): F(1), (1, 1): -F(a, fam.den),
+                                      (1, -1): -F(b, fam.den), (0, 0): delta}.items() if c}
+
+    def reflected(poly):
+        return {(i, -j): c / fam.unit_base ** j for (i, j), c in poly.items()}
+
+    assert reflected(characteristic(a, b)) == characteristic(a, b)
+    assert reflected(characteristic(a, b + 1)) != characteristic(a, b + 1)
+
+
 def test_bad_input_is_a_value_error():
     with pytest.raises(ValueError):
         family("map3", F(1, 8))
@@ -217,7 +257,13 @@ def map1_oracle(l):
             "unit_base": l / (1 - l), "psi": 2 * l - 1, "alpha_bounds": (1, 1),
             # one class: an iid chain, M(z) = l z + (1-l) / z
             "classes": ((A, B),), "den": den,
-            "into": (((0, den * l, 1), (0, den * (1 - l), -1)),)}
+            "into": (((0, den * l, 1), (0, den * (1 - l), -1)),),
+            # E = D = den; E s 1 = den M(z), E D s M 1 = den^2 M(z)^2
+            "trace": {-1: den * (1 - l), 1: den * l}, "det": {},
+            "starts": {start: ({-1: den * (1 - l), 1: den * l},
+                               {-2: (den * (1 - l)) ** 2, 0: 2 * den ** 2 * l * (1 - l),
+                                2: (den * l) ** 2})
+                       for start in ("stationary", "uniform")}}
 
 
 def map2_oracle(l):
@@ -230,6 +276,16 @@ def map2_oracle(l):
     col = {A: 2 * l, B: 1 - 2 * l, C: F(1, 2), D: F(1, 2)}
     z = 1 + 4 * l
     den = math.lcm((2 * l).denominator, 2)
+    initial = {"stationary": {A: 2 * l / z, B: (1 - 2 * l) / z, C: 2 * l / z, D: 2 * l / z},
+               "uniform": {A: l, B: F(1, 2) - l, C: F(1, 4), D: F(1, 4)}}
+    starts = {}
+    for start, w in initial.items():
+        # s = (E (w_A + w_C / z), E (w_B z + w_D)) over the classes {A, C}, {B, D}
+        e = math.lcm(*(v.denominator for v in w.values()))
+        moved = {-2: w[C] / 2, -1: (w[A] + w[C]) / 2, 0: w[A] / 2 + 2 * l * w[D],
+                 1: 2 * l * w[B] + (1 - 2 * l) * w[D], 2: (1 - 2 * l) * w[B]}
+        starts[start] = ({-1: e * w[C], 0: e * (w[A] + w[D]), 1: e * w[B]},
+                         {k: e * den * v for k, v in moved.items()})
     return {"labels": labels, "g": {A: 0, B: 1, C: -1, D: 0},
             "conjugacy": {A: A, B: C, C: B, D: D}, "successors": successors,
             "builder": "build_generalized_baker",
@@ -237,17 +293,18 @@ def map2_oracle(l):
                           (F(3, 4), 1, D)),
             "trans": {(i, j): col[j] if j in successors[i] else 0
                       for i in labels for j in labels},
-            "col": col,
-            "initial": {"stationary": {A: 2 * l / z, B: (1 - 2 * l) / z,
-                                       C: 2 * l / z, D: 2 * l / z},
-                        "uniform": {A: l, B: F(1, 2) - l, C: F(1, 4), D: F(1, 4)}},
+            "col": col, "initial": initial,
             "unit_base": 2 * (1 - 2 * l), "psi": (1 - 4 * l) / z,
             "alpha_bounds": (4 * l, 1 / (4 * l)),
             "classes": ((A, C), (B, D)), "den": den,
             # into {A, C}: A from {B, D} with 2l, C from {A, C} with 1/2;
             # into {B, D}: B from {B, D} with 1 - 2l, D from {A, C} with 1/2
             "into": (((1, den * 2 * l, 0), (0, den // 2, -1)),
-                     ((1, den * (1 - 2 * l), 1), (0, den // 2, 0)))}
+                     ((1, den * (1 - 2 * l), 1), (0, den // 2, 0))),
+            # D T = D (1-2l) z + D/(2z), D^2 det M = D^2 (1/2 - 2l), zero at l = 1/4
+            "trace": {-1: den // 2, 1: den * (1 - 2 * l)},
+            "det": {0: den ** 2 * (F(1, 2) - 2 * l)} if l != F(1, 4) else {},
+            "starts": starts}
 
 
 ORACLES = {"map1": map1_oracle, "map2": map2_oracle}

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from types import MappingProxyType
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from bakerfr import families, fluctuation
@@ -30,8 +30,8 @@ from bakerfr.maps import (
     build_generalized_baker,
     common_denominator,
 )
-from bakerfr.transfer import verify_composite
-from reference import admissible_sequences, alpha_direct, sequence_measure
+from bakerfr.transfer import ConsistencyError, verify_composite
+from reference import admissible_sequences, alpha_direct, packed_law, sequence_measure
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
@@ -117,6 +117,57 @@ class TestExactDistribution:
         name, l = family_l
         assert exact_distribution(name, l, n, start) == region_dp(name, l, n, start)
 
+    @settings(max_examples=25, deadline=None)
+    @given(family_l=family_l,
+           start=st.sampled_from(["stationary", "uniform"]),
+           n=st.integers(min_value=1, max_value=300))
+    @example(family_l=("map2", F(1, 4)), start="stationary", n=50)  # det M = 0
+    def test_equals_the_packed_dp(self, family_l, start, n):
+        name, l = family_l
+        assert exact_distribution(name, l, n, start) == packed_law(name, l, n, start)
+
+    @pytest.mark.parametrize("name,l,start", [("map1", F(1, 2), "stationary"),
+                                              ("map2", F(1, 8), "uniform")])
+    def test_equals_the_packed_dp_at_the_cap(self, name, l, start):
+        # the packed DP takes about 1 s (map1) and 5 s (map2) here, the
+        # recurrence under 20 ms (2-CPU Xeon container, Python 3.11.7)
+        assert (exact_distribution(name, l, MAX_DP_STEPS, start)
+                == packed_law(name, l, MAX_DP_STEPS, start))
+
+    @pytest.mark.parametrize("name,l", [("map1", F(2, 3)), ("map2", F(3, 37))])
+    @pytest.mark.parametrize("factor", range(4))
+    def test_a_recurrence_factor_one_unit_off_fails(self, monkeypatch, name, l, factor):
+        # shift one of f0, f2, f4, f6 by one at p = k - 14, where every
+        # coefficient that they multiply is nonzero
+        n = 20
+        real = fluctuation._factors
+
+        def shifted(*args):
+            rows = real(*args)
+            if len(rows) > 6:
+                row = list(rows[6])
+                row[factor] += 1
+                rows[6] = tuple(row)
+            return rows
+
+        reference = packed_law(name, l, n)
+        monkeypatch.setattr(fluctuation, "_factors", shifted)
+        try:
+            law = exact_distribution(name, l, n)
+        except ConsistencyError:
+            return
+        assert law != reference
+
+    def test_variance_at_l_one_eighth(self):
+        # Var_n(g) = 40/27 n - 100/81 + (100/81) Delta^n from the stationary
+        # start, Delta = 1/2 - 2l = 1/4; about 0.02 s for all 62 windows
+        for n in [*range(1, 61), 500, 1000]:
+            law = exact_distribution("map2", F(1, 8), n)
+            first = sum(g * c for g, c in law.counts.items())
+            second = sum(g * g * c for g, c in law.counts.items())
+            variance = F(second * law.total - first ** 2, law.total ** 2)
+            assert variance == F(40, 27) * n - F(100, 81) + F(100, 81) / 4 ** n, n
+
     def test_simple_matches_binomial(self):
         l, n = F(2, 3), 9
         d = exact_distribution("map1", l, n)
@@ -153,7 +204,7 @@ class TestBruteForceOracle:
     @given(family_l=family_l,
            start=st.sampled_from(["stationary", "uniform"]),
            n=st.integers(min_value=1, max_value=9))
-    def test_packed_dp_equals_enumeration(self, family_l, start, n):
+    def test_recurrence_equals_enumeration(self, family_l, start, n):
         name, l = family_l
         assert (exact_distribution(name, l, n, start).probs
                 == brute_force_distribution(name, l, n, start).probs)
@@ -174,29 +225,32 @@ class TestBruteForceOracle:
 
     def test_oracles_share_no_code_with_the_dp_kernel(self, monkeypatch):
         # the brute-force law and the alpha check must stay independent of
-        # the packed DP that they check
+        # the recurrence that they check
         law = brute_force_distribution("map2", F(1, 8), 8)
         alpha = alpha_bounds_check(F(1, 8), 6)
 
         def fail(*args, **kwargs):
             raise AssertionError("an oracle ran the DP kernel")
 
-        monkeypatch.setattr(fluctuation, "_tilted_steps", fail)
+        monkeypatch.setattr(fluctuation, "_chebyshev_u", fail)
         with pytest.raises(AssertionError, match="ran the DP kernel"):
             exact_distribution("map2", F(1, 8), 8)
         assert brute_force_distribution("map2", F(1, 8), 8) == law
         assert alpha_bounds_check(F(1, 8), 6) == alpha
         monkeypatch.undo()
 
-        # a record whose class chain counts g with the wrong sign: the DP
-        # changes, the oracles read no class field
+        # a record whose class-chain polynomials count g with the wrong
+        # sign: the law changes, the oracles read no class field
         dp = exact_distribution("map2", F(1, 8), 8)
         real = families.family
 
+        def flip(poly):
+            return MappingProxyType({-g: c for g, c in poly.items()})
+
         def corrupted(name, l):
             fam = real(name, l)
-            return fam._replace(into=tuple(tuple((x, c, -g) for x, c, g in terms)
-                                           for terms in fam.into))
+            return fam._replace(trace=flip(fam.trace), starts=MappingProxyType(
+                {start: tuple(map(flip, polys)) for start, polys in fam.starts.items()}))
 
         monkeypatch.setattr(families, "family", corrupted)
         assert exact_distribution("map2", F(1, 8), 8) != dp
