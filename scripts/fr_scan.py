@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from bakerfr.cli import fr_table, write_csv
+from bakerfr.cli import fr_table, fr_texts, write_csv
 from bakerfr.fluctuation import exact_distribution, fr_report
 
 
@@ -38,7 +38,7 @@ def main() -> None:
                 lo, hi = min(lo, row.alpha), max(hi, row.alpha)
             if out_dir:
                 write_csv(out_dir / f"fr_l{l.numerator}_{l.denominator}_n{n}.csv",
-                          *fr_table(rep))
+                          *fr_table(rep, fr_texts(rep)))
         print(f"{str(l):>6} {band:8.4f} {f'[{lo}, {hi}]':>34} {str(ok):>6}")
 
 

@@ -7,12 +7,14 @@ passed, a JSON payload and, where natural, a CSV table.  This module is
 the one writer of bakerfr's outputs: `_write_json` puts the payload,
 with the schema version and the config, in `<out>.json`, and
 `write_csv` puts a header and lines already formatted, one per row, in
-`<out>.csv`.  The library returns records and writes no file.  A run
-exits 0 exactly when all asserted checks pass.  A flag or sweep key that
-the run would not read is refused as bad input.  Outputs are
-byte-identical across re-runs of the same config.  Every rational is
-written one way, as Python's `str(Fraction)`: an integer as `k`,
-anything else as `p/q`.
+`<out>.csv`.  The exact fr rows, whose rationals run to thousands of
+digits, are converted to text once and rendered by hand into both files;
+`json.dumps` writes the rest of each document.  The library returns
+records and writes no file.  A run exits 0 exactly when all asserted
+checks pass.  A flag or sweep key that the run would not read is refused
+as bad input.  Outputs are byte-identical across re-runs of the same
+config.  Every rational is written one way, as Python's `str(Fraction)`:
+an integer as `k`, anything else as `p/q`.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ import math
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from bakerfr.fluctuation import (
     MIN_COUNT,
     Z_SCORE,
+    BinnedFRReport,
     FRReport,
     binned_fr_report,
     empirical_fr_report,
@@ -105,17 +108,46 @@ class ExperimentConfig(NamedTuple):
 # a CSV table: its header and its lines, each already formatted and ending
 # in a newline; one f-string per row keeps the orbit table cheap at large n
 Table = tuple[str, Iterable[str]]
+# a JSON array whose items a command renders itself, a payload value:
+# called with the indentation of an item's first line, it yields each item
+# as json.dumps(..., sort_keys=True, indent=2) would write it there
+Rendered = Callable[[str], Iterator[str]]
 # what a command returns: whether its checks passed, its JSON payload and
 # its CSV table, if it writes one
 Result = tuple[bool, dict, Optional[Table]]
 
+# what json.dumps writes for the "\0" that stands in for a rendered array;
+# no other payload string holds a NUL, so the text holds no other \u0000
+_MARK = '"\\u0000"'
+
 
 def _write_json(out: Path, cfg: ExperimentConfig, payload: dict) -> None:
     """`<out>.json`: the payload with the schema version and the config,
-    keys sorted, indented by 2."""
+    keys sorted, indented by 2.  `json.dumps` writes every value but the
+    rendered arrays, which are written item by item at their marks."""
     doc = {**payload, "schema_version": SCHEMA_VERSION, "config": cfg.to_text()}
-    Path(f"{out}.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
-                                   encoding="utf-8")
+    arrays: list[Rendered] = []
+
+    def mark(value):
+        if not callable(value):
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        arrays.append(value)
+        return "\0"
+
+    # with sort_keys the marks come in the order of the text
+    pieces = (json.dumps(doc, sort_keys=True, indent=2, default=mark) + "\n").split(_MARK)
+    with open(f"{out}.json", "w", encoding="utf-8") as fh:
+        fh.write(pieces[0])
+        for render, before, after in zip(arrays, pieces, pieces[1:]):
+            line = before[before.rfind("\n") + 1:]
+            pad = line[:len(line) - len(line.lstrip(" "))]
+            sep = "[\n"
+            for item in render(pad + "  "):
+                fh.write(sep)
+                fh.write(item)
+                sep = ",\n"
+            fh.write("[]" if sep == "[\n" else f"\n{pad}]")
+            fh.write(after)
 
 
 def write_csv(path, header: str, lines: Iterable[str]) -> None:
@@ -128,10 +160,51 @@ def write_csv(path, header: str, lines: Iterable[str]) -> None:
 _FR_HEADER = "g,p_plus,p_minus,lhs,target,bound,pass"
 
 
-def fr_table(report: FRReport) -> Table:
-    """The exact ratio rows, probabilities as exact rationals."""
-    return (_FR_HEADER, (f"{r.g},{r.p_plus},{r.p_minus},{r.lhs!r},{r.target!r},"
-                         f"{r.bound!r},{r.passed}\n" for r in report.rows))
+def fr_texts(report: FRReport) -> list[tuple[str, str, str, str]]:
+    """Each exact row's p_plus, p_minus, alpha and e_n as text, converted
+    once for both the JSON row and the CSV line."""
+    return [(str(r.p_plus), str(r.p_minus), str(r.alpha), str(r.e_n))
+            for r in report.rows]
+
+
+def fr_table(report: FRReport, texts: list[tuple[str, str, str, str]]) -> Table:
+    """The exact ratio rows, probabilities as exact rationals, from the
+    rows' texts (`fr_texts`)."""
+    return (_FR_HEADER, (f"{r.g},{p_plus},{p_minus},{r.lhs!r},{r.target!r},"
+                         f"{r.bound!r},{r.passed}\n"
+                         for r, (p_plus, p_minus, _alpha, _e_n) in zip(report.rows, texts)))
+
+
+# The exact rows as JSON, one f-string per row: keys in sorted order,
+# floats as float.__repr__ (finite: both sides of every ratio are
+# positive), booleans as true/false, and rationals quoted as they are,
+# since str(Fraction) holds only digits, "-" and "/", which JSON does not
+# escape.  The canonical-form test of the CLI holds them to json.dumps.
+def _fr_rows(report: FRReport, texts: list[tuple[str, str, str, str]]) -> Rendered:
+    n_lambda = report.n * report.mean_lambda
+
+    def items(pad: str) -> Iterator[str]:
+        k = pad + "  "
+        for r, (p_plus, p_minus, alpha, e_n) in zip(report.rows, texts):
+            yield (f'{pad}{{\n{k}"alpha": "{alpha}",\n{k}"bound": {r.bound!r},\n'
+                   f'{k}"bound_over_n_mean": {r.bound / n_lambda!r},\n{k}"e_n": "{e_n}",\n'
+                   f'{k}"g": {r.g},\n{k}"lhs": {r.lhs!r},\n'
+                   f'{k}"lhs_over_n_mean": {r.lhs / n_lambda!r},\n'
+                   f'{k}"p_minus": "{p_minus}",\n{k}"p_plus": "{p_plus}",\n'
+                   f'{k}"pass": {"true" if r.passed else "false"},\n'
+                   f'{k}"target": {r.target!r}\n{pad}}}')
+    return items
+
+
+def _binned_rows(binned: BinnedFRReport) -> Rendered:
+    def items(pad: str) -> Iterator[str]:
+        k = pad + "  "
+        for r in binned.rows:
+            yield (f'{pad}{{\n{k}"lhs_normalized": {r.lhs_normalized!r},\n'
+                   f'{k}"p": "{r.p}",\n{k}"pass": {"true" if r.passed else "false"},\n'
+                   f'{k}"prob_minus": "{r.prob_minus}",\n'
+                   f'{k}"prob_plus": "{r.prob_plus}",\n{k}"slack": {r.slack!r}\n{pad}}}')
+    return items
 
 
 def orbit_table(orbits: list[PeriodicOrbit]) -> Table:
@@ -220,28 +293,18 @@ def cmd_fr(cfg: ExperimentConfig) -> Result:
     else:
         dist = exact_distribution(m.family, cfg.l, cfg.n)
         report = fr_report(dist)
-        n_lambda = report.n * report.mean_lambda
+        texts = fr_texts(report)
         payload = {
             "alpha_min": str(report.alpha_min), "alpha_max": str(report.alpha_max),
-            "rows": [{"g": r.g, "p_plus": str(r.p_plus), "p_minus": str(r.p_minus),
-                      "alpha": str(r.alpha), "lhs": r.lhs, "target": r.target,
-                      "bound": r.bound, "lhs_over_n_mean": r.lhs / n_lambda,
-                      "bound_over_n_mean": r.bound / n_lambda,
-                      "e_n": str(r.e_n),
-                      "pass": r.passed} for r in report.rows],
+            "rows": _fr_rows(report, texts),
         }
         if notes:
             payload["notes"] = notes
-        table = fr_table(report)
+        table = fr_table(report, texts)
         if cfg.delta is not None:
             binned = binned_fr_report(dist, cfg.delta)
-            payload["binned"] = {
-                "delta": str(binned.delta), "all_pass": binned.all_pass,
-                "rows": [{"p": str(r.p), "prob_plus": str(r.prob_plus),
-                          "prob_minus": str(r.prob_minus),
-                          "lhs_normalized": r.lhs_normalized, "slack": r.slack,
-                          "pass": r.passed} for r in binned.rows],
-            }
+            payload["binned"] = {"delta": str(binned.delta), "all_pass": binned.all_pass,
+                                 "rows": _binned_rows(binned)}
             binned_pass = binned.all_pass
     payload.update(family=report.family, l=str(report.l), n=report.n,
                    all_pass=report.all_pass)
@@ -264,20 +327,21 @@ def _upo_orbits(cfg: ExperimentConfig) -> Result:
 
 def _upo_diagnostic(cfg: ExperimentConfig) -> Result:
     diag = generalized_upo_diagnostic(cfg.l, cfg.n)
+    # each law value as text once, for the JSON and the CSV
+    upo, chain = _law(diag.upo_probs), _law(diag.chain_probs)
     payload = {
         "l": str(diag.l),
         "n": diag.n,
         "cycles": diag.cycles,
         "total_variation": str(diag.total_variation),
-        "upo": _law(diag.upo_probs),
-        "chain": _law(diag.chain_probs),
+        "upo": upo,
+        "chain": chain,
         "note": "diagnostic only: orbit weights are not a trusted estimator "
                 "for this family",
     }
     support = sorted(set(diag.upo_probs) | set(diag.chain_probs))
     return True, payload, ("g,upo_prob,chain_prob", (
-        f"{g},{diag.upo_probs.get(g, 0)},{diag.chain_probs.get(g, 0)}\n"
-        for g in support))
+        f"{g},{upo.get(str(g), '0')},{chain.get(str(g), '0')}\n" for g in support))
 
 
 _UPO = {"map1": _upo_orbits, "map2": _upo_diagnostic}

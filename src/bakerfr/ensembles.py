@@ -99,14 +99,15 @@ def step(cm: CompiledMap, x: np.ndarray, idx: np.ndarray,
     x *= buf
     np.take(cm.tx, idx, out=buf, mode="clip")
     x += buf
-    np.maximum(x, 0.0, out=x)  # np.clip(x, 0, 1), with less overhead
-    np.minimum(x, 1.0, out=x)
+    # one pass, faster than np.maximum then np.minimum (0.39 against 0.65 ns
+    # a double at 50 000, numpy 2.4); it keeps the sign of a -0.0, which no
+    # compare, product or sum of the kernel can see
+    np.clip(x, 0.0, 1.0, out=x)
     rng.random(out=buf)
     buf -= 0.5
     buf *= DITHER
     x += buf
-    np.maximum(x, 0.0, out=x)
-    np.minimum(x, 1.0, out=x)
+    np.clip(x, 0.0, 1.0, out=x)
 
 
 def _cpu_count() -> int:

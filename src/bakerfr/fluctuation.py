@@ -57,9 +57,12 @@ class UndefinedValueError(ValueError):
 # l = 1/8, 0.47-0.51 ms, 7.9-8.0 ms and 26-29 ms for 1/5, and 0.63 ms,
 # 17 ms and 66-67 ms for 3/37 (28 MB peak RSS).  The map2 orbit diagnostic
 # with its law at 3/37: 0.33 s at n = 1000, 2.0 s at the cap.
-# `bakerfr fr --family map2 --mode exact --l 3/37 --n 2000` takes 2.6 s and
-# 83 MB, most of it in fr_report reducing the law's probabilities to
-# `Fraction`s (1.0 s) and in writing their strings (0.9 s).  The cap
+# `bakerfr fr --family map2 --mode exact --l 3/37 --n 2000` takes 2.0 s and
+# 44 MB of peak RSS, and 3.7 s and 59 MB with `--delta 1/2`.  Of the
+# latter, the law is 0.07 s; fr_report (1.4 s) and binned_fr_report
+# (1.15 s) reducing the probabilities to `Fraction`s come first, then the
+# writer: the rows' rationals to text once (0.45 s), the JSON (0.64 s,
+# most of it the binned rows' rationals) and the CSV (0.02 s).  The cap
 # bounds n, not the work, which grows with the bits of D.
 MAX_DP_STEPS = 2000
 # The level-wise oracles at n = 12 (same machine, fresh process, after the

@@ -6,10 +6,19 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
-from bakerfr.cli import ExperimentConfig, _configs_from_args, build_parser, main
-from bakerfr.fluctuation import exact_distribution
+from bakerfr.cli import (
+    SCHEMA_VERSION,
+    ExperimentConfig,
+    _configs_from_args,
+    _write_json,
+    build_parser,
+    main,
+)
+from bakerfr.fluctuation import binned_fr_report, exact_distribution, fr_report
 from bakerfr.maps import RegionLabel
 
 
@@ -260,6 +269,102 @@ class TestDeterminism:
                 content_a = fa.read_bytes().replace(str(out_a).encode(), b"OUT")
                 content_b = fb.read_bytes().replace(str(out_b).encode(), b"OUT")
                 assert content_a == content_b
+
+
+def canonical(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+class TestCanonicalJSON:
+    """Every JSON document is what json.dumps(..., sort_keys=True, indent=2)
+    writes for it, the exact fr rows too, which the CLI renders by hand."""
+
+    @pytest.mark.parametrize("args", [
+        ["density", "--family", "map2", "--l", "1/8"],
+        ["fr", "--family", "map2", "--mode", "exact", "--l", "3/37", "--n", "30"],
+        ["fr", "--family", "map2", "--mode", "exact", "--l", "3/37", "--n", "30",
+         "--delta", "1/2"],
+        ["fr", "--family", "map1", "--mode", "exact", "--l", "2/3", "--n", "9",
+         "--delta", "1/5"],
+        ["fr", "--family", "composite", "--mode", "exact", "--l", "1/8", "--n", "8"],
+        ["fr", "--family", "map2", "--mode", "montecarlo", "--l", "1/8", "--n", "5",
+         "--ensemble", "20000", "--transient", "20", "--seed", "3"],
+        ["upo", "--family", "map1", "--l", "2/3", "--n", "6"],
+        ["upo", "--family", "map2", "--l", "1/8", "--n", "6"],
+        ["multibaker", "--l", "1/8", "--ensemble", "2000", "--n", "50", "--seed", "2"],
+        ["multibaker", "--b-values", "1/20,1/10", "--ensemble", "2000", "--n", "50",
+         "--seed", "2"],
+        ["reversibility", "--family", "map2", "--l", "1/8", "--ensemble", "50",
+         "--seed", "1"],
+        ["reversibility", "--family", "composite", "--l", "1/8", "--ensemble", "50",
+         "--seed", "1"],
+    ])
+    def test_every_command_writes_canonical_json(self, tmp_path, args):
+        out = tmp_path / "run"
+        assert run(args + ["--out", str(out)]) == 0
+        text = out.with_suffix(".json").read_text(encoding="utf-8")
+        assert text == canonical(text)
+
+    @settings(max_examples=25, deadline=None)
+    @given(fam_l=st.one_of(
+               st.tuples(st.just("map1"), st.fractions(F(1, 10 ** 6), F(1) - F(1, 10 ** 6),
+                                                       max_denominator=10 ** 6)),
+               st.tuples(st.just("map2"), st.fractions(F(1, 10 ** 6), F(1, 4) - F(1, 10 ** 6),
+                                                       max_denominator=10 ** 6))),
+           n=st.integers(1, 40),
+           delta=st.none() | st.fractions(F(1, 50), F(3), max_denominator=50))
+    def test_exact_fr_rows_are_canonical(self, tmp_path_factory, fam_l, n, delta):
+        family_name, l = fam_l
+        assume(l != F(1, 2))
+        out = tmp_path_factory.mktemp("fr") / "fr"
+        args = ["fr", "--family", family_name, "--mode", "exact", "--l", str(l),
+                "--n", str(n), "--out", str(out)]
+        assert run(args + (["--delta", str(delta)] if delta else [])) in (0, 1)
+        text = out.with_suffix(".json").read_text(encoding="utf-8")
+        assert text == canonical(text)
+        # the values too: the rows as dicts, laid out as json.dumps took them
+        # before the rows were rendered by hand
+        doc = json.loads(text)
+        law = exact_distribution(family_name, l, n)
+        report = fr_report(law)
+        n_lambda = report.n * report.mean_lambda
+        assert doc["rows"] == [
+            {"g": r.g, "p_plus": str(r.p_plus), "p_minus": str(r.p_minus),
+             "alpha": str(r.alpha), "lhs": r.lhs, "target": r.target, "bound": r.bound,
+             "lhs_over_n_mean": r.lhs / n_lambda, "bound_over_n_mean": r.bound / n_lambda,
+             "e_n": str(r.e_n), "pass": r.passed} for r in report.rows]
+        if delta:
+            assert doc["binned"]["rows"] == [
+                {"p": str(r.p), "prob_plus": str(r.prob_plus),
+                 "prob_minus": str(r.prob_minus), "lhs_normalized": r.lhs_normalized,
+                 "slack": r.slack, "pass": r.passed}
+                for r in binned_fr_report(law, delta).rows]
+        csv_lines = out.with_suffix(".csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [line.split(",")[1:3] for line in csv_lines] == [
+            [r["p_plus"], r["p_minus"]] for r in doc["rows"]]
+
+    def test_rendered_arrays_sit_at_their_depth(self, tmp_path):
+        # an empty array, and arrays nested in objects and in a list
+        def rendered(items):
+            def render(pad):
+                for item in items:
+                    yield pad + json.dumps(item, sort_keys=True, indent=2).replace(
+                        "\n", "\n" + pad)
+            return render
+
+        a, b = [{"x": 1.5, "y": "1/3"}, {"x": -0.0, "y": "2"}], [[1, 2], {}]
+        payload = {"empty": rendered([]), "top": rendered(a),
+                   "nested": {"deeper": {"rows": rendered(b)}, "z": True},
+                   "listed": [rendered(a), "\u0001"]}
+        cfg = ExperimentConfig("density")
+        _write_json(tmp_path / "doc", cfg, payload)
+        expect = {"empty": [], "top": a, "nested": {"deeper": {"rows": b}, "z": True},
+                  "listed": [a, "\u0001"], "schema_version": SCHEMA_VERSION,
+                  "config": cfg.to_text()}
+        assert (tmp_path / "doc.json").read_text(encoding="utf-8") == json.dumps(
+            expect, sort_keys=True, indent=2) + "\n"
+        with pytest.raises(TypeError, match="set is not JSON serializable"):
+            _write_json(tmp_path / "bad", cfg, {"rows": set()})
 
 
 class TestCachedParser:

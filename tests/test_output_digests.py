@@ -35,6 +35,11 @@ RUNS = [
       "--delta", "1/2"], 0,
      "7e992f3154850876345cd0024e5f789a9346aa5e2f2f0be81b45b1f3aa53bdf5",
      "cd264396388676cdffcc6c1b1d0f2d3e06cb3c0591bbacffaf0cff302240904a"),
+    # rationals hundreds of digits long, and the four-branch alpha band
+    (["fr", "--family", "map2", "--mode", "exact", "--l", "3/37", "--n", "200",
+      "--delta", "1/2"], 0,
+     "dc8c28267bd6087182d6beecb35fef8b7b1eb26bc27738ee3e3aff338275c1f9",
+     "bcc523fd92179059cda08cd23e4189ebd47d23856f149c4f6b4c0bf766bf0479"),
     (["fr", "--family", "map1", "--mode", "exact", "--l", "2/3"], 0,
      "5516177ef3e4d6217c8816cf2feaa1916381917cfe54a68ecc36d92943be2c04",
      "8127c1f6ea38a66b576832dee91b5750fbf50edc42ec22d673fdcb1d841d2b74"),
@@ -69,6 +74,8 @@ ALL_FIELDS_JSON = {
         "6d477d24977c0af9907e821b8abe62bda5a757ccb5288656fa430350e2d3613b",
     "fr --family map2 --mode exact --l 1/8 --n 15 --delta 1/2":
         "3fe3a4ff0157583e4877736fc479ed2c34ce5950395640508ca7aca159aae6c9",
+    "fr --family map2 --mode exact --l 3/37 --n 200 --delta 1/2":
+        "d58160a8f92264c50cc246e7989bbe632ef2723ca9dc7abec03730441479a64a",
     "fr --family map1 --mode exact --l 2/3":
         "2cb11417ac773675225b66f9961bb8dc7e58f4bdcc2f137a3bbfb8b4b8a3ac90",
     "fr --family composite --mode exact --l 1/8":
