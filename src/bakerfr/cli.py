@@ -328,7 +328,7 @@ def _upo_orbits(cfg: ExperimentConfig) -> Result:
 def _upo_diagnostic(cfg: ExperimentConfig) -> Result:
     diag = generalized_upo_diagnostic(cfg.l, cfg.n)
     # each law value as text once, for the JSON and the CSV
-    upo, chain = _law(diag.upo_probs), _law(diag.chain_probs)
+    upo, chain = _law(diag.upo.probs), _law(diag.chain.probs)
     payload = {
         "l": str(diag.l),
         "n": diag.n,
@@ -339,7 +339,7 @@ def _upo_diagnostic(cfg: ExperimentConfig) -> Result:
         "note": "diagnostic only: orbit weights are not a trusted estimator "
                 "for this family",
     }
-    support = sorted(set(diag.upo_probs) | set(diag.chain_probs))
+    support = sorted(set(diag.upo.counts) | set(diag.chain.counts))
     return True, payload, ("g,upo_prob,chain_prob", (
         f"{g},{upo.get(str(g), '0')},{chain.get(str(g), '0')}\n" for g in support))
 

@@ -8,7 +8,7 @@ coefficients of the chain's Chebyshev polynomials (`_chebyshev_u`, see
 `exact_distribution`; the map2 orbit diagnostic is the trace of the same
 powers), enumeration of every admissible symbol sequence (the oracle,
 n <= 12, on the full region chain, sharing no code with the recurrence
-and reading no class field), and Monte-Carlo sampling.  The oracles
+and reading none of its polynomials), and Monte-Carlo sampling.  The oracles
 expand the symbol tree level by level on integers over a common
 denominator, one tuple per sequence; the tests check them against the
 per-sequence definitions in `tests/reference.py`, and the recurrence
@@ -56,7 +56,7 @@ class UndefinedValueError(ValueError):
 # n = 120, 1000 and the cap, 0.45-0.51 ms, 5.6-6.0 ms and 19-20 ms for
 # l = 1/8, 0.47-0.51 ms, 7.9-8.0 ms and 26-29 ms for 1/5, and 0.63 ms,
 # 17 ms and 66-67 ms for 3/37 (28 MB peak RSS).  The map2 orbit diagnostic
-# with its law at 3/37: 0.33 s at n = 1000, 2.0 s at the cap.
+# with its law at 3/37: 0.10 s at n = 1000, 0.54 s at the cap.
 # `bakerfr fr --family map2 --mode exact --l 3/37 --n 2000` takes 2.0 s and
 # 44 MB of peak RSS, and 3.7 s and 59 MB with `--delta 1/2`.  Of the
 # latter, the law is 0.07 s; fr_report (1.4 s) and binned_fr_report
@@ -291,7 +291,6 @@ class FRReport(NamedTuple):
     family: str
     l: Fraction
     n: int
-    unit_base: Fraction
     alpha_min: Fraction
     alpha_max: Fraction
     mean_lambda: float
@@ -302,13 +301,12 @@ class FRReport(NamedTuple):
         return all(r.passed for r in self.rows)
 
 
-def log_ratio(num, den: int = 1) -> float:
-    """math.log(r) for the positive rational r = num / den (num a `Fraction`
-    or an int, den an int), also where float(r) is 0 or inf: there
-    ln r = k ln 2 + ln(r / 2^k), with k from the bit lengths so that r / 2^k
-    lies within a factor 2 of 1.  float(r) is the correctly rounded integer
-    quotient, so it takes no gcd."""
-    num, den = num.numerator, num.denominator * den
+def log_ratio(num: int, den: int) -> float:
+    """math.log(r) for the positive rational r = num / den of two ints,
+    also where float(r) is 0 or inf: there ln r = k ln 2 + ln(r / 2^k),
+    with k from the bit lengths so that r / 2^k lies within a factor 2 of
+    1.  float(r) is the correctly rounded integer quotient, so it takes no
+    gcd."""
     try:
         f = num / den
     except OverflowError:
@@ -349,7 +347,7 @@ def fr_report(dist: SymbolDistribution) -> FRReport:
             lhs=log_ratio(c_plus, c_minus), target=g * log_base, bound=bound,
             e_n=Fraction(g * psi_d, dist.n * psi_n), passed=a_min <= alpha <= a_max,
         ))
-    return FRReport(dist.family, dist.l, dist.n, base, a_min, a_max,
+    return FRReport(dist.family, dist.l, dist.n, a_min, a_max,
                     float(psi) * log_base, tuple(rows))
 
 
@@ -440,10 +438,6 @@ class AlphaBoundsReport(NamedTuple):
     l: Fraction
     n: int
     sequences: int
-    attained_min: Fraction
-    attained_max: Fraction
-    bound_min: Fraction
-    bound_max: Fraction
     violations: tuple[str, ...] = ()
 
     @property
@@ -470,10 +464,9 @@ def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
     integer pair, and the boundary formula of each (first, last) pair are
     read from tables as (numerator, denominator), and every leaf's alpha is
     compared with its pair's formula by cross-multiplication.  Where they
-    agree, alpha is the formula, so the band and the attained extremes are
-    decided once per pair; only a leaf that breaks the formula is checked
-    against the band and the extremes on its own alpha.  A `Fraction` is
-    built only for the attained extremes and the text of a violation."""
+    agree, alpha is the formula, so the band is decided once per pair;
+    only a leaf that breaks the formula is checked against the band on its
+    own alpha.  A `Fraction` is built only for the text of a violation."""
     l = as_fraction(l)
     if not 1 <= n <= MAX_BRUTE_FORCE:
         raise ValueError(f"exhaustive check supports 1 <= n <= {MAX_BRUTE_FORCE}")
@@ -483,8 +476,7 @@ def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
     _d, trans = common_denominator(spec.trans.values())
     _e, mu = common_denominator(spec.initial.values())
     trans, mu = dict(zip(spec.trans, trans)), dict(zip(spec.initial, mu))
-    bound_min, bound_max = fam.alpha_bounds
-    (lo_n, lo_d), (hi_n, hi_d) = bound_min.as_integer_ratio(), bound_max.as_integer_ratio()
+    (lo_n, lo_d), (hi_n, hi_d) = (bound.as_integer_ratio() for bound in fam.alpha_bounds)
 
     def outside(num: int, den: int) -> bool:
         return not (lo_n * den <= num * lo_d and num * hi_d <= hi_n * den)
@@ -514,9 +506,7 @@ def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
     for _ in range(n - 1):
         level = [(s, g + dg, fwd * p, rev * q, text + c)
                  for r, g, fwd, rev, text in level for s, dg, p, q, c in table[r]]
-    # held: the pairs whose formula some leaf's alpha equals; broken: the
-    # alpha, as (num, den), of each leaf that breaks its pair's formula
-    held, broken, violations = set(), [], []
+    violations = []
     for r, g, fwd, rev, text in level:
         rev *= end[r]
         if rev == 0:
@@ -528,7 +518,6 @@ def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
         key = text[0], r
         f_n, f_d = direct[key]
         if num * f_d == f_n * den:
-            held.add(key)
             if key in off_band:
                 violations.append(text + off_band[key])
             continue
@@ -536,17 +525,7 @@ def alpha_bounds_check(l, n: int) -> AlphaBoundsReport:
                           f"boundary formula {Fraction(f_n, f_d)}")
         if outside(num, den):
             violations.append(text + f": alpha {Fraction(num, den)}")
-        broken.append((num, den))
-    attained = []   # [min, max] of alpha as (num, den)
-    for num, den in [direct[key] for key in held] + broken:
-        if not attained:
-            attained.extend([(num, den)] * 2)
-        elif num * attained[0][1] < attained[0][0] * den:
-            attained[0] = (num, den)
-        elif num * attained[1][1] > attained[1][0] * den:
-            attained[1] = (num, den)
-    low, high = (Fraction(*a) for a in attained)
-    return AlphaBoundsReport(l, n, len(level), low, high, bound_min, bound_max, tuple(violations))
+    return AlphaBoundsReport(l, n, len(level), tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,8 @@ class UPODiagnostic(NamedTuple):
     l: Fraction
     n: int
     cycles: int
-    upo_probs: dict[int, Fraction]
-    chain_probs: dict[int, Fraction]
+    upo: SymbolDistribution       # the orbit sum, normalized
+    chain: SymbolDistribution     # the exact symbol law
     total_variation: Fraction
 
 
@@ -172,29 +172,32 @@ def generalized_upo_diagnostic(l, n: int) -> UPODiagnostic:
     and builds the transitions from `col`, so the weight is the product
     of the cycle's transition probabilities and the orbit sum is the
     trace tr P(z)^n of the region chain weighted by z^g.  The record
-    checks that P(z) = L R lumps to the class chain M(z) = R L (see
+    checks that P(z) lumps to a class chain M(z) of at most two classes (see
     `families`), so the sum is tr M(z)^n, and by Cayley-Hamilton (see
     `fluctuation.exact_distribution`)
     D^n tr M^n = (D T)(D^(n-1) U_(n-1)) - 2 D^2 Delta (D^(n-2) U_(n-2)):
-    two passes of the law's recurrence.  The cycle count is the trace of
-    the n-th power of the class count matrix, whose entry (x, y) is the
-    number of terms of y from x; the guard is the law's."""
+    two passes of the law's recurrence.  The cycle count is tr A^n of the
+    0/1 successor matrix A, which lumps the same way: the power sums
+    V_k = T V_(k-1) - Delta V_(k-2) of its two nonzero eigenvalues, with
+    T = tr A, Delta = e2(A), V_0 = 2 and V_1 = T.  The guard is the
+    law's."""
     l = as_fraction(l)
     chain = exact_distribution("map2", l, n)
     fam = family("map2", l)
     weights = [0] * (2 * n + 1)
     _add_product(weights, n, fam.trace, _chebyshev_u(fam, n - 1))
     _add_product(weights, n, {0: 1}, _chebyshev_u(fam, n - 2), -2 * fam.det.get(0, 0))
-    cycles = 0
-    for x in range(len(fam.classes)):
-        walks = [int(y == x) for y in range(len(fam.classes))]
-        for _ in range(n):
-            walks = [sum(walks[src] for src, _c, _g in terms) for terms in fam.into]
-        cycles += walks[x]
+    labels, succ = fam.labels, fam.successors
+    trace = sum(r in succ[r] for r in labels)
+    delta = sum((r in succ[r]) * (s in succ[s]) - (s in succ[r]) * (r in succ[s])
+                for i, r in enumerate(labels) for s in labels[i + 1:])
+    cycles, previous = trace, 2
+    for _ in range(n - 1):
+        cycles, previous = trace * cycles - delta * previous, cycles
     total = sum(weights)
-    upo_probs = {k - n: Fraction(w, total) for k, w in enumerate(weights) if w}
+    upo = SymbolDistribution("map2", l, n, {k - n: w for k, w in enumerate(weights)}, total)
     # both laws over total * chain.total, so the distance is one Fraction
     gap = sum(abs(w * chain.total - chain.counts.get(k - n, 0) * total)
               for k, w in enumerate(weights))
     tv = Fraction(gap, 2 * total * chain.total)
-    return UPODiagnostic(l, n, cycles, upo_probs, dict(chain.probs), tv)
+    return UPODiagnostic(l, n, cycles, upo, chain, tv)

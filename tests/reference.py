@@ -1,8 +1,9 @@
 """References that the tests check the program against: the cylinder
 measure of one symbol sequence, the boundary formula of its
-fluctuation-ratio correction, the packed class-chain DP of the exact law
-and of the map2 cycle trace, the exact orbit of a point with its regions
-and g count, and the multibaker lift.  The program computes these facts
+fluctuation-ratio correction, the class chain lumped from the region
+chain with its packed DP of the exact law and of the map2 cycle trace,
+the exact orbit of a point with its regions and g count, and the
+multibaker lift.  The program computes these facts
 level by level, on integers or by a recurrence; nothing in it calls this
 module."""
 
@@ -62,14 +63,40 @@ def alpha_direct(spec: ChainSpec, seq) -> Fraction:
     return spec.initial[first] * col[last] / (spec.initial[last] * col[first])
 
 
-def tilted_steps(fam: Family, v: list[int], steps: int, width: int) -> list[int]:
-    """Run `steps` steps of the class chain M(z) of `fam` (see
-    `families`), weighted by z^g on arrival.  v holds one polynomial per
-    class, packed into an int with slot k at bit k W, W = `width` (the
-    caller makes W wide enough that no slot overflows), and one step is
+class ClassChain(NamedTuple):
+    classes: tuple[tuple[RegionLabel, ...], ...]    # regions with equal successors
+    into: tuple[tuple[tuple[int, int, int], ...], ...]  # per class y: (x, D p(x, s), g_s)
+
+
+def class_chain(fam: Family) -> ClassChain:
+    """The class chain M(z) of `fam`, lumped here from the region chain
+    alone: the regions grouped by the nonzero pattern of their rows of
+    `fam.trans`, and per class y one term (x, D p(x, s), g_s) for each
+    region s of y entered from class x, read from the row of x's first
+    region, D the lcm of the transition denominators.  The program derives
+    the trace, determinant and start terms of M(z) from the region chain
+    without it (see `families`)."""
+    labels, trans = fam.labels, fam.trans
+    groups: dict[tuple[RegionLabel, ...], list[RegionLabel]] = {}
+    for r in labels:
+        groups.setdefault(tuple(s for s in labels if trans[r, s]), []).append(r)
+    classes = tuple(map(tuple, groups.values()))
+    d = math.lcm(*(p.denominator for p in trans.values()))
+    into = tuple(
+        tuple((x, (trans[cls[0], s] * d).numerator, fam.g[s])
+              for s in target for x, cls in enumerate(classes) if trans[cls[0], s])
+        for target in classes)
+    return ClassChain(classes, into)
+
+
+def tilted_steps(into, v: list[int], steps: int, width: int) -> list[int]:
+    """Run `steps` steps of a class chain M(z) (`class_chain(...).into`),
+    weighted by z^g on arrival.  v holds one polynomial per class, packed
+    into an int with slot k at bit k W, W = `width` (the caller makes W
+    wide enough that no slot overflows), and one step is
     v[y] <- sum (c v[x]) << ((g + 1) W) over the terms (x, c, g) of
-    `fam.into[y]`, c = D p(x, s) for a region s of y."""
-    into = [[(x, c, (g + 1) * width) for x, c, g in terms] for terms in fam.into]
+    `into[y]`, c = D p(x, s) for a region s of y."""
+    into = [[(x, c, (g + 1) * width) for x, c, g in terms] for terms in into]
     for _ in range(steps):
         v = [reduce(add, [(c * v[x]) << shift for x, c, shift in terms]) for terms in into]
     return v
@@ -83,23 +110,24 @@ def slots(packed: int, count: int, nbytes: int) -> list[int]:
 
 
 def packed_law(name: str, l, n: int, start: str = "stationary") -> SymbolDistribution:
-    """The law of g by a forward DP on the class chain of the record, n
-    passes over one int per class (O(n^3 log D)).  Class X starts at
-    sum_{r in X} E w(r) z^(g_r + 1), and after k symbols, k - 1 steps of
-    `tilted_steps`, the slot g+k of class Y holds E D^(k-1) times the
-    probability of ending in a region of Y with count g.  All slots sum
-    to E D^(k-1) <= E D^(n-1), so with W at least one bit wider than that
-    bound no slot can overflow into its neighbour (W is rounded up to
-    whole bytes so the final unpacking is a byte slice per slot)."""
+    """The law of g by a forward DP on the class chain of the record
+    (`class_chain`), n passes over one int per class (O(n^3 log D)).
+    Class X starts at sum_{r in X} E w(r) z^(g_r + 1), and after k symbols,
+    k - 1 steps of `tilted_steps`, the slot g+k of class Y holds E D^(k-1)
+    times the probability of ending in a region of Y with count g.  All
+    slots sum to E D^(k-1) <= E D^(n-1), so with W at least one bit wider
+    than that bound no slot can overflow into its neighbour (W is rounded
+    up to whole bytes so the final unpacking is a byte slice per slot)."""
     spec = chain_spec(name, l, start)
     fam = spec.fam
+    chain = class_chain(fam)
     e = math.lcm(*(w.denominator for w in spec.initial.values()))
     total = e * fam.den ** (n - 1)
     nbytes = total.bit_length() // 8 + 1
     width = 8 * nbytes
     v = [sum((spec.initial[r] * e).numerator << ((fam.g[r] + 1) * width) for r in cls)
-         for cls in fam.classes]
-    coeffs = slots(sum(tilted_steps(fam, v, n - 1, width)), 2 * n + 1, nbytes)
+         for cls in chain.classes]
+    coeffs = slots(sum(tilted_steps(chain.into, v, n - 1, width)), 2 * n + 1, nbytes)
     if sum(coeffs) != total:
         raise ConsistencyError(
             f"packed DP coefficients sum to {sum(coeffs)}, not E*D^(n-1) = {total}")
@@ -111,9 +139,10 @@ def packed_trace(l, n: int) -> dict[int, int]:
     `tilted_steps` from 1 in class x leave D^n times the diagonal entry of
     x in v[x], at most k D^n over k classes."""
     fam = family("map2", l)
-    size = len(fam.classes)
+    into = class_chain(fam).into
+    size = len(into)
     nbytes = (size * fam.den ** n).bit_length() // 8 + 1
-    trace = sum(tilted_steps(fam, [int(y == x) for y in range(size)], n, 8 * nbytes)[x]
+    trace = sum(tilted_steps(into, [int(y == x) for y in range(size)], n, 8 * nbytes)[x]
                 for x in range(size))
     return {k - n: w for k, w in enumerate(slots(trace, 2 * n + 1, nbytes)) if w}
 

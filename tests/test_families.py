@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from bakerfr import cli, families, maps, multibaker, transfer
@@ -11,8 +11,16 @@ from bakerfr.families import family
 from bakerfr.fluctuation import exact_distribution, fr_report
 from bakerfr.maps import RegionLabel
 from bakerfr.transfer import ConsistencyError
+from reference import class_chain
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
+
+# a family with a rational l of denominator at most 60 in its range
+family_l = st.one_of(
+    st.tuples(st.just("map1"),
+              st.fractions(min_value=F(1, 60), max_value=F(59, 60), max_denominator=60)),
+    st.tuples(st.just("map2"),
+              st.fractions(min_value=F(1, 60), max_value=F(1, 4), max_denominator=60)))
 
 
 def test_cross_check_runs_once_per_parameter(monkeypatch):
@@ -57,7 +65,7 @@ def test_region_measures_run_once_per_parameter(monkeypatch):
 
 @pytest.mark.parametrize("name,l", [("map1", F(2, 3)), ("map2", F(3, 37))])
 def test_one_build_and_one_projection_per_record(monkeypatch, name, l):
-    builder = family(name, l).builder
+    builder = families._STATED[name][0]
     built, projected = [], []
     real_build, real_project = getattr(maps, builder), transfer.project_unstable
 
@@ -121,7 +129,7 @@ def test_consumers_build_no_family_map(monkeypatch):
 
 def test_record_mappings_reject_assignment():
     fam = family("map2", F(1, 8))
-    for mapping, key in ((fam.trans, (A, A)), (fam.col, A), (fam.stationary, A),
+    for mapping, key in ((fam.trans, (A, A)), (fam.col, A), (fam.initial["stationary"], A),
                          (fam.initial, "uniform"), (fam.g, A),
                          (fam.conjugacy, A), (fam.successors, A), (fam.trace, 1),
                          (fam.det, 0), (fam.starts, "uniform"),
@@ -194,11 +202,13 @@ def test_a_class_with_two_rows_raises(monkeypatch, name, l, entry):
         family(name, l)
     monkeypatch.undo()
     families._family.cache_clear()
-    assert family(name, l).classes == ORACLES[name](l)["classes"]
+    check_against_oracle(name, l)
 
 
 @pytest.mark.parametrize("change,message", [
-    (lambda fam: {"classes": fam.classes + ((),)}, "3 classes"),
+    # D's own successor set splits {B, D}; the transition rows are untouched
+    (lambda fam: {"successors": MappingProxyType({**fam.successors, D: (A,)})},
+     "class chain of 3 classes"),
     (lambda fam: {"trace": MappingProxyType({**fam.trace, 0: 1})}, "the exact law needs"),
     (lambda fam: {"trace": MappingProxyType({1: fam.trace[1]})}, "the exact law needs"),
     (lambda fam: {"det": MappingProxyType({**fam.det, 1: 1})}, "determinant free of z"),
@@ -235,6 +245,53 @@ def test_characteristic_polynomial_has_the_gallavotti_cohen_symmetry(l):
     assert reflected(characteristic(a, b + 1)) != characteristic(a, b + 1)
 
 
+def lumped_chain(fam):
+    """The class chain M(z) of `reference.class_chain` with `Fraction`
+    entries {power of z: probability}."""
+    chain = class_chain(fam)
+    d = math.lcm(*(p.denominator for p in fam.trans.values()))
+    m = [[{} for _ in chain.classes] for _ in chain.classes]
+    for y, terms in enumerate(chain.into):
+        for x, c, g in terms:
+            m[x][y][g] = m[x][y].get(g, 0) + F(c, d)
+    return chain.classes, m
+
+
+def poly_sum(*polys, scale=1):
+    out = {}
+    for poly in polys:
+        for k, c in poly.items():
+            out[k] = out.get(k, 0) + scale * c
+    return {k: c for k, c in out.items() if c}
+
+
+def poly_product(p, q):
+    return poly_sum(*({i + j: u * v} for i, u in p.items() for j, v in q.items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=family_l)
+@example(case=("map2", F(1, 4)))   # det M = 0
+def test_polynomials_equal_the_lumped_chain(case):
+    # the record derives D tr M, D^2 det M and the start terms from the
+    # region chain; here they are read off the 1 x 1 or 2 x 2 class chain
+    name, l = case
+    fam = family(name, l)
+    classes, m = lumped_chain(fam)
+    d, k = fam.den, len(classes)
+    assert fam.trace == poly_sum(*(m[x][x] for x in range(k)), scale=d)
+    if k == 2:
+        minus = poly_sum(poly_product(m[0][1], m[1][0]), scale=-1)
+        assert fam.det == poly_sum(poly_product(m[0][0], m[1][1]), minus, scale=d * d)
+    else:
+        assert fam.det == {}
+    for start, w in fam.initial.items():
+        e = math.lcm(*(v.denominator for v in w.values()))
+        s = [poly_sum(*({fam.g[r]: w[r]} for r in cls)) for cls in classes]
+        sm = [poly_product(s[x], m[x][y]) for x in range(k) for y in range(k)]
+        assert fam.starts[start] == (poly_sum(*s, scale=e), poly_sum(*sm, scale=e * d))
+
+
 def test_bad_input_is_a_value_error():
     with pytest.raises(ValueError):
         family("map3", F(1, 8))
@@ -250,7 +307,7 @@ def map1_oracle(l):
     col = {A: l, B: 1 - l}
     den = l.denominator
     return {"labels": (A, B), "g": {A: 1, B: -1}, "conjugacy": {A: B, B: A},
-            "successors": {A: (A, B), B: (A, B)}, "builder": "build_simple_baker",
+            "successors": {A: (A, B), B: (A, B)},
             "partition": ((0, l, A), (l, 1, B)),
             "trans": {(i, j): col[j] for i in (A, B) for j in (A, B)}, "col": col,
             "initial": {"stationary": col, "uniform": col},
@@ -288,7 +345,6 @@ def map2_oracle(l):
                          {k: e * den * v for k, v in moved.items()})
     return {"labels": labels, "g": {A: 0, B: 1, C: -1, D: 0},
             "conjugacy": {A: A, B: C, C: B, D: D}, "successors": successors,
-            "builder": "build_generalized_baker",
             "partition": ((0, l, A), (l, F(1, 2), B), (F(1, 2), F(3, 4), C),
                           (F(3, 4), 1, D)),
             "trans": {(i, j): col[j] if j in successors[i] else 0
@@ -311,9 +367,13 @@ ORACLES = {"map1": map1_oracle, "map2": map2_oracle}
 
 
 def check_against_oracle(name, l):
+    """The record against the oracle, and the oracle's class chain
+    (`classes`, `into`) against the test lumping `reference.class_chain`:
+    the record holds no class chain."""
     fam = family(name, l)
+    chain = class_chain(fam)
     for field, want in ORACLES[name](l).items():
-        got = getattr(fam, field)
+        got = getattr(chain if field in chain._fields else fam, field)
         assert got == want, field
         if isinstance(want, dict):
             inner = want.items() if field == "initial" else ()
@@ -340,15 +400,11 @@ def test_closed_forms():
 
 
 @settings(max_examples=30, deadline=None)
-@given(case=st.one_of(
-    st.tuples(st.just("map1"),
-              st.fractions(min_value=F(1, 60), max_value=F(59, 60), max_denominator=60)),
-    st.tuples(st.just("map2"),
-              st.fractions(min_value=F(1, 60), max_value=F(1, 4), max_denominator=60))))
+@given(case=family_l)
 def test_record_builds_for_random_l(case):
     name, l = case
     fam = check_against_oracle(name, l)
-    fresh = transfer.project_unstable(getattr(maps, fam.builder)(l))
+    fresh = transfer.project_unstable(getattr(maps, families._STATED[name][0])(l))
     assert fresh == fam.x_factor
 
 

@@ -59,6 +59,15 @@ class TestAnalyticCurrent:
         for l in (F(1, 8), F(1, 6), F(1, 5)):
             assert l_of_bias(bias_of(l)) == l
 
+    @settings(max_examples=50)
+    @given(b=st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000))
+    def test_bias_of_inverts_l_of_bias(self, b):
+        # the record build proves psi = b'/(4-3b') for b' = bias_of(l), so
+        # at l = l_of_bias(b) the sweep's psi/b is 1/(4-3b)
+        assert bias_of(l_of_bias(b)) == b
+        fam = family("map2", l_of_bias(b))
+        assert fam.psi / b == 1 / (4 - 3 * b)
+
     @settings(max_examples=25)
     @given(l=l_map2)
     def test_current_equals_measure_difference(self, l):

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from bakerfr.periodic_orbits import (
 from bakerfr.transfer import Branch1D, ConsistencyError, project_unstable
 from reference import admissible_sequences, packed_trace
 
-A, B = RegionLabel.A, RegionLabel.B
+A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
 l_values = st.fractions(min_value=F(1, 20), max_value=F(19, 20), max_denominator=30)
 
@@ -267,7 +268,7 @@ class TestGeneralizedDiagnostic:
     def test_runs_and_reports_discrepancy(self):
         diag = generalized_upo_diagnostic(F(1, 8), 6)
         assert diag.cycles > 0
-        assert sum(diag.upo_probs.values()) == 1
+        assert sum(diag.upo.probs.values()) == 1
         assert 0 <= diag.total_variation <= 1
         # the naive orbit expansion is far from the true law here; no
         # agreement is asserted, only that the gap is quantified
@@ -289,7 +290,34 @@ class TestGeneralizedDiagnostic:
         total = sum(weights.values())
         diag = generalized_upo_diagnostic(l, n)
         assert diag.cycles == cycles
-        assert diag.upo_probs == {g: w / total for g, w in weights.items()}
+        assert diag.upo.probs == {g: w / total for g, w in weights.items()}
+
+    @pytest.mark.parametrize("successors", [
+        None,
+        # two classes, {A, C} and {B, D}, whose count matrix [[1, 2], [1, 0]]
+        # has the eigenvalues 2 and -1: 2^n + (-1)^n cycles
+        {A: (A, B, D), B: (C,), C: (A, B, D), D: (C,)},
+    ], ids=["record", "nonzero-det"])
+    def test_cycles_equal_a_region_walk(self, monkeypatch, successors):
+        l = F(1, 8)
+        fam = family("map2", l)
+        if successors:
+            corrupted = fam._replace(successors=MappingProxyType(successors))
+            monkeypatch.setattr(periodic_orbits, "family", lambda name, l: corrupted)
+        else:
+            successors = {r: [s for s in fam.labels if fam.trans[r, s]] for r in fam.labels}
+        for n in range(1, 13):
+            cycles = 0
+            for first in fam.labels:
+                walks = {first: 1}
+                for _ in range(n):
+                    step = {}
+                    for r, count in walks.items():
+                        for s in successors[r]:
+                            step[s] = step.get(s, 0) + count
+                    walks = step
+                cycles += walks.get(first, 0)
+            assert generalized_upo_diagnostic(l, n).cycles == cycles
 
     @settings(max_examples=15, deadline=None)
     @given(l=st.fractions(F(1, 60), F(1, 4), max_denominator=60),
@@ -298,10 +326,10 @@ class TestGeneralizedDiagnostic:
         weights = packed_trace(l, n)
         total = sum(weights.values())
         diag = generalized_upo_diagnostic(l, n)
-        assert diag.upo_probs == {g: F(w, total) for g, w in weights.items()}
+        assert diag.upo.probs == {g: F(w, total) for g, w in weights.items()}
         # the distance, summed as Fractions by its definition
         law = exact_distribution("map2", l, n).probs
-        assert diag.total_variation == sum(abs(diag.upo_probs.get(g, 0) - law.get(g, 0))
+        assert diag.total_variation == sum(abs(diag.upo.probs.get(g, 0) - law.get(g, 0))
                                            for g in set(law) | set(weights)) / 2
 
     def test_trace_equals_the_packed_dp_at_n_1000(self):
@@ -309,7 +337,7 @@ class TestGeneralizedDiagnostic:
         # (2-CPU Xeon container, Python 3.11.7)
         weights = packed_trace(F(1, 8), 1000)
         total = sum(weights.values())
-        assert (generalized_upo_diagnostic(F(1, 8), 1000).upo_probs
+        assert (generalized_upo_diagnostic(F(1, 8), 1000).upo.probs
                 == {g: F(w, total) for g, w in weights.items()})
 
     @pytest.mark.parametrize("l", [F(1, 8), F(3, 37), F(1, 5)])
@@ -320,9 +348,9 @@ class TestGeneralizedDiagnostic:
         # lives on that lattice and the chain's mass off it bounds the gap
         diag = generalized_upo_diagnostic(l, n)
         assert diag.cycles == 2 ** n
-        assert sum(diag.upo_probs.values()) == 1
-        assert all((g - n) % 2 == 0 for g in diag.upo_probs)
-        off_lattice = sum(p for g, p in diag.chain_probs.items() if (g - n) % 2)
+        assert sum(diag.upo.probs.values()) == 1
+        assert all((g - n) % 2 == 0 for g in diag.upo.probs)
+        off_lattice = sum(p for g, p in diag.chain.probs.items() if (g - n) % 2)
         assert off_lattice == mass_off_the_lattice(l, n)
         assert diag.total_variation >= off_lattice
 
@@ -339,4 +367,4 @@ class TestGeneralizedDiagnostic:
 
     def test_equilibrium_diagnostic_is_symmetric(self):
         diag = generalized_upo_diagnostic(F(1, 4), 5)
-        assert all(diag.upo_probs[g] == diag.upo_probs[-g] for g in diag.upo_probs)
+        assert all(diag.upo.probs[g] == diag.upo.probs[-g] for g in diag.upo.probs)
