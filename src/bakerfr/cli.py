@@ -414,26 +414,27 @@ def cmd_reversibility(cfg: ExperimentConfig) -> Result:
     return ok, payload, None
 
 
+class _Command(NamedTuple):
+    """A command's run, the config keys every run reads, its defaults, and
+    its defaults per family, resolved once the sweep has expanded."""
+
+    run: Callable[[ExperimentConfig], Result]
+    reads: set[str]
+    defaults: dict = {}
+    family_defaults: dict = {}
+
+
+# upo runs map1 at l = 2/3, while map2, which needs l <= 1/4, keeps the
+# config default 1/8
 _COMMANDS = {
-    "density": cmd_density,
-    "fr": cmd_fr,
-    "upo": cmd_upo,
-    "multibaker": cmd_multibaker,
-    "reversibility": cmd_reversibility,
+    "density": _Command(cmd_density, {"family", "l"}),
+    "fr": _Command(cmd_fr, {"family", "l", "n", "mode"}),
+    "upo": _Command(cmd_upo, {"family", "l", "n"}, {"family": "map1"},
+                    {"map1": {"l": Fraction(2, 3)}}),
+    "multibaker": _Command(cmd_multibaker, {"n", "ensemble", "transient", "seed"}, {"n": 1000}),
+    "reversibility": _Command(cmd_reversibility, {"family", "l", "ensemble", "seed"},
+                              {"ensemble": 1000}),
 }
-
-_DEFAULTS = {
-    "density": {},
-    "fr": {},
-    "upo": {"family": "map1"},
-    "multibaker": {"n": 1000},
-    "reversibility": {"ensemble": 1000},
-}
-
-# defaults that also depend on the family, resolved per config once the
-# sweep has expanded: upo runs map1 at l = 2/3, while map2, which needs
-# l <= 1/4, keeps the config default 1/8
-_FAMILY_DEFAULTS = {("upo", "map1"): {"l": Fraction(2, 3)}}
 
 _FAMILIES = ("map1", "map2", "composite")
 _MODES = ("exact", "montecarlo")
@@ -474,10 +475,7 @@ _KEYS = {
 
 def _reads(cfg: ExperimentConfig) -> set[str]:
     """The config keys that the run of `cfg` reads."""
-    keys = {"density": {"family", "l"}, "fr": {"family", "l", "n", "mode"},
-            "upo": {"family", "l", "n"},
-            "multibaker": {"n", "ensemble", "transient", "seed"},
-            "reversibility": {"family", "l", "ensemble", "seed"}}[cfg.command]
+    keys = set(_COMMANDS[cfg.command].reads)
     if cfg.command == "fr":
         keys |= {"delta"} if cfg.mode == "exact" else {"ensemble", "transient", "seed"}
     if cfg.command == "multibaker":
@@ -508,7 +506,8 @@ def _configs_from_args(args) -> tuple[list[ExperimentConfig], Path]:
     flag or sweep key that a config's run would not read is refused."""
     given = {key: parse(getattr(args, key)) for key, (parse, _text) in _KEYS.items()
              if getattr(args, key) is not None}
-    cfg = ExperimentConfig(command=args.command, **{**_DEFAULTS[args.command], **given})
+    command = _COMMANDS[args.command]
+    cfg = ExperimentConfig(command=args.command, **{**command.defaults, **given})
     out = Path(args.out) if args.out else Path(f"bakerfr_{args.command}")
     if not out.parent.is_dir():
         raise ValueError(f"output directory {out.parent} does not exist")
@@ -527,7 +526,7 @@ def _configs_from_args(args) -> tuple[list[ExperimentConfig], Path]:
     configs = []
     for combo in itertools.product(*(lists[k] for k in keys)):
         c = cfg._replace(**dict(zip(keys, combo)))
-        defaults = _FAMILY_DEFAULTS.get((c.command, c.family), {})
+        defaults = command.family_defaults.get(c.family, {})
         configs.append(c._replace(**{k: v for k, v in defaults.items()
                                      if k not in given and k not in lists}))
     for c in configs:
@@ -558,7 +557,7 @@ def main(argv=None) -> int:
         for idx, cfg in enumerate(configs):
             prefix = out if len(configs) == 1 else out.with_name(f"{out.name}-{idx:03d}")
             try:
-                passed, payload, table = _COMMANDS[cfg.command](cfg)
+                passed, payload, table = _COMMANDS[cfg.command].run(cfg)
             except ValueError as exc:
                 print(f"{cfg.command} [ERROR] {exc}")
                 worst = max(worst, 2)

@@ -67,7 +67,8 @@ def compile_map(m: PiecewiseAffineMap) -> CompiledMap:
     if m.family is None or m.l is None:
         raise ValueError(f"{m.name} carries no region partition")
     fam = family(m.family, m.l)
-    if [(b.lo, b.hi, b.label) for b in strips] != list(fam.partition):
+    if [(b.lo, b.hi, b.label) for b in strips] != [(b.lo, b.hi, b.label)
+                                                    for b in fam.x_factor.branches]:
         raise ValueError(f"{m.name}: region edges differ from the strip edges")
     return CompiledMap(
         strip_edges=np.array([float(b.hi) for b in strips[:-1]]),

@@ -3,8 +3,8 @@ width l.
 
 `family(name, l)` builds the family's map at l, projects it once on the
 expanding direction (`x_factor`) and derives the record from that
-geometry: the region labels and strip partition from the branch strips,
-the one-step transition probabilities from
+geometry: the region labels and uniform weights from its strips, the
+one-step transition probabilities from
 `transfer.transition_matrix(x_factor)`, the common nonzero entry `col`
 of each of their columns and the successors of each region from the
 nonzero pattern, the polynomials of the exact law (below), the
@@ -46,19 +46,19 @@ against; derived from it, they would make `bakerfr density` compare
 The first call for a given (name, l) checks the record (`_verify`): the
 inverse strip slopes against `col`, every region of a class (the regions
 grouped by successor set) against the transition row of the class's
-first region (the lumping condition),
-every branch jacobian against `unit_base ** -g`, the stay-probability
-ratio of the g = +1 and g = -1 regions against the unit base, the
-stated weights against `region_measures(x_factor)`, and for map2
-`multibaker.analytic_current` against psi = sum(mu * g).  The strip chain is derived twice: once
-labelled for the transitions, once inside the stationary solve of
-`transfer.invariant_density`, which the measures read.  It also checks
-that the chain has the shape the exact law's recurrence needs (one or
-two classes, a two-term D T and a z-free D^2 Delta) and that each
-start's E D s M(1) 1 is D times its E s(1) 1, the transition rows summing
-to one.  Any disagreement raises `ConsistencyError`; later calls return
-the same record from the cache.  Its mappings are read-only, so no caller can alter the cached
-facts.
+first region (the lumping condition), every branch jacobian against
+`unit_base ** -g`, the stay-probability ratio of the g = +1 and g = -1
+regions against the unit base, the stated weights against
+`region_measures(x_factor)`, and for map2 `multibaker.analytic_current`
+against psi = sum(mu * g).  The strip chain is derived twice: once
+labelled for the transitions, once inside the one stationary solve of
+`transfer`, which `region_measures` reads.  It also checks that the chain
+has the shape the exact law's recurrence needs (one or two classes, a
+two-term D T and a z-free D^2 Delta) and that each start's E D s M(1) 1
+is D times its E s(1) 1, the transition rows summing to one.  Any
+disagreement raises `ConsistencyError`; later calls return the same
+record from the cache.  Its mappings are read-only, so no caller can
+alter the cached facts.
 """
 
 from __future__ import annotations
@@ -101,7 +101,6 @@ class Family(NamedTuple):
     conjugacy: Mapping[RegionLabel, RegionLabel]      # region of G(M(p)) given region of p
     successors: Mapping[RegionLabel, tuple[RegionLabel, ...]]
     l: Fraction
-    partition: tuple[tuple[Fraction, Fraction, RegionLabel], ...]
     trans: Mapping[tuple[RegionLabel, RegionLabel], Fraction]
     col: Mapping[RegionLabel, Fraction]  # common nonzero entry of each column of trans
     initial: Mapping[str, Mapping[RegionLabel, Fraction]]  # "stationary", "uniform"
@@ -117,12 +116,9 @@ class Family(NamedTuple):
 
     @property
     def density(self) -> StepDensity:
-        """Stationary x-density: each region's weight spread evenly over
-        its strip, adjacent equal values merged."""
+        """Stationary x-density: the stated weights spread over the strips."""
         mu = self.initial["stationary"]
-        edges = (self.partition[0][0],) + tuple(hi for _lo, hi, _lab in self.partition)
-        return StepDensity(edges, tuple(mu[lab] / (hi - lo)
-                                        for lo, hi, lab in self.partition)).simplify()
+        return transfer.strip_density(self.x_factor.branches, [mu[lab] for lab in self.labels])
 
 
 def family(name: str, l) -> Family:
@@ -139,8 +135,7 @@ def _family(name: str, l: Fraction) -> Family:
     builder, g, conjugacy, weights = _STATED[name]
     m = getattr(maps, builder)(l)
     x_factor = transfer.project_unstable(m)
-    partition = tuple((b.x_lo, b.x_hi, b.label) for b in m.branches)
-    labels = tuple(lab for _lo, _hi, lab in partition)
+    labels = tuple(b.label for b in x_factor.branches)
     trans = transfer.transition_matrix(x_factor)
     # transition_matrix checks that the nonzero entries of each column are
     # equal, so the largest is that entry
@@ -151,7 +146,7 @@ def _family(name: str, l: Fraction) -> Family:
     den = math.lcm(*(p.denominator for p in trans.values()))
     dp = {key: (p * den).numerator for key, p in trans.items()}   # D p(r, s)
     initial = {"stationary": stationary,
-               "uniform": {lab: hi - lo for lo, hi, lab in partition}}
+               "uniform": {b.label: b.hi - b.lo for b in x_factor.branches}}
     starts = {}
     for start, w in initial.items():
         e = math.lcm(*(v.denominator for v in w.values()))
@@ -163,7 +158,7 @@ def _family(name: str, l: Fraction) -> Family:
         name, labels, MappingProxyType(g), MappingProxyType(conjugacy),
         successors=MappingProxyType({i: tuple(j for j in labels if trans[i, j])
                                      for i in labels}),
-        l=l, partition=partition,
+        l=l,
         trans=MappingProxyType(trans), col=MappingProxyType(col),
         initial=MappingProxyType({start: MappingProxyType(w) for start, w in initial.items()}),
         unit_base=unit_base,

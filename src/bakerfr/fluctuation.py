@@ -83,7 +83,10 @@ MIN_COUNT = 25
 
 
 class ChainSpec(NamedTuple):
-    """The family's symbol process started from one initial law."""
+    """The family's symbol process started from one initial law.
+    `labels`, `delta` and `successors` have no caller in the package: they
+    keep `dp_cells` in `perfbench/tracer.py` (traced runs only) and
+    `tests/reference.py` off the field layout of `Family`."""
 
     fam: Family
     initial: Mapping[RegionLabel, Fraction]

@@ -7,10 +7,9 @@ rectangle: `compose` is exact on the common refinement, and
 Coefficients and `PhasePoint` coordinates are ``Fraction``s only; the
 float sampler is `bakerfr.ensembles`.  Branch domains follow the
 half-open convention ``[lo, hi)`` with the top edge of the square closed
-(`_within` on integers, `in_interval` on ``Fraction``s), which makes
-region membership total and deterministic.  A branch's action is
-written once, on integers (`AffineBranch._act`); `AffineBranch.apply`
-is its ``Fraction`` form.
+(`_within`, on integers), which makes region membership total and
+deterministic.  A branch's action is written once, on integers
+(`AffineBranch._act`); `AffineBranch.apply` is its ``Fraction`` form.
 """
 
 from __future__ import annotations
@@ -62,7 +61,9 @@ class CheckedRecord:
     """Base of a record (a NamedTuple subclass) whose `__new__` checks its
     fields: `_replace` goes through that constructor, which namedtuple's
     own `_replace` skips.  A subclass sets ``__slots__ = ()`` unless it has
-    a `cached_property`, which needs the instance ``__dict__``."""
+    a `cached_property`, which needs the instance ``__dict__``.  No
+    package code calls `_replace`; it keeps the copies that library
+    callers and tests derive as strictly checked as the constructor."""
 
     __slots__ = ()
 
@@ -91,13 +92,6 @@ def _within(n: int, d: int, lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> bool:
     top edge 1 of the square, by cross-multiplication; every denominator
     is positive, and no pair need be in lowest terms."""
     return (lo_n * d <= n * lo_d and n * hi_d < hi_n * d) or (n == d and hi_n == hi_d)
-
-
-def in_interval(v: Fraction, lo: Fraction, hi: Fraction) -> bool:
-    """Half-open membership v in [lo, hi), closed at the top edge 1 of
-    the square."""
-    return _within(v.numerator, v.denominator, lo.numerator, lo.denominator,
-                   hi.numerator, hi.denominator)
 
 
 #: a point (x, y) as the integers (x_num, x_den, y_num, y_den), both
@@ -516,14 +510,14 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
 
     Two independent routes.  The proofs decide each identity on every
     piece of the exact compositions G o G, (G o M) o (G o M) and
-    M o (G o M), and for the regions on the overlay of the strip
-    partition, as a labelled identity map S, with S o (G o M); each gives
-    the area on which it fails.  A jacobian is constant on a piece, so it
-    is read at the piece's centre, which G o M sends inside one piece of
-    M.  The samples check each identity at exact rational points, plus
-    region corners shrunk into each region (exact corners sit on branch
-    boundaries, where the half-open convention is arbitrary); a point
-    outside the unit square raises `ValueError`.  They run on the
+    M o (G o M), and for the regions on the overlay of the record's
+    x-factor strips, as a labelled identity map S, with S o (G o M); each
+    gives the area on which it fails.  A jacobian is constant on a piece,
+    so it is read at the piece's centre, which G o M sends inside one
+    piece of M.  The samples check each identity at exact rational
+    points, plus region corners shrunk into each region (exact corners
+    sit on branch boundaries, where the half-open convention is
+    arbitrary); a point outside the unit square raises `ValueError`.  They run on the
     integers of each point (`IntPoint`): branches and regions are found
     and images compared by cross-multiplication, without reducing to
     lowest terms, and a `PhasePoint` is built only for a failure."""
@@ -548,16 +542,16 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
     points = list(samples)
     if fam is not None:
         conj = fam.conjugacy
-        strips = PiecewiseAffineMap("strips", [_identity_branch(lo, hi, label=label)
-                                               for lo, hi, label in fam.partition])
+        strips = PiecewiseAffineMap("strips", [_identity_branch(b.lo, b.hi, label=b.label)
+                                               for b in fam.x_factor.branches])
         proofs["region_conjugacy"] = _proof(
             (rect, after.label == conj[at.label])
             for rect, at, after in overlay(strips, compose(strips, gm)))
         inset = (Fraction(1, 4096), Fraction(4095, 4096))  # region corners, shrunk
-        points += [PhasePoint(lo + (hi - lo) * t, s) for lo, hi, _label in fam.partition
+        points += [PhasePoint(b.lo + (b.hi - b.lo) * t, s) for b in fam.x_factor.branches
                    for t in inset for s in inset]
-        edges = [(*lo.as_integer_ratio(), *hi.as_integer_ratio(), label)
-                 for lo, hi, label in fam.partition]
+        edges = [(*b.lo.as_integer_ratio(), *b.hi.as_integer_ratio(), b.label)
+                 for b in fam.x_factor.branches]
 
         def region(n: int, d: int) -> RegionLabel:
             for lo_n, lo_d, hi_n, hi_d, label in edges:

@@ -140,12 +140,22 @@ def upo_distribution(l, orbits: list[PeriodicOrbit]) -> SymbolDistribution:
     `enumerate_orbits(l, n)` gives them) grouped by alpha - beta.  The
     weights already sum to one, (l + r)^n, so no extra normalization
     enters.  The integer weights are summed over the lcm of their
-    denominators: the law's counts over that lcm."""
+    denominators: the law's counts over that lcm.  Orbits other than all
+    2^n of one length n, led by the all-A orbit of weight l^n, raise
+    `ValueError`."""
     l = as_fraction(l)
-    n = len(orbits[0].label)
+    if not orbits:
+        raise ValueError("no orbits: expected all orbits of one length")
+    first = orbits[0]
+    n, weight = len(first.label), Fraction(first.weight_num, first.weight_den)
+    if len(orbits) != 2 ** n or first.label != "A" * n or weight != l ** n:
+        raise ValueError(f"expected the 2^{n} orbits of length {n} at l = {l}, A^{n} of weight "
+                         f"{l ** n} first; got {len(orbits)}, {first.label} of weight {weight}")
     den = math.lcm(*{o.weight_den for o in orbits})
     sums: dict[int, int] = {}
     for _label, alpha, beta, _x_n, _x_d, w_n, w_d in orbits:
+        if alpha + beta != n:
+            raise ValueError(f"orbits of two lengths, {n} and {alpha + beta}")
         sums[alpha - beta] = sums.get(alpha - beta, 0) + w_n * (den // w_d)
     total = sum(sums.values())
     if total != den:

@@ -17,12 +17,11 @@ and in y, projects onto the four labelled strips of its base map.
 equal its family's `x_factor` (the projection the record holds), strip
 for strip.  `verify_composite` adds the rest of the composite's claim: it
 equals fold-then-map exactly.  `transition_matrix` labels the same strip
-chain, and `region_measures` is the stationary density times the strip
-widths, stationary under that chain by what `invariant_density` proves.
-Like `invariant_density`, both take a projection.  `families.family`
-derives a record's transitions, column weights and successors from
-`transition_matrix`, and checks the record's stated stationary weights
-against `region_measures`."""
+chain; `invariant_density` and `region_measures` read the density and
+the strip weights of one stationary solve.  All three take a projection.
+`families.family` derives a record's transitions, column weights and
+successors from `transition_matrix`, and checks the record's stated
+stationary weights against `region_measures`."""
 
 from __future__ import annotations
 
@@ -38,7 +37,6 @@ from bakerfr.maps import (
     RegionLabel,
     build_perturbation,
     compose,
-    in_interval,
     overlay,
 )
 
@@ -190,14 +188,6 @@ class StepDensity(CheckedRecord, _StepDensity):
         return sum(v * (b - a)
                    for a, b, v in zip(self.breakpoints, self.breakpoints[1:], self.values))
 
-    def value_at(self, x):
-        if not 0 <= x <= 1:
-            raise ValueError(f"x={x} outside [0, 1]")
-        for a, b, v in zip(self.breakpoints, self.breakpoints[1:], self.values):
-            if in_interval(x, a, b):
-                return v
-        raise AssertionError("unreachable")
-
     def simplify(self) -> "StepDensity":
         """Merge adjacent intervals with equal values."""
         bp = [self.breakpoints[0]]
@@ -319,18 +309,27 @@ def _strip_chain(strips: Sequence[Branch1D]) -> list[list[Fraction]]:
     return p
 
 
-def invariant_density(map1d: Map1D) -> StepDensity:
-    """Exact stationary density of the projected operator.
+def strip_density(strips: Sequence[Branch1D], weights: Sequence[Fraction]) -> StepDensity:
+    """The density that spreads each weight evenly over its strip of the
+    tiling `strips`, adjacent equal values merged."""
+    edges = (strips[0].lo,) + tuple(b.hi for b in strips)
+    return StepDensity(edges, tuple(w / (b.hi - b.lo)
+                                    for b, w in zip(strips, weights))).simplify()
+
+
+def _stationary(map1d: Map1D) -> tuple[list[Fraction], StepDensity]:
+    """The one stationary solve: the strip weights mu and their density.
 
     `cell_transfer_matrix` checks that the strips are a Markov partition
     and gives the pushed-indicator matrix t.  With w the strip widths and
-    p the strip chain, t must satisfy t[i][j] == p[j][i] w[j] / w[i] for
-    every entry: the Frobenius-Perron operator of a Markov map written in
-    the chain's coordinates.  So t is similar to the transpose of p, and
-    the chain's stationary law mu, one rational solve whose nullity must
-    be 1, gives the density mu[i] / w[i].  Raises `ConsistencyError` on a
-    differing entry, a stationary vector of mixed signs, or a density that
-    is not an exact fixed point of `frobenius_perron_step`."""
+    p the strip chain, t must equal the chain written on densities,
+    t[i][j] == p[j][i] w[j] / w[i], entry by entry.  So t is similar to
+    the transpose of p, and the chain's stationary law mu, one rational
+    solve whose nullity must be 1, gives the density mu[i] / w[i]; that
+    equality and the exact fixed point make mu stationary under p.
+    Raises `ConsistencyError` on a differing entry, a stationary vector of
+    mixed signs, or a density that is not an exact fixed point of
+    `frobenius_perron_step`."""
     t = cell_transfer_matrix(map1d)
     strips = map1d.branches
     w = [b.hi - b.lo for b in strips]
@@ -347,11 +346,16 @@ def invariant_density(map1d: Map1D) -> StepDensity:
     total = sum(mu)  # nonzero for a vector of one sign, and fixes that sign
     if total == 0 or any(x * total < 0 for x in mu):
         raise ConsistencyError(f"stationary vector has mixed signs: {mu}")
-    edges = (strips[0].lo,) + tuple(b.hi for b in strips)
-    rho = StepDensity(edges, tuple(x / (total * wi) for x, wi in zip(mu, w))).simplify()
+    mu = [x / total for x in mu]
+    rho = strip_density(strips, mu)
     if frobenius_perron_step(map1d, rho).simplify() != rho:
         raise ConsistencyError("stationary density is not a fixed point of the operator")
-    return rho
+    return mu, rho
+
+
+def invariant_density(map1d: Map1D) -> StepDensity:
+    """Exact stationary density of the projected operator (`_stationary`)."""
+    return _stationary(map1d)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +390,8 @@ def transition_matrix(map1d: Map1D) -> dict[tuple[RegionLabel, RegionLabel], Fra
 
 def region_measures(map1d: Map1D) -> dict[RegionLabel, Fraction]:
     """Invariant region probabilities {label: mu} of a projection made of
-    labelled strips: the stationary density of `invariant_density` times
-    the strip widths.  `families.family` checks a family's stated
-    stationary weights against them.
-
-    They are stationary under the chain of `transition_matrix(map1d)`
-    without a check here.  `invariant_density` proves t[i][j] == p[j][i]
-    w[j] / w[i] for the strip chain p of these strips and the exact fixed
-    point t rho = rho; together they give sum_j p[j][i] w[j] rho[j] =
-    w[i] rho[i], the stationarity of mu = w rho under p."""
-    _labels(map1d)
-    rho = invariant_density(map1d)
-    return {b.label: rho.value_at(b.lo) * (b.hi - b.lo) for b in map1d.branches}
+    labelled strips: the strip weights of the solve (`_stationary`) whose
+    density `invariant_density` returns, stationary under the chain of
+    `transition_matrix(map1d)` by what that solve proves.
+    `families.family` checks a family's stated weights against them."""
+    return dict(zip(_labels(map1d), _stationary(map1d)[0]))

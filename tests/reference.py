@@ -2,10 +2,10 @@
 measure of one symbol sequence, the boundary formula of its
 fluctuation-ratio correction, the class chain lumped from the region
 chain with its packed DP of the exact law and of the map2 cycle trace,
-the exact orbit of a point with its regions and g count, and the
-multibaker lift.  The program computes these facts
-level by level, on integers or by a recurrence; nothing in it calls this
-module."""
+the exact orbit of a point with its regions (by the half-open
+membership `in_interval`) and g count, and the multibaker lift.  The
+program computes these facts level by level, on integers or by a
+recurrence; nothing in it calls this module."""
 
 import math
 from fractions import Fraction
@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple
 
 from bakerfr.families import Family, family
 from bakerfr.fluctuation import ChainSpec, SymbolDistribution, chain_spec
-from bakerfr.maps import PhasePoint, PiecewiseAffineMap, RegionLabel, in_interval
+from bakerfr.maps import PhasePoint, PiecewiseAffineMap, RegionLabel, _within
 from bakerfr.transfer import ConsistencyError
 
 _ZERO = Fraction(0)
@@ -158,11 +158,18 @@ def iterate(m: PiecewiseAffineMap, p: PhasePoint, n: int) -> list[PhasePoint]:
     return orbit
 
 
+def in_interval(v: Fraction, lo: Fraction, hi: Fraction) -> bool:
+    """Half-open membership v in [lo, hi), closed at the top edge 1 of
+    the square: `maps._within` on the rationals' integer pairs."""
+    return _within(v.numerator, v.denominator, lo.numerator, lo.denominator,
+                   hi.numerator, hi.denominator)
+
+
 def region_of(m: PiecewiseAffineMap, p: PhasePoint) -> RegionLabel:
-    """The region of the strip partition of m's family record that holds p."""
-    for lo, hi, label in family(m.family, m.l).partition:
-        if in_interval(p.x, lo, hi):
-            return label
+    """The region of the x-factor strips of m's family record that holds p."""
+    for b in family(m.family, m.l).x_factor.branches:
+        if in_interval(p.x, b.lo, b.hi):
+            return b.label
     raise ValueError(f"x={p.x} not covered by the region partition")
 
 

@@ -557,7 +557,7 @@ class TestErrorHandling:
         def never(cfg, out):
             raise AssertionError("ran with an output directory that does not exist")
 
-        monkeypatch.setitem(cli._COMMANDS, "fr", never)
+        monkeypatch.setitem(cli._COMMANDS, "fr", cli._COMMANDS["fr"]._replace(run=never))
         rc = run(["fr", "--out", str(tmp_path / "absent" / "fr")])
         assert rc == 2
         assert capsys.readouterr().out.startswith(

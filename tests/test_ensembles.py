@@ -41,8 +41,8 @@ def reference_sample_g(m, n, ensemble, transient, seed):
     ayy = np.array([float(b.scale[1]) for b in branches])
     ty = np.array([float(b.offset[1]) for b in branches])
     fam = family(m.family, m.l)
-    region_edges = np.array([float(hi) for _lo, hi, _lab in fam.partition[:-1]])
-    g_delta = np.array([fam.g[lab] for *_, lab in fam.partition], dtype=np.int64)
+    region_edges = np.array([float(b.hi) for b in fam.x_factor.branches[:-1]])
+    g_delta = np.array([fam.g[b.label] for b in fam.x_factor.branches], dtype=np.int64)
 
     def step(x, y):
         if fold is not None:

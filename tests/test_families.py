@@ -108,6 +108,30 @@ def test_one_chain_per_consumer(monkeypatch, name, l):
     families._family.cache_clear()
 
 
+@pytest.mark.parametrize("name,l", [("map1", F(2, 3)), ("map2", F(3, 37))])
+def test_one_stationary_solve_per_consumer(monkeypatch, name, l):
+    # the record build solves once, for region_measures; each
+    # invariant_density call solves once more, and Family.density, which
+    # spreads the stated weights, not at all
+    calls = []
+    real = transfer._nullspace_vector
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(transfer, "_nullspace_vector", counting)
+    families._family.cache_clear()
+    fam = family(name, l)
+    assert len(calls) == 1
+    for expected in (2, 3):
+        transfer.invariant_density(fam.x_factor)
+        assert len(calls) == expected
+    assert fam.density == transfer.invariant_density(fam.x_factor)
+    assert len(calls) == 4
+    families._family.cache_clear()
+
+
 def test_consumers_build_no_family_map(monkeypatch):
     from bakerfr.periodic_orbits import enumerate_orbits
 
@@ -367,13 +391,16 @@ ORACLES = {"map1": map1_oracle, "map2": map2_oracle}
 
 
 def check_against_oracle(name, l):
-    """The record against the oracle, and the oracle's class chain
-    (`classes`, `into`) against the test lumping `reference.class_chain`:
-    the record holds no class chain."""
+    """The record against the oracle, the oracle's class chain (`classes`,
+    `into`) against the test lumping `reference.class_chain`, and the
+    oracle's `partition` against the record's x-factor strips: the record
+    holds neither a class chain nor a partition."""
     fam = family(name, l)
     chain = class_chain(fam)
+    strips = tuple((b.lo, b.hi, b.label) for b in fam.x_factor.branches)
     for field, want in ORACLES[name](l).items():
-        got = getattr(chain if field in chain._fields else fam, field)
+        got = strips if field == "partition" else getattr(
+            chain if field in chain._fields else fam, field)
         assert got == want, field
         if isinstance(want, dict):
             inner = want.items() if field == "initial" else ()

@@ -296,6 +296,35 @@ class TestFRReport:
                     if g > 0:
                         assert d.prob(g) == d.prob(-g) * base ** g
 
+    def test_uniform_start_ratio_is_exact_for_every_l(self):
+        # Degree premise: on (0, 1/4] the successor sets of map2 do not
+        # change, and its uniform widths (l, 1/2 - l, 1/4, 1/4) and its
+        # transitions (1/2, 2l, 1 - 2l) are affine in l.  So P_u(g) and
+        # P_u(-g), sums over admissible sequences of one width times n - 1
+        # transitions, are polynomials in l of degree at most n, and
+        # base^g = (2 (1 - 2l))^g has degree g.  Their gap
+        # P_u(g) - base^g P_u(-g) has degree at most n + g, so it vanishes
+        # on all of (0, 1/4] once it vanishes at n + g + 1 distinct l.
+        # About 0.16 s in a fresh process (2-CPU Xeon container, Python 3.11.7).
+        points = [F(k, 100) for k in range(1, 26)]   # 25 = 12 + 12 + 1 distinct l
+
+        @functools.cache
+        def law(l, n):
+            return exact_distribution("map2", l, n, start="uniform")
+
+        def gap(l, n, g):
+            return law(l, n).prob(g) - (2 * (1 - 2 * l)) ** g * law(l, n).prob(-g)
+
+        for n in range(1, 13):
+            for g in range(n + 1):
+                used = points[:n + g + 1]
+                assert all(gap(l, n, g) == 0 for l in used), (n, g)
+                # the last point is needed: adding the product over the
+                # others, of degree n + g, keeps the gap zero at all of
+                # them, and only the last one tells the sum from zero
+                bumped = [gap(l, n, g) + math.prod(l - p for p in used[:-1]) for l in used]
+                assert [b == 0 for b in bumped] == [True] * (n + g) + [False]
+
     def test_ratio_outside_the_float_range(self):
         # P(g)/P(-g) = (1/999)^g is below the smallest float from g = 108 on
         dist = exact_distribution("map1", F(1, 1000), 120)

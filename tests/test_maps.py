@@ -21,11 +21,10 @@ from bakerfr.maps import (
     build_simple_baker,
     compose,
     default_strip,
-    in_interval,
     random_rational_points,
     verify_reversibility,
 )
-from reference import iterate, region_of
+from reference import in_interval, iterate, region_of
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
@@ -435,12 +434,12 @@ def reference_sampled_route(m, g, samples):
     conj = None if fam is None else fam.conjugacy
 
     def region(p):
-        return next(label for lo, hi, label in fam.partition if inside(p.x, lo, hi))
+        return next(b.label for b in fam.x_factor.branches if inside(p.x, b.lo, b.hi))
 
     points = list(samples)
     if conj is not None:
         inset = (F(1, 4096), F(4095, 4096))
-        points += [PhasePoint(lo + (hi - lo) * t, s) for lo, hi, _label in fam.partition
+        points += [PhasePoint(b.lo + (b.hi - b.lo) * t, s) for b in fam.x_factor.branches
                    for t in inset for s in inset]
     checks = dict.fromkeys(proofs, 0)
     failures = []
@@ -526,7 +525,7 @@ class TestHalfOpenMembership:
         # every strip edge, the fold's x- and y-cuts, 0 and 1, each also as
         # a pair out of lowest terms, against every interval of the composite
         k = build_composite(l)
-        part = family(k.family, k.l).partition
+        part = [(b.lo, b.hi, b.label) for b in family(k.family, k.l).x_factor.branches]
         cuts = ({c for b in k.branches for c in b.domain}
                 | {e for lo, hi, _label in part for e in (lo, hi)} | {F(0), F(1)})
         intervals = ({(b.x_lo, b.x_hi) for b in k.branches}

@@ -19,7 +19,6 @@ from bakerfr.maps import (
     RegionLabel,
     build_generalized_baker,
     build_simple_baker,
-    in_interval,
 )
 from bakerfr.periodic_orbits import (
     PeriodicOrbit,
@@ -28,7 +27,7 @@ from bakerfr.periodic_orbits import (
     upo_distribution,
 )
 from bakerfr.transfer import Branch1D, ConsistencyError, project_unstable
-from reference import admissible_sequences, packed_trace
+from reference import admissible_sequences, in_interval, packed_trace
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
 
@@ -195,6 +194,26 @@ class TestUPODistribution:
     def test_matches_symbol_law_at_random_l(self, l, n):
         assert (upo_distribution(l, enumerate_orbits(l, n)).probs
                 == exact_distribution("map1", l, n).probs)
+
+    def test_no_orbits_is_bad_input(self):
+        with pytest.raises(ValueError, match="no orbits"):
+            upo_distribution(F(2, 3), [])
+
+    def test_a_partial_list_is_bad_input(self):
+        orbits = enumerate_orbits(F(2, 3), 3)
+        with pytest.raises(ValueError, match=r"expected the 2\^3 orbits .*; got 7"):
+            upo_distribution(F(2, 3), orbits[:-1])
+
+    def test_orbits_of_two_lengths_are_bad_input(self):
+        # 2^2 rows led by the all-A orbit of length 2, two of them of length 1
+        orbits = enumerate_orbits(F(2, 3), 2)[:2] + enumerate_orbits(F(2, 3), 1)
+        with pytest.raises(ValueError, match="orbits of two lengths, 2 and 1"):
+            upo_distribution(F(2, 3), orbits)
+
+    def test_orbits_of_another_l_are_bad_input(self):
+        with pytest.raises(ValueError, match="at l = 1/3, A\\^3 of weight 1/27 first; "
+                                             "got 8, AAA of weight 8/27$"):
+            upo_distribution(F(1, 3), enumerate_orbits(F(2, 3), 3))
 
 
 def reference_points(l, n):

@@ -90,7 +90,7 @@ class TestProjection:
         k = build_composite(l, x_tilde, eps)
         base = project_unstable(build_generalized_baker(l)).branches
         assert project_unstable(k).branches == base
-        assert [(b.lo, b.hi, b.label) for b in base] == list(family("map2", l).partition)
+        assert base == family("map2", l).x_factor.branches
         verify_x_factor(k)
 
     def test_corrupted_fold_piece_does_not_project(self):
@@ -241,6 +241,22 @@ class TestInvariantDensity:
     def test_closed_form_any_l(self, l):
         rho = invariant_density(project_unstable(build_generalized_baker(l)))
         assert rho == family("map2", l).density
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.one_of(
+    st.tuples(st.just("map1"),
+              st.fractions(min_value=F(1, 60), max_value=F(59, 60), max_denominator=60)),
+    st.tuples(st.just("map2"), l_map2)))
+def test_region_measures_spread_over_the_strips_give_the_density(case):
+    # the weights and the density come from one solve: spread evenly over
+    # the strips, the weights are the density
+    name, l = case
+    x = family(name, l).x_factor
+    mu = region_measures(x)
+    edges = (F(0),) + tuple(b.hi for b in x.branches)
+    spread = StepDensity(edges, tuple(mu[b.label] / (b.hi - b.lo) for b in x.branches))
+    assert spread.simplify() == invariant_density(x)
 
 
 def _scale_first_nonzero(rows, factor):
@@ -407,6 +423,4 @@ class TestStepDensity:
 
     def test_value_lookup_and_simplify(self):
         rho = StepDensity((F(0), F(1, 2), F(1)), (F(1), F(1)))
-        assert rho.value_at(F(1, 4)) == 1
-        assert rho.value_at(F(1)) == 1
         assert rho.simplify() == UNIFORM
