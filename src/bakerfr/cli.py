@@ -23,7 +23,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -49,8 +48,8 @@ from bakerfr.maps import (
 )
 from bakerfr.multibaker import (
     SweepRow,
+    current_row,
     linear_response_sweep,
-    simulate_current,
 )
 from bakerfr.periodic_orbits import (
     PeriodicOrbit,
@@ -370,21 +369,19 @@ def cmd_multibaker(cfg: ExperimentConfig) -> Result:
             "all_within_4_stderr": ok,
         }
         return ok, payload, sweep_table(rows)
-    est = simulate_current(cfg.l, cfg.ensemble, cfg.n, cfg.seed, cfg.transient)
-    fam = family("map2", cfg.l)
-    psi = fam.psi
-    ok = abs(est.psi_hat - float(psi)) <= 4 * est.stderr
+    row = current_row(cfg.l, cfg.ensemble, cfg.n, cfg.seed, cfg.transient)
+    ok = abs(row.psi_hat - float(row.psi_analytic)) <= 4 * row.stderr
     payload = {
-        "psi_analytic": str(psi),
-        "psi_hat": est.psi_hat,
-        "stderr": est.stderr,
-        "particles": est.particles,
-        "steps": est.steps,
-        "mean_lambda_analytic": float(psi) * math.log(fam.unit_base),
+        "psi_analytic": str(row.psi_analytic),
+        "psi_hat": row.psi_hat,
+        "stderr": row.stderr,
+        "particles": cfg.ensemble,
+        "steps": cfg.n,
+        "mean_lambda_analytic": row.lambda_analytic,
         "within_4_stderr": ok,
     }
     return ok, payload, ("l,psi_analytic,psi_hat,stderr,particles,steps", [
-        f"{cfg.l},{psi},{est.psi_hat!r},{est.stderr!r},{est.particles},{est.steps}\n"])
+        f"{row.l},{row.psi_analytic},{row.psi_hat!r},{row.stderr!r},{cfg.ensemble},{cfg.n}\n"])
 
 
 def cmd_reversibility(cfg: ExperimentConfig) -> Result:

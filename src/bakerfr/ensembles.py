@@ -1,15 +1,16 @@
 """Vectorized float backend for ensemble simulations.
 
 The observable g counts visits to the contracting and expanding strips,
-a function of the x-orbit alone.  `compile_map` reads the x-action of any
-map from `transfer.project_unstable`, which merges the pieces that share
-one x-action: the composite's fold cuts strip B in x and in y but acts on
-y alone, so it projects onto its base map's four strips, and its
-histograms equal the base map's bit for bit.  The sampler integrates x
-only.  The regions are the projected strips, so one strip index per
-iteration, by a compare and an add per inner edge, serves both the g
-increment and the map application; arrays are updated in place in
-scratch buffers that each chunk allocates once.
+a function of the x-orbit alone.  `compile_map` compiles the x-action
+of the map's record, `x_factor`, once `transfer.verify_x_factor` has
+found the map's projection equal to it strip for strip
+(`ConsistencyError` otherwise): the composite's fold cuts strip B in x
+and in y but acts on y alone, so it projects onto its base map's four
+strips, and its histograms equal the base map's bit for bit.  The
+sampler integrates x only.  One strip index per iteration, by a compare
+and an add per inner edge, serves both the g increment and the map
+application; arrays are updated in place in scratch buffers that each
+chunk allocates once.
 
 Every random number sits at a fixed position of one PCG64 stream seeded
 from `SeedSequence(seed)`: particle p draws its start x at position p and
@@ -45,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from bakerfr.maps import PiecewiseAffineMap
-from bakerfr.transfer import project_unstable
+from bakerfr.transfer import verify_x_factor
 
 DEFAULT_SHARD = 50_000  # 34 bytes a particle: ~1.7 MB of scratch per worker fits a 2 MB L2
 DITHER = 2.0 ** -52
@@ -63,13 +64,11 @@ class CompiledMap(NamedTuple):
 def compile_map(m: PiecewiseAffineMap) -> CompiledMap:
     from bakerfr.families import family
 
-    strips = project_unstable(m).branches
     if m.family is None or m.l is None:
         raise ValueError(f"{m.name} carries no region partition")
+    verify_x_factor(m)
     fam = family(m.family, m.l)
-    if [(b.lo, b.hi, b.label) for b in strips] != [(b.lo, b.hi, b.label)
-                                                    for b in fam.x_factor.branches]:
-        raise ValueError(f"{m.name}: region edges differ from the strip edges")
+    strips = fam.x_factor.branches
     return CompiledMap(
         strip_edges=np.array([float(b.hi) for b in strips[:-1]]),
         axx=np.array([float(b.slope) for b in strips]),

@@ -49,28 +49,27 @@ grouped by successor set) against the transition row of the class's
 first region (the lumping condition), every branch jacobian against
 `unit_base ** -g`, the stay-probability ratio of the g = +1 and g = -1
 regions against the unit base, the stated weights against
-`region_measures(x_factor)`, and for map2 `multibaker.analytic_current`
-against psi = sum(mu * g).  The strip chain is derived twice: once
-labelled for the transitions, once inside the one stationary solve of
-`transfer`, which `region_measures` reads.  It also checks that the chain
-has the shape the exact law's recurrence needs (one or two classes, a
-two-term D T and a z-free D^2 Delta) and that each start's E D s M(1) 1
-is D times its E s(1) 1, the transition rows summing to one.  Any
-disagreement raises `ConsistencyError`; later calls return the same
-record from the cache.  Its mappings are read-only, so no caller can
-alter the cached facts.
+`region_measures(x_factor)`, and for map2 the unit base against 2/(2-b),
+b = `multibaker.bias_of(l)`, and `multibaker.analytic_current` against
+psi = sum(mu * g).  The strip chain is derived twice: once labelled for
+the transitions, once in the stationary solve `region_measures` reads.
+It also checks that the chain has the shape the exact law's recurrence
+needs (one or two classes, a two-term D T and a z-free D^2 Delta) and
+that each start's E D s M(1) 1 is D times its E s(1) 1, the transition
+rows summing to one.  Any disagreement raises `ConsistencyError`; later
+calls return the same record from the cache.  Its mappings are
+read-only, so no caller can alter the cached facts.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from bakerfr import maps, transfer
-from bakerfr.maps import PiecewiseAffineMap, RegionLabel, as_fraction
+from bakerfr.maps import PiecewiseAffineMap, RegionLabel, as_fraction, common_denominator
 from bakerfr.transfer import ConsistencyError, Map1D, StepDensity
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
@@ -143,14 +142,13 @@ def _family(name: str, l: Fraction) -> Family:
     [unit_base] = {b.jacobian for b in m.branches if g[b.label] == -1}
     stationary = weights(l)
     ratios = [stationary[lab] / col[lab] for lab in labels]
-    den = math.lcm(*(p.denominator for p in trans.values()))
-    dp = {key: (p * den).numerator for key, p in trans.items()}   # D p(r, s)
+    den, scaled = common_denominator(trans.values())
+    dp = dict(zip(trans, scaled))   # D p(r, s)
     initial = {"stationary": stationary,
                "uniform": {b.label: b.hi - b.lo for b in x_factor.branches}}
     starts = {}
     for start, w in initial.items():
-        e = math.lcm(*(v.denominator for v in w.values()))
-        ew = {r: (e * v).numerator for r, v in w.items()}   # E w(r)
+        ew = dict(zip(w, common_denominator(w.values())[1]))   # E w(r)
         starts[start] = (MappingProxyType(_poly((g[r], c) for r, c in ew.items())),
                          MappingProxyType(_poly((g[r] + g[s], ew[r] * c)
                                                 for (r, s), c in dp.items())))
@@ -226,6 +224,9 @@ def _verify(fam: Family) -> None:
     if measured != mu:
         raise ConsistencyError(f"measures {measured} != closed form {dict(mu)}")
     if fam.name == "map2":
+        b = multibaker.bias_of(fam.l)
+        if fam.unit_base != 2 / (2 - b):
+            raise ConsistencyError(f"unit base {fam.unit_base} != 2/(2-b) at b={b}")
         # the measure route of the current: psi = sum(mu * g), mu as checked above
         current = multibaker.analytic_current(fam.l)
         if current != fam.psi:

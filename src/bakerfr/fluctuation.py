@@ -321,6 +321,14 @@ def log_ratio(num: int, den: int) -> float:
     return k * math.log(2) + math.log(r / Fraction(2) ** k)
 
 
+def _ratio_record(dist: SymbolDistribution, test: str) -> Family:
+    """The record of `dist`'s family, refused where psi = 0 and `test` is undefined."""
+    fam = families.family(dist.family, dist.l)
+    if fam.psi == 0:
+        raise UndefinedValueError(f"mean contraction vanishes at l={dist.l}; {test} is undefined")
+    return fam
+
+
 def fr_report(dist: SymbolDistribution) -> FRReport:
     """Check the ratio P(g)/P(-g) against base^g for every attainable
     positive g.  The two-branch family must satisfy the identity exactly;
@@ -328,11 +336,8 @@ def fr_report(dist: SymbolDistribution) -> FRReport:
     [4l, 1/(4l)].  Exact rational comparisons throughout; a row is read
     from the law's counts c(g) and base = bn / bd: alpha is the one
     `Fraction` c(g) bd^g / (c(-g) bn^g), its powers carried over g."""
-    fam = families.family(dist.family, dist.l)
+    fam = _ratio_record(dist, "the ratio test")
     psi, base = fam.psi, fam.unit_base
-    if psi == 0:
-        raise UndefinedValueError(
-            f"mean contraction vanishes at l={dist.l}; the ratio test is undefined")
     a_min, a_max = fam.alpha_bounds
     log_base, bound = math.log(base), math.log(a_max)
     (psi_n, psi_d), (bn, bd) = psi.as_integer_ratio(), base.as_integer_ratio()
@@ -392,19 +397,17 @@ def binned_fr_report(dist: SymbolDistribution, delta) -> BinnedFRReport:
     `Fraction` is built only for each printed value.
 
     The window probabilities are exact; the pass test compares float
-    logarithms, and the 1e-12 added to both edges absorbs their rounding
-    (a few ulp), so a row within 1e-12 of an edge is decided by the slack,
-    not certified.  At delta = 1/2, l in {1/8, 1/6, 1/5} and n in
-    {12, 120, 1000} every row lies at least 1e-6 from both edges (tested).
+    logarithms, and 1e-12 on both edges absorbs their rounding.  If every
+    per-g alpha lies in [1/A, A], A = alpha_max, each window ratio is
+    within a factor A C^k of base^g0, C = max(base, 1/base): the row is
+    inside its band by delta - k / (n |psi|) > 0 (tested on integers), so
+    the slack decides a row only where a per-g row of its window fails.
     """
     delta = as_fraction(delta)
     if delta <= 0:
         raise ValueError("need delta > 0")
-    fam = families.family(dist.family, dist.l)
+    fam = _ratio_record(dist, "binning")
     psi, base = fam.psi, fam.unit_base
-    if psi == 0:
-        raise UndefinedValueError(
-            f"mean contraction vanishes at l={dist.l}; binning is undefined")
     _a_min, a_max = fam.alpha_bounds
     n = dist.n
     n_lambda = n * float(psi) * math.log(base)
@@ -608,7 +611,7 @@ def empirical_fr_report(emp: EmpiricalDistribution) -> EmpiricalFRReport:
         if min(k_plus, k_minus) < MIN_COUNT:
             continue
         p_plus, p_minus = k_plus / emp.total, k_minus / emp.total
-        lhs = math.log(k_plus / k_minus)
+        lhs = log_ratio(k_plus, k_minus)
         sigma = math.sqrt((1 - p_plus) / k_plus + (1 - p_minus) / k_minus)
         bound = math.log(a_max)
         passed = abs(lhs - g * log_base) <= bound + Z_SCORE * sigma

@@ -4,7 +4,8 @@ Each cell evolves by the generalized map; material leaving the
 contracting strip B shifts one cell to the right and material leaving the
 expanding strip C shifts one cell to the left, so the cumulative
 displacement of a trajectory equals its net visit count g.  The bias
-parameter b = 2 - 1/(1-2l) controls the steady current."""
+parameter b = 2 - 1/(1-2l) controls the steady current: `current_row` is
+one l of it, analytic and sampled, for `multibaker --l` and the sweep."""
 
 from __future__ import annotations
 
@@ -95,26 +96,25 @@ class SweepRow(NamedTuple):
         return self.lambda_hat / float(self.b) ** 2
 
 
+def current_row(l, particles: int, steps: int, seed: int, transient: int) -> SweepRow:
+    """Current and mean contraction at strip width l, b = `bias_of(l)`: the
+    record's psi and unit base 2/(2-b), both checked by its build, and the
+    estimate of `simulate_current(l, particles, steps, seed, transient)`."""
+    est = simulate_current(l, particles, steps, seed, transient)
+    fam = family("map2", l)
+    phi = math.log(fam.unit_base)
+    return SweepRow(bias_of(fam.l), fam.l, fam.psi, est.psi_hat, est.stderr,
+                    float(fam.psi) * phi, est.psi_hat * phi)
+
+
 def linear_response_sweep(b_values, particles: int, steps: int, seed: int,
                           transient: int = DEFAULT_TRANSIENT) -> list[SweepRow]:
-    """Current and mean contraction along a list of bias values.
+    """`current_row` at l = `l_of_bias(b)` and seed + index, per bias b.
 
     psi/b equals 1/(4-3b) (so the zero-bias slope is 1/4): the record
-    build of l = `l_of_bias(b)` checks psi = b'/(4-3b') for b' =
-    `bias_of(l)` through `analytic_current`, and b' = b.  The unit base
-    is checked here to equal 2/(2-b) exactly.  Together they fix the mean
-    contraction lambda = b/(4-3b) ln(2/(2-b)) = b^2/8 + b^3/8 + O(b^4)."""
-    rows = []
-    for idx, b_in in enumerate(b_values):
-        b = as_fraction(b_in)
-        l = l_of_bias(b)
-        fam = family("map2", l)
-        psi = fam.psi
-        if fam.unit_base != 2 / (2 - b):
-            raise ConsistencyError(f"unit base {fam.unit_base} != 2/(2-b) at b={b}")
-        phi = math.log(fam.unit_base)
-        lam = float(psi) * phi
-        est = simulate_current(l, particles, steps, seed + idx, transient)
-        rows.append(SweepRow(b, l, psi, est.psi_hat, est.stderr, lam,
-                             est.psi_hat * phi))
-    return rows
+    build of l checks psi = b'/(4-3b') for b' = `bias_of(l)` through
+    `analytic_current`, and b' = b, and the unit base 2/(2-b) exactly.
+    Together they fix the mean contraction
+    lambda = b/(4-3b) ln(2/(2-b)) = b^2/8 + b^3/8 + O(b^4)."""
+    return [current_row(l_of_bias(b), particles, steps, seed + idx, transient)
+            for idx, b in enumerate(b_values)]

@@ -13,15 +13,16 @@ rationals.
 `project_unstable` reads the x-action of a map, merging pieces that share
 one x-action, so the irreversible composite, whose fold cuts strip B in x
 and in y, projects onto the four labelled strips of its base map.
-`verify_x_factor` checks exactly that for any map: its projection must
-equal its family's `x_factor` (the projection the record holds), strip
-for strip.  `verify_composite` adds the rest of the composite's claim: it
-equals fold-then-map exactly.  `transition_matrix` labels the same strip
-chain; `invariant_density` and `region_measures` read the density and
-the strip weights of one stationary solve.  All three take a projection.
-`families.family` derives a record's transitions, column weights and
-successors from `transition_matrix`, and checks the record's stated
-stationary weights against `region_measures`."""
+`verify_x_factor`, the one x-factor rule (the sampler's too), checks
+exactly that for any map: its projection must equal its family's
+`x_factor`, strip for strip.  `verify_composite` adds the rest of the
+composite's claim: it equals fold-then-map exactly.  `transition_matrix`
+labels the same strip chain; `invariant_density` and `region_measures`
+read the density and the strip weights of one stationary solve.  All
+three take a projection.  `families.family` derives a record's
+transitions, column weights and successors from `transition_matrix`, and
+checks the record's stated stationary weights against
+`region_measures`."""
 
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from bakerfr.maps import (
     CheckedRecord,
     PiecewiseAffineMap,
     RegionLabel,
+    _affine_interval,
     build_perturbation,
     compose,
     overlay,
@@ -64,8 +66,7 @@ class Branch1D(NamedTuple):
         return self.slope * x + self.intercept
 
     def image(self) -> tuple[Fraction, Fraction]:
-        a, b = self(self.lo), self(self.hi)
-        return (a, b) if a <= b else (b, a)
+        return _affine_interval(self.lo, self.hi, self.slope, self.intercept)
 
 
 class Map1D(NamedTuple):
@@ -211,10 +212,8 @@ def _push(map1d: Map1D, breakpoints: Sequence, values: Sequence):
             lo, hi = max(a, br.lo), min(b, br.hi)
             if lo >= hi:
                 continue
-            za, zb = br(lo), br(hi)
-            if za > zb:
-                za, zb = zb, za
-            pieces.append((za, zb, v / abs(br.slope)))
+            pieces.append((*_affine_interval(lo, hi, br.slope, br.intercept),
+                           v / abs(br.slope)))
     cuts = {_ZERO, _ONE}
     for za, zb, _v in pieces:
         cuts.add(za)

@@ -15,6 +15,7 @@ from bakerfr.ensembles import (
     DEFAULT_SHARD, DITHER, _chunk_g, compile_map, region_index, sample_g)
 from bakerfr.families import family
 from bakerfr.maps import build_composite, build_generalized_baker, build_simple_baker
+from bakerfr.transfer import ConsistencyError
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,7 @@ def test_refuses_regions_that_are_not_the_strips():
     halves = (b._replace(x_hi=F(1, 4)),
               b._replace(x_lo=F(1, 4), offset=(b.offset[0] + F(1, 100), b.offset[1])))
     split = m._replace(branches=(a, *halves, c, d))
-    with pytest.raises(ValueError, match="region edges"):
+    with pytest.raises(ConsistencyError, match="x-factor"):
         compile_map(split)
 
 
@@ -268,8 +269,20 @@ def test_refuses_strips_labelled_unlike_the_regions():
     m = build_generalized_baker(F(1, 8))
     a, b, c, d = sorted(m.branches, key=lambda br: br.x_lo)
     swapped = (b._replace(label=c.label), c._replace(label=b.label))
-    with pytest.raises(ValueError, match="region edges"):
+    with pytest.raises(ConsistencyError, match="x-factor"):
         compile_map(m._replace(branches=(a, *swapped, d)))
+
+
+def test_refuses_strips_that_act_unlike_the_record():
+    # strip B with x-slope 6/5 in place of 4/3: the edges and labels are
+    # the record's, but the dynamics are not map2's, so g counted with
+    # map2's labels would not be map2's g
+    m = build_generalized_baker(F(1, 8))
+    a, b, c, d = sorted(m.branches, key=lambda br: br.x_lo)
+    assert b.scale[0] == F(4, 3)
+    steeper = m._replace(branches=(a, b._replace(scale=(F(6, 5), b.scale[1])), c, d))
+    with pytest.raises(ConsistencyError, match="x-factor .*B on \\[1/8, 1/2\\): 6/5 x"):
+        compile_map(steeper)
 
 
 def test_refuses_a_map_without_a_family_record():

@@ -455,8 +455,9 @@ def test_g_that_disagrees_with_the_jacobians_raises(monkeypatch, name, l, g):
 def test_the_sign_of_g_is_stated(monkeypatch, name, l, swap):
     # negating g and inverting the unit base leaves every jacobian, stay
     # ratio and measure as it was: no geometric route can fix the sign of
-    # g.  For map2 the current route does (its closed form counts B as +1);
-    # map1 then builds the mirrored record.
+    # g.  For map2 the bias form of the unit base does (2/(2-b) > 1 for
+    # b > 0), and so would the current route (its closed form counts B as
+    # +1); map1 then builds the mirrored record.
     builder, g, conjugacy, weights = families._STATED[name]
     i, j = swap
     mirrored = {**g, i: g[j], j: g[i]}
@@ -464,8 +465,10 @@ def test_the_sign_of_g_is_stated(monkeypatch, name, l, swap):
     monkeypatch.setitem(families._STATED, name, (builder, mirrored, conjugacy, weights))
     families._family.cache_clear()
     if name == "map2":
-        with pytest.raises(ConsistencyError, match="current route"):
+        with pytest.raises(ConsistencyError, match=r"unit base .* != 2/\(2-b\)"):
             family(name, l)
+        mu = true.initial["stationary"]
+        assert multibaker.analytic_current(l) != sum(mu[r] * mirrored[r] for r in mu)
     else:
         fam = family(name, l)
         assert (fam.unit_base, fam.psi) == (1 / true.unit_base, -true.psi)

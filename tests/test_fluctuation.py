@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from fractions import Fraction as F
 from types import MappingProxyType
@@ -755,6 +756,107 @@ class TestBinnedReport:
     def test_equals_pairwise_definition_property(self, l, n, delta):
         dist = exact_distribution("map2", l, n)
         assert binned_fr_report(dist, delta).rows == binned_reference(dist, delta)
+
+
+def closed_form_breaks(dist, psi=None):
+    """The g > 0 of a map2 law from the stationary start where the closed
+    form of its ratio fails, cross-multiplied on integers:
+    P(g) (n - psi g) = base^g P(-g) (n + psi g) for g = n (mod 2), and
+    P(g) = base^g P(-g) otherwise.  `psi` defaults to the record's."""
+    fam = family(dist.family, dist.l)
+    n = dist.n
+    (bn, bd), (pn, pd) = (fam.unit_base.as_integer_ratio(),
+                          (fam.psi if psi is None else psi).as_integer_ratio())
+    broken, pow_n, pow_d = [], 1, 1   # base^g = pow_n / pow_d
+    for g in range(1, n + 1):
+        pow_n, pow_d = pow_n * bn, pow_d * bd
+        plus, minus = dist.counts.get(g, 0) * pow_d, dist.counts.get(-g, 0) * pow_n
+        if (n - g) % 2 == 0:
+            plus, minus = plus * (n * pd - pn * g), minus * (n * pd + pn * g)
+        if plus != minus:
+            broken.append(g)
+    return broken
+
+
+class TestClosedFormRatio:
+    # The per-g ratio of map2 in closed form (ROADMAP item 15): 5100 rows
+    # in about 0.07 s, and the cap in 0.27-0.31 s with its law (2-CPU
+    # Xeon container, Python 3.11.7)
+    @pytest.mark.parametrize("l", [F(1, 8), F(3, 37), F(7, 53), F(1, 5),
+                                   F(123457, 1000003)])
+    def test_holds_for_every_g(self, l):
+        for n in [*range(1, 41), 200]:
+            assert closed_form_breaks(exact_distribution("map2", l, n)) == [], n
+        assert closed_form_breaks(exact_distribution("map2", l, 12),
+                                  family("map2", l).psi + F(1, 1000)) != []
+
+    def test_holds_for_every_g_at_the_cap(self):
+        assert closed_form_breaks(map2_law(F(3, 37), MAX_DP_STEPS)) == []
+
+
+def broken_windows(dist, k):
+    """The binned verdicts from the per-g ones, on integers.  With
+    A = alpha_max and C = max(base, 1/base), each g of the window
+    |g - g0| <= k has P(g) = alpha(g) base^(g - g0) base^g0 P(-g), so
+    per-g alphas in [1/A, A] put the window ratio
+    R = P(window g0) / (P(window -g0) base^g0) in [(A C^k)^-1, A C^k].
+    Returns the g0 > 0 whose R, summed here from the counts, is outside;
+    at k = 0 they are the failing per-g rows."""
+    fam = family(dist.family, dist.l)
+    (bn, bd), (an, ad) = (fam.unit_base.as_integer_ratio(),
+                          fam.alpha_bounds[1].as_integer_ratio())
+    hi_n, hi_d = an * max(bn, bd) ** k, ad * min(bn, bd) ** k   # A C^k
+
+    lo = -dist.n - k
+    below = [0, *itertools.accumulate(dist.counts.get(g, 0)
+                                      for g in range(lo, dist.n + k + 1))]
+
+    def window(center):
+        return below[center + k + 1 - lo] - below[center - k - lo]
+
+    broken, pow_n, pow_d = [], 1, 1   # base^g0 = pow_n / pow_d
+    for g0 in range(1, dist.n + 1):
+        pow_n, pow_d = pow_n * bn, pow_d * bd
+        num, den = window(g0) * pow_d, window(-g0) * pow_n   # R = num / den
+        if num and not (hi_d * den <= hi_n * num and hi_d * num <= hi_n * den):
+            broken.append(g0)
+    return broken
+
+
+def binned_margin(dist, delta):
+    """The window half-width k = ceil(delta n |psi|) - 1 of
+    `binned_fr_report`, and the margin delta - k / (n |psi|) by which a
+    row whose R lies in [(A C^k)^-1, A C^k] is inside its band: its
+    normalized log ratio, ln(R base^g0) / (n <Lambda>), lies within
+    ln A / (n <Lambda>) + k / (n |psi|) of its center, and the band is
+    delta + ln A / (n <Lambda>) wide.  As k < delta n |psi|, the margin
+    is positive: the 1e-12 slack can decide a row only where a per-g row
+    of its window fails."""
+    psi = abs(family(dist.family, dist.l).psi)
+    k = math.ceil(delta * dist.n * psi) - 1
+    return k, delta - F(k, dist.n) / psi
+
+
+class TestBinnedVerdicts:
+    # 3280 rows in about 0.3 s; the cap, 2000 rows at margin 1/5000, in
+    # 0.8-1.1 s with its law (2-CPU Xeon container, Python 3.11.7)
+    @pytest.mark.parametrize("delta", [F(1, 1000), F(1, 10), F(1, 2), F(2)])
+    @pytest.mark.parametrize("name,l", [("map2", F(1, 8)), ("map2", F(3, 37)),
+                                        ("map2", F(7, 53)), ("map2", F(1, 5)),
+                                        ("map1", F(2, 3))])
+    def test_follow_from_the_per_g_verdicts(self, name, l, delta):
+        for n in (1, 2, 7, 12, 40, 120):
+            dist = exact_distribution(name, l, n)
+            k, margin = binned_margin(dist, delta)
+            assert broken_windows(dist, 0) == [] and fr_report(dist).all_pass
+            assert broken_windows(dist, k) == [] and margin > 0
+            assert binned_fr_report(dist, delta).all_pass
+
+    def test_follow_from_the_per_g_verdicts_at_the_cap(self):
+        dist = map2_law(F(3, 37), MAX_DP_STEPS)
+        k, margin = binned_margin(dist, F(1, 2))
+        assert (k, margin) == (510, F(1, 5000))
+        assert broken_windows(dist, 0) == broken_windows(dist, k) == []
 
 
 class TestLongWindow:

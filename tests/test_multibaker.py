@@ -131,15 +131,15 @@ class TestLinearResponse:
         assert family("map2", row.l).unit_base == 2 / (2 - b)
 
     def test_corrupted_unit_base_raises(self, monkeypatch):
-        from bakerfr import multibaker
+        # the map2 record build checks the unit base against 2/(2-b), b
+        # read from the bias form of l, once per l
+        from bakerfr import families, multibaker
 
-        def corrupted(name, l):
-            fam = family(name, l)
-            return fam._replace(unit_base=fam.unit_base + F(1, 1000))
-
-        monkeypatch.setattr(multibaker, "family", corrupted)
+        original = multibaker.bias_of
+        monkeypatch.setattr(multibaker, "bias_of", lambda l: original(l) + F(1, 1000))
+        families._family.cache_clear()
         with pytest.raises(ConsistencyError, match=r"unit base .* != 2/\(2-b\)"):
-            linear_response_sweep([F(1, 10)], particles=200, steps=10, seed=0)
+            family("map2", F(1, 10))
 
     def test_rejects_bias_out_of_range(self):
         with pytest.raises(ValueError):
