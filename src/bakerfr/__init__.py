@@ -35,10 +35,8 @@ from bakerfr.transfer import (
     project_unstable,
     region_measures,
     transition_matrix,
-    verify_composite,
-    verify_x_factor,
 )
-from bakerfr.families import Family, family
+from bakerfr.families import Family, family, verify_composite, verify_x_factor
 from bakerfr.fluctuation import (
     EmpiricalDistribution,
     FRReport,

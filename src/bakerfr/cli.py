@@ -39,7 +39,7 @@ from bakerfr.fluctuation import (
     fr_report,
     monte_carlo_distribution,
 )
-from bakerfr.families import family
+from bakerfr.families import family, verify_composite, verify_x_factor
 from bakerfr.maps import (
     build_composite,
     build_involution,
@@ -57,11 +57,7 @@ from bakerfr.periodic_orbits import (
     generalized_upo_diagnostic,
     upo_distribution,
 )
-from bakerfr.transfer import (
-    ConsistencyError,
-    invariant_density,
-    verify_composite,
-)
+from bakerfr.transfer import ConsistencyError, invariant_density
 
 #: version of the layout of every JSON document bakerfr writes
 SCHEMA_VERSION = 1
@@ -250,9 +246,7 @@ _COMPOSITE_NOTES = {
 
 
 def cmd_density(cfg: ExperimentConfig) -> Result:
-    m = _base_map(cfg)
-    fam = family(m.family, cfg.l)
-    # a composite's projection was checked equal to fam.x_factor, strip for strip
+    fam = verify_x_factor(_base_map(cfg))
     rho = invariant_density(fam.x_factor)
     analytic = fam.density
     agree = rho == analytic
@@ -353,10 +347,11 @@ def cmd_upo(cfg: ExperimentConfig) -> Result:
 
 
 def cmd_multibaker(cfg: ExperimentConfig) -> Result:
+    args = (cfg.ensemble, cfg.n, cfg.seed, cfg.transient)
+    rows = (linear_response_sweep(cfg.b_values, *args) if cfg.b_values
+            else [current_row(cfg.l, *args)])
+    ok = all(abs(r.psi_hat - float(r.psi_analytic)) <= 4 * r.stderr for r in rows)
     if cfg.b_values:
-        rows = linear_response_sweep(cfg.b_values, cfg.ensemble, cfg.n, cfg.seed,
-                                     cfg.transient)
-        ok = all(abs(r.psi_hat - float(r.psi_analytic)) <= 4 * r.stderr for r in rows)
         payload = {
             "rows": [{"b": str(r.b), "l": str(r.l),
                       "psi_analytic": str(r.psi_analytic),
@@ -369,8 +364,7 @@ def cmd_multibaker(cfg: ExperimentConfig) -> Result:
             "all_within_4_stderr": ok,
         }
         return ok, payload, sweep_table(rows)
-    row = current_row(cfg.l, cfg.ensemble, cfg.n, cfg.seed, cfg.transient)
-    ok = abs(row.psi_hat - float(row.psi_analytic)) <= 4 * row.stderr
+    [row] = rows
     payload = {
         "psi_analytic": str(row.psi_analytic),
         "psi_hat": row.psi_hat,

@@ -2,8 +2,8 @@
 
 The observable g counts visits to the contracting and expanding strips,
 a function of the x-orbit alone.  `compile_map` compiles the x-action
-of the map's record, `x_factor`, once `transfer.verify_x_factor` has
-found the map's projection equal to it strip for strip
+of the record that `families.verify_x_factor` returns once it has found
+the map's projection equal to the record's `x_factor` strip for strip
 (`ConsistencyError` otherwise): the composite's fold cuts strip B in x
 and in y but acts on y alone, so it projects onto its base map's four
 strips, and its histograms equal the base map's bit for bit.  The
@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from bakerfr.maps import PiecewiseAffineMap
-from bakerfr.transfer import verify_x_factor
+from bakerfr.families import verify_x_factor
 
 DEFAULT_SHARD = 50_000  # 34 bytes a particle: ~1.7 MB of scratch per worker fits a 2 MB L2
 DITHER = 2.0 ** -52
@@ -62,12 +62,7 @@ class CompiledMap(NamedTuple):
 
 
 def compile_map(m: PiecewiseAffineMap) -> CompiledMap:
-    from bakerfr.families import family
-
-    if m.family is None or m.l is None:
-        raise ValueError(f"{m.name} carries no region partition")
-    verify_x_factor(m)
-    fam = family(m.family, m.l)
+    fam = verify_x_factor(m)
     strips = fam.x_factor.branches
     return CompiledMap(
         strip_edges=np.array([float(b.hi) for b in strips[:-1]]),

@@ -59,6 +59,12 @@ that each start's E D s M(1) 1 is D times its E s(1) 1, the transition
 rows summing to one.  Any disagreement raises `ConsistencyError`; later
 calls return the same record from the cache.  Its mappings are
 read-only, so no caller can alter the cached facts.
+
+`verify_x_factor(m)` is the one way from a map to its record: it checks
+that the projection of `m` is the record's `x_factor`, strip for strip
+and label for label, and returns the record.  The sampler, the
+reversibility check, `verify_composite` (the composite is fold-then-map)
+and the `density` command read the record it returns.
 """
 
 from __future__ import annotations
@@ -69,7 +75,17 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from bakerfr import maps, transfer
-from bakerfr.maps import PiecewiseAffineMap, RegionLabel, as_fraction, common_denominator
+from bakerfr.maps import (
+    AffineBranch,
+    MapConstructionError,
+    PiecewiseAffineMap,
+    RegionLabel,
+    as_fraction,
+    build_perturbation,
+    common_denominator,
+    compose,
+    overlay,
+)
 from bakerfr.transfer import ConsistencyError, Map1D, StepDensity
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
@@ -231,3 +247,58 @@ def _verify(fam: Family) -> None:
         current = multibaker.analytic_current(fam.l)
         if current != fam.psi:
             raise ConsistencyError(f"current route {current} != measure route {fam.psi}")
+
+
+def verify_x_factor(m: PiecewiseAffineMap) -> Family:
+    """The record of the map `m`, once `m` is checked to have its family's
+    x-factor: the projection of `m` must equal `family(m.family,
+    m.l).x_factor`, branch for branch and label for label, or
+    `ConsistencyError` is raised.  So every piece of `m` lies inside one
+    record strip and carries that strip's label.  For the composite this
+    is the reduction to the reversible map: the strip law, hence the law
+    of g, is the base map's.  A map that does not project at all
+    (`MapConstructionError` from `project_unstable(m)`) fails the same
+    check, and a map without a family or an l raises `ValueError`."""
+    if m.family is None or m.l is None:
+        raise ValueError(f"{m.name} carries no region partition")
+    try:
+        got = transfer.project_unstable(m).branches
+    except MapConstructionError as exc:
+        raise ConsistencyError(f"{m.name}: x-factor does not exist: {exc}") from None
+    fam = family(m.family, m.l)
+    want = fam.x_factor.branches
+    if got != want:
+        def text(branches):
+            return "; ".join(f"{b.label} on [{b.lo}, {b.hi}): {b.slope} x + {b.intercept}"
+                             for b in branches)
+        raise ConsistencyError(
+            f"{m.name}: x-factor {text(got)} differs from {m.family}'s {text(want)}")
+    return fam
+
+
+def _action_text(b: AffineBranch) -> str:
+    (sx, sy), (tx, ty), (u, v) = b.scale, b.offset, ("yx" if b.swap else "xy")
+    return f"x' = {sx} {u} + {tx}, y' = {sy} {v} + {ty} ({b.label})"
+
+
+def verify_composite(k: PiecewiseAffineMap) -> None:
+    """Exact check that `k` is fold-then-map: `build_perturbation(l,
+    x_tilde, eps)`, then the map of `k`'s family at `k`'s l.
+
+    First `verify_x_factor(k)`, whose record holds that map (map2 for
+    every composite `maps.build_composite` builds).  Then one map
+    equality: `k` must equal `compose(record.map, build_perturbation(l,
+    x_tilde, eps))`, action and label, on every overlap of a piece of `k`
+    with a piece of the composition.  Two monomial actions that differ
+    agree at most on a line, so this decides equality everywhere off the
+    piece edges.  Raises `ValueError` for a map without strip parameters
+    and `ConsistencyError` for any disagreement."""
+    if k.l is None or k.x_tilde is None or k.eps is None:
+        raise ValueError(f"{k.name}: expected a composite map carrying strip parameters")
+    want = compose(verify_x_factor(k).map, build_perturbation(k.l, k.x_tilde, k.eps))
+    for (x_lo, x_hi, y_lo, y_hi), got, exp in overlay(k, want):
+        if (got.action, got.label) != (exp.action, exp.label):
+            raise ConsistencyError(
+                f"{k.name}: piece on [{got.x_lo}, {got.x_hi}) x [{got.y_lo}, {got.y_hi}) "
+                f"acts as {_action_text(got)}, but on [{x_lo}, {x_hi}) x [{y_lo}, {y_hi}) "
+                f"fold-then-map acts as {_action_text(exp)}")

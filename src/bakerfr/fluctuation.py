@@ -19,9 +19,9 @@ family.
 The per-g report decides by rational comparisons; the interval-binned
 report compares float logarithms with a slack of 1e-12 (see
 `binned_fr_report`).  The irreversible composite needs no function of
-its own: once `transfer.verify_composite` has checked it, its law is
-map2's, and its Monte-Carlo histogram goes through the same
-`monte_carlo_distribution` and `empirical_fr_report`.
+its own: once `families.verify_composite` has checked it, its record,
+hence its law, is map2's, and its Monte-Carlo histogram goes through
+the same `monte_carlo_distribution` and `empirical_fr_report`.
 """
 
 from __future__ import annotations

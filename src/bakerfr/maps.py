@@ -442,7 +442,7 @@ def build_composite(l, x_tilde=None, eps=None) -> PiecewiseAffineMap:
     height vertical strips, so each piece of the perturbation meets each
     strip of the map in the x-interval the two share.  This strip
     intersection is the builder's own, independent of the general
-    preimages of `compose`, which `transfer.verify_composite` checks it
+    preimages of `compose`, which `families.verify_composite` checks it
     against.  The result is non-invertible whenever eps > 0.
     """
     pert = build_perturbation(l, x_tilde, eps)
@@ -506,24 +506,33 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
     """Check the reversal identities: the involution G squares to the
     identity, conjugating the map M by G inverts it, the jacobians at a
     point and at its reversed image are reciprocal, and region labels
-    transform by the family conjugacy.
+    transform by the family conjugacy.  A map that carries a family and
+    an l gets its record from `families.verify_x_factor`, which refuses
+    (`ConsistencyError`) a map without its family's x-factor; a map
+    without either has no region identity.
 
     Two independent routes.  The proofs decide each identity on every
     piece of the exact compositions G o G, (G o M) o (G o M) and
     M o (G o M), and for the regions on the overlay of the record's
     x-factor strips, as a labelled identity map S, with S o (G o M); each
-    gives the area on which it fails.  A jacobian is constant on a piece,
-    so it is read at the piece's centre, which G o M sends inside one
-    piece of M.  The samples check each identity at exact rational
-    points, plus region corners shrunk into each region (exact corners
-    sit on branch boundaries, where the half-open convention is
-    arbitrary); a point outside the unit square raises `ValueError`.  They run on the
-    integers of each point (`IntPoint`): branches and regions are found
-    and images compared by cross-multiplication, without reducing to
-    lowest terms, and a `PhasePoint` is built only for a failure."""
-    from bakerfr.families import family
+    gives the area on which it fails, and the region proof does not read
+    the labels of M.  A jacobian is constant on a piece, so it is read at
+    the piece's centre, which G o M sends inside one piece of M.  The
+    samples check each identity at exact rational points, plus region
+    corners shrunk into each region (exact corners sit on branch
+    boundaries, where the half-open convention is arbitrary); a point
+    outside the unit square raises `ValueError`.  They run on the
+    integers of each point (`IntPoint`): branches are found and images
+    compared by cross-multiplication, without reducing to lowest terms,
+    and a `PhasePoint` is built only for a failure.  The region of p and
+    of G(M(p)) is the label of the branch of M found there: the x-factor
+    check has proved that every piece of M lies inside one record strip
+    and carries its label."""
+    # families imports maps, and perfbench/tracer.py wraps this function
+    # as maps.verify_reversibility, so the record is imported here
+    from bakerfr.families import verify_x_factor
 
-    fam = None if m.family is None or m.l is None else family(m.family, m.l)
+    fam = None if m.family is None or m.l is None else verify_x_factor(m)
     gm = compose(involution, m)
 
     def identity(b: AffineBranch):
@@ -550,14 +559,6 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
         inset = (Fraction(1, 4096), Fraction(4095, 4096))  # region corners, shrunk
         points += [PhasePoint(b.lo + (b.hi - b.lo) * t, s) for b in fam.x_factor.branches
                    for t in inset for s in inset]
-        edges = [(*b.lo.as_integer_ratio(), *b.hi.as_integer_ratio(), b.label)
-                 for b in fam.x_factor.branches]
-
-        def region(n: int, d: int) -> RegionLabel:
-            for lo_n, lo_d, hi_n, hi_d, label in edges:
-                if _within(n, d, lo_n, lo_d, hi_n, hi_d):
-                    return label
-            raise ValueError(f"x={Fraction(n, d)} not covered by the region partition")
     checks = dict.fromkeys(proofs, 0)
     failures: list[IdentityFailure] = []
     for p in points:
@@ -577,7 +578,7 @@ def verify_reversibility(m: PiecewiseAffineMap, involution: PiecewiseAffineMap,
                      "G(M(G(M(p)))) = {}", _phase_point, back),
                     ("jacobian_reciprocity", jac[0] == jac[1], "J(p)*J(GMp) = {}", Fraction, jac)]
         if fam is not None:
-            want, got = conj[region(pt[0], pt[1])], region(gmp[0], gmp[1])
+            want, got = conj[at_p.label], at_gmp.label
             outcomes.append(("region_conjugacy", got == want, f"expected {want}, got {{}}",
                              RegionLabel, (got,)))
         for name, holds, detail, build, value in outcomes:

@@ -13,16 +13,14 @@ rationals.
 `project_unstable` reads the x-action of a map, merging pieces that share
 one x-action, so the irreversible composite, whose fold cuts strip B in x
 and in y, projects onto the four labelled strips of its base map.
-`verify_x_factor`, the one x-factor rule (the sampler's too), checks
-exactly that for any map: its projection must equal its family's
-`x_factor`, strip for strip.  `verify_composite` adds the rest of the
-composite's claim: it equals fold-then-map exactly.  `transition_matrix`
-labels the same strip chain; `invariant_density` and `region_measures`
-read the density and the strip weights of one stationary solve.  All
-three take a projection.  `families.family` derives a record's
-transitions, column weights and successors from `transition_matrix`, and
-checks the record's stated stationary weights against
-`region_measures`."""
+`transition_matrix` labels the same strip chain; `invariant_density` and
+`region_measures` read the density and the strip weights of one
+stationary solve.  All three take a projection.  This module knows no
+family: `families.family` derives a record's transitions, column weights
+and successors from `transition_matrix`, checks the record's stated
+stationary weights against `region_measures`, and
+`families.verify_x_factor` compares a map's projection with its record's
+`x_factor`."""
 
 from __future__ import annotations
 
@@ -32,14 +30,10 @@ from typing import NamedTuple, Optional, Sequence
 
 from bakerfr.maps import (
     MapConstructionError,
-    AffineBranch,
     CheckedRecord,
     PiecewiseAffineMap,
     RegionLabel,
     _affine_interval,
-    build_perturbation,
-    compose,
-    overlay,
 )
 
 _ZERO = Fraction(0)
@@ -101,59 +95,6 @@ def project_unstable(m: PiecewiseAffineMap) -> Map1D:
             lo = merged.pop().lo
         merged.append(Branch1D(lo, hi, *action))
     return Map1D(m.name + "_x", tuple(merged))
-
-
-def verify_x_factor(m: PiecewiseAffineMap) -> None:
-    """Exact check that `m` has its family's x-factor: the projection of
-    `m` must equal `family(m.family, m.l).x_factor`, branch for branch
-    and label for label, or `ConsistencyError` is raised.  For the
-    composite this is the reduction to the reversible map: the strip law,
-    hence the law of g, is the base map's.  A map that does not project
-    at all (`MapConstructionError` from `project_unstable(m)`) fails the
-    same check."""
-    from bakerfr.families import family
-
-    try:
-        got = project_unstable(m).branches
-    except MapConstructionError as exc:
-        raise ConsistencyError(f"{m.name}: x-factor does not exist: {exc}") from None
-    want = family(m.family, m.l).x_factor.branches
-    if got != want:
-        def text(branches):
-            return "; ".join(f"{b.label} on [{b.lo}, {b.hi}): {b.slope} x + {b.intercept}"
-                             for b in branches)
-        raise ConsistencyError(
-            f"{m.name}: x-factor {text(got)} differs from {m.family}'s {text(want)}")
-
-
-def _action_text(b: AffineBranch) -> str:
-    (sx, sy), (tx, ty), (u, v) = b.scale, b.offset, ("yx" if b.swap else "xy")
-    return f"x' = {sx} {u} + {tx}, y' = {sy} {v} + {ty} ({b.label})"
-
-
-def verify_composite(k: PiecewiseAffineMap) -> None:
-    """Exact check that `k` is fold-then-map: `build_perturbation(l,
-    x_tilde, eps)`, then map2 at `k`'s parameters.
-
-    First `verify_x_factor(k)`.  Then one map equality: `k` must equal
-    `compose(family("map2", l).map, build_perturbation(l, x_tilde, eps))`,
-    action and label, on every overlap of a piece of `k` with a piece of
-    the composition.  Two monomial actions that differ agree at
-    most on a line, so this decides equality everywhere off the piece
-    edges.  Raises `ValueError` for a map without strip parameters and
-    `ConsistencyError` for any disagreement."""
-    if k.l is None or k.x_tilde is None or k.eps is None:
-        raise ValueError(f"{k.name}: expected a composite map carrying strip parameters")
-    from bakerfr.families import family
-
-    verify_x_factor(k)
-    want = compose(family("map2", k.l).map, build_perturbation(k.l, k.x_tilde, k.eps))
-    for (x_lo, x_hi, y_lo, y_hi), got, exp in overlay(k, want):
-        if (got.action, got.label) != (exp.action, exp.label):
-            raise ConsistencyError(
-                f"{k.name}: piece on [{got.x_lo}, {got.x_hi}) x [{got.y_lo}, {got.y_hi}) "
-                f"acts as {_action_text(got)}, but on [{x_lo}, {x_hi}) x [{y_lo}, {y_hi}) "
-                f"fold-then-map acts as {_action_text(exp)}")
 
 
 # ---------------------------------------------------------------------------

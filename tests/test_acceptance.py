@@ -29,13 +29,12 @@ from bakerfr.multibaker import (
     linear_response_sweep,
     simulate_current,
 )
-from bakerfr.families import family
+from bakerfr.families import family, verify_composite
 from bakerfr.periodic_orbits import enumerate_orbits, upo_distribution
 from bakerfr.transfer import (
     invariant_density,
     project_unstable,
     region_measures,
-    verify_composite,
 )
 from reference import g_count, iterate
 

@@ -14,7 +14,13 @@ from bakerfr import ensembles
 from bakerfr.ensembles import (
     DEFAULT_SHARD, DITHER, _chunk_g, compile_map, region_index, sample_g)
 from bakerfr.families import family
-from bakerfr.maps import build_composite, build_generalized_baker, build_simple_baker
+from bakerfr.maps import (
+    build_composite,
+    build_generalized_baker,
+    build_involution,
+    build_simple_baker,
+    verify_reversibility,
+)
 from bakerfr.transfer import ConsistencyError
 
 
@@ -276,13 +282,16 @@ def test_refuses_strips_labelled_unlike_the_regions():
 def test_refuses_strips_that_act_unlike_the_record():
     # strip B with x-slope 6/5 in place of 4/3: the edges and labels are
     # the record's, but the dynamics are not map2's, so g counted with
-    # map2's labels would not be map2's g
+    # map2's labels would not be map2's g, and the sampled reversibility
+    # route, which reads regions from the branch labels, would not be sound
     m = build_generalized_baker(F(1, 8))
     a, b, c, d = sorted(m.branches, key=lambda br: br.x_lo)
     assert b.scale[0] == F(4, 3)
     steeper = m._replace(branches=(a, b._replace(scale=(F(6, 5), b.scale[1])), c, d))
     with pytest.raises(ConsistencyError, match="x-factor .*B on \\[1/8, 1/2\\): 6/5 x"):
         compile_map(steeper)
+    with pytest.raises(ConsistencyError, match="x-factor .*B on \\[1/8, 1/2\\): 6/5 x"):
+        verify_reversibility(steeper, build_involution("map2"), [])
 
 
 def test_refuses_a_map_without_a_family_record():

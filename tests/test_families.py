@@ -145,8 +145,8 @@ def test_consumers_build_no_family_map(monkeypatch):
     monkeypatch.setattr(maps, "build_generalized_baker", refuse)
     assert len(enumerate_orbits(F(2, 3), 3)) == 8
     assert multibaker.simulate_current(F(1, 8), 10, 2, seed=0).particles == 10
-    transfer.verify_x_factor(family("map2", F(1, 8)).map)
-    transfer.verify_composite(k)
+    families.verify_x_factor(family("map2", F(1, 8)).map)
+    families.verify_composite(k)
     for name, l in (("map1", F(2, 3)), ("map2", F(1, 8))):
         cli._base_map(cli.ExperimentConfig(command="density", family=name, l=l))
 
@@ -474,3 +474,48 @@ def test_the_sign_of_g_is_stated(monkeypatch, name, l, swap):
         assert (fam.unit_base, fam.psi) == (1 / true.unit_base, -true.psi)
     monkeypatch.undo()
     families._family.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the one door from a map to its record
+# ---------------------------------------------------------------------------
+
+
+def test_the_door_returns_the_record():
+    k = maps.build_composite(F(3, 37))
+    assert families.verify_x_factor(k) is family("map2", F(3, 37))
+    assert families.verify_x_factor(family("map1", F(2, 3)).map) is family("map1", F(2, 3))
+
+
+def test_the_door_refuses_a_map_without_a_region_partition():
+    m = maps.build_generalized_baker(F(1, 8))
+    for bare in (m._replace(l=None), m._replace(family=None)):
+        with pytest.raises(ValueError, match="carries no region partition"):
+            families.verify_x_factor(bare)
+
+
+def test_consumers_reach_the_record_through_the_door_once(monkeypatch):
+    from bakerfr import ensembles
+
+    real, calls = families.verify_x_factor, []
+
+    def counting(m):
+        calls.append(m.name)
+        return real(m)
+
+    # every module that holds the name: the consumers call it from there
+    for module in (families, ensembles, cli):
+        monkeypatch.setattr(module, "verify_x_factor", counting)
+    k = maps.build_composite(F(1, 8))
+    runs = {
+        "compile_map": lambda: ensembles.compile_map(k),
+        "verify_composite": lambda: families.verify_composite(k),
+        "verify_reversibility": lambda: maps.verify_reversibility(
+            k, maps.build_involution("map2"), maps.random_rational_points(5, seed=0)),
+        "cmd_density": lambda: cli.cmd_density(
+            cli.ExperimentConfig(command="density", family="map2", l=F(1, 8))),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == 1, (name, calls)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction as F
 from types import MappingProxyType
 from typing import NamedTuple
@@ -25,14 +26,14 @@ from bakerfr.fluctuation import (
     log_ratio,
     monte_carlo_distribution,
 )
-from bakerfr.families import family
+from bakerfr.families import family, verify_composite
 from bakerfr.maps import (
     RegionLabel,
     build_composite,
     build_generalized_baker,
     common_denominator,
 )
-from bakerfr.transfer import ConsistencyError, verify_composite
+from bakerfr.transfer import ConsistencyError
 from reference import admissible_sequences, alpha_direct, packed_law, sequence_measure
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
@@ -792,6 +793,15 @@ class TestClosedFormRatio:
 
     def test_holds_for_every_g_at_the_cap(self):
         assert closed_form_breaks(map2_law(F(3, 37), MAX_DP_STEPS)) == []
+
+    # l = 220/1099 and 101945/505737: 0.65-0.73 s and 1.65-1.88 s with their laws
+    # (2-CPU Xeon container, Python 3.11.7)
+    @pytest.mark.parametrize("scale", [10**3, 10**6])
+    def test_holds_for_every_g_at_the_cap_at_a_random_l(self, scale):
+        rng = random.Random(scale)
+        q = rng.randint(scale, scale + scale // 10)
+        l = F(rng.randint(1, q // 4), q)
+        assert closed_form_breaks(map2_law(l, MAX_DP_STEPS)) == []
 
 
 def broken_windows(dist, k):

@@ -14,7 +14,7 @@ from bakerfr.maps import (
 )
 from bakerfr import families, transfer
 from bakerfr.cli import main
-from bakerfr.families import family
+from bakerfr.families import family, verify_composite, verify_x_factor
 from bakerfr.transfer import (
     Branch1D,
     ConsistencyError,
@@ -25,8 +25,6 @@ from bakerfr.transfer import (
     project_unstable,
     region_measures,
     transition_matrix,
-    verify_composite,
-    verify_x_factor,
 )
 
 A, B, C, D = RegionLabel.A, RegionLabel.B, RegionLabel.C, RegionLabel.D
